@@ -2,7 +2,7 @@
 points in quaternionic hyperbolic/projective space under PU(1,n;H)."""
 
 from .boundary import (ModuliCoordinate, boundary_coordinate, cartan_invariant,
-                       congruent_boundary, semi_normalize)
+                       semi_normalize)
 from .errors import (DegenerateInputError, DomainError, HQError,
                      InconsistencyError, RealizationError, UsageError)
 from .gram import (Inertia, check_admissible, gram, inertia, permute_gram,
@@ -12,9 +12,9 @@ from .hform import (BALL, SIEGEL, HVector, Isometry, PairConfiguration,
                     pair_isometry, pair_moduli, random_isometry, to_model)
 from .positive import (INFINITY, ParabolicCoordinate, PartitionStructure,
                        RegularCoordinate, block_normalize, congruent,
-                       cross_ratio, detect_partition, one_normalize,
-                       parabolic_coordinates, positive_coordinate,
-                       regular_coordinate)
+                       coordinate_distance, cross_ratio, detect_partition,
+                       one_normalize, parabolic_coordinates,
+                       positive_coordinate, regular_coordinate, tuple_class)
 from .qmatrix import QMatrix
 from .quat import (ImVector3, Quaternion, canonical_sign, mu, nu, quat,
                    rotation_normalize_vector)
@@ -25,4 +25,4 @@ from .triangle import (TriangleClass, TriangleParams, classify_triangle,
                        triangle_angular_invariant, triangle_det,
                        triangle_exists, triangle_params)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -1,6 +1,7 @@
 """Moduli coordinates for ordered m-tuples of distinct boundary (null)
-points: Cartan angular invariant, semi-normalized Gram matrices, the
-associated t-vector, and the congruence test.
+points: Cartan angular invariant, semi-normalized Gram matrices and the
+associated t-vector.  Every stage reads the products of the lifts from
+one Gram matrix.
 
 A semi-normalized Gram matrix has zero diagonal, ones on the first
 off-diagonal, and g_13 = -e^{-i*alpha} with alpha in [0, pi/2].  The
@@ -14,12 +15,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateInputError, DomainError, InconsistencyError, UsageError
-from .gram import gram, inertia, rescale_gram
-from .hform import HVector, PointClass, classify, herm
+from .gram import (PRODUCT_EPS, gram, inertia, point_classes, rescale_gram,
+                   triple_product, triple_product_vanishes)
+from .hform import HVector, PointClass
 from .qmatrix import QMatrix
 from .quat import ONE, J, Quaternion, nu, quat, rotation_normalize_vector
 
-PRODUCT_EPS = 1e-12      # below this, a pairwise product counts as zero
 SEMI_TOL = 1e-8          # postcondition tolerance for the normalized form
 
 
@@ -32,44 +33,43 @@ class ModuliCoordinate:
     v: tuple[Quaternion, ...]
     alpha: float
 
+    @property
+    def entries(self) -> tuple[Quaternion, ...]:
+        return self.v
+
     def to_json(self) -> dict:
         return {"stratum": self.stratum,
                 "alpha": self.alpha,
                 "v": [q.to_json() for q in self.v]}
 
 
-def _check_boundary_tuple(points) -> list[HVector]:
+def _boundary_gram(points) -> QMatrix:
+    """Gram matrix of a tuple of at least 3 null points whose pairwise
+    products do not vanish."""
     points = list(points)
     if len(points) < 3:
         raise UsageError("need at least 3 boundary points")
-    for p in points:
-        if classify(p) != PointClass.NULL:
-            raise DomainError("boundary tuple must consist of null points")
+    g = gram(points)
+    if any(c != PointClass.NULL for c in point_classes(points, g)):
+        raise DomainError("boundary tuple must consist of null points")
+    norms = [p.norm() for p in points]
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            h = abs(herm(points[i], points[j]))
-            if h <= PRODUCT_EPS * points[i].norm() * points[j].norm():
+            if abs(g.entry(i, j)) <= PRODUCT_EPS * norms[i] * norms[j]:
                 raise DegenerateInputError(
                     f"points {i + 1} and {j + 1} have vanishing product; "
                     "distinct null points cannot be orthogonal")
-    return points
-
-
-def triple_product(p1: HVector, p2: HVector, p3: HVector) -> Quaternion:
-    """<p1, p2, p3> = <p2,p1><p3,p2><p1,p3> (lift dependent only up to
-    lambda-bar (.) lambda)."""
-    return herm(p2, p1) * herm(p3, p2) * herm(p1, p3)
+    return g
 
 
 def cartan_invariant(p1: HVector, p2: HVector, p3: HVector) -> float:
     """Angular invariant arccos(Re(-T)/|T|) in [0, pi/2] of a triple of
     distinct null points, T the triple Hermitian product."""
-    _check_boundary_tuple([p1, p2, p3])
-    t = triple_product(p1, p2, p3)
-    at = abs(t)
-    if at <= PRODUCT_EPS:
+    g = _boundary_gram([p1, p2, p3])
+    if triple_product_vanishes(g, (p1, p2, p3)):
         raise DomainError("triple product vanishes; points not distinct")
-    c = max(-1.0, min(1.0, -t.re() / at))
+    t = triple_product(g)
+    c = max(-1.0, min(1.0, -t.re() / abs(t)))
     return math.acos(c)
 
 
@@ -82,17 +82,16 @@ def semi_normalize(points):
     left to right, then applies the nu-based rotation that makes g_13 a
     unit complex number of the form -e^{-i*alpha}.
     """
-    points = _check_boundary_tuple(points)
-    m = len(points)
+    g0 = _boundary_gram(points)
+    m = g0.shape[0]
 
     lam = [ONE] * m
     for i in range(1, m):
-        # <p_{i-1} lam_{i-1}, p_i lam_i> = conj(lam_i) h lam_{i-1} = 1
-        h = herm(points[i - 1], points[i])
-        lam[i] = (h * lam[i - 1]).inverse().conj()
+        # <p_{i-1} lam_{i-1}, p_i lam_i> = conj(lam_i) g_{i,i-1} lam_{i-1} = 1
+        lam[i] = (g0.entry(i, i - 1) * lam[i - 1]).inverse().conj()
 
     # q = <p_1, p_3 lam_3>; rotate its imaginary part onto the i-axis
-    q = lam[2].conj() * herm(points[0], points[2])
+    q = lam[2].conj() * g0.entry(2, 0)
     aq = abs(q)
     if q.im_vec().norm() <= 1e-14 * (1.0 + aq):
         lam1 = ONE / math.sqrt(aq)
@@ -106,14 +105,14 @@ def semi_normalize(points):
         else:
             d.append(lam[i - 1] * lam1.conj().inverse())
 
-    g = rescale_gram(gram(points), d)
+    g = rescale_gram(g0, d)
     g13 = g.entry(0, 2)
     if abs(g13.a2) > SEMI_TOL or abs(g13.a3) > SEMI_TOL:
         raise InconsistencyError("g_13 failed to land in the complex plane")
     if g13.a1 < 0.0:
         # conjugate everything by j to flip the sign of alpha
         d = [x * J for x in d]
-        g = rescale_gram(gram(points), d)
+        g = rescale_gram(g0, d)
         g13 = g.entry(0, 2)
 
     for i in range(m):
@@ -183,19 +182,3 @@ def boundary_coordinate(points) -> ModuliCoordinate:
     v = gram_to_vector(g)
     _, vn, tag = rotation_normalize_vector(v)
     return ModuliCoordinate(tag, tuple(vn), alpha)
-
-
-def coordinate_distance(a: ModuliCoordinate, b: ModuliCoordinate) -> float:
-    """Max entrywise quaternion distance; infinity when strata differ."""
-    if a.stratum != b.stratum or len(a.v) != len(b.v):
-        return math.inf
-    return max((abs(x - y) for x, y in zip(a.v, b.v)), default=0.0)
-
-
-def congruent_boundary(p, q, eps: float = 1e-8) -> bool:
-    """True iff the two boundary tuples are congruent under the isometry
-    group: stratum tags match and canonical vectors agree within eps."""
-    if len(list(p)) != len(list(q)):
-        return False
-    return coordinate_distance(boundary_coordinate(p),
-                               boundary_coordinate(q)) <= eps

@@ -15,16 +15,17 @@ import sys
 
 import numpy as np
 
-from .boundary import boundary_coordinate, coordinate_distance
+from .boundary import boundary_coordinate
 from .errors import (DomainError, HQError, RealizationError, UsageError)
-from .gram import gram, inertia, realize
-from .hform import BALL, SIEGEL, HVector, PointClass, classify, random_isometry
-from .positive import (ParabolicCoordinate, positive_coordinate)
+from .gram import inertia, realize
+from .hform import BALL, SIEGEL, HVector, random_isometry
+from .positive import (ParabolicCoordinate, coordinate_distance,
+                       positive_coordinate, tuple_class)
 from .qmatrix import QMatrix
 from .quat import Quaternion
 from .sampling import random_tuple
-from .triangle import (TriangleParams, classify_triangle, gram_from_params,
-                       realize_triangle, triangle_det, triangle_exists)
+from .triangle import (TriangleParams, classify_triangle, realize_triangle,
+                       triangle_det, triangle_exists)
 
 DEFAULT_EPS = 1e-9
 
@@ -74,30 +75,12 @@ def _parse_gram(data) -> QMatrix:
         raise UsageError(f"malformed Gram matrix: {exc}") from exc
 
 
-def _gram_to_json(g: QMatrix) -> dict:
-    m = g.shape[0]
-    return {"m": m,
-            "entries": [[g.entry(i, j).to_json() for j in range(m)]
-                        for i in range(m)]}
-
-
 def _emit(args, payload: dict, summary: str) -> None:
     if args.json:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         sys.stdout.write(summary + "\n")
-
-
-def _classify_tuple(points, eps):
-    kinds = {classify(p, eps) for p in points}
-    if kinds == {PointClass.NULL}:
-        return "boundary"
-    if kinds == {PointClass.POSITIVE}:
-        return "positive"
-    raise DomainError(
-        "tuple mixes point classes: " +
-        ", ".join(classify(p, eps).value for p in points))
 
 
 # ---------------------------------------------------------------------------
@@ -130,35 +113,20 @@ def cmd_congruent(args) -> int:
     q = _parse_tuple(_load_json(args.b))
     if len(p) != len(q):
         raise UsageError(f"tuple sizes differ: {len(p)} vs {len(q)}")
-    kind_p = _classify_tuple(p, args.eps)
-    kind_q = _classify_tuple(q, args.eps)
+    kind_p, kind_q = tuple_class(p, args.eps), tuple_class(q, args.eps)
     if kind_p != kind_q:
         raise DomainError(f"tuple classes differ: {kind_p} vs {kind_q}")
 
-    tol = args.tol
-    diffs = []
-    if kind_p == "boundary":
-        ca, cb = boundary_coordinate(p), boundary_coordinate(q)
-        same = coordinate_distance(ca, cb) <= tol
-        if not same and ca.stratum == cb.stratum:
-            diffs = [i + 1 for i, (x, y) in enumerate(zip(ca.v, cb.v))
-                     if abs(x - y) > tol]
-        detail = {"a": ca.to_json(), "b": cb.to_json()}
-    else:
-        ca, cb = positive_coordinate(p, args.eps), positive_coordinate(q, args.eps)
-        same = type(ca) is type(cb)
-        if same:
-            va = ca.x if isinstance(ca, ParabolicCoordinate) else ca.entries
-            vb = cb.x if isinstance(cb, ParabolicCoordinate) else cb.entries
-            same = (ca.structure == cb.structure and len(va) == len(vb)
-                    and all(abs(x - y) <= tol for x, y in zip(va, vb)))
-            if isinstance(ca, ParabolicCoordinate):
-                same = same and ca.stratum == cb.stratum
-            if not same and ca.structure == cb.structure and len(va) == len(vb):
-                diffs = [i + 1 for i, (x, y) in enumerate(zip(va, vb))
-                         if abs(x - y) > tol]
-        detail = {"a": ca.to_json(), "b": cb.to_json()}
-    payload = {"congruent": same, "differing_entries": diffs, **detail}
+    ca, cb = (boundary_coordinate(x) if kind_p == "boundary"
+              else positive_coordinate(x, args.eps) for x in (p, q))
+    dist = coordinate_distance(ca, cb)
+    same = dist <= args.tol
+    # entries are comparable only when the distance is finite
+    diffs = [] if same or math.isinf(dist) else [
+        i + 1 for i, (x, y) in enumerate(zip(ca.entries, cb.entries))
+        if abs(x - y) > args.tol]
+    payload = {"congruent": same, "differing_entries": diffs,
+               "a": ca.to_json(), "b": cb.to_json()}
     _emit(args, payload,
           "congruent" if same else f"not congruent (entries {diffs})")
     return EXIT_OK if same else EXIT_NEGATIVE
@@ -199,23 +167,22 @@ def cmd_random(args) -> int:
 
 
 def _triangle_row(params: TriangleParams):
+    """(det, exists, class, points); the points realize the triangle when
+    it exists."""
     det = triangle_det(params)
     exists = triangle_exists(params)
-    cls = ""
-    if exists:
-        pts = realize_triangle(params)
-        cls = classify_triangle(*pts).value
-    return det, exists, cls
+    pts = realize_triangle(params) if exists else ()
+    cls = classify_triangle(*pts).value if exists else ""
+    return det, exists, cls, pts
 
 
 def cmd_triangle(args) -> int:
     if not (0.0 <= args.alpha <= math.pi / 2):
         raise UsageError("alpha must lie in [0, pi/2]")
     params = TriangleParams(args.r1, args.r2, args.r3, args.alpha)
-    det, exists, cls = _triangle_row(params)
+    det, exists, cls, pts = _triangle_row(params)
     payload = {"params": params.to_json(), "det": det, "exists": exists}
     if exists:
-        pts = realize_triangle(params)
         payload["class"] = cls
         payload["points"] = [p.to_json() for p in pts]
     _emit(args, payload,
@@ -235,7 +202,7 @@ def cmd_triangle_sweep(args) -> int:
                 for al in alphas:
                     params = TriangleParams(float(r1), float(r2),
                                             float(r3), float(al))
-                    det, exists, cls = _triangle_row(params)
+                    det, exists, cls, _ = _triangle_row(params)
                     out.write(f"{r1:.6g},{r2:.6g},{r3:.6g},{al:.6g},"
                               f"{det:.12g},{str(exists).lower()},{cls}\n")
     return EXIT_OK

@@ -15,11 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InconsistencyError, RealizationError, UsageError
-from .hform import BALL, HVector, cayley, columns, form_matrix, tuple_from_columns
+from .hform import (BALL, NULL_EPS, HVector, PointClass, cayley, columns,
+                    form_matrix, point_class, tuple_from_columns)
 from .qmatrix import QMatrix
+from .quat import Quaternion
 
 INERTIA_EPS = 1e-9    # relative spectral threshold for zero eigenvalues
 PIVOT_EPS = 1e-12     # relative pivot threshold in congruence reduction
+# A product of lifts vanishes when it is at most PRODUCT_EPS times the
+# matching product of their Euclidean norms, so rescaling the lifts never
+# changes the decision.
+PRODUCT_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,25 @@ def gram(points) -> QMatrix:
     p = columns(points)
     j = form_matrix(points[0].model, points[0].n)
     return p.h @ (j @ p)
+
+
+def point_classes(points, g: QMatrix, eps: float = NULL_EPS) -> list[PointClass]:
+    """Classes of the lifts read off the diagonal of their Gram matrix."""
+    return [point_class(g.entry(i, i).re(), p.norm(), eps)
+            for i, p in enumerate(points)]
+
+
+def triple_product(g: QMatrix) -> Quaternion:
+    """<p1, p2, p3> = <p2,p1><p3,p2><p1,p3> = g_12 g_23 g_31 for the Gram
+    matrix g of (p1, p2, p3) (lift dependent only up to
+    lambda-bar (.) lambda)."""
+    return g.entry(0, 1) * g.entry(1, 2) * g.entry(2, 0)
+
+
+def triple_product_vanishes(g: QMatrix, points) -> bool:
+    """True when |<p1, p2, p3>| <= PRODUCT_EPS (|p1| |p2| |p3|)^2."""
+    scale = math.prod(p.norm() for p in points) ** 2
+    return abs(triple_product(g)) <= PRODUCT_EPS * scale
 
 
 def permute_gram(g: QMatrix, sigma) -> QMatrix:
@@ -205,11 +230,7 @@ def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
         for t in range(m):
             add = z.scale(float(t + 1))
             cols[t] = cols[t] + add
-    out = QMatrix.zeros(n + 1, m)
-    for t in range(m):
-        out.c1[:, t] = cols[t].c1[:, 0]
-        out.c2[:, t] = cols[t].c2[:, 0]
-    points = tuple_from_columns(out, BALL)
+    points = tuple_from_columns(QMatrix.from_columns(cols), BALL)
     if model != BALL:
         points = tuple(cayley(q) for q in points)
     return points

@@ -154,13 +154,18 @@ def self_product(z: HVector) -> float:
     return herm(z, z).re()
 
 
-def classify(z: HVector, eps: float = NULL_EPS) -> PointClass:
-    if z.norm() == 0.0:
+def point_class(s: float, norm: float, eps: float = NULL_EPS) -> PointClass:
+    """Class of a lift with self-product s and Euclidean norm `norm`: null
+    when |s| <= eps * norm^2."""
+    if norm == 0.0:
         raise DomainError("cannot classify the zero vector")
-    s = self_product(z)
-    if abs(s) <= eps * z.norm() ** 2:
+    if abs(s) <= eps * norm ** 2:
         return PointClass.NULL
     return PointClass.NEGATIVE if s < 0 else PointClass.POSITIVE
+
+
+def classify(z: HVector, eps: float = NULL_EPS) -> PointClass:
+    return point_class(self_product(z), z.norm(), eps)
 
 
 def columns(tup) -> QMatrix:
@@ -172,11 +177,7 @@ def columns(tup) -> QMatrix:
     for z in tup:
         if z.model != model or z.qm.shape[0] != rows:
             raise UsageError("tuple mixes models or dimensions")
-    out = QMatrix.zeros(rows, len(tup))
-    for jcol, z in enumerate(tup):
-        out.c1[:, jcol] = z.qm.c1[:, 0]
-        out.c2[:, jcol] = z.qm.c2[:, 0]
-    return out
+    return QMatrix.from_columns(z.qm for z in tup)
 
 
 def tuple_from_columns(qm: QMatrix, model: str) -> tuple[HVector, ...]:
@@ -225,13 +226,6 @@ def cayley_isometry(g: Isometry) -> Isometry:
         raise UsageError("cayley_isometry expects a ball-model isometry")
     c = _cayley_matrix(g.n)
     return Isometry(c @ g.qm @ c, SIEGEL)
-
-
-def cayley_isometry_inverse(g: Isometry) -> Isometry:
-    if g.model != SIEGEL:
-        raise UsageError("expects a Siegel-model isometry")
-    c = _cayley_matrix(g.n)
-    return Isometry(c @ g.qm @ c, BALL)
 
 
 # ---------------------------------------------------------------------
@@ -320,13 +314,18 @@ def _extend_frame(frame: list[tuple[QMatrix, float]], n: int,
         raise DomainError("frame already has two negative directions")
     seeds = _extended_seeds(n + 1)
 
-    while have_pos < n:
+    def best_projection(sign):
+        """Projected seed w maximizing sign * <w, w> > 0."""
         best, best_val = None, 0.0
         for s in seeds:
             w = _project_against(s, frame, j)
-            val = _self(w, j)
+            val = sign * _self(w, j)
             if val > best_val:
                 best, best_val = w, val
+        return best, best_val
+
+    while have_pos < n:
+        best, best_val = best_projection(1.0)
         if best is None:
             best, best_val = _positive_combination(seeds, frame, j)
         if best is None:
@@ -335,15 +334,10 @@ def _extend_frame(frame: list[tuple[QMatrix, float]], n: int,
         have_pos += 1
 
     if have_neg == 0:
-        best, best_val = None, 0.0
-        for s in seeds:
-            w = _project_against(s, frame, j)
-            val = _self(w, j)
-            if val < best_val:
-                best, best_val = w, val
+        best, best_val = best_projection(-1.0)
         if best is None:
             raise DomainError("cannot extend frame with a negative vector")
-        frame.append((best.scale(1.0 / math.sqrt(-best_val)), -1.0))
+        frame.append((best.scale(1.0 / math.sqrt(best_val)), -1.0))
 
     # order: positives first, negative last
     frame.sort(key=lambda t: -t[1])
@@ -381,11 +375,7 @@ def random_isometry(n: int, seed: int, model: str = BALL) -> Isometry:
                     raise DegenerateInputError("near-singular draw")
                 frame.append((cand.scale(1.0 / math.sqrt(val)), 1.0))
             frame.sort(key=lambda t: -t[1])
-            g = QMatrix.zeros(n + 1, n + 1)
-            for jcol, (v, _sign) in enumerate(frame):
-                g.c1[:, jcol] = v.c1[:, 0]
-                g.c2[:, jcol] = v.c2[:, 0]
-            iso = Isometry(g, BALL)
+            iso = Isometry(QMatrix.from_columns(v for v, _sign in frame), BALL)
             if verify_isometry(iso) > ISOMETRY_TOL * (n + 1):
                 raise DegenerateInputError("orthogonalization lost accuracy")
             return iso if model == BALL else cayley_isometry(iso)
@@ -416,41 +406,39 @@ def map_orthonormal_frames(p, q) -> Isometry:
     fp = _extend_frame([(z.qm, 1.0) for z in pb], n, j)
     fq = _extend_frame([(z.qm, 1.0) for z in qb], n, j)
     # keep the given columns in their original order at the front
-    gp = columns(pb).hstack(_stack([v for v, s in fp[len(pb):]]))
-    gq = columns(qb).hstack(_stack([v for v, s in fq[len(qb):]]))
+    gp = QMatrix.from_columns([z.qm for z in pb] + [v for v, s in fp[len(pb):]])
+    gq = QMatrix.from_columns([z.qm for z in qb] + [v for v, s in fq[len(qb):]])
     g = Isometry(gq @ gp.inv(), BALL)
     if model == SIEGEL:
         g = cayley_isometry(g)
     return g
 
 
-def _stack(cols: list[QMatrix]) -> QMatrix:
-    out = QMatrix.zeros(cols[0].shape[0], len(cols))
-    for jcol, v in enumerate(cols):
-        out.c1[:, jcol] = v.c1[:, 0]
-        out.c2[:, jcol] = v.c2[:, 0]
-    return out
-
-
 # ---------------------------------------------------------------------
 # Null-vector machinery
 # ---------------------------------------------------------------------
+
+def _null_partner(z: QMatrix, j: QMatrix, frame=()) -> QMatrix:
+    """Null w with <z, w> = 1 for null z, inside the J-orthogonal
+    complement of the J-orthonormal columns of `frame`."""
+    best, best_val = None, 0.0
+    for s in _standard_seeds(z.shape[0]):
+        cand = _project_against(s, frame, j)
+        a0 = (cand.h @ (j @ z)).entry(0, 0)  # <z, cand>
+        if abs(a0) > best_val:
+            best, best_val = cand, abs(a0)
+    if best is None or best_val < 1e-12:
+        raise DomainError("no partner direction for the null vector")
+    a0 = (best.h @ (j @ z)).entry(0, 0)
+    w1 = best.right_scalar(a0.conj().inverse())
+    return w1 - z.scale(_self(w1, j) / 2.0)
+
 
 def null_partner(z: HVector) -> HVector:
     """For null z, a null w with <z, w> = 1 (and <w, w> = 0)."""
     if classify(z) != PointClass.NULL:
         raise DomainError("null_partner needs a null vector")
-    j = form_matrix(z.model, z.n)
-    best, best_val = None, 0.0
-    for s in _standard_seeds(z.n + 1):
-        a0 = (s.h @ (j @ z.qm)).entry(0, 0)  # <z, s>
-        if abs(a0) > best_val:
-            best, best_val = s, abs(a0)
-    a0 = (best.h @ (j @ z.qm)).entry(0, 0)
-    w1 = best.right_scalar(a0.conj().inverse())
-    t = _self(w1, j)
-    w = w1 - z.qm.scale(t / 2.0)
-    return HVector(w, z.model)
+    return HVector(_null_partner(z.qm, form_matrix(z.model, z.n)), z.model)
 
 
 def project_out_null_pair(v: QMatrix, z: QMatrix, w: QMatrix,
@@ -462,40 +450,47 @@ def project_out_null_pair(v: QMatrix, z: QMatrix, w: QMatrix,
     return v - z.right_scalar(a) - w.right_scalar(b)
 
 
+def _null_pair_completion(z: QMatrix, w: QMatrix, frame, count: int,
+                          j: QMatrix) -> list[QMatrix]:
+    """`count` J-orthonormal positive columns orthogonal to the null pair
+    (z, w) and to the J-orthonormal columns of `frame`, projected from the
+    standard basis in order."""
+    frame, out = list(frame), []
+    for s in _standard_seeds(z.shape[0]):
+        if len(out) == count:
+            break
+        cand = _project_against(project_out_null_pair(s, z, w, j), frame, j)
+        val = _self(cand, j)
+        if val > 1e-8:
+            col = cand.scale(1.0 / math.sqrt(val))
+            frame.append((col, 1.0))
+            out.append(col)
+    if len(out) < count:
+        raise DomainError("failed to complete a null frame")
+    return out
+
+
+def _null_frame_columns(z: HVector) -> list[QMatrix]:
+    """Columns (z, u_2..u_n, w) with u_t J-orthonormal positive and w the
+    null partner of z."""
+    j = form_matrix(z.model, z.n)
+    w = null_partner(z).qm
+    return [z.qm] + _null_pair_completion(z.qm, w, (), z.n - 1, j) + [w]
+
+
 def orthogonal_complement_basis(z: HVector) -> tuple[HVector, ...]:
     """Structured basis of z^perp: see the trichotomy on the sign of
     <z, z>.  Null z is returned as the first basis vector of its own
     complement."""
     cls = classify(z)
-    n = z.n
-    j = form_matrix(z.model, n)
-    if cls == PointClass.NEGATIVE:
-        s = self_product(z)
-        frame = [(z.qm.scale(1.0 / math.sqrt(-s)), -1.0)]
-        frame = _extend_frame(frame, n, j)
-        return tuple(HVector(v, z.model) for v, sign in frame if sign > 0)
-    if cls == PointClass.POSITIVE:
-        s = self_product(z)
-        zn = z.qm.scale(1.0 / math.sqrt(s))
-        frame = _extend_frame([(zn, 1.0)], n, j)
-        # drop z itself; keep n-1 positives then the negative direction
+    if cls != PointClass.NULL:
+        sign = 1.0 if cls == PointClass.POSITIVE else -1.0
+        zn = z.qm.scale(1.0 / math.sqrt(sign * self_product(z)))
+        frame = _extend_frame([(zn, sign)], z.n, form_matrix(z.model, z.n))
+        # drop z itself: the positives, then (for positive z) the negative
         return tuple(HVector(v, z.model) for v, _sign in frame if v is not zn)
     # null case: z itself plus n-1 positives in {z, w}^perp
-    w = null_partner(z)
-    out = [z]
-    frame: list[tuple[QMatrix, float]] = []
-    for s in _standard_seeds(n + 1):
-        if len(frame) == n - 1:
-            break
-        cand = project_out_null_pair(s, z.qm, w.qm, j)
-        cand = _project_against(cand, frame, j)
-        val = _self(cand, j)
-        if val > 1e-8:
-            frame.append((cand.scale(1.0 / math.sqrt(val)), 1.0))
-    if len(frame) < n - 1:
-        raise DomainError("failed to span the null complement")
-    out.extend(HVector(v, z.model) for v, _ in frame)
-    return tuple(out)
+    return tuple(HVector(v, z.model) for v in _null_frame_columns(z)[:-1])
 
 
 def null_frame(z: HVector) -> QMatrix:
@@ -505,22 +500,7 @@ def null_frame(z: HVector) -> QMatrix:
     infinity (1, 0, ..., 0)."""
     if z.model != SIEGEL:
         raise UsageError("null_frame works in the Siegel model")
-    n = z.n
-    j = form_matrix(SIEGEL, n)
-    w = null_partner(z)
-    frame: list[tuple[QMatrix, float]] = []
-    for s in _standard_seeds(n + 1):
-        if len(frame) == n - 1:
-            break
-        cand = project_out_null_pair(s, z.qm, w.qm, j)
-        cand = _project_against(cand, frame, j)
-        val = _self(cand, j)
-        if val > 1e-8:
-            frame.append((cand.scale(1.0 / math.sqrt(val)), 1.0))
-    if len(frame) < n - 1:
-        raise DomainError("failed to complete a null frame")
-    cols = [z.qm] + [v for v, _ in frame] + [w.qm]
-    return _stack(cols)
+    return QMatrix.from_columns(_null_frame_columns(z))
 
 
 def isometry_sending_null_to_infinity(z: HVector) -> Isometry:
@@ -611,34 +591,18 @@ def pair_isometry(p1: HVector, p2: HVector, q1: HVector, q2: HVector,
 
     def build_frame(x1: HVector, x2: HVector) -> QMatrix:
         if abs(t - 1.0) <= ASYMPTOTIC_EPS:
-            u = x2 - x1
-            w = _null_partner_in_complement(u, x1, j)
+            u = (x2 - x1).qm
             frame = [(x1.qm, 1.0)]
-            cols = [x1.qm, u.qm, w]
-            for s in _standard_seeds(n + 1):
-                if len(cols) == n + 1:
-                    break
-                cand = project_out_null_pair(s, u.qm, w, j)
-                cand = _project_against(cand, frame, j)
-                val = _self(cand, j)
-                if val > 1e-8:
-                    col = cand.scale(1.0 / math.sqrt(val))
-                    frame.append((col, 1.0))
-                    cols.append(col)
-            if len(cols) < n + 1:
-                raise DomainError("failed to complete asymptotic pair frame")
-            return _stack(cols)
+            w = _null_partner(u, j, frame)
+            return QMatrix.from_columns(
+                [x1.qm, u, w] + _null_pair_completion(u, w, frame, n - 2, j))
         u = x2 - x1.rescale(t)
         s = _self(u.qm, j)
         sign = 1.0 if s > 0 else -1.0
         uq = u.qm.scale(1.0 / math.sqrt(abs(s)))
         frame = _extend_frame([(x1.qm, 1.0), (uq, sign)], n, j)
-        cols = [x1.qm, uq]
-        for v, _sg in frame:
-            if v is x1.qm or v is uq:
-                continue
-            cols.append(v)
-        return _stack(cols)
+        rest = [v for v, _sg in frame if v is not x1.qm and v is not uq]
+        return QMatrix.from_columns([x1.qm, uq] + rest)
 
     fp = build_frame(a1, a2)
     fq = build_frame(b1, b2)
@@ -656,20 +620,3 @@ def projective_distance(a: HVector, b: HVector) -> float:
     bn = b.qm.scale(1.0 / b.qm.norm())
     lam = (bn.h @ an).entry(0, 0)  # Euclidean best-fit right scalar
     return (an - bn.right_scalar(lam)).norm()
-
-
-def _null_partner_in_complement(u: HVector, p: HVector, j: QMatrix) -> QMatrix:
-    """Null partner of null u inside p^perp (p positive unit)."""
-    n = p.n
-    best, best_val = None, 0.0
-    for s in _standard_seeds(n + 1):
-        cand = _project_against(s, [(p.qm, 1.0)], j)
-        a0 = (cand.h @ (j @ u.qm)).entry(0, 0)  # <u, cand>
-        if abs(a0) > best_val:
-            best, best_val = cand, abs(a0)
-    if best is None or best_val < 1e-12:
-        raise DomainError("no partner direction for the null vector")
-    a0 = (best.h @ (j @ u.qm)).entry(0, 0)
-    w1 = best.right_scalar(a0.conj().inverse())
-    tw = _self(w1, j)
-    return w1 - u.qm.scale(tw / 2.0)

@@ -11,6 +11,10 @@ Two regimes, distinguished by the span of the lifted tuple:
 * regular tuples: the span is nondegenerate.  The invariant is the Gram
   matrix itself after block normalization and rotation normalization of
   the residual per-sub-block unit freedom.
+
+A tuple gets one Gram matrix and one partition decision, made on its
+first normalization.  The congruence test at the end of the module
+compares the coordinates of boundary and positive tuples alike.
 """
 
 from __future__ import annotations
@@ -18,13 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .boundary import boundary_coordinate
 from .errors import DegenerateInputError, DomainError, InconsistencyError, UsageError
-from .gram import gram, inertia, rescale_gram, span_dimension
-from .hform import (SIEGEL, HVector, PointClass, classify, columns,
+from .gram import gram, inertia, point_classes, rescale_gram, span_dimension
+from .hform import (NULL_EPS, SIEGEL, PointClass, classify, columns,
                     isometry_sending_null_to_infinity, to_model)
 from .qmatrix import QMatrix
-from .quat import (ONE, Quaternion, canonical_sign, conjugate_vector, nu,
-                   quat, rotation_normalize_vector, tag_ZR)
+from .quat import (ONE, Quaternion, canonical_sign, nu, quat,
+                   rotation_normalize_vector)
 
 ZERO_EPS = 1e-8        # relative threshold for a vanishing Gram entry
 UNIT_EPS = 1e-6        # tolerance for a normalized product of modulus 1
@@ -62,6 +67,10 @@ class ParabolicCoordinate:
     stratum: str
     x: tuple[Quaternion, ...]
 
+    @property
+    def entries(self) -> tuple[Quaternion, ...]:
+        return self.x
+
     def to_json(self) -> dict:
         return {"class": "parabolic",
                 "structure": self.structure.to_json(),
@@ -86,14 +95,40 @@ class RegularCoordinate:
 # ---------------------------------------------------------------------------
 # validation and first normalization
 
-def _check_positive_tuple(points) -> list[HVector]:
-    points = list(points)
-    if len(points) < 2:
+class _Lifts(tuple):
+    """A validated tuple of positive lifts with its Gram matrix `g` and,
+    once partitioned for a tolerance `eps`, its first normalization
+    (`d1`, `g1`) and partition `structure`.  The coordinate stages accept
+    it in place of the points and read all of this from it."""
+
+    eps = None
+
+
+def _positive_lifts(points) -> _Lifts:
+    if isinstance(points, _Lifts):
+        return points
+    lifts = _Lifts(points)
+    if len(lifts) < 2:
         raise UsageError("need at least 2 positive points")
-    for p in points:
-        if classify(p) != PointClass.POSITIVE:
-            raise DomainError("tuple must consist of positive points")
-    return points
+    lifts.g = gram(lifts)
+    if any(c != PointClass.POSITIVE for c in point_classes(lifts, lifts.g)):
+        raise DomainError("tuple must consist of positive points")
+    _check_distinct(lifts, lifts.g)
+    return lifts
+
+
+def _partitioned(points, eps: float) -> _Lifts:
+    """The validated lifts, normalized and partitioned once for eps.  The
+    partition is read off the one-normalized Gram matrix, whose unit
+    diagonal makes the relative zero-product threshold independent of
+    per-point rescaling."""
+    lifts = _positive_lifts(points)
+    if lifts.eps != eps:
+        lifts.d1, lifts.g1 = one_normalize(lifts, eps)
+        lifts.structure = detect_partition(
+            lifts.g1, lifts[0].n, eps, span_dim=span_dimension(lifts))
+        lifts.eps = eps
+    return lifts
 
 
 def _normalized_modulus(g: QMatrix, a: int, b: int) -> float:
@@ -118,10 +153,9 @@ def one_normalize(points, eps: float = ZERO_EPS):
     g_1i real nonnegative, followed (for m >= 3 with Im g_23 != 0) by a
     common unit factor rotating g_23 into the upper complex half plane.
     """
-    points = _check_positive_tuple(points)
-    g0 = gram(points)
-    _check_distinct(points, g0)
-    m = len(points)
+    lifts = _positive_lifts(points)
+    g0 = lifts.g
+    m = len(lifts)
 
     d = [quat(1.0 / math.sqrt(g0.entry(t, t).re())) for t in range(m)]
     g = rescale_gram(g0, d)
@@ -180,6 +214,10 @@ def _refine_sub_blocks(indices, nz):
     return tuple(out), tuple(anchors)
 
 
+def _block_pairs(blocks):
+    return [(a, b) for blk in blocks for a in blk for b in blk if a < b]
+
+
 def detect_partition(g: QMatrix, n: int, eps: float = ZERO_EPS,
                      span_dim: int | None = None) -> PartitionStructure:
     """Partition structure of a positive tuple from its Gram matrix.
@@ -199,21 +237,21 @@ def detect_partition(g: QMatrix, n: int, eps: float = ZERO_EPS,
     blocks = _components(m, nz)
     iner = inertia(g)
 
+    def gaps():
+        """Distance from 1 of each normalized product inside a block."""
+        return (abs(_normalized_modulus(g, a, b) - 1.0)
+                for a, b in _block_pairs(blocks))
+
     if span_dim is not None:
         parabolic = iner.n_minus == 0 and iner.rank == span_dim - 1
     else:
-        parabolic = iner.n_minus == 0 and any(
-            abs(_normalized_modulus(g, a, b) - 1.0) < UNIT_EPS
-            for blk in blocks for a in blk for b in blk if a < b)
+        parabolic = iner.n_minus == 0 and any(x < UNIT_EPS for x in gaps())
 
     if parabolic:
-        for blk in blocks:
-            for a in blk:
-                for b in blk:
-                    if a < b and abs(_normalized_modulus(g, a, b) - 1.0) > UNIT_EPS:
-                        raise InconsistencyError(
-                            "degenerate span but a product inside a block "
-                            "does not have modulus 1")
+        if any(x > UNIT_EPS for x in gaps()):
+            raise InconsistencyError(
+                "degenerate span but a product inside a block "
+                "does not have modulus 1")
         return PartitionStructure("parabolic", tuple(blocks))
 
     subs, ancs = zip(*(_refine_sub_blocks(blk, nz) for blk in blocks))
@@ -260,25 +298,21 @@ def cross_ratio(z1, z2, z3, z4):
     return out
 
 
-def _parabolic_lifts(points, structure, g):
+def _parabolic_lifts(lifts: _Lifts):
     """Rescaled lifts with every within-block product exactly ~1."""
-    m = len(points)
-    d = [quat(1.0 / math.sqrt(g.entry(t, t).re())) for t in range(m)]
-    g1 = rescale_gram(g, d)
+    g, structure = lifts.g, lifts.structure
+    d = [quat(1.0 / math.sqrt(g.entry(t, t).re())) for t in range(len(lifts))]
     for blk in structure.blocks:
         a = blk[0]
         for t in blk[1:]:
-            h = g1.entry(a, t)
+            # the positive diagonal factors do not change the phase of g_at
+            h = g.entry(a, t)
             d[t] = d[t] * (h.conj() / abs(h))
-    lifts = [p.rescale(x) for p, x in zip(points, d)]
-    g2 = gram(lifts)
-    for blk in structure.blocks:
-        for a in blk:
-            for b in blk:
-                if a < b and abs(g2.entry(a, b) - ONE) > UNIT_EPS:
-                    raise InconsistencyError(
-                        "within-block products did not normalize to 1")
-    return lifts
+    g2 = rescale_gram(g, d)
+    if any(abs(g2.entry(a, b) - ONE) > UNIT_EPS
+           for a, b in _block_pairs(structure.blocks)):
+        raise InconsistencyError("within-block products did not normalize to 1")
+    return [p.rescale(x) for p, x in zip(lifts, d)]
 
 
 def parabolic_coordinates(points, eps: float = ZERO_EPS) -> ParabolicCoordinate:
@@ -290,16 +324,12 @@ def parabolic_coordinates(points, eps: float = ZERO_EPS) -> ParabolicCoordinate:
     blocks of size s >= 3 contribute the quotients
     (k_1 - k_t)(k_2 - k_t)^{-1}, t = 3..s.
     """
-    points = _check_positive_tuple(points)
-    g = gram(points)
-    _check_distinct(points, g)
-    structure = detect_partition(g, points[0].n, eps,
-                                 span_dim=span_dimension(points))
+    points = _partitioned(points, eps)
+    structure = points.structure
     if structure.kind != "parabolic":
         raise DomainError("tuple is not parabolic")
 
-    lifts = _parabolic_lifts(points, structure, g)
-    lifts = [to_model(p, SIEGEL) for p in lifts]
+    lifts = [to_model(p, SIEGEL) for p in _parabolic_lifts(points)]
 
     big = next(b for b in structure.blocks if len(b) >= 2)
     z0 = lifts[big[1]] - lifts[big[0]]
@@ -320,18 +350,8 @@ def parabolic_coordinates(points, eps: float = ZERO_EPS) -> ParabolicCoordinate:
     if x:
         _, xn, tag = rotation_normalize_vector(x)
     else:
-        xn, tag = [], tag_ZR()
+        xn, tag = [], "Z_R"
     return ParabolicCoordinate(structure, tag, tuple(xn))
-
-
-def congruent_parabolic(p, q, eps: float = COORD_TOL) -> bool:
-    cp = parabolic_coordinates(p)
-    cq = parabolic_coordinates(q)
-    if cp.structure != cq.structure or cp.stratum != cq.stratum:
-        return False
-    if len(cp.x) != len(cq.x):
-        return False
-    return all(abs(a - b) <= eps for a, b in zip(cp.x, cq.x))
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +364,20 @@ def block_normalize(points, eps: float = ZERO_EPS):
     Returns (d, G, structure).  The residual freedom is one unit
     quaternion per sub-block acting by simultaneous conjugation inside
     the sub-block and by left/right translation on cross entries."""
-    points = _check_positive_tuple(points)
-    d1, g1 = one_normalize(points, eps)
-    structure = detect_partition(g1, points[0].n, eps,
-                                 span_dim=span_dimension(points))
+    lifts = _partitioned(points, eps)
+    structure = lifts.structure
     if structure.kind != "regular":
         raise DomainError("tuple is not regular")
 
-    d = list(d1)
+    d = list(lifts.d1)
     for sbs, ancs in zip(structure.sub_blocks, structure.anchors):
         for sb, c in zip(sbs, ancs):
             for t in sb:
                 if t == c:
                     continue
-                h = g1.entry(c, t)
+                h = lifts.g1.entry(c, t)
                 d[t] = d[t] * (h.conj() / abs(h))
-    g = rescale_gram(gram(points), d)
-    return d, g, structure
+    return d, rescale_gram(lifts.g, d), structure
 
 
 def _ordered_sub_blocks(structure):
@@ -375,40 +392,23 @@ def _apply_unit(g: QMatrix, idx, u: Quaternion) -> QMatrix:
     return rescale_gram(g, d)
 
 
-def _pin_right(u: Quaternion, kind: str) -> Quaternion:
-    """Unit e in the residual group with u*e in canonical position."""
+def _pin(u: Quaternion, kind: str, right: bool) -> Quaternion:
+    """Unit e in the residual group with u*e (right) or conj(e)*u (left)
+    in canonical position."""
     if kind == "sp1":
-        return u.conj() / abs(u)
+        return u.conj() / abs(u) if right else u / abs(u)
     if kind == "u1":
-        c2 = u.c2
+        c1, c2 = u.c1, u.c2
         if abs(c2) > 1e-12 * (1.0 + abs(u)):
             ph = c2 / abs(c2)
         else:
-            c1 = u.c1
-            ph = abs(c1) / c1
+            ph = abs(c1) / c1 if right else c1 / abs(c1)
         return Quaternion(ph.real, ph.imag)
     # kind == "sign"
     for comp in (u.a0, u.a1, u.a2, u.a3):
-        if comp > 0.0:
-            return ONE
-        if comp < 0.0:
-            return -ONE
+        if comp != 0.0:
+            return ONE if comp > 0.0 else -ONE
     return ONE
-
-
-def _pin_left(u: Quaternion, kind: str) -> Quaternion:
-    """Unit e in the residual group with conj(e)*u in canonical position."""
-    if kind == "sp1":
-        return u / abs(u)
-    if kind == "u1":
-        c2 = u.c2
-        if abs(c2) > 1e-12 * (1.0 + abs(u)):
-            ph = c2 / abs(c2)
-        else:
-            c1 = u.c1
-            ph = c1 / abs(c1)
-        return Quaternion(ph.real, ph.imag)
-    return _pin_right(u, "sign")
 
 
 def _residual_kind(tag: str) -> str:
@@ -441,71 +441,75 @@ def regular_coordinate(points, eps: float = ZERO_EPS) -> RegularCoordinate:
             rot, kind = ONE, "sp1"
         g = _apply_unit(g, set(sb), rot)
 
-        if True:
-            pin = None
-            for a in range(m):
-                for b in range(a + 1, m):
-                    in_a, in_b = a in sb, b in sb
-                    if in_a == in_b:
-                        continue
-                    other = a if in_b else b
-                    if other not in done:
-                        continue
-                    if abs(g.entry(a, b)) > eps * scale:
-                        pin = (a, b)
-                        break
-                if pin:
+        pin = None
+        for a in range(m):
+            for b in range(a + 1, m):
+                in_a, in_b = a in sb, b in sb
+                if in_a == in_b:
+                    continue
+                other = a if in_b else b
+                if other not in done:
+                    continue
+                if abs(g.entry(a, b)) > eps * scale:
+                    pin = (a, b)
                     break
-            if pin is not None:
-                a, b = pin
-                u = g.entry(a, b)
-                e = _pin_right(u, kind) if b in sb else _pin_left(u, kind)
-                g = _apply_unit(g, set(sb), e)
+            if pin:
+                break
+        if pin is not None:
+            a, b = pin
+            u = g.entry(a, b)
+            e = _pin(u, kind, right=b in sb)
+            g = _apply_unit(g, set(sb), e)
         done.update(sb)
 
     entries = tuple(g.entry(a, b) for a in range(m) for b in range(a + 1, m))
     return RegularCoordinate(structure, entries)
 
 
-def congruent_regular(p, q, eps: float = COORD_TOL) -> bool:
-    cp = regular_coordinate(p)
-    cq = regular_coordinate(q)
-    if cp.structure != cq.structure or len(cp.entries) != len(cq.entries):
-        return False
-    return all(abs(a - b) <= eps for a, b in zip(cp.entries, cq.entries))
-
-
 # ---------------------------------------------------------------------------
-# dispatch
+# dispatch and congruence
 
 def positive_coordinate(points, eps: float = ZERO_EPS):
     """Moduli coordinate of a positive tuple: ParabolicCoordinate or
     RegularCoordinate according to the detected span class."""
-    points = _check_positive_tuple(points)
-    g = gram(points)
-    _check_distinct(points, g)
-    structure = detect_partition(g, points[0].n, eps,
-                                 span_dim=span_dimension(points))
-    if structure.kind == "parabolic":
-        return parabolic_coordinates(points, eps)
-    return regular_coordinate(points, eps)
+    lifts = _partitioned(points, eps)
+    if lifts.structure.kind == "parabolic":
+        return parabolic_coordinates(lifts, eps)
+    return regular_coordinate(lifts, eps)
+
+
+def tuple_class(points, eps: float = NULL_EPS) -> str:
+    """'boundary' for a tuple of null points, 'positive' for a tuple of
+    positive points; DomainError when the classes mix."""
+    kinds = [classify(p, eps) for p in points]
+    if set(kinds) == {PointClass.NULL}:
+        return "boundary"
+    if set(kinds) == {PointClass.POSITIVE}:
+        return "positive"
+    raise DomainError("tuple mixes point classes: " +
+                      ", ".join(k.value for k in kinds))
+
+
+def coordinate_distance(a, b) -> float:
+    """Max entrywise quaternion distance of two moduli coordinates
+    (ModuliCoordinate, ParabolicCoordinate or RegularCoordinate);
+    infinity when their types, strata, structures or lengths differ."""
+    def key(c):
+        return (type(c), getattr(c, "stratum", None),
+                getattr(c, "structure", None), len(c.entries))
+    if key(a) != key(b):
+        return math.inf
+    return max((abs(x - y) for x, y in zip(a.entries, b.entries)),
+               default=0.0)
 
 
 def congruent(p, q, eps: float = COORD_TOL) -> bool:
-    """Congruence test for two ordered positive tuples (False when their
-    span classes or sizes differ)."""
-    p = _check_positive_tuple(p)
-    q = _check_positive_tuple(q)
+    """Congruence test for two ordered tuples of null or of positive
+    points: their coordinates agree within eps.  False when the sizes or
+    the tuple classes differ."""
+    p, q = list(p), list(q)
     if len(p) != len(q):
         return False
-    cp = positive_coordinate(p)
-    cq = positive_coordinate(q)
-    if isinstance(cp, ParabolicCoordinate) != isinstance(cq, ParabolicCoordinate):
-        return False
-    if isinstance(cp, ParabolicCoordinate):
-        return (cp.structure == cq.structure and cp.stratum == cq.stratum
-                and len(cp.x) == len(cq.x)
-                and all(abs(a - b) <= eps for a, b in zip(cp.x, cq.x)))
-    return (cp.structure == cq.structure
-            and len(cp.entries) == len(cq.entries)
-            and all(abs(a - b) <= eps for a, b in zip(cp.entries, cq.entries)))
+    cp, cq = (boundary_coordinate(x) if tuple_class(x) == "boundary"
+              else positive_coordinate(x) for x in (p, q))
+    return coordinate_distance(cp, cq) <= eps

@@ -54,6 +54,13 @@ class QMatrix:
         return QMatrix.from_entries([[q] for q in entries])
 
     @staticmethod
+    def from_columns(cols) -> "QMatrix":
+        """Stack matrices with equal row counts side by side."""
+        cols = list(cols)
+        return QMatrix(np.concatenate([c.c1 for c in cols], axis=1),
+                       np.concatenate([c.c2 for c in cols], axis=1))
+
+    @staticmethod
     def diagonal(entries) -> "QMatrix":
         qs = [quat(x) for x in entries]
         n = len(qs)
@@ -92,10 +99,6 @@ class QMatrix:
     def cols(self, idx) -> "QMatrix":
         idx = list(idx)
         return QMatrix(self.c1[:, idx].copy(), self.c2[:, idx].copy())
-
-    def hstack(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(np.hstack([self.c1, other.c1]),
-                       np.hstack([self.c2, other.c2]))
 
     def copy(self) -> "QMatrix":
         return QMatrix(self.c1.copy(), self.c2.copy())

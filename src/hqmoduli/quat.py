@@ -260,28 +260,6 @@ def canonical_sign(q: Quaternion) -> Quaternion:
     return q
 
 
-# Stratum tags, serialized exactly as reported by the CLI.  Indices are
-# 1-based positions in the vector being normalized.
-def tag_ZR() -> str:
-    return "Z_R"
-
-
-def tag_ZC(i: int) -> str:
-    return f"Z_C({i})"
-
-
-def tag_Z(i: int, j: int) -> str:
-    return f"Z({i},{j})"
-
-
-def tag_PC() -> str:
-    return "P_C"
-
-
-def tag_P(j: int) -> str:
-    return f"P({j})"
-
-
 def conjugate_vector(mu_: Quaternion, v: list[Quaternion]) -> list[Quaternion]:
     mc = mu_.conj()
     return [mc * q * mu_ for q in v]
@@ -295,7 +273,9 @@ def rotation_normalize_vector(v, eps: float = CLASSIFY_EPS):
     first later entry whose imaginary part is independent of it; rotates
     the first onto the i-axis (and the second into the i-j half plane).
     Returns (mu, normalized entries, stratum tag).  The result depends
-    only on the orbit of v.
+    only on the orbit of v.  The tags, serialized exactly as reported by
+    the CLI, are Z_R, Z_C(i), Z(i,j), P_C and P(j), with 1-based indices
+    into v.
     """
     v = [quat(q) for q in v]
     if not v:
@@ -307,7 +287,7 @@ def rotation_normalize_vector(v, eps: float = CLASSIFY_EPS):
             first = idx
             break
     if first is None:
-        return ONE, list(v), tag_ZR()
+        return ONE, list(v), "Z_R"
 
     ref = v[first].im_vec()
     second = None
@@ -321,8 +301,8 @@ def rotation_normalize_vector(v, eps: float = CLASSIFY_EPS):
 
     if second is None:
         rot = canonical_sign(nu(ref))
-        tag = tag_PC() if first == 0 else tag_ZC(first + 1)
+        tag = "P_C" if first == 0 else f"Z_C({first + 1})"
     else:
         rot = mu(ref, v[second].im_vec())
-        tag = tag_P(second + 1) if first == 0 else tag_Z(first + 1, second + 1)
+        tag = f"P({second + 1})" if first == 0 else f"Z({first + 1},{second + 1})"
     return rot, conjugate_vector(rot, v), tag

@@ -10,15 +10,10 @@ import numpy as np
 
 from .errors import UsageError
 from .gram import gram, inertia, span_dimension
-from .hform import (BALL, SIEGEL, HVector, PointClass, classify, random_isometry,
-                    to_model)
+from .hform import BALL, SIEGEL, HVector, PointClass, classify, to_model
 from .quat import ONE, Quaternion, quat
 
 MAX_RETRIES = 64
-
-
-def _rng(seed):
-    return np.random.default_rng(seed)
 
 
 def random_quaternion(rng, scale: float = 1.0) -> Quaternion:
@@ -47,7 +42,7 @@ def random_null_point(n: int, rng, model: str = BALL) -> HVector:
 
 def random_null_tuple(n: int, m: int, seed, model: str = BALL):
     """m distinct null points with pairwise nonvanishing products."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(MAX_RETRIES):
         pts = tuple(random_null_point(n, rng, BALL) for _ in range(m))
         g = gram(pts)
@@ -74,7 +69,7 @@ def random_positive_point(n: int, rng, model: str = BALL) -> HVector:
 def random_regular_tuple(n: int, m: int, seed, model: str = BALL):
     """m distinct positive points whose span is nondegenerate (the
     generic situation)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(MAX_RETRIES):
         pts = tuple(random_positive_point(n, rng, BALL) for _ in range(m))
         g = gram(pts)
@@ -103,7 +98,7 @@ def random_parabolic_tuple(n: int, m: int, seed, model: str = SIEGEL,
         raise UsageError("need 1 <= k <= n - 1 blocks")
     if m < k + 1:
         raise UsageError("need m >= k + 1 for a degenerate span")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
 
     sizes = [1] * k
     sizes[0] += 1
@@ -127,7 +122,7 @@ def random_parabolic_tuple(n: int, m: int, seed, model: str = SIEGEL,
 
 def random_rescaling(m: int, seed, unit: bool = False):
     """m nonzero quaternions for a diagonal rescaling of a tuple."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     out = []
     for _ in range(m):
         q = random_unit_quaternion(rng)

@@ -20,15 +20,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, InconsistencyError, UsageError
-from .gram import gram, inertia, realize, span_dimension
-from .hform import (ASYMPTOTIC_EPS, BALL, HVector, PairConfiguration,
-                    PointClass, classify, herm)
+from .gram import (PRODUCT_EPS, gram, inertia, point_classes, realize,
+                   span_dimension, triple_product, triple_product_vanishes)
+from .hform import ASYMPTOTIC_EPS, BALL, HVector, PairConfiguration, PointClass
 from .positive import one_normalize
 from .qmatrix import QMatrix
 from .quat import Quaternion
 
 DET_TOL = 1e-12          # tolerance on det G <= 0 in the existence test
-PRODUCT_EPS = 1e-12      # below this, the triple product counts as zero
 PARAM_TOL = 1e-8         # tolerance for parameter round trips
 
 
@@ -43,6 +42,8 @@ class TriangleParams:
     alpha: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in self.as_tuple()):
+            raise UsageError("triangle parameters must be finite")
         if min(self.r1, self.r2, self.r3) < 0.0:
             raise UsageError("side parameters r_t must be nonnegative")
         if not (-1e-12 <= self.alpha <= math.pi + 1e-12):
@@ -63,36 +64,28 @@ class TriangleClass(Enum):
     HYPERBOLIC_FULL = "HyperbolicFull"
 
 
-def _check_positive_triple(points) -> list[HVector]:
+def _triangle_gram(points) -> tuple[list[HVector], QMatrix]:
+    """The three vertices and their Gram matrix, whose diagonal shows
+    that each vertex is positive."""
     points = list(points)
     if len(points) != 3:
         raise UsageError("a triangle needs exactly 3 points")
-    for p in points:
-        if classify(p) != PointClass.POSITIVE:
-            raise DomainError("triangle vertices must be positive vectors")
-    return points
-
-
-def triple_product(p1: HVector, p2: HVector, p3: HVector) -> Quaternion:
-    return herm(p2, p1) * herm(p3, p2) * herm(p1, p3)
-
-
-def triple_product_vanishes(p1: HVector, p2: HVector, p3: HVector) -> bool:
-    """True when some pairwise product vanishes, the case the angular
-    invariant's pi/2 fallback conflates with Re = 0."""
-    t = triple_product(p1, p2, p3)
-    scale = (p1.norm() * p2.norm() * p3.norm()) ** 2
-    return abs(t) <= PRODUCT_EPS * max(scale, 1.0)
+    g = gram(points)
+    if any(c != PointClass.POSITIVE for c in point_classes(points, g)):
+        raise DomainError("triangle vertices must be positive vectors")
+    return points, g
 
 
 def triangle_angular_invariant(p1: HVector, p2: HVector, p3: HVector) -> float:
     """arccos(Re T / |T|) in [0, pi] for the triple product T of a
     positive triple; pi/2 when T vanishes.  Invariant under
-    permutations, rescalings and isometries."""
-    _check_positive_triple([p1, p2, p3])
-    if triple_product_vanishes(p1, p2, p3):
+    permutations, rescalings and isometries.  The pi/2 fallback for a
+    vanishing T (some pairwise product vanishes) conflates it with
+    Re T = 0."""
+    points, g = _triangle_gram([p1, p2, p3])
+    if triple_product_vanishes(g, points):
         return math.pi / 2.0
-    t = triple_product(p1, p2, p3)
+    t = triple_product(g)
     return math.acos(max(-1.0, min(1.0, t.re() / abs(t))))
 
 
@@ -100,8 +93,8 @@ def normalize_triangle(p1: HVector, p2: HVector, p3: HVector) -> QMatrix:
     """The unique normalized Gram matrix of a positive triple: unit
     diagonal, g_12 and g_13 real nonnegative, g_23 = r1 e^{i alpha} with
     sin alpha >= 0."""
-    _check_positive_triple([p1, p2, p3])
-    _, g = one_normalize([p1, p2, p3])
+    points, _ = _triangle_gram([p1, p2, p3])
+    _, g = one_normalize(points)
     return g
 
 
@@ -155,8 +148,8 @@ def classify_triangle(p1: HVector, p2: HVector,
     """Class of the span of a positive triple from the Gram signature:
     rank-one (all products of modulus 1, parabolic span), positive rank
     two (elliptic plane), or hyperbolic span of dimension 2 or 3."""
-    points = _check_positive_triple([p1, p2, p3])
-    iner = inertia(gram(points))
+    points, g = _triangle_gram([p1, p2, p3])
+    iner = inertia(g)
     sig = (iner.n_plus, iner.n_minus)
     if sig == (1, 0):
         params = triangle_params(*points)

@@ -16,7 +16,7 @@ from hqmoduli.gram import (gram, inertia, realization_error, realize,
 from hqmoduli.hform import (BALL, SIEGEL, HVector, pair_isometry, pair_moduli,
                             projective_distance, random_isometry)
 from hqmoduli.positive import (ParabolicCoordinate, congruent,
-                               congruent_parabolic, detect_partition,
+                               detect_partition,
                                parabolic_coordinates, positive_coordinate)
 from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import (I, ImVector3, conjugate_vector, mu, nu, quat,

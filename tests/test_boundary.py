@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from hqmoduli.boundary import (ModuliCoordinate, boundary_coordinate,
-                               cartan_invariant, congruent_boundary,
-                               coordinate_distance, gram_to_vector,
+                               cartan_invariant, gram_to_vector,
                                semi_normalize, validate_boundary_vector,
                                vector_to_gram)
 from hqmoduli.errors import DomainError, UsageError
 from hqmoduli.gram import gram, rescale_gram
 from hqmoduli.hform import BALL, HVector, random_isometry
+from hqmoduli.positive import congruent, coordinate_distance
 from hqmoduli.quat import Quaternion, quat
 from hqmoduli.sampling import random_null_tuple, random_rescaling
 
@@ -51,6 +51,19 @@ def test_cartan_range_and_invariance():
         d = random_rescaling(3, seed=700 + trial)
         alpha2 = cartan_invariant(*apply_action(pts, g, d))
         assert abs(alpha - alpha2) <= 1e-10
+
+
+SCALES = (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_cartan_invariant_under_overall_lift_scale(scale):
+    # the triple product scales as scale^6; its vanishing test must too
+    pts = random_null_tuple(2, 3, seed=1)
+    alpha = boundary_coordinate(pts).alpha
+    scaled = tuple(p.scaled(scale) for p in pts)
+    assert abs(cartan_invariant(*scaled) - alpha) <= 1e-10
+    assert abs(boundary_coordinate(scaled).alpha - alpha) <= 1e-10
 
 
 def test_cartan_rejects_coincident_points():
@@ -171,12 +184,12 @@ def test_congruent_boundary_oracle_and_negatives():
     pts = random_null_tuple(2, 4, seed=51)
     g = random_isometry(2, seed=52)
     d = random_rescaling(4, seed=53)
-    assert congruent_boundary(pts, apply_action(pts, g, d))
-    assert congruent_boundary(pts, pts)
+    assert congruent(pts, apply_action(pts, g, d))
+    assert congruent(pts, pts)
     swapped = (pts[1], pts[0]) + pts[2:]
-    assert not congruent_boundary(pts, swapped)
+    assert not congruent(pts, swapped)
     other = random_null_tuple(2, 4, seed=54)
-    assert not congruent_boundary(pts, other)
+    assert not congruent(pts, other)
 
 
 def test_coordinate_distance_cross_stratum_is_infinite():

@@ -197,6 +197,18 @@ def test_triangle_alpha_out_of_range_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--r1", "--r3", "--alpha"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_triangle_non_finite_parameter_is_usage_error(capsys, flag, value):
+    argv = {"--r1": "1", "--r2": "1", "--r3": "1", "--alpha": "0"}
+    argv[flag] = value
+    code, out, err = run(capsys, "triangle",
+                         *(x for item in argv.items() for x in item))
+    assert code == 2
+    assert "does not exist" not in out
+    assert "usage error" in err
+
+
 def test_triangle_sweep_csv_shape(capsys):
     code, out, _ = run(capsys, "triangle-sweep",
                        "--r-max", "1.5", "--r-steps", "3", "--alpha-steps", "2")

@@ -12,7 +12,6 @@ from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify, herm,
                             random_isometry)
 from hqmoduli.positive import (INFINITY, ParabolicCoordinate,
                                RegularCoordinate, block_normalize, congruent,
-                               congruent_parabolic, congruent_regular,
                                cross_ratio, detect_partition, one_normalize,
                                parabolic_coordinates, positive_coordinate,
                                regular_coordinate)
@@ -171,7 +170,7 @@ def test_chi_paper_values():
     assert abs(c.x[0] - quat(3.0)) <= 1e-12
     c_rev = parabolic_coordinates(tuple(reversed(pts)))
     assert abs(c_rev.x[0] - quat(1.5)) <= 1e-12
-    assert not congruent_parabolic(pts, tuple(reversed(pts)))
+    assert not congruent(pts, tuple(reversed(pts)))
 
 
 def test_parabolic_null_fibre_orthogonality():
@@ -209,7 +208,7 @@ def test_parabolic_invariance_under_action():
         assert ca.structure == cb.structure
         assert ca.stratum == cb.stratum
         assert all(abs(a - b) <= COORD_TOL for a, b in zip(ca.x, cb.x))
-        assert congruent_parabolic(pts, moved)
+        assert congruent(pts, moved)
 
 
 def test_parabolic_small_blocks_structure_decides():
@@ -218,7 +217,7 @@ def test_parabolic_small_blocks_structure_decides():
     b = random_parabolic_tuple(3, 3, seed=72, k=2)
     ca, cb = parabolic_coordinates(a), parabolic_coordinates(b)
     assert ca.x == () and cb.x == ()
-    assert congruent_parabolic(a, b)
+    assert congruent(a, b)
 
 
 def test_parabolic_rejects_regular_input():
@@ -267,7 +266,7 @@ def test_regular_invariance_under_action():
         ca, cb = regular_coordinate(pts), regular_coordinate(moved)
         assert ca.structure == cb.structure
         assert all(abs(a - b) <= COORD_TOL for a, b in zip(ca.entries, cb.entries))
-        assert congruent_regular(pts, moved)
+        assert congruent(pts, moved)
 
 
 def test_regular_coordinate_round_trip_through_realize():
@@ -283,7 +282,7 @@ def test_regular_coordinate_round_trip_through_realize():
             g.set_entry(a, b, q)
             g.set_entry(b, a, q.conj())
     pts2 = realize(g, 3)
-    assert congruent_regular(pts, pts2)
+    assert congruent(pts, pts2)
 
 
 # ---------------------------------------------------------------------------

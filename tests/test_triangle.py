@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from hqmoduli.errors import RealizationError, UsageError
-from hqmoduli.gram import gram, inertia, realization_error, span_dimension
+from hqmoduli.gram import (gram, inertia, realization_error, span_dimension,
+                           triple_product, triple_product_vanishes)
 from hqmoduli.hform import BALL, HVector, pair_configuration
 from hqmoduli.quat import I, Quaternion, quat
 from hqmoduli.sampling import random_positive_point, random_rescaling
@@ -16,8 +17,7 @@ from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_triangle,
                                gram_from_params, normalize_triangle,
                                realize_triangle, side_data, side_from_r,
                                triangle_angular_invariant, triangle_det,
-                               triangle_exists, triangle_params,
-                               triple_product, triple_product_vanishes)
+                               triangle_exists, triangle_params)
 
 
 def ball(*entries):
@@ -40,15 +40,40 @@ def random_positive_triple(seed):
 
 def test_angular_invariant_worked_example():
     p1, p2, p3 = ball(0, 1, 0), ball(1, 1, 1), ball(I, 1, 1)
-    t = triple_product(p1, p2, p3)
+    t = triple_product(gram([p1, p2, p3]))
     assert abs(t - I) <= 1e-12
     assert abs(triangle_angular_invariant(p1, p2, p3) - math.pi / 2) <= 1e-12
 
 
 def test_angular_invariant_fallback_on_orthogonal_triple():
     p = (ball(1, 0, 0, 0), ball(0, 1, 0, 0), ball(0, 0, 1, 0))
-    assert triple_product_vanishes(*p)
+    assert triple_product_vanishes(gram(p), p)
     assert abs(triangle_angular_invariant(*p) - math.pi / 2) <= 1e-12
+
+
+SCALES = (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_angular_invariant_under_overall_lift_scale(scale):
+    pts = random_positive_triple(101)
+    a = triangle_angular_invariant(*pts)
+    assert abs(a - 1.65385) <= 1e-5
+    scaled = tuple(p.scaled(scale) for p in pts)
+    assert abs(triangle_angular_invariant(*scaled) - a) <= 1e-10
+    orth = tuple(p.scaled(scale) for p in (ball(1, 0, 0, 0), ball(0, 1, 0, 0),
+                                           ball(0, 0, 1, 0)))
+    assert triple_product_vanishes(gram(orth), orth)
+    assert abs(triangle_angular_invariant(*orth) - math.pi / 2) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_params_reject_non_finite_values(bad):
+    for k in range(4):
+        values = [1.0, 1.0, 1.0, 0.0]
+        values[k] = bad
+        with pytest.raises(UsageError):
+            TriangleParams(*values)
 
 
 def test_angular_invariant_permutation_and_rescale_invariance():
