@@ -14,7 +14,7 @@ from .positive import (INFINITY, ParabolicCoordinate, PartitionStructure,
                        RegularCoordinate, block_normalize, congruent,
                        coordinate_distance, cross_ratio, detect_partition,
                        one_normalize, parabolic_coordinates,
-                       positive_coordinate, regular_coordinate, tuple_class)
+                       positive_coordinate, regular_coordinate)
 from .qmatrix import QMatrix
 from .quat import (ImVector3, Quaternion, canonical_sign, mu, nu, quat,
                    rotation_normalize_vector)

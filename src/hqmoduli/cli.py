@@ -15,12 +15,12 @@ import sys
 
 import numpy as np
 
-from .boundary import boundary_coordinate
+from .boundary import ModuliCoordinate, boundary_coordinate
 from .errors import (DomainError, HQError, RealizationError, UsageError)
 from .gram import inertia, realize
 from .hform import BALL, SIEGEL, HVector, random_isometry
 from .positive import (ParabolicCoordinate, coordinate_distance,
-                       positive_coordinate, tuple_class)
+                       positive_coordinate, tuple_coordinate)
 from .qmatrix import QMatrix
 from .quat import Quaternion
 from .sampling import random_tuple
@@ -113,12 +113,11 @@ def cmd_congruent(args) -> int:
     q = _parse_tuple(_load_json(args.b))
     if len(p) != len(q):
         raise UsageError(f"tuple sizes differ: {len(p)} vs {len(q)}")
-    kind_p, kind_q = tuple_class(p, args.eps), tuple_class(q, args.eps)
+    ca, cb = (tuple_coordinate(x, args.eps, args.eps) for x in (p, q))
+    kind_p, kind_q = ("boundary" if isinstance(c, ModuliCoordinate)
+                      else "positive" for c in (ca, cb))
     if kind_p != kind_q:
         raise DomainError(f"tuple classes differ: {kind_p} vs {kind_q}")
-
-    ca, cb = (boundary_coordinate(x) if kind_p == "boundary"
-              else positive_coordinate(x, args.eps) for x in (p, q))
     dist = coordinate_distance(ca, cb)
     same = dist <= args.tol
     # entries are comparable only when the distance is finite

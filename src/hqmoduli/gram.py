@@ -50,9 +50,9 @@ def gram(points) -> QMatrix:
     return p.h @ (j @ p)
 
 
-def point_classes(points, g: QMatrix, eps: float = NULL_EPS) -> list[PointClass]:
+def point_classes(points, g: QMatrix) -> list[PointClass]:
     """Classes of the lifts read off the diagonal of their Gram matrix."""
-    return [point_class(g.entry(i, i).re(), p.norm(), eps)
+    return [point_class(g.entry(i, i).re(), p.norm(), NULL_EPS)
             for i, p in enumerate(points)]
 
 

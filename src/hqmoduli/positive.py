@@ -478,16 +478,14 @@ def positive_coordinate(points, eps: float = ZERO_EPS):
     return regular_coordinate(lifts, eps)
 
 
-def tuple_class(points, eps: float = NULL_EPS) -> str:
-    """'boundary' for a tuple of null points, 'positive' for a tuple of
-    positive points; DomainError when the classes mix."""
-    kinds = [classify(p, eps) for p in points]
-    if set(kinds) == {PointClass.NULL}:
-        return "boundary"
-    if set(kinds) == {PointClass.POSITIVE}:
-        return "positive"
-    raise DomainError("tuple mixes point classes: " +
-                      ", ".join(k.value for k in kinds))
+def tuple_coordinate(points, eps: float = ZERO_EPS, null_eps: float = NULL_EPS):
+    """Moduli coordinate of a tuple of null or of positive points.  The
+    class of the first point (null within null_eps) picks the coordinate,
+    whose own Gram-diagonal check rejects a tuple whose classes mix."""
+    points = list(points)
+    if points and classify(points[0], null_eps) == PointClass.NULL:
+        return boundary_coordinate(points)
+    return positive_coordinate(points, eps)
 
 
 def coordinate_distance(a, b) -> float:
@@ -510,6 +508,4 @@ def congruent(p, q, eps: float = COORD_TOL) -> bool:
     p, q = list(p), list(q)
     if len(p) != len(q):
         return False
-    cp, cq = (boundary_coordinate(x) if tuple_class(x) == "boundary"
-              else positive_coordinate(x) for x in (p, q))
-    return coordinate_distance(cp, cq) <= eps
+    return coordinate_distance(tuple_coordinate(p), tuple_coordinate(q)) <= eps

@@ -12,13 +12,14 @@ from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify, herm,
                             random_isometry)
 from hqmoduli.positive import (INFINITY, ParabolicCoordinate,
                                RegularCoordinate, block_normalize, congruent,
-                               cross_ratio, detect_partition, one_normalize,
+                               coordinate_distance, cross_ratio, detect_partition, one_normalize,
                                parabolic_coordinates, positive_coordinate,
                                regular_coordinate)
 from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import I, J, ONE, Quaternion, quat
-from hqmoduli.sampling import (random_parabolic_tuple, random_quaternion,
-                               random_regular_tuple, random_rescaling)
+from hqmoduli.sampling import (random_null_tuple, random_parabolic_tuple,
+                               random_quaternion, random_regular_tuple,
+                               random_rescaling)
 
 COORD_TOL = 1e-8
 
@@ -220,6 +221,23 @@ def test_parabolic_small_blocks_structure_decides():
     assert congruent(a, b)
 
 
+def test_one_long_lift_keeps_partition_and_coordinate():
+    # a lift 1e5 times longer than the others inflates every threshold
+    # taken relative to the raw Gram matrix; the partition is decided on
+    # the one-normalized matrix, whose diagonal is all ones
+    para = random_parabolic_tuple(3, 5, seed=65, k=2)
+    reg = random_regular_tuple(3, 4, seed=67)
+    for pts, stage in ((para, parabolic_coordinates),
+                       (reg, regular_coordinate)):
+        for i in range(len(pts)):
+            long = tuple(p.scaled(1e5) if t == i else p
+                         for t, p in enumerate(pts))
+            for f in (positive_coordinate, stage):
+                want, got = f(pts), f(long)
+                assert got.structure == want.structure
+                assert coordinate_distance(got, want) <= COORD_TOL
+
+
 def test_parabolic_rejects_regular_input():
     with pytest.raises(DomainError):
         parabolic_coordinates(random_regular_tuple(2, 3, seed=73))
@@ -302,6 +320,16 @@ def test_congruent_reflexive_and_kind_mismatch():
     assert congruent(reg, reg)
     assert not congruent(para, reg)
     assert not congruent(reg, random_regular_tuple(3, 4, seed=87))
+
+
+def test_congruent_rejects_mixed_tuples_and_separates_classes():
+    null = random_null_tuple(2, 3, seed=93)
+    reg = random_regular_tuple(2, 3, seed=94)
+    assert not congruent(null, reg) and not congruent(reg, null)
+    # the first point picks the coordinate, whose validation sees the rest
+    for mixed in ((null[0], reg[1], reg[2]), (reg[0], null[1], null[2])):
+        with pytest.raises(DomainError):
+            congruent(mixed, mixed)
 
 
 def test_congruent_symmetric_transitive():
