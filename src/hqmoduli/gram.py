@@ -5,6 +5,13 @@ explicit tuple of points.
 Conventions: for a tuple p = (p_1, ..., p_m) the Gram matrix has entries
 g_ij = <p_j, p_i> = p_i* J p_j, so G = P* J P with P the column matrix.
 Congruence acts by G -> D* G D for an invertible right factor D.
+
+Both the inertia and the realization read the spectrum of the complex
+adjoint of G, in which every eigenvalue of G appears twice (F. Zhang,
+"Quaternions and matrices of quaternions", Linear Algebra Appl. 251,
+1997).  The eigenvalues are paired before they are compared with the
+zero threshold, so `inertia` and `realize` make the same rank decision;
+`realize` builds P = F sqrt|L| Q* from the eigendecomposition G = Q L Q*.
 """
 
 from __future__ import annotations
@@ -14,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InconsistencyError, RealizationError, UsageError
+from .errors import DomainError, RealizationError, UsageError
 from .hform import (BALL, NULL_EPS, HVector, PointClass, cayley, columns,
                     form_matrix, point_class, tuple_from_columns)
 from .qmatrix import QMatrix
 from .quat import Quaternion
 
 INERTIA_EPS = 1e-9    # relative spectral threshold for zero eigenvalues
-PIVOT_EPS = 1e-12     # relative pivot threshold in congruence reduction
 # A product of lifts vanishes when it is at most PRODUCT_EPS times the
 # matching product of their Euclidean norms, so rescaling the lifts never
 # changes the decision.
@@ -88,27 +94,34 @@ def rescale_gram(g: QMatrix, lambdas) -> QMatrix:
     return d.h @ (g @ d)
 
 
+def _check_square_hermitian(g: QMatrix, what: str) -> None:
+    if g.shape[0] != g.shape[1]:
+        raise UsageError(f"{what} needs a square matrix")
+    if not g.is_hermitian(1e-8):
+        raise DomainError(f"{what} needs a Hermitian matrix")
+
+
+def _paired_eigenvalues(w: np.ndarray, eps: float) -> np.ndarray:
+    """Eigenvalues of a Hermitian quaternion matrix from the ascending
+    spectrum w of its complex adjoint, where each one appears twice:
+    adjacent pairs averaged, then set to 0 when at most eps * max|w|."""
+    lam = 0.5 * (w[0::2] + w[1::2])
+    if w.size:
+        lam[np.abs(lam) <= eps * max(-w[0], w[-1])] = 0.0
+    return lam
+
+
+def _signature(lam: np.ndarray) -> Inertia:
+    npos, nneg = np.count_nonzero(lam > 0), np.count_nonzero(lam < 0)
+    return Inertia(int(npos), int(nneg), lam.size - int(npos) - int(nneg))
+
+
 def inertia(g: QMatrix, eps: float = INERTIA_EPS) -> Inertia:
     """Signature (n_plus, n_minus, n_zero) of a Hermitian quaternion
     matrix.  Uses the complex adjoint, whose spectrum doubles each real
     eigenvalue."""
-    if g.shape[0] != g.shape[1]:
-        raise UsageError("inertia needs a square matrix")
-    if not g.is_hermitian(1e-8):
-        raise DomainError("inertia needs a Hermitian matrix")
-    w = np.linalg.eigvalsh(g.adjoint())
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale == 0.0:
-        return Inertia(0, 0, g.shape[0])
-    tol = eps * scale
-    npos = int(np.sum(w > tol))
-    nneg = int(np.sum(w < -tol))
-    nzero = w.size - npos - nneg
-    if npos % 2 or nneg % 2 or nzero % 2:
-        raise InconsistencyError(
-            "adjoint spectrum does not split into quaternionic pairs; "
-            "an eigenvalue sits exactly at the zero threshold")
-    return Inertia(npos // 2, nneg // 2, nzero // 2)
+    _check_square_hermitian(g, "inertia")
+    return _signature(_paired_eigenvalues(np.linalg.eigvalsh(g.adjoint()), eps))
 
 
 def check_admissible(iner: Inertia, n: int) -> None:
@@ -124,115 +137,73 @@ def check_admissible(iner: Inertia, n: int) -> None:
         raise RealizationError("n_plus + n_minus >= 1")
 
 
-def _reduce_congruence(g: QMatrix) -> tuple[QMatrix, list[float]]:
-    """Invertible S with S* G S diagonal with entries in {+1, -1, 0}.
+def _quaternion_eigenvectors(v: np.ndarray) -> tuple[QMatrix, list[int]]:
+    """Orthonormal quaternion columns Q spanning the eigenvectors v
+    (2m x 2m, orthonormal columns) of a complex adjoint, and for each
+    column of Q the column of v it came from.
 
-    Returns (S, diagonal).  Symmetric pivoting on the largest diagonal
-    entry; a rank-one trick handles blocks whose diagonal vanishes but
-    which have off-diagonal mass.
-    """
-    m = g.shape[0]
-    s = QMatrix.eye(m)
-    scale = max(g.norm(), 1.0)
-
-    def current() -> QMatrix:
-        return s.h @ (g @ s)
-
-    for r in range(m):
-        b = current()
-        # pivot: largest remaining |diagonal|
-        diag = [abs(b.entry(t, t).re()) for t in range(r, m)]
-        k = r + int(np.argmax(diag))
-        if diag[k - r] <= PIVOT_EPS * scale:
-            # vanishing diagonal: look for off-diagonal mass to pull in
-            best, best_val = None, PIVOT_EPS * scale
-            for a in range(r, m):
-                for bcol in range(a + 1, m):
-                    v = abs(b.entry(a, bcol))
-                    if v > best_val:
-                        best, best_val = (a, bcol), v
-            if best is None:
-                break  # remainder is numerically zero
-            a, bcol = best
-            brs = b.entry(a, bcol)
-            mu_ = -brs.conj() / abs(brs)
-            # col_a += col_bcol * mu makes the (a,a) entry -2|b_ab| != 0
-            addend = s.col(bcol).right_scalar(mu_)
-            s.c1[:, a] += addend.c1[:, 0]
-            s.c2[:, a] += addend.c2[:, 0]
-            b = current()
-            diag = [abs(b.entry(t, t).re()) for t in range(r, m)]
-            k = r + int(np.argmax(diag))
-        if abs(b.entry(k, k).re()) <= PIVOT_EPS * scale:
-            break
-        if k != r:
-            for arr in (s.c1, s.c2):
-                arr[:, [r, k]] = arr[:, [k, r]]
-            b = current()
-        d = b.entry(r, r).re()
-        for t in range(r + 1, m):
-            coeff = b.entry(r, t) / d
-            addend = s.col(r).right_scalar(coeff)
-            s.c1[:, t] -= addend.c1[:, 0]
-            s.c2[:, t] -= addend.c2[:, 0]
-
-    b = current()
-    dvals = []
-    for t in range(m):
-        d = b.entry(t, t).re()
-        if abs(d) <= PIVOT_EPS * scale * 10:
-            dvals.append(0.0)
-        else:
-            for arr in (s.c1, s.c2):
-                arr[:, t] /= math.sqrt(abs(d))
-            dvals.append(1.0 if d > 0 else -1.0)
-    return s, dvals
+    An adjoint eigenvector (a; b) is the quaternion column a - conj(b) j;
+    its partner (-conj b; conj a) belongs to the same eigenvalue.  Each
+    step takes the first column of v whose part outside the chosen
+    vectors and their partners is at least half the largest such part,
+    then projects the pair out of v (symplectic Gram-Schmidt), so
+    repeated eigenvalues give independent columns."""
+    m = v.shape[0] // 2
+    chosen, source = [], []
+    for _ in range(m):
+        size = np.einsum("ij,ij->j", v.conj(), v).real
+        t = int(np.argmax(size >= 0.5 * size.max()))
+        x = v[:, t] / math.sqrt(size[t])
+        pair = np.column_stack([x, np.concatenate([-np.conj(x[m:]),
+                                                   np.conj(x[:m])])])
+        v = v - pair @ (pair.conj().T @ v)
+        chosen.append(x)
+        source.append(t)
+    x = np.array(chosen).T
+    return QMatrix(x[:m], -np.conj(x[m:])), source
 
 
 def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
     """Tuple of points in H^{n,1} whose Gram matrix is g (up to numerical
     error), or RealizationError naming the inertia obstruction."""
-    if g.shape[0] != g.shape[1]:
-        raise UsageError("realize needs a square Gram matrix")
-    if not g.is_hermitian(1e-8):
-        raise DomainError("realize needs a Hermitian matrix")
+    _check_square_hermitian(g, "realize")
     m = g.shape[0]
-    iner = inertia(g)
+    w, v = np.linalg.eigh(g.adjoint())
+    lam = _paired_eigenvalues(w, INERTIA_EPS)
+    iner = _signature(lam)
     check_admissible(iner, n)
-    s, dvals = _reduce_congruence(g)
 
-    # frame columns in the ball model: distinct positive coordinates for
-    # the +1 slots, coordinate n+1 for the -1 slot, zero for the kernel
-    a = QMatrix.zeros(n + 1, m)
+    # g = Q diag(l) Q* with Q unitary, so P = F sqrt|l| Q* has P* J P = g
+    # when F (ball model) puts the positive eigenvalues on distinct
+    # coordinates 0..n_plus-1 and the negative one on coordinate n.
+    q, source = _quaternion_eigenvectors(v)
+    f = np.zeros((n + 1, m))
     next_pos = 0
-    for t, d in enumerate(dvals):
-        if d > 0:
-            a.c1[next_pos, t] = 1.0
+    for t, lt in enumerate(lam[np.array(source) // 2]):
+        if lt > 0:
+            f[next_pos, t] = math.sqrt(lt)
             next_pos += 1
-        elif d < 0:
-            a.c1[n, t] = 1.0
-    p = a @ s.inv()
+        elif lt < 0:
+            f[n, t] = math.sqrt(-lt)
+    p = QMatrix.real(f) @ q.h
 
     # Kernel directions of g leave columns that may coincide (or vanish,
     # for an all-zero row).  When the signature leaves room for a null
     # vector orthogonal to the realized span, adding distinct multiples
     # of it separates the points without changing any product.
-    cols = [p.col(t) for t in range(m)]
-    zero_cols = [t for t in range(m) if cols[t].norm() <= 1e-12 * max(1.0, p.norm())]
+    unit = math.sqrt(max(-w[0], w[-1]))
+    col_norms = np.sqrt(np.sum(np.abs(p.c1) ** 2 + np.abs(p.c2) ** 2, axis=0))
     null_available = iner.n_minus == 0 and iner.n_plus < n
-    if zero_cols and not null_available:
+    if np.any(col_norms <= 1e-12 * unit) and not null_available:
         raise RealizationError(
             "isotropic direction available for zero rows")
     if iner.n_zero > 0 and null_available:
-        z = QMatrix.zeros(n + 1, 1)
-        z.c1[iner.n_plus, 0] = 1.0
-        z.c1[n, 0] = 1.0
-        for t in range(m):
-            add = z.scale(float(t + 1))
-            cols[t] = cols[t] + add
-    points = tuple_from_columns(QMatrix.from_columns(cols), BALL)
+        shift = unit * np.arange(1.0, m + 1.0)
+        p.c1[iner.n_plus] += shift
+        p.c1[n] += shift
+    points = tuple_from_columns(p, BALL)
     if model != BALL:
-        points = tuple(cayley(q) for q in points)
+        points = tuple(cayley(z) for z in points)
     return points
 
 

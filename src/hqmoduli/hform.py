@@ -12,6 +12,7 @@ Scalars act on vectors from the right, so <z a, w b> = conj(b) <z, w> a.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,20 +36,28 @@ class PointClass(enum.Enum):
     POSITIVE = "positive"
 
 
+@functools.lru_cache(maxsize=64)
 def form_matrix(model: str, n: int) -> QMatrix:
-    """The (n+1) x (n+1) form matrix J for the given model."""
+    """The (n+1) x (n+1) form matrix J for the given model.
+
+    Cached per (model, n) and shared by every caller, so its arrays are
+    read-only."""
     if model == BALL:
         d = np.ones(n + 1)
         d[n] = -1.0
-        return QMatrix.real(np.diag(d))
-    if model == SIEGEL:
+        j = QMatrix.real(np.diag(d))
+    elif model == SIEGEL:
         m = np.zeros((n + 1, n + 1))
         m[0, n] = 1.0
         m[n, 0] = 1.0
         for i in range(1, n):
             m[i, i] = 1.0
-        return QMatrix.real(m)
-    raise UsageError(f"unknown model {model!r}")
+        j = QMatrix.real(m)
+    else:
+        raise UsageError(f"unknown model {model!r}")
+    j.c1.flags.writeable = False
+    j.c2.flags.writeable = False
+    return j
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqmoduli.boundary import cartan_invariant, vector_to_gram
 from hqmoduli.errors import RealizationError, UsageError
-from hqmoduli.gram import (Inertia, check_admissible, gram, inertia,
-                           permute_gram, realization_error, realize,
+from hqmoduli.gram import (INERTIA_EPS, Inertia, check_admissible, gram,
+                           inertia, permute_gram, realization_error, realize,
                            rescale_gram, span_dimension)
-from hqmoduli.hform import BALL, HVector, PointClass, classify, form_matrix
+from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify,
+                            form_matrix)
 from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import ONE, Quaternion
 from hqmoduli.sampling import (random_null_tuple, random_positive_point,
@@ -198,10 +201,96 @@ def test_realize_gram_round_trip_fixed_point():
 
 
 def test_realize_converts_models():
-    from hqmoduli.hform import SIEGEL
     pts = realize(QMatrix.eye(2), 2, SIEGEL)
     assert pts[0].model == SIEGEL
     assert realization_error(pts, QMatrix.eye(2)) <= ROUND_TRIP_TOL
+
+
+@pytest.mark.parametrize("diag", [[1.0, 1e-10, 0.0], [1.0, -1e-10, 0.0],
+                                  [1.0, 1e-10, 1e-10]])
+def test_realize_drops_eigenvalues_inertia_calls_zero(diag):
+    # eigenvalues below INERTIA_EPS relative are zero for realize as well
+    g = QMatrix.real(np.diag(diag))
+    assert inertia(g).as_tuple() == (1, 0, 2)
+    assert realization_error(realize(g, 2), g) <= 2 * INERTIA_EPS * g.norm()
+
+
+def semi_normalized_boundary_gram():
+    alpha = 1.0
+    return vector_to_gram([Quaternion(-math.cos(alpha), math.sin(alpha))])
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("make", [
+    lambda: gram(random_regular_tuple(2, 3, seed=5)),
+    lambda: all_ones(3),
+    semi_normalized_boundary_gram,
+], ids=["regular", "rank_one", "boundary"])
+def test_realize_is_scale_invariant(make, model):
+    g = make()
+    want = inertia(g).as_tuple()
+    for e in range(-16, 17):
+        gs = g.scale(10.0 ** e)
+        assert inertia(gs).as_tuple() == want
+        err = realization_error(realize(gs, 2, model), gs)
+        assert err <= 1e-12 * gs.norm(), (e, err)
+
+
+def random_unitary(m, seed):
+    """Quaternion-unitary m x m matrix: Gram-Schmidt on Gaussian columns."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for _ in range(m):
+        w = rng.standard_normal((m, 4))
+        c = QMatrix(w[:, 0:1] + 1j * w[:, 1:2], w[:, 2:3] + 1j * w[:, 3:4])
+        for u in cols:
+            c = c - u.right_scalar((u.h @ c).entry(0, 0))
+        cols.append(c.scale(1.0 / c.norm()))
+    return QMatrix.from_columns(cols)
+
+
+def assert_realizes(g, n):
+    pts = realize(g, n)
+    assert realization_error(pts, g) <= 1e-10 * (1 + g.norm())
+    assert inertia(gram(pts)).as_tuple() == inertia(g).as_tuple()
+
+
+@st.composite
+def repeated_spectra(draw):
+    """Spectra with one eigenvalue (positive or zero) of multiplicity 2-3,
+    up to two more eigenvalues, at most one of them negative, and at
+    least one nonzero eigenvalue."""
+    nonzero = st.floats(0.1, 10.0)
+    lam = [draw(st.one_of(st.just(0.0), nonzero))] * draw(st.integers(2, 3))
+    lam += draw(st.lists(st.one_of(st.just(0.0), nonzero), max_size=1))
+    lam += draw(st.lists(nonzero.map(lambda x: -x), max_size=1))
+    if not any(lam):
+        lam.append(draw(nonzero))
+    return lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_spectra(), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_realize_repeated_eigenvalues(lam, seed, diagonal):
+    # a diagonal g makes eigh return standard basis vectors, among them a
+    # vector and its quaternionic partner inside one repeated eigenvalue
+    g = QMatrix.real(np.diag(lam))
+    if not diagonal:
+        u = random_unitary(len(lam), seed)
+        g = u @ g @ u.h
+    elif 0.0 in lam and min(lam) < 0:
+        # a zero row, and no null direction left to make it a point
+        with pytest.raises(RealizationError):
+            realize(g, len(lam))
+        return
+    assert_realizes(g, len(lam))
+
+
+@pytest.mark.parametrize("g", [QMatrix.eye(3).scale(2.5), all_ones(3),
+                               QMatrix.eye(4).scale(0.5)],
+                         ids=["cI3", "all_ones3", "cI4"])
+def test_realize_repeated_eigenvalues_examples(g):
+    assert_realizes(g, g.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hqmoduli.errors import DegenerateInputError, DomainError, UsageError
 from hqmoduli.gram import inertia, gram, realize
 from hqmoduli.hform import (BALL, SIEGEL, HVector, Isometry, PointClass,
                             cayley, cayley_inverse, cayley_isometry, classify,
-                            dist_point_to_hyperplane, herm,
+                            dist_point_to_hyperplane, form_matrix, herm,
                             map_orthonormal_frames, orthogonal_complement_basis,
                             pair_configuration, pair_isometry, pair_moduli,
                             projective_distance, random_isometry,
@@ -52,6 +52,17 @@ def test_herm_hermitian_symmetry_and_sesquilinearity():
         lhs = herm(z.rescale(lam), w.rescale(vv))
         rhs = vv.conj() * herm(z, w) * lam
         assert abs(lhs - rhs) <= HERM_TOL * (1 + abs(rhs))
+
+
+def test_form_matrix_is_cached_and_read_only():
+    for model in (BALL, SIEGEL):
+        j = form_matrix(model, 3)
+        assert form_matrix(model, 3) is j
+        with pytest.raises(ValueError):
+            j.c1[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            j.c2[0, 0] = 1.0
+    assert inertia(form_matrix(SIEGEL, 3)).as_tuple() == (3, 1, 0)
 
 
 def test_herm_model_mismatch_raises():
