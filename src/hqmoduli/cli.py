@@ -18,7 +18,7 @@ import numpy as np
 from .boundary import ModuliCoordinate, boundary_coordinate
 from .errors import (DomainError, HQError, RealizationError, UsageError)
 from .gram import inertia, realize
-from .hform import BALL, SIEGEL, HVector, random_isometry
+from .hform import BALL, NULL_EPS, SIEGEL, HVector, random_isometry
 from .positive import (ParabolicCoordinate, coordinate_distance,
                        positive_coordinate, tuple_coordinate)
 from .qmatrix import QMatrix
@@ -26,8 +26,6 @@ from .quat import Quaternion
 from .sampling import random_tuple
 from .triangle import (TriangleParams, classify_triangle, realize_triangle,
                        triangle_det, triangle_exists)
-
-DEFAULT_EPS = 1e-9
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -97,7 +95,7 @@ def cmd_boundary_coord(args) -> int:
 
 def cmd_positive_coord(args) -> int:
     points = _parse_tuple(_load_json(args.tuple))
-    coord = positive_coordinate(points, args.eps)
+    coord = positive_coordinate(points)
     if isinstance(coord, ParabolicCoordinate):
         summary = (f"parabolic  stratum {coord.stratum}  "
                    f"x {[q.to_json() for q in coord.x]}")
@@ -113,7 +111,7 @@ def cmd_congruent(args) -> int:
     q = _parse_tuple(_load_json(args.b))
     if len(p) != len(q):
         raise UsageError(f"tuple sizes differ: {len(p)} vs {len(q)}")
-    ca, cb = (tuple_coordinate(x, args.eps, args.eps) for x in (p, q))
+    ca, cb = (tuple_coordinate(x, null_eps=args.eps) for x in (p, q))
     kind_p, kind_q = ("boundary" if isinstance(c, ModuliCoordinate)
                       else "positive" for c in (ca, cb))
     if kind_p != kind_q:
@@ -217,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "point tuples in quaternionic hyperbolic space.")
     ap.add_argument("--json", action="store_true",
                     help="emit machine-readable JSON on stdout")
-    ap.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                    help="numerical classification tolerance")
+    ap.add_argument("--eps", type=float, default=NULL_EPS,
+                    help="relative tolerance for classifying a lift as "
+                         "null: |<z,z>| <= eps |z|^2")
     ap.add_argument("--model", choices=[BALL, SIEGEL], default=BALL,
                     help="model for generated/realized points")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the

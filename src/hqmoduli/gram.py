@@ -7,11 +7,11 @@ g_ij = <p_j, p_i> = p_i* J p_j, so G = P* J P with P the column matrix.
 Congruence acts by G -> D* G D for an invertible right factor D.
 
 Both the inertia and the realization read the spectrum of the complex
-adjoint of G, in which every eigenvalue of G appears twice (F. Zhang,
-"Quaternions and matrices of quaternions", Linear Algebra Appl. 251,
-1997).  The eigenvalues are paired before they are compared with the
-zero threshold, so `inertia` and `realize` make the same rank decision;
-`realize` builds P = F sqrt|L| Q* from the eigendecomposition G = Q L Q*.
+adjoint of G, in which every eigenvalue of G appears twice.  The
+eigenvalues are paired before they are compared with the zero threshold,
+so `inertia` and `realize` make the same rank decision; `realize` builds
+P = F sqrt|L| Q* from the eigendecomposition G = Q L Q* of
+`QMatrix.eigh`, the helper the frame constructions of `hform` share.
 """
 
 from __future__ import annotations
@@ -137,38 +137,12 @@ def check_admissible(iner: Inertia, n: int) -> None:
         raise RealizationError("n_plus + n_minus >= 1")
 
 
-def _quaternion_eigenvectors(v: np.ndarray) -> tuple[QMatrix, list[int]]:
-    """Orthonormal quaternion columns Q spanning the eigenvectors v
-    (2m x 2m, orthonormal columns) of a complex adjoint, and for each
-    column of Q the column of v it came from.
-
-    An adjoint eigenvector (a; b) is the quaternion column a - conj(b) j;
-    its partner (-conj b; conj a) belongs to the same eigenvalue.  Each
-    step takes the first column of v whose part outside the chosen
-    vectors and their partners is at least half the largest such part,
-    then projects the pair out of v (symplectic Gram-Schmidt), so
-    repeated eigenvalues give independent columns."""
-    m = v.shape[0] // 2
-    chosen, source = [], []
-    for _ in range(m):
-        size = np.einsum("ij,ij->j", v.conj(), v).real
-        t = int(np.argmax(size >= 0.5 * size.max()))
-        x = v[:, t] / math.sqrt(size[t])
-        pair = np.column_stack([x, np.concatenate([-np.conj(x[m:]),
-                                                   np.conj(x[:m])])])
-        v = v - pair @ (pair.conj().T @ v)
-        chosen.append(x)
-        source.append(t)
-    x = np.array(chosen).T
-    return QMatrix(x[:m], -np.conj(x[m:])), source
-
-
 def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
     """Tuple of points in H^{n,1} whose Gram matrix is g (up to numerical
     error), or RealizationError naming the inertia obstruction."""
     _check_square_hermitian(g, "realize")
     m = g.shape[0]
-    w, v = np.linalg.eigh(g.adjoint())
+    w, q, pair = g.eigh()
     lam = _paired_eigenvalues(w, INERTIA_EPS)
     iner = _signature(lam)
     check_admissible(iner, n)
@@ -176,10 +150,9 @@ def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
     # g = Q diag(l) Q* with Q unitary, so P = F sqrt|l| Q* has P* J P = g
     # when F (ball model) puts the positive eigenvalues on distinct
     # coordinates 0..n_plus-1 and the negative one on coordinate n.
-    q, source = _quaternion_eigenvectors(v)
     f = np.zeros((n + 1, m))
     next_pos = 0
-    for t, lt in enumerate(lam[np.array(source) // 2]):
+    for t, lt in enumerate(lam[pair]):
         if lt > 0:
             f[next_pos, t] = math.sqrt(lt)
             next_pos += 1

@@ -128,14 +128,6 @@ class Isometry:
             raise UsageError("isometry and vector live in different models")
         return HVector(self.qm @ z.qm, self.model)
 
-    def compose(self, other: "Isometry") -> "Isometry":
-        if self.model != other.model:
-            raise UsageError("model mismatch in composition")
-        return Isometry(self.qm @ other.qm, self.model)
-
-    def inverse(self) -> "Isometry":
-        return Isometry(self.qm.inv(), self.model)
-
     def to_json(self) -> dict:
         return {"model": self.model,
                 "matrix": [[q.to_json() for q in row]
@@ -238,7 +230,7 @@ def cayley_isometry(g: Isometry) -> Isometry:
 
 
 # ---------------------------------------------------------------------
-# Isometry checking and construction
+# Isometry checking and J-orthonormal frames
 # ---------------------------------------------------------------------
 
 def verify_isometry(g: Isometry) -> float:
@@ -261,96 +253,30 @@ def _self(v: QMatrix, j: QMatrix) -> float:
     return (v.h @ (j @ v)).entry(0, 0).re()
 
 
-def _standard_seeds(dim: int) -> list[QMatrix]:
-    seeds = []
-    for t in range(dim):
-        c = QMatrix.zeros(dim, 1)
-        c.c1[t, 0] = 1.0
-        seeds.append(c)
-    return seeds
+def _complete_frame(c: QMatrix, j: QMatrix) -> QMatrix:
+    """J-orthonormal columns spanning the J-orthogonal complement of the
+    independent columns of c, whose span must be nondegenerate: the
+    positive columns first, then the negative one if there is one.
 
-
-def _extended_seeds(dim: int) -> list[QMatrix]:
-    """Basis seeds plus pairwise sums and differences.  In an indefinite
-    complement the basis projections alone can all land outside the
-    positive cone; a two-term combination always reaches it."""
-    seeds = _standard_seeds(dim)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            for sign in (1.0, -1.0):
-                c = QMatrix.zeros(dim, 1)
-                c.c1[a, 0] = 1.0
-                c.c1[b, 0] = sign
-                seeds.append(c)
-    return seeds
-
-
-def _positive_combination(seeds, frame, j):
-    """Positive vector w_a lambda + w_b built from two projected seeds
-    whose span is indefinite.  <w_a lam + w_b, .> = a|lam|^2 + b
-    + 2 Re(u lam) with u = <w_a, w_b>; taking lam along conj(u) this is a
-    real quadratic maximized at t = -|u|/a, positive when |u|^2 > ab."""
-    ws = [_project_against(s, frame, j) for s in seeds]
-    pairs = [(w, _self(w, j)) for w in ws]
-    for ia in range(len(pairs)):
-        wa, a = pairs[ia]
-        if a >= -1e-12:
-            continue
-        for ib in range(len(pairs)):
-            if ib == ia:
-                continue
-            wb, b = pairs[ib]
-            u = (wb.h @ (j @ wa)).entry(0, 0)  # <w_a, w_b>
-            if abs(u) ** 2 <= a * b + 1e-10:
-                continue
-            t = -abs(u) / a
-            lam = u.conj() * (t / abs(u))
-            w = wa.right_scalar(lam) + wb
-            val = _self(w, j)
-            if val > 1e-10:
-                return w, val
-    return None, 0.0
-
-
-def _extend_frame(frame: list[tuple[QMatrix, float]], n: int,
-                  j: QMatrix) -> list[tuple[QMatrix, float]]:
-    """Extend J-orthonormal columns to a full Sp(n,1)-frame: n positive
-    columns then one negative column."""
-    frame = list(frame)
-    have_pos = sum(1 for _, s in frame if s > 0)
-    have_neg = sum(1 for _, s in frame if s < 0)
-    if have_neg > 1:
-        raise DomainError("frame already has two negative directions")
-    seeds = _extended_seeds(n + 1)
-
-    def best_projection(sign):
-        """Projected seed w maximizing sign * <w, w> > 0."""
-        best, best_val = None, 0.0
-        for s in seeds:
-            w = _project_against(s, frame, j)
-            val = sign * _self(w, j)
-            if val > best_val:
-                best, best_val = w, val
-        return best, best_val
-
-    while have_pos < n:
-        best, best_val = best_projection(1.0)
-        if best is None:
-            best, best_val = _positive_combination(seeds, frame, j)
-        if best is None:
-            raise DomainError("cannot extend frame with a positive vector")
-        frame.append((best.scale(1.0 / math.sqrt(best_val)), 1.0))
-        have_pos += 1
-
-    if have_neg == 0:
-        best, best_val = best_projection(-1.0)
-        if best is None:
-            raise DomainError("cannot extend frame with a negative vector")
-        frame.append((best.scale(1.0 / math.sqrt(best_val)), -1.0))
-
-    # order: positives first, negative last
-    frame.sort(key=lambda t: -t[1])
-    return frame
+    The complement is the kernel of (Jc)*, that is the bottom
+    (dim - k)-dimensional eigenspace V of (Jc)(Jc)*.  Its dimension is
+    known, so taking it needs no threshold.  The form restricted to it,
+    V* J V = U diag(mu) U*, gives the columns V U |mu|^(-1/2)."""
+    dim, k = c.shape
+    norms = np.sqrt(np.sum(np.abs(c.c1) ** 2 + np.abs(c.c2) ** 2, axis=0))
+    jc = j @ QMatrix(c.c1 / norms, c.c2 / norms)
+    _, q, pair = (jc @ jc.h).eigh()
+    v = q.cols(np.argsort(pair, kind="stable")[:dim - k])
+    w, u, pair = (v.h @ (j @ v)).eigh()
+    mu = w[2 * pair]
+    # V has orthonormal columns, so mu is the form on unit vectors: the
+    # relative test that point_class applies to <z, z> / |z|^2.
+    if np.any(np.abs(mu) <= NULL_EPS):
+        raise DomainError("the span has a null direction in its complement")
+    order = np.argsort(-mu, kind="stable")
+    f = v @ u.cols(order)
+    scale = 1.0 / np.sqrt(np.abs(mu[order]))
+    return QMatrix(f.c1 * scale, f.c2 * scale)
 
 
 def random_isometry(n: int, seed: int, model: str = BALL) -> Isometry:
@@ -410,13 +336,11 @@ def map_orthonormal_frames(p, q) -> Isometry:
             for b in range(len(tup)):
                 want = 1.0 if a == b else 0.0
                 got = herm(tup[a], tup[b])
-                if abs(got - quat(want)) > 1e-8 * (1 + tup[a].norm() * tup[b].norm()):
+                if abs(got - quat(want)) > 1e-8 * tup[a].norm() * tup[b].norm():
                     raise DomainError("input tuples are not orthonormal frames")
-    fp = _extend_frame([(z.qm, 1.0) for z in pb], n, j)
-    fq = _extend_frame([(z.qm, 1.0) for z in qb], n, j)
-    # keep the given columns in their original order at the front
-    gp = QMatrix.from_columns([z.qm for z in pb] + [v for v, s in fp[len(pb):]])
-    gq = QMatrix.from_columns([z.qm for z in qb] + [v for v, s in fq[len(qb):]])
+    fp, fq = columns(pb), columns(qb)
+    gp = QMatrix.from_columns([fp, _complete_frame(fp, j)])
+    gq = QMatrix.from_columns([fq, _complete_frame(fq, j)])
     g = Isometry(gq @ gp.inv(), BALL)
     if model == SIEGEL:
         g = cayley_isometry(g)
@@ -429,18 +353,12 @@ def map_orthonormal_frames(p, q) -> Isometry:
 
 def _null_partner(z: QMatrix, j: QMatrix, frame=()) -> QMatrix:
     """Null w with <z, w> = 1 for null z, inside the J-orthogonal
-    complement of the J-orthonormal columns of `frame`."""
-    best, best_val = None, 0.0
-    for s in _standard_seeds(z.shape[0]):
-        cand = _project_against(s, frame, j)
-        a0 = (cand.h @ (j @ z)).entry(0, 0)  # <z, cand>
-        if abs(a0) > best_val:
-            best, best_val = cand, abs(a0)
-    if best is None or best_val < 1e-12:
-        raise DomainError("no partner direction for the null vector")
-    a0 = (best.h @ (j @ z)).entry(0, 0)
-    w1 = best.right_scalar(a0.conj().inverse())
-    return w1 - z.scale(_self(w1, j) / 2.0)
+    complement of the J-orthonormal columns of `frame` (each J-orthogonal
+    to z).  J^2 = I in both models, so <z, Jz> = |z|^2 and Jz / |z|^2 has
+    <z, .> = 1; projecting it off the frame keeps that product, and
+    subtracting z <w, w> / 2 makes it null."""
+    w = _project_against((j @ z).scale(1.0 / z.norm() ** 2), frame, j)
+    return w - z.scale(_self(w, j) / 2.0)
 
 
 def null_partner(z: HVector) -> HVector:
@@ -450,72 +368,17 @@ def null_partner(z: HVector) -> HVector:
     return HVector(_null_partner(z.qm, form_matrix(z.model, z.n)), z.model)
 
 
-def project_out_null_pair(v: QMatrix, z: QMatrix, w: QMatrix,
-                          j: QMatrix) -> QMatrix:
-    """Project v into {z, w}^perp where z, w are a null pair with
-    <z, w> = 1."""
-    b = (v.h @ (j @ z)).entry(0, 0).conj()   # conj(<z, v>)
-    a = (v.h @ (j @ w)).entry(0, 0).conj()   # conj(<w, v>)
-    return v - z.right_scalar(a) - w.right_scalar(b)
-
-
-def _null_pair_completion(z: QMatrix, w: QMatrix, frame, count: int,
-                          j: QMatrix) -> list[QMatrix]:
-    """`count` J-orthonormal positive columns orthogonal to the null pair
-    (z, w) and to the J-orthonormal columns of `frame`, projected from the
-    standard basis in order."""
-    frame, out = list(frame), []
-    for s in _standard_seeds(z.shape[0]):
-        if len(out) == count:
-            break
-        cand = _project_against(project_out_null_pair(s, z, w, j), frame, j)
-        val = _self(cand, j)
-        if val > 1e-8:
-            col = cand.scale(1.0 / math.sqrt(val))
-            frame.append((col, 1.0))
-            out.append(col)
-    if len(out) < count:
-        raise DomainError("failed to complete a null frame")
-    return out
-
-
-def _null_frame_columns(z: HVector) -> list[QMatrix]:
-    """Columns (z, u_2..u_n, w) with u_t J-orthonormal positive and w the
-    null partner of z."""
-    j = form_matrix(z.model, z.n)
-    w = null_partner(z).qm
-    return [z.qm] + _null_pair_completion(z.qm, w, (), z.n - 1, j) + [w]
-
-
 def orthogonal_complement_basis(z: HVector) -> tuple[HVector, ...]:
     """Structured basis of z^perp: see the trichotomy on the sign of
-    <z, z>.  Null z is returned as the first basis vector of its own
-    complement."""
-    cls = classify(z)
-    if cls != PointClass.NULL:
-        sign = 1.0 if cls == PointClass.POSITIVE else -1.0
-        zn = z.qm.scale(1.0 / math.sqrt(sign * self_product(z)))
-        frame = _extend_frame([(zn, sign)], z.n, form_matrix(z.model, z.n))
-        # drop z itself: the positives, then (for positive z) the negative
-        return tuple(HVector(v, z.model) for v, _sign in frame if v is not zn)
-    # null case: z itself plus n-1 positives in {z, w}^perp
-    return tuple(HVector(v, z.model) for v in _null_frame_columns(z)[:-1])
-
-
-def null_frame(z: HVector) -> QMatrix:
-    """Frame f = (z, u_2..u_n, w) with f* J_s f = J_s, for Siegel null z.
-
-    f^{-1} is then an isometry sending z to the standard point at
-    infinity (1, 0, ..., 0)."""
-    if z.model != SIEGEL:
-        raise UsageError("null_frame works in the Siegel model")
-    return QMatrix.from_columns(_null_frame_columns(z))
-
-
-def isometry_sending_null_to_infinity(z: HVector) -> Isometry:
-    """Siegel isometry g with g z proportional to z_infinity = e_1."""
-    f = null_frame(z)
-    return Isometry(f.inv(), SIEGEL)
+    <z, z>.  For nonnull z it is J-orthonormal, the positives first, then
+    (for positive z) the negative.  Null z is returned as the first basis
+    vector of its own complement, followed by n-1 J-orthonormal positives
+    J-orthogonal to z and to its null partner."""
+    j = form_matrix(z.model, z.n)
+    if classify(z) != PointClass.NULL:
+        return tuple_from_columns(_complete_frame(z.qm, j), z.model)
+    pair = QMatrix.from_columns([z.qm, _null_partner(z.qm, j)])
+    return (z,) + tuple_from_columns(_complete_frame(pair, j), z.model)
 
 
 # ---------------------------------------------------------------------
@@ -594,24 +457,20 @@ def pair_isometry(p1: HVector, p2: HVector, q1: HVector, q2: HVector,
     (a1, a2, tp), (b1, b2, tq) = pb[0], qb[0]
     if abs(tp - tq) > tol * (1.0 + tp + tq):
         raise DomainError("pairs have different moduli invariants")
-    n = a1.n
-    j = form_matrix(BALL, n)
+    j = form_matrix(BALL, a1.n)
     t = 0.5 * (tp + tq)
 
     def build_frame(x1: HVector, x2: HVector) -> QMatrix:
+        """(x1, u, ...) followed by the completion: u = x2 - x1 and its
+        null partner for an asymptotic pair, else u = x2 - x1 t, unit."""
         if abs(t - 1.0) <= ASYMPTOTIC_EPS:
             u = (x2 - x1).qm
-            frame = [(x1.qm, 1.0)]
-            w = _null_partner(u, j, frame)
-            return QMatrix.from_columns(
-                [x1.qm, u, w] + _null_pair_completion(u, w, frame, n - 2, j))
-        u = x2 - x1.rescale(t)
-        s = _self(u.qm, j)
-        sign = 1.0 if s > 0 else -1.0
-        uq = u.qm.scale(1.0 / math.sqrt(abs(s)))
-        frame = _extend_frame([(x1.qm, 1.0), (uq, sign)], n, j)
-        rest = [v for v, _sg in frame if v is not x1.qm and v is not uq]
-        return QMatrix.from_columns([x1.qm, uq] + rest)
+            head = [x1.qm, u, _null_partner(u, j, [(x1.qm, 1.0)])]
+        else:
+            u = (x2 - x1.rescale(t)).qm
+            head = [x1.qm, u.scale(1.0 / math.sqrt(abs(_self(u, j))))]
+        head = QMatrix.from_columns(head)
+        return QMatrix.from_columns([head, _complete_frame(head, j)])
 
     fp = build_frame(a1, a2)
     fq = build_frame(b1, b2)

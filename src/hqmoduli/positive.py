@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from .boundary import boundary_coordinate
 from .errors import DegenerateInputError, DomainError, InconsistencyError, UsageError
 from .gram import gram, inertia, point_classes, rescale_gram, span_dimension
-from .hform import (NULL_EPS, SIEGEL, PointClass, classify, columns,
-                    isometry_sending_null_to_infinity, to_model)
+from .hform import NULL_EPS, PointClass, classify, columns, herm, null_partner
 from .qmatrix import QMatrix
 from .quat import (ONE, Quaternion, canonical_sign, nu, quat,
                    rotation_normalize_vector)
@@ -319,30 +318,28 @@ def parabolic_coordinates(points, eps: float = ZERO_EPS) -> ParabolicCoordinate:
     """Complete invariant of a parabolic tuple: partition structure plus
     the rotation-normalized vector of horospherical cross ratios.
 
-    The shared null direction is moved to the point at infinity of the
-    Siegel domain; each point then carries a height coordinate k, and
-    blocks of size s >= 3 contribute the quotients
-    (k_1 - k_t)(k_2 - k_t)^{-1}, t = 3..s.
+    Each point carries a height k = <p, w> along the shared null
+    direction z0, with w a null partner of z0 (moving z0 to the point at
+    infinity of the Siegel domain, k is the first coordinate).  Blocks of
+    size s >= 3 contribute the quotients (k_1 - k_t)(k_2 - k_t)^{-1},
+    t = 3..s.  Inside a block the lifts differ by right multiples of z0,
+    so these quotients do not depend on the choice of w.
     """
     points = _partitioned(points, eps)
     structure = points.structure
     if structure.kind != "parabolic":
         raise DomainError("tuple is not parabolic")
 
-    lifts = [to_model(p, SIEGEL) for p in _parabolic_lifts(points)]
-
+    lifts = _parabolic_lifts(points)
     big = next(b for b in structure.blocks if len(b) >= 2)
     z0 = lifts[big[1]] - lifts[big[0]]
-    g0 = isometry_sending_null_to_infinity(z0)
-    lifts = [g0.apply(p) for p in lifts]
-
-    n = points[0].n
     for p in lifts:
-        if abs(p.qm.entry(n, 0)) > 1e-7 * p.norm():
+        if abs(herm(p, z0)) > 1e-7 * p.norm():
             raise InconsistencyError(
-                "a lift escaped the orthogonal complement of infinity")
+                "a lift is not orthogonal to the shared null direction")
 
-    ks = [p.qm.entry(0, 0) for p in lifts]
+    w = null_partner(z0)
+    ks = [herm(p, w) for p in lifts]
     x = []
     for blk in structure.blocks:
         for t in blk[2:]:

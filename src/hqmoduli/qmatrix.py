@@ -9,10 +9,14 @@ The complex adjoint embedding
 is a *-algebra homomorphism, which lets eigenvalue, rank and inverse
 computations be delegated to numpy's complex kernels.  Hermitian
 quaternion matrices map to Hermitian complex matrices with each real
-eigenvalue doubled.
+eigenvalue doubled; `QMatrix.eigh` turns the adjoint's eigenvectors back
+into quaternion ones (F. Zhang, "Quaternions and matrices of
+quaternions", Linear Algebra Appl. 251, 1997).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -127,12 +131,6 @@ class QMatrix:
         return QMatrix(self.c1 * q.c1 - self.c2 * np.conj(complex(q.c2)),
                        self.c1 * q.c2 + self.c2 * np.conj(complex(q.c1)))
 
-    def left_scalar(self, q) -> "QMatrix":
-        q = quat(q)
-        l1, l2 = q.c1, q.c2
-        return QMatrix(l1 * self.c1 - l2 * np.conj(self.c2),
-                       l1 * self.c2 + l2 * np.conj(self.c1))
-
     @property
     def h(self) -> "QMatrix":
         """Conjugate transpose."""
@@ -158,7 +156,41 @@ class QMatrix:
         return float(np.sqrt(np.sum(np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2)))
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return (self - self.h).norm() <= tol * max(1.0, self.norm())
+        """||A - A*|| <= tol ||A|| in the Frobenius norm, read off C1 and
+        C2 directly: A* = C1^H - C2^T j."""
+        c1, c2 = self.c1, self.c2
+        if c1.shape[0] != c1.shape[1]:
+            return False
+        d1, d2 = c1 - c1.conj().T, c2 + c2.T
+        dev = np.vdot(d1, d1).real + np.vdot(d2, d2).real
+        return dev <= tol * tol * (np.vdot(c1, c1).real + np.vdot(c2, c2).real)
+
+    def eigh(self) -> tuple[np.ndarray, "QMatrix", np.ndarray]:
+        """Eigendecomposition A = Q diag(l) Q* of a Hermitian quaternion
+        matrix, from np.linalg.eigh of its complex adjoint.
+
+        Returns the ascending adjoint spectrum w, in which each eigenvalue
+        of A appears twice, a unitary Q, and for each column of Q the
+        index k of its eigenvalue pair (w[2k], w[2k+1]).
+
+        An adjoint eigenvector (a; b) is the quaternion column a - conj(b) j;
+        its partner (-conj b; conj a) belongs to the same eigenvalue.  Each
+        step takes the first adjoint eigenvector whose part outside the
+        chosen vectors and their partners is at least half the largest such
+        part, then projects the pair out of the rest (symplectic
+        Gram-Schmidt), so repeated eigenvalues give independent columns."""
+        w, v = np.linalg.eigh(self.adjoint())
+        m = self.shape[0]
+        x, source = np.empty((2 * m, m), dtype=complex), np.empty(m, dtype=int)
+        for s in range(m):
+            size = np.einsum("ij,ij->j", v.conj(), v).real
+            t = int(np.argmax(size >= 0.5 * size.max()))
+            x[:, s] = v[:, t] / math.sqrt(size[t])
+            pair = np.column_stack([x[:, s], np.concatenate(
+                [-np.conj(x[m:, s]), np.conj(x[:m, s])])])
+            v = v - pair @ (pair.conj().T @ v)
+            source[s] = t
+        return w, QMatrix(x[:m], -np.conj(x[m:])), source // 2
 
     def rank(self, tol_rel: float = 1e-9) -> int:
         """Quaternionic rank via the adjoint's singular values."""

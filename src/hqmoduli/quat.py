@@ -39,10 +39,6 @@ class Quaternion:
         return Quaternion(c1.real, c1.imag, c2.real, c2.imag)
 
     @staticmethod
-    def from_real(x: float) -> "Quaternion":
-        return Quaternion(float(x), 0.0, 0.0, 0.0)
-
-    @staticmethod
     def from_json(data) -> "Quaternion":
         a0, a1, a2, a3 = (float(x) for x in data)
         return Quaternion(a0, a1, a2, a3)
@@ -61,9 +57,6 @@ class Quaternion:
 
     def re(self) -> float:
         return self.a0
-
-    def im(self) -> "Quaternion":
-        return Quaternion(0.0, self.a1, self.a2, self.a3)
 
     def im_vec(self) -> "ImVector3":
         return ImVector3(self.a1, self.a2, self.a3)
@@ -126,15 +119,10 @@ class Quaternion:
         t = eps * (1.0 + abs(self))
         return abs(self.a1) <= t and abs(self.a2) <= t and abs(self.a3) <= t
 
-    def is_complex(self, eps: float = CLASSIFY_EPS) -> bool:
-        t = eps * (1.0 + abs(self))
-        return abs(self.a2) <= t and abs(self.a3) <= t
-
     def isclose(self, other: "Quaternion", tol: float = 1e-9) -> bool:
         return abs(self - other) <= tol * (1.0 + abs(self) + abs(other))
 
 
-ZERO = Quaternion()
 ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)

@@ -28,7 +28,6 @@ from .qmatrix import QMatrix
 from .quat import Quaternion
 
 DET_TOL = 1e-12          # tolerance on det G <= 0 in the existence test
-PARAM_TOL = 1e-8         # tolerance for parameter round trips
 
 
 @dataclass(frozen=True)

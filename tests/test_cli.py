@@ -7,7 +7,8 @@ import pytest
 
 from hqmoduli.cli import main
 from hqmoduli.gram import gram
-from hqmoduli.hform import HVector, PointClass, classify
+from hqmoduli.hform import BALL, HVector, PointClass, classify
+from hqmoduli.positive import positive_coordinate
 from hqmoduli.sampling import random_null_tuple, random_regular_tuple
 from hqmoduli.hform import random_isometry
 
@@ -74,6 +75,17 @@ def test_positive_coord_json(tmp_path, capsys):
     data = json.loads(out)
     assert data["class"] == "regular"
     assert data["structure"]["kind"] == "regular"
+
+
+def test_positive_coord_matches_library_at_default_flags(tmp_path, capsys):
+    """The first product is 5e-9 relative: zero for the library's default
+    zero-product threshold, which --eps does not override."""
+    pts = [HVector.from_entries(e, BALL)
+           for e in [(1, 0, 0), (5e-9, 1, 0), (0.3, 0.4, 0.2)]]
+    f = write_tuple(tmp_path / "t.json", pts)
+    code, out, _ = run(capsys, "--json", "positive-coord", f)
+    assert code == 0
+    assert json.loads(out) == positive_coordinate(pts).to_json()
 
 
 def test_congruent_exit_codes(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqmoduli.boundary import cartan_invariant, vector_to_gram
-from hqmoduli.errors import RealizationError, UsageError
+from hqmoduli.errors import DomainError, RealizationError, UsageError
 from hqmoduli.gram import (INERTIA_EPS, Inertia, check_admissible, gram,
                            inertia, permute_gram, realization_error, realize,
                            rescale_gram, span_dimension)
@@ -146,6 +146,15 @@ def test_inertia_rejects_non_hermitian():
     bad.set_entry(0, 1, Quaternion(0, 1))
     with pytest.raises(Exception):
         inertia(bad)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e12])
+def test_inertia_hermitian_check_is_relative(scale):
+    """An unmirrored off-diagonal entry is rejected at every scale; the
+    zero matrix stays Hermitian."""
+    with pytest.raises(DomainError):
+        inertia(QMatrix.real([[0.0, 1e-10 * scale], [0.0, 0.0]]))
+    assert inertia(QMatrix.zeros(2, 2)).as_tuple() == (0, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ from hqmoduli.hform import (BALL, SIEGEL, HVector, Isometry, PointClass,
                             map_orthonormal_frames, orthogonal_complement_basis,
                             pair_configuration, pair_isometry, pair_moduli,
                             projective_distance, random_isometry,
-                            self_product, verify_isometry)
+                            self_product, to_model, verify_isometry)
 from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import I, ONE, Quaternion
-from hqmoduli.sampling import (random_null_point, random_positive_point,
-                               random_quaternion, random_unit_quaternion)
+from hqmoduli.sampling import (random_null_point, random_parabolic_tuple,
+                               random_positive_point, random_quaternion,
+                               random_unit_quaternion)
 
 HERM_TOL = 1e-10
 
@@ -185,6 +186,22 @@ def test_map_orthonormal_frames_full_frame():
         assert projective_distance(g.apply(a), b) <= 1e-9
 
 
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_map_orthonormal_frames_partial_frames_n3(model, k):
+    """The first k columns of a random ball isometry are J-orthonormal
+    positives; the map carries one such frame exactly onto another."""
+    for seed in range(5):
+        gp, gq = random_isometry(3, 2 * seed), random_isometry(3, 2 * seed + 1)
+        p = [to_model(HVector(gp.qm.col(i), BALL), model) for i in range(k)]
+        q = [to_model(HVector(gq.qm.col(i), BALL), model) for i in range(k)]
+        g = map_orthonormal_frames(p, q)
+        assert g.model == model
+        assert verify_isometry(g) <= 1e-9
+        for a, b in zip(p, q):
+            assert (g.apply(a).qm - b.qm).norm() <= 1e-9 * b.norm()
+
+
 def test_map_orthonormal_frames_rejects_non_frames():
     with pytest.raises(DomainError):
         map_orthonormal_frames([ball(2, 0, 0)], [ball(1, 0, 0)])
@@ -220,6 +237,34 @@ def test_complement_of_positive_vector_structure():
     assert classes.count(PointClass.NEGATIVE) == 1
     for v in basis:
         assert abs(herm(v, z)) <= 1e-9 * (1 + v.norm() * z.norm())
+
+
+def random_negative_point(n, rng, model):
+    """Ball lift (u, 1) with |u| < 1, in the given model."""
+    v = rng.normal(size=4 * n)
+    v *= rng.uniform(0.0, 0.9) / np.linalg.norm(v)
+    entries = [Quaternion(*v[4 * t:4 * t + 4]) for t in range(n)] + [ONE]
+    return to_model(ball(*entries), model)
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_complement_basis_is_scale_invariant(n, model):
+    """For z scaled by 10^e, e = -16..16: n basis vectors in the
+    documented classes, each J-orthogonal to z relative to |v| |z|."""
+    rng = np.random.default_rng(40 + n)
+    pos, neg, null = PointClass.POSITIVE, PointClass.NEGATIVE, PointClass.NULL
+    cases = [(random_null_point(n, rng, model), [null] + [pos] * (n - 1)),
+             (random_positive_point(n, rng, model), [pos] * (n - 1) + [neg]),
+             (random_negative_point(n, rng, model), [pos] * n)]
+    for z0, want in cases:
+        for e in range(-16, 17):
+            z = z0.scaled(10.0 ** e)
+            basis = orthogonal_complement_basis(z)
+            assert [classify(v) for v in basis] == want, (e, want)
+            for v in basis:
+                assert v.model == model
+                assert abs(herm(v, z)) <= 1e-12 * v.norm() * z.norm(), e
 
 
 def test_distance_zero_on_hyperplane():
@@ -317,6 +362,26 @@ def test_pair_isometry_maps_pairs():
         assert verify_isometry(g) <= 1e-7
         assert projective_distance(g.apply(p1), q1) <= 1e-6
         assert projective_distance(g.apply(p2), q2) <= 1e-6
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_isometry_maps_asymptotic_pairs(n, model):
+    """Two lifts from one block of a parabolic tuple have t = 1; the map
+    goes through the null partner of their difference."""
+    rng = np.random.default_rng(21 + n)
+    for seed in range(10):
+        p1, p2 = random_parabolic_tuple(n, 3, seed, model)[:2]
+        assert pair_configuration(p1, p2).kind == "asymptotic"
+        g0 = random_isometry(n, seed=2000 + seed, model=model)
+        q1 = g0.apply(p1).rescale(random_quaternion(rng) + 2.0)
+        q2 = g0.apply(p2).rescale(random_quaternion(rng) + 2.0)
+        p1 = p1.rescale(random_quaternion(rng, 1e-3))
+        g = pair_isometry(p1, p2, q1, q2)
+        assert g.model == model
+        assert verify_isometry(g) <= 1e-9
+        assert projective_distance(g.apply(p1), q1) <= 1e-9
+        assert projective_distance(g.apply(p2), q2) <= 1e-9
 
 
 def test_pair_isometry_rejects_different_invariants():
