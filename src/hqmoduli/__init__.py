@@ -1,7 +1,7 @@
 """Canonical moduli coordinates and congruence invariants for tuples of
 points in quaternionic hyperbolic/projective space under PU(1,n;H)."""
 
-from .boundary import (ModuliCoordinate, boundary_coordinate, cartan_invariant,
+from .boundary import (Coordinate, boundary_coordinate, cartan_invariant,
                        semi_normalize)
 from .errors import (DegenerateInputError, DomainError, HQError,
                      InconsistencyError, RealizationError, UsageError)
@@ -10,10 +10,9 @@ from .gram import (Inertia, check_admissible, gram, inertia, permute_gram,
 from .hform import (BALL, SIEGEL, HVector, Isometry, PairConfiguration,
                     PointClass, cayley, classify, herm, pair_configuration,
                     pair_isometry, pair_moduli, random_isometry, to_model)
-from .positive import (INFINITY, ParabolicCoordinate, PartitionStructure,
-                       RegularCoordinate, block_normalize, congruent,
-                       coordinate_distance, cross_ratio, detect_partition,
-                       one_normalize, parabolic_coordinates,
+from .positive import (INFINITY, PartitionStructure, block_normalize,
+                       congruent, coordinate_distance, cross_ratio,
+                       detect_partition, one_normalize, parabolic_coordinates,
                        positive_coordinate, regular_coordinate)
 from .qmatrix import QMatrix
 from .quat import (ImVector3, Quaternion, canonical_sign, mu, nu, quat,

@@ -7,12 +7,16 @@ A semi-normalized Gram matrix has zero diagonal, ones on the first
 off-diagonal, and g_13 = -e^{-i*alpha} with alpha in [0, pi/2].  The
 remaining freedom is simultaneous conjugation of all entries by a unit
 quaternion, which rotation normalization removes.
+
+`Coordinate`, the one coordinate type of boundary and positive tuples,
+is defined here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateInputError, DomainError, InconsistencyError, UsageError
 from .gram import (PRODUCT_EPS, gram, inertia, point_classes, rescale_gram,
@@ -21,26 +25,44 @@ from .hform import HVector, PointClass
 from .qmatrix import QMatrix
 from .quat import ONE, J, Quaternion, nu, quat, rotation_normalize_vector
 
+if TYPE_CHECKING:
+    from .positive import PartitionStructure
+
 SEMI_TOL = 1e-8          # postcondition tolerance for the normalized form
 
 
 @dataclass(frozen=True)
-class ModuliCoordinate:
-    """Complete invariant of a boundary tuple: stratum tag + canonical
-    t-vector (and the Cartan invariant of the leading triple)."""
+class Coordinate:
+    """Canonical moduli coordinate of a tuple, one of three kinds:
 
-    stratum: str
-    v: tuple[Quaternion, ...]
-    alpha: float
+    * "boundary": the rotation-normalized t-vector of a tuple of null
+      points, its stratum tag and the Cartan invariant alpha of the
+      leading triple;
+    * "parabolic": the rotation-normalized horospherical cross ratios of a
+      positive tuple with degenerate span, its stratum tag and partition
+      structure;
+    * "regular": the strict upper triangle, row-major, of the canonical
+      Gram matrix of a positive tuple with nondegenerate span (the
+      diagonal is all ones) and its partition structure.
 
-    @property
-    def entries(self) -> tuple[Quaternion, ...]:
-        return self.v
+    Fields a kind does not use are None."""
+
+    kind: str
+    entries: tuple[Quaternion, ...]
+    stratum: str | None = None
+    structure: PartitionStructure | None = None
+    alpha: float | None = None
 
     def to_json(self) -> dict:
-        return {"stratum": self.stratum,
-                "alpha": self.alpha,
-                "v": [q.to_json() for q in self.v]}
+        entries = [q.to_json() for q in self.entries]
+        if self.kind == "boundary":
+            return {"stratum": self.stratum, "alpha": self.alpha, "v": entries}
+        if self.kind == "parabolic":
+            return {"class": "parabolic",
+                    "structure": self.structure.to_json(),
+                    "stratum": self.stratum, "x": entries}
+        return {"class": "regular", "structure": self.structure.to_json(),
+                "entries": entries}
 
 
 def _boundary_gram(points) -> QMatrix:
@@ -175,10 +197,10 @@ def validate_boundary_vector(v, n: int) -> bool:
     return iner.n_plus <= n and iner.n_minus == 1
 
 
-def boundary_coordinate(points) -> ModuliCoordinate:
+def boundary_coordinate(points) -> Coordinate:
     """Canonical moduli coordinate of an ordered tuple of distinct null
     points: semi-normalize, extract the t-vector, rotation-normalize."""
     _, g, alpha = semi_normalize(points)
     v = gram_to_vector(g)
     _, vn, tag = rotation_normalize_vector(v)
-    return ModuliCoordinate(tag, tuple(vn), alpha)
+    return Coordinate("boundary", tuple(vn), tag, alpha=alpha)

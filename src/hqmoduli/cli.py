@@ -15,12 +15,12 @@ import sys
 
 import numpy as np
 
-from .boundary import ModuliCoordinate, boundary_coordinate
+from .boundary import boundary_coordinate
 from .errors import (DomainError, HQError, RealizationError, UsageError)
 from .gram import inertia, realize
 from .hform import BALL, NULL_EPS, SIEGEL, HVector, random_isometry
-from .positive import (ParabolicCoordinate, coordinate_distance,
-                       positive_coordinate, tuple_coordinate)
+from .positive import (coordinate_distance, positive_coordinate,
+                       tuple_coordinate)
 from .qmatrix import QMatrix
 from .quat import Quaternion
 from .sampling import random_tuple
@@ -89,16 +89,16 @@ def cmd_boundary_coord(args) -> int:
     coord = boundary_coordinate(points)
     _emit(args, coord.to_json(),
           f"stratum {coord.stratum}  alpha {coord.alpha:.12g}  "
-          f"v {[q.to_json() for q in coord.v]}")
+          f"v {[q.to_json() for q in coord.entries]}")
     return EXIT_OK
 
 
 def cmd_positive_coord(args) -> int:
     points = _parse_tuple(_load_json(args.tuple))
     coord = positive_coordinate(points)
-    if isinstance(coord, ParabolicCoordinate):
+    if coord.kind == "parabolic":
         summary = (f"parabolic  stratum {coord.stratum}  "
-                   f"x {[q.to_json() for q in coord.x]}")
+                   f"x {[q.to_json() for q in coord.entries]}")
     else:
         summary = (f"regular  blocks {coord.structure.to_json()['blocks']}  "
                    f"{len(coord.entries)} canonical entries")
@@ -112,8 +112,8 @@ def cmd_congruent(args) -> int:
     if len(p) != len(q):
         raise UsageError(f"tuple sizes differ: {len(p)} vs {len(q)}")
     ca, cb = (tuple_coordinate(x, null_eps=args.eps) for x in (p, q))
-    kind_p, kind_q = ("boundary" if isinstance(c, ModuliCoordinate)
-                      else "positive" for c in (ca, cb))
+    kind_p, kind_q = ("boundary" if c.kind == "boundary" else "positive"
+                      for c in (ca, cb))
     if kind_p != kind_q:
         raise DomainError(f"tuple classes differ: {kind_p} vs {kind_q}")
     dist = coordinate_distance(ca, cb)

@@ -101,13 +101,14 @@ def _check_square_hermitian(g: QMatrix, what: str) -> None:
         raise DomainError(f"{what} needs a Hermitian matrix")
 
 
-def _paired_eigenvalues(w: np.ndarray, eps: float) -> np.ndarray:
+def _paired_eigenvalues(w: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian quaternion matrix from the ascending
     spectrum w of its complex adjoint, where each one appears twice:
-    adjacent pairs averaged, then set to 0 when at most eps * max|w|."""
+    adjacent pairs averaged, then set to 0 when at most
+    INERTIA_EPS * max|w|."""
     lam = 0.5 * (w[0::2] + w[1::2])
     if w.size:
-        lam[np.abs(lam) <= eps * max(-w[0], w[-1])] = 0.0
+        lam[np.abs(lam) <= INERTIA_EPS * max(-w[0], w[-1])] = 0.0
     return lam
 
 
@@ -116,12 +117,12 @@ def _signature(lam: np.ndarray) -> Inertia:
     return Inertia(int(npos), int(nneg), lam.size - int(npos) - int(nneg))
 
 
-def inertia(g: QMatrix, eps: float = INERTIA_EPS) -> Inertia:
+def inertia(g: QMatrix) -> Inertia:
     """Signature (n_plus, n_minus, n_zero) of a Hermitian quaternion
     matrix.  Uses the complex adjoint, whose spectrum doubles each real
     eigenvalue."""
     _check_square_hermitian(g, "inertia")
-    return _signature(_paired_eigenvalues(np.linalg.eigvalsh(g.adjoint()), eps))
+    return _signature(_paired_eigenvalues(np.linalg.eigvalsh(g.adjoint())))
 
 
 def check_admissible(iner: Inertia, n: int) -> None:
@@ -143,7 +144,7 @@ def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
     _check_square_hermitian(g, "realize")
     m = g.shape[0]
     w, q, pair = g.eigh()
-    lam = _paired_eigenvalues(w, INERTIA_EPS)
+    lam = _paired_eigenvalues(w)
     iner = _signature(lam)
     check_admissible(iner, n)
 

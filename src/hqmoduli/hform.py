@@ -416,21 +416,19 @@ def pair_moduli(p1: HVector, p2: HVector) -> float:
     return num / den
 
 
-def pair_configuration(p1: HVector, p2: HVector,
-                       eps: float = ASYMPTOTIC_EPS) -> PairConfiguration:
+def pair_configuration(p1: HVector, p2: HVector) -> PairConfiguration:
     t = pair_moduli(p1, p2)
     if _proportional(p1, p2):
         raise DegenerateInputError("pair has equal projections")
-    if abs(t - 1.0) <= eps:
+    if abs(t - 1.0) <= ASYMPTOTIC_EPS:
         return PairConfiguration("asymptotic")
     if t < 1.0:
         return PairConfiguration("intersecting", angle=math.acos(t))
     return PairConfiguration("ultraparallel", distance=2.0 * math.acosh(t))
 
 
-def _proportional(p1: HVector, p2: HVector, tol: float = 1e-9) -> bool:
-    m = columns([p1, p2])
-    return m.rank(tol) < 2
+def _proportional(p1: HVector, p2: HVector) -> bool:
+    return columns([p1, p2]).rank() < 2
 
 
 def _unit_positive(p: HVector) -> HVector:
@@ -447,15 +445,15 @@ def _align_pair(p1: HVector, p2: HVector) -> tuple[HVector, HVector, float]:
     return p1, p2, t
 
 
-def pair_isometry(p1: HVector, p2: HVector, q1: HVector, q2: HVector,
-                  tol: float = 1e-9) -> Isometry:
+def pair_isometry(p1: HVector, p2: HVector, q1: HVector,
+                  q2: HVector) -> Isometry:
     """Explicit isometry carrying the positive pair (p1, p2) to (q1, q2)
     projectively; exists iff their t-invariants agree."""
     model = p1.model
     pb = [_align_pair(to_model(p1, BALL), to_model(p2, BALL))]
     qb = [_align_pair(to_model(q1, BALL), to_model(q2, BALL))]
     (a1, a2, tp), (b1, b2, tq) = pb[0], qb[0]
-    if abs(tp - tq) > tol * (1.0 + tp + tq):
+    if abs(tp - tq) > 1e-9 * (1.0 + tp + tq):
         raise DomainError("pairs have different moduli invariants")
     j = form_matrix(BALL, a1.n)
     t = 0.5 * (tp + tq)

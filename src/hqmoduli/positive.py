@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boundary import boundary_coordinate
+import numpy as np
+
+from .boundary import Coordinate, boundary_coordinate
 from .errors import DegenerateInputError, DomainError, InconsistencyError, UsageError
 from .gram import gram, inertia, point_classes, rescale_gram, span_dimension
 from .hform import NULL_EPS, PointClass, classify, columns, herm, null_partner
@@ -60,47 +62,16 @@ class PartitionStructure:
         return out
 
 
-@dataclass(frozen=True)
-class ParabolicCoordinate:
-    structure: PartitionStructure
-    stratum: str
-    x: tuple[Quaternion, ...]
-
-    @property
-    def entries(self) -> tuple[Quaternion, ...]:
-        return self.x
-
-    def to_json(self) -> dict:
-        return {"class": "parabolic",
-                "structure": self.structure.to_json(),
-                "stratum": self.stratum,
-                "x": [q.to_json() for q in self.x]}
-
-
-@dataclass(frozen=True)
-class RegularCoordinate:
-    """Canonical Gram matrix of a regular tuple, stored as the strict
-    upper triangle in row-major order (the diagonal is all ones)."""
-
-    structure: PartitionStructure
-    entries: tuple[Quaternion, ...]
-
-    def to_json(self) -> dict:
-        return {"class": "regular",
-                "structure": self.structure.to_json(),
-                "entries": [q.to_json() for q in self.entries]}
-
-
 # ---------------------------------------------------------------------------
 # validation and first normalization
 
 class _Lifts(tuple):
     """A validated tuple of positive lifts with its Gram matrix `g` and,
-    once partitioned for a tolerance `eps`, its first normalization
-    (`d1`, `g1`) and partition `structure`.  The coordinate stages accept
-    it in place of the points and read all of this from it."""
+    once partitioned, its first normalization (`d1`, `g1`) and partition
+    `structure`.  The coordinate stages accept it in place of the points
+    and read all of this from it."""
 
-    eps = None
+    structure = None
 
 
 def _positive_lifts(points) -> _Lifts:
@@ -116,18 +87,23 @@ def _positive_lifts(points) -> _Lifts:
     return lifts
 
 
-def _partitioned(points, eps: float) -> _Lifts:
-    """The validated lifts, normalized and partitioned once for eps.  The
+def _partitioned(points) -> _Lifts:
+    """The validated lifts, normalized and partitioned once.  The
     partition is read off the one-normalized Gram matrix, whose unit
-    diagonal makes the relative zero-product threshold independent of
+    diagonal makes the relative zero-product rule independent of
     per-point rescaling."""
     lifts = _positive_lifts(points)
-    if lifts.eps != eps:
-        lifts.d1, lifts.g1 = one_normalize(lifts, eps)
-        lifts.structure = detect_partition(
-            lifts.g1, lifts[0].n, eps, span_dim=span_dimension(lifts))
-        lifts.eps = eps
+    if lifts.structure is None:
+        lifts.d1, lifts.g1 = one_normalize(lifts)
+        lifts.structure = detect_partition(lifts.g1, span_dimension(lifts))
     return lifts
+
+
+def _nonzero_products(g: QMatrix) -> np.ndarray:
+    """The zero-product rule: entry (a, b) is True when |g_ab| exceeds
+    ZERO_EPS times the largest |g_ab|."""
+    mod = np.sqrt(np.abs(g.c1) ** 2 + np.abs(g.c2) ** 2)
+    return mod > ZERO_EPS * mod.max()
 
 
 def _normalized_modulus(g: QMatrix, a: int, b: int) -> float:
@@ -145,7 +121,7 @@ def _check_distinct(points, g: QMatrix) -> None:
                         f"points {a + 1} and {b + 1} coincide")
 
 
-def one_normalize(points, eps: float = ZERO_EPS):
+def one_normalize(points):
     """First normalization of a positive tuple.
 
     Returns (d, G): diagonal rescaling making every g_ii = 1 and every
@@ -158,10 +134,10 @@ def one_normalize(points, eps: float = ZERO_EPS):
 
     d = [quat(1.0 / math.sqrt(g0.entry(t, t).re())) for t in range(m)]
     g = rescale_gram(g0, d)
-    scale = max(abs(g.entry(a, b)) for a in range(m) for b in range(m))
+    nz = _nonzero_products(g)
     for t in range(1, m):
-        h = g.entry(0, t)
-        if abs(h) > eps * scale:
+        if nz[0, t]:
+            h = g.entry(0, t)
             d[t] = d[t] * (h.conj() / abs(h))
     g = rescale_gram(g0, d)
 
@@ -177,7 +153,8 @@ def one_normalize(points, eps: float = ZERO_EPS):
 # ---------------------------------------------------------------------------
 # partition detection
 
-def _components(m: int, nz) -> list[tuple[int, ...]]:
+def _components(nz: np.ndarray) -> list[tuple[int, ...]]:
+    m = len(nz)
     seen = [False] * m
     comps = []
     for start in range(m):
@@ -189,7 +166,7 @@ def _components(m: int, nz) -> list[tuple[int, ...]]:
             a = stack.pop()
             comp.append(a)
             for b in range(m):
-                if not seen[b] and nz(a, b):
+                if not seen[b] and nz[a, b]:
                     seen[b] = True
                     stack.append(b)
         comps.append(tuple(sorted(comp)))
@@ -203,10 +180,10 @@ def _refine_sub_blocks(indices, nz):
     out, anchors = [], []
     rem = list(indices)
     while rem:
-        zeros = {a: sum(1 for b in rem if b != a and not nz(a, b)) for a in rem}
+        zeros = {a: sum(1 for b in rem if b != a and not nz[a, b]) for a in rem}
         mn = min(zeros.values())
         c = min(a for a in rem if zeros[a] == mn)
-        sb = tuple(sorted(b for b in rem if b == c or nz(c, b)))
+        sb = tuple(sorted(b for b in rem if b == c or nz[c, b]))
         out.append(sb)
         anchors.append(c)
         rem = [b for b in rem if b not in sb]
@@ -217,37 +194,19 @@ def _block_pairs(blocks):
     return [(a, b) for blk in blocks for a in blk for b in blk if a < b]
 
 
-def detect_partition(g: QMatrix, n: int, eps: float = ZERO_EPS,
-                     span_dim: int | None = None) -> PartitionStructure:
-    """Partition structure of a positive tuple from its Gram matrix.
+def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
+    """Partition structure of a positive tuple from its Gram matrix and
+    the dimension of its span.
 
     The tuple is parabolic when the span is degenerate: no negative
-    eigenvalue and span dimension one more than the Gram rank.  When the
-    span dimension is not supplied it is inferred from the presence of a
-    normalized product of modulus 1 (impossible for distinct points with
-    nondegenerate span).
+    eigenvalue and span dimension one more than the Gram rank.
     """
-    m = g.shape[0]
-    scale = max(abs(g.entry(a, b)) for a in range(m) for b in range(m))
-
-    def nz(a, b):
-        return abs(g.entry(a, b)) > eps * scale
-
-    blocks = _components(m, nz)
+    nz = _nonzero_products(g)
+    blocks = _components(nz)
     iner = inertia(g)
-
-    def gaps():
-        """Distance from 1 of each normalized product inside a block."""
-        return (abs(_normalized_modulus(g, a, b) - 1.0)
-                for a, b in _block_pairs(blocks))
-
-    if span_dim is not None:
-        parabolic = iner.n_minus == 0 and iner.rank == span_dim - 1
-    else:
-        parabolic = iner.n_minus == 0 and any(x < UNIT_EPS for x in gaps())
-
-    if parabolic:
-        if any(x > UNIT_EPS for x in gaps()):
+    if iner.n_minus == 0 and iner.rank == span_dim - 1:
+        if any(abs(_normalized_modulus(g, a, b) - 1.0) > UNIT_EPS
+               for a, b in _block_pairs(blocks)):
             raise InconsistencyError(
                 "degenerate span but a product inside a block "
                 "does not have modulus 1")
@@ -314,7 +273,7 @@ def _parabolic_lifts(lifts: _Lifts):
     return [p.rescale(x) for p, x in zip(lifts, d)]
 
 
-def parabolic_coordinates(points, eps: float = ZERO_EPS) -> ParabolicCoordinate:
+def parabolic_coordinates(points) -> Coordinate:
     """Complete invariant of a parabolic tuple: partition structure plus
     the rotation-normalized vector of horospherical cross ratios.
 
@@ -325,7 +284,7 @@ def parabolic_coordinates(points, eps: float = ZERO_EPS) -> ParabolicCoordinate:
     t = 3..s.  Inside a block the lifts differ by right multiples of z0,
     so these quotients do not depend on the choice of w.
     """
-    points = _partitioned(points, eps)
+    points = _partitioned(points)
     structure = points.structure
     if structure.kind != "parabolic":
         raise DomainError("tuple is not parabolic")
@@ -348,20 +307,20 @@ def parabolic_coordinates(points, eps: float = ZERO_EPS) -> ParabolicCoordinate:
         _, xn, tag = rotation_normalize_vector(x)
     else:
         xn, tag = [], "Z_R"
-    return ParabolicCoordinate(structure, tag, tuple(xn))
+    return Coordinate("parabolic", tuple(xn), tag, structure)
 
 
 # ---------------------------------------------------------------------------
 # regular tuples: block normalization and canonical Gram matrix
 
-def block_normalize(points, eps: float = ZERO_EPS):
+def block_normalize(points):
     """Diagonal rescaling making g_ii = 1 and every anchor-row entry
     real positive inside its sub-block.
 
     Returns (d, G, structure).  The residual freedom is one unit
     quaternion per sub-block acting by simultaneous conjugation inside
     the sub-block and by left/right translation on cross entries."""
-    lifts = _partitioned(points, eps)
+    lifts = _partitioned(points)
     structure = lifts.structure
     if structure.kind != "regular":
         raise DomainError("tuple is not regular")
@@ -416,7 +375,7 @@ def _residual_kind(tag: str) -> str:
     return "sign"
 
 
-def regular_coordinate(points, eps: float = ZERO_EPS) -> RegularCoordinate:
+def regular_coordinate(points) -> Coordinate:
     """Canonical Gram matrix of a regular tuple.
 
     After block normalization, sub-blocks are processed in order of
@@ -424,10 +383,11 @@ def regular_coordinate(points, eps: float = ZERO_EPS) -> RegularCoordinate:
     and the leftover unit freedom (Sp(1), U(1) or a sign, depending on
     the stratum) is pinned against the first nonzero cross entry to an
     already processed sub-block."""
-    _, g, structure = block_normalize(points, eps)
+    _, g, structure = block_normalize(points)
     m = g.shape[0]
-    scale = max(abs(g.entry(a, b)) for a in range(m) for b in range(m))
-    done: set[int] = set()
+    # the unit factors below keep every |g_ab|, so one zero pattern serves
+    nz = _nonzero_products(g)
+    done = np.zeros(m, dtype=bool)
 
     for c, sb in _ordered_sub_blocks(structure):
         vec = [g.entry(a, b) for a in sb for b in sb if a < b]
@@ -438,60 +398,48 @@ def regular_coordinate(points, eps: float = ZERO_EPS) -> RegularCoordinate:
             rot, kind = ONE, "sp1"
         g = _apply_unit(g, set(sb), rot)
 
-        pin = None
-        for a in range(m):
-            for b in range(a + 1, m):
-                in_a, in_b = a in sb, b in sb
-                if in_a == in_b:
-                    continue
-                other = a if in_b else b
-                if other not in done:
-                    continue
-                if abs(g.entry(a, b)) > eps * scale:
-                    pin = (a, b)
-                    break
-            if pin:
-                break
-        if pin is not None:
-            a, b = pin
-            u = g.entry(a, b)
-            e = _pin(u, kind, right=b in sb)
+        # first nonzero cross entry, row-major, to a processed sub-block
+        in_sb = np.zeros(m, dtype=bool)
+        in_sb[list(sb)] = True
+        cross = nz & (np.outer(in_sb, done) | np.outer(done, in_sb))
+        pins = np.flatnonzero(np.triu(cross, 1))
+        if pins.size:
+            a, b = divmod(int(pins[0]), m)
+            e = _pin(g.entry(a, b), kind, right=bool(in_sb[b]))
             g = _apply_unit(g, set(sb), e)
-        done.update(sb)
+        done |= in_sb
 
     entries = tuple(g.entry(a, b) for a in range(m) for b in range(a + 1, m))
-    return RegularCoordinate(structure, entries)
+    return Coordinate("regular", entries, structure=structure)
 
 
 # ---------------------------------------------------------------------------
 # dispatch and congruence
 
-def positive_coordinate(points, eps: float = ZERO_EPS):
-    """Moduli coordinate of a positive tuple: ParabolicCoordinate or
-    RegularCoordinate according to the detected span class."""
-    lifts = _partitioned(points, eps)
+def positive_coordinate(points) -> Coordinate:
+    """Moduli coordinate of a positive tuple: of kind "parabolic" or
+    "regular" according to the detected span class."""
+    lifts = _partitioned(points)
     if lifts.structure.kind == "parabolic":
-        return parabolic_coordinates(lifts, eps)
-    return regular_coordinate(lifts, eps)
+        return parabolic_coordinates(lifts)
+    return regular_coordinate(lifts)
 
 
-def tuple_coordinate(points, eps: float = ZERO_EPS, null_eps: float = NULL_EPS):
+def tuple_coordinate(points, null_eps: float = NULL_EPS) -> Coordinate:
     """Moduli coordinate of a tuple of null or of positive points.  The
     class of the first point (null within null_eps) picks the coordinate,
     whose own Gram-diagonal check rejects a tuple whose classes mix."""
     points = list(points)
     if points and classify(points[0], null_eps) == PointClass.NULL:
         return boundary_coordinate(points)
-    return positive_coordinate(points, eps)
+    return positive_coordinate(points)
 
 
-def coordinate_distance(a, b) -> float:
-    """Max entrywise quaternion distance of two moduli coordinates
-    (ModuliCoordinate, ParabolicCoordinate or RegularCoordinate);
-    infinity when their types, strata, structures or lengths differ."""
+def coordinate_distance(a: Coordinate, b: Coordinate) -> float:
+    """Max entrywise quaternion distance of two moduli coordinates;
+    infinity when their kinds, strata, structures or lengths differ."""
     def key(c):
-        return (type(c), getattr(c, "stratum", None),
-                getattr(c, "structure", None), len(c.entries))
+        return c.kind, c.stratum, c.structure, len(c.entries)
     if key(a) != key(b):
         return math.inf
     return max((abs(x - y) for x, y in zip(a.entries, b.entries)),

@@ -192,12 +192,13 @@ class QMatrix:
             source[s] = t
         return w, QMatrix(x[:m], -np.conj(x[m:])), source // 2
 
-    def rank(self, tol_rel: float = 1e-9) -> int:
-        """Quaternionic rank via the adjoint's singular values."""
+    def rank(self) -> int:
+        """Quaternionic rank via the adjoint's singular values: those
+        above 1e-9 times the largest."""
         s = np.linalg.svd(self.adjoint(), compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
             return 0
-        r = int(np.sum(s > tol_rel * s[0]))
+        r = int(np.sum(s > 1e-9 * s[0]))
         # adjoint rank is exactly twice the quaternionic rank
         return (r + 1) // 2
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, UsageError
 
-# Relative threshold below which a component of a quaternion entry counts
-# as exactly zero when classifying entries as real / complex / generic.
+# Relative threshold below which an imaginary component counts as exactly
+# zero when classifying entries as real / complex / generic.
 CLASSIFY_EPS = 1e-9
 
 # Relative cross-product threshold below which two imaginary vectors are
@@ -41,6 +41,8 @@ class Quaternion:
     @staticmethod
     def from_json(data) -> "Quaternion":
         a0, a1, a2, a3 = (float(x) for x in data)
+        if not all(map(math.isfinite, (a0, a1, a2, a3))):
+            raise UsageError(f"non-finite quaternion component in {data!r}")
         return Quaternion(a0, a1, a2, a3)
 
     # -- views --------------------------------------------------------
@@ -116,7 +118,7 @@ class Quaternion:
 
     # -- classification ----------------------------------------------
     def is_real(self, eps: float = CLASSIFY_EPS) -> bool:
-        t = eps * (1.0 + abs(self))
+        t = eps * abs(self)
         return abs(self.a1) <= t and abs(self.a2) <= t and abs(self.a3) <= t
 
     def isclose(self, other: "Quaternion", tol: float = 1e-9) -> bool:
@@ -169,15 +171,15 @@ class ImVector3:
             self.x * other.y - self.y * other.x,
         )
 
-    def is_independent_of(self, other: "ImVector3",
-                          eps: float = DEPENDENCE_EPS) -> bool:
-        return self.cross(other).norm() > eps * self.norm() * other.norm()
+    def is_independent_of(self, other: "ImVector3") -> bool:
+        return (self.cross(other).norm()
+                > DEPENDENCE_EPS * self.norm() * other.norm())
 
 
-def check_unit(q: Quaternion, eps: float = 1e-9) -> Quaternion:
-    """Assert |q| = 1 within eps and return q renormalized exactly."""
+def check_unit(q: Quaternion) -> Quaternion:
+    """Assert |q| = 1 within 1e-9 and return q renormalized exactly."""
     n = abs(q)
-    if abs(n - 1.0) > eps:
+    if abs(n - 1.0) > 1e-9:
         raise DomainError(f"expected unit quaternion, got |q| = {n}")
     return q / n
 
@@ -253,7 +255,7 @@ def conjugate_vector(mu_: Quaternion, v: list[Quaternion]) -> list[Quaternion]:
     return [mc * q * mu_ for q in v]
 
 
-def rotation_normalize_vector(v, eps: float = CLASSIFY_EPS):
+def rotation_normalize_vector(v):
     """Canonical representative of the conjugation orbit of a quaternion
     vector under unit quaternions.
 
@@ -264,28 +266,25 @@ def rotation_normalize_vector(v, eps: float = CLASSIFY_EPS):
     only on the orbit of v.  The tags, serialized exactly as reported by
     the CLI, are Z_R, Z_C(i), Z(i,j), P_C and P(j), with 1-based indices
     into v.
+
+    An imaginary part counts as zero when no component exceeds
+    CLASSIFY_EPS times the largest |v_i|: an entry that is exactly zero
+    carries rounding noise of that size, which a test relative to the
+    entry itself would take for an imaginary part.
     """
     v = [quat(q) for q in v]
     if not v:
         raise DomainError("empty vector")
 
-    first = None
-    for idx, q in enumerate(v):
-        if not q.is_real(eps):
-            first = idx
-            break
+    t = CLASSIFY_EPS * max(abs(q) for q in v)
+    imaginary = [max(abs(q.a1), abs(q.a2), abs(q.a3)) > t for q in v]
+    first = next((idx for idx, im in enumerate(imaginary) if im), None)
     if first is None:
         return ONE, list(v), "Z_R"
 
     ref = v[first].im_vec()
-    second = None
-    for idx in range(first + 1, len(v)):
-        q = v[idx]
-        if q.is_real(eps):
-            continue
-        if ref.is_independent_of(q.im_vec()):
-            second = idx
-            break
+    second = next((idx for idx in range(first + 1, len(v)) if imaginary[idx]
+                   and ref.is_independent_of(v[idx].im_vec())), None)
 
     if second is None:
         rot = canonical_sign(nu(ref))

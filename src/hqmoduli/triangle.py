@@ -129,10 +129,10 @@ def triangle_det(params: TriangleParams) -> float:
         + 2.0 * r1 * r2 * r3 * math.cos(a)
 
 
-def triangle_exists(params: TriangleParams, tol: float = DET_TOL) -> bool:
+def triangle_exists(params: TriangleParams) -> bool:
     """Existence of an (r1, r2, r3; alpha)-triangle in H^{2,1}:
-    det G <= 0 in closed form."""
-    return triangle_det(params) <= tol
+    det G <= 0 (within DET_TOL) in closed form."""
+    return triangle_det(params) <= DET_TOL
 
 
 def realize_triangle(params: TriangleParams,
@@ -169,13 +169,13 @@ def classify_triangle(p1: HVector, p2: HVector,
     raise InconsistencyError(f"impossible triangle signature {sig}")
 
 
-def side_from_r(r: float, eps: float = ASYMPTOTIC_EPS) -> PairConfiguration:
+def side_from_r(r: float) -> PairConfiguration:
     """Geometry of one side from its parameter r = |<p_a, p_b>|: the two
     lines intersect at angle arccos r, are asymptotic (ideal), or are
     ultraparallel at distance 2 arccosh r."""
     if r < 0.0:
         raise UsageError("side parameter must be nonnegative")
-    if abs(r - 1.0) <= eps:
+    if abs(r - 1.0) <= ASYMPTOTIC_EPS:
         return PairConfiguration("asymptotic")
     if r < 1.0:
         return PairConfiguration("intersecting", angle=math.acos(r))

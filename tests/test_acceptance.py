@@ -15,8 +15,7 @@ from hqmoduli.gram import (gram, inertia, realization_error, realize,
                            span_dimension)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, pair_isometry, pair_moduli,
                             projective_distance, random_isometry)
-from hqmoduli.positive import (ParabolicCoordinate, congruent,
-                               detect_partition,
+from hqmoduli.positive import (congruent, detect_partition,
                                parabolic_coordinates, positive_coordinate)
 from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import (I, ImVector3, conjugate_vector, mu, nu, quat,
@@ -62,10 +61,10 @@ def test_1_worked_chi_values_and_order_sensitivity():
     pts = (siegel(0, 1, 0), siegel(s, 1, 0), siegel(1.5 * s, 1, 0))
     fwd = parabolic_coordinates(pts)
     rev = parabolic_coordinates(tuple(reversed(pts)))
-    if len(fwd.x) != 1 or abs(fwd.x[0] - quat(3.0)) > EXACT_TOL:
-        failures.append(("chi forward", fwd.x))
-    if len(rev.x) != 1 or abs(rev.x[0] - quat(1.5)) > EXACT_TOL:
-        failures.append(("chi reversed", rev.x))
+    if len(fwd.entries) != 1 or abs(fwd.entries[0] - quat(3.0)) > EXACT_TOL:
+        failures.append(("chi forward", fwd.entries))
+    if len(rev.entries) != 1 or abs(rev.entries[0] - quat(1.5)) > EXACT_TOL:
+        failures.append(("chi reversed", rev.entries))
     if congruent(pts, tuple(reversed(pts))):
         failures.append("forward and reversed orders reported congruent")
     _report("criterion 1 (worked cross-ratio values)", 1.0, start, failures)
@@ -86,9 +85,9 @@ def test_2_all_ones_triple_is_parabolic():
         failures.append("Gram matrix is not all-ones")
     if inertia(g).as_tuple() != (1, 0, 2):
         failures.append(("inertia", inertia(g).as_tuple()))
-    if detect_partition(g, 2, span_dim=span_dimension(pts)).kind != "parabolic":
+    if detect_partition(g, span_dimension(pts)).kind != "parabolic":
         failures.append("triple not detected as parabolic")
-    if not isinstance(positive_coordinate(pts), ParabolicCoordinate):
+    if positive_coordinate(pts).kind != "parabolic":
         failures.append("coordinate is not of the parabolic kind")
     if congruent(pts, tuple(reversed(pts))):
         failures.append("forward and reversed orders reported congruent")
@@ -101,16 +100,19 @@ def test_2_all_ones_triple_is_parabolic():
 def _boundary_match(ca, cb):
     return (ca.stratum == cb.stratum
             and abs(ca.alpha - cb.alpha) <= COORD_TOL
-            and len(ca.v) == len(cb.v)
-            and all(abs(a - b) <= COORD_TOL for a, b in zip(ca.v, cb.v)))
+            and len(ca.entries) == len(cb.entries)
+            and all(abs(a - b) <= COORD_TOL
+                    for a, b in zip(ca.entries, cb.entries)))
 
 
 def _positive_match(ca, cb):
-    if type(ca) is not type(cb) or ca.structure != cb.structure:
+    if ca.kind != cb.kind or ca.structure != cb.structure:
         return False
-    if isinstance(ca, ParabolicCoordinate):
-        return (ca.stratum == cb.stratum and len(ca.x) == len(cb.x)
-                and all(abs(a - b) <= COORD_TOL for a, b in zip(ca.x, cb.x)))
+    if ca.kind == "parabolic":
+        return (ca.stratum == cb.stratum
+                and len(ca.entries) == len(cb.entries)
+                and all(abs(a - b) <= COORD_TOL
+                        for a, b in zip(ca.entries, cb.entries)))
     return (len(ca.entries) == len(cb.entries)
             and all(abs(a - b) <= COORD_TOL
                     for a, b in zip(ca.entries, cb.entries)))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hqmoduli.boundary import (ModuliCoordinate, boundary_coordinate,
+from hqmoduli.boundary import (Coordinate, boundary_coordinate,
                                cartan_invariant, gram_to_vector,
                                semi_normalize, validate_boundary_vector,
                                vector_to_gram)
@@ -164,7 +164,7 @@ def test_vector_to_gram_rejects_non_triangular_length():
 def test_real_form_tuple_lands_in_real_stratum():
     coord = boundary_coordinate(real_null_tuple(4))
     assert coord.stratum == "Z_R"
-    for q in coord.v:
+    for q in coord.entries:
         assert q.is_real(1e-8)
     assert coord.alpha <= 1e-8
 
@@ -193,6 +193,6 @@ def test_congruent_boundary_oracle_and_negatives():
 
 
 def test_coordinate_distance_cross_stratum_is_infinite():
-    a = ModuliCoordinate("Z_R", (quat(1),), 0.0)
-    b = ModuliCoordinate("P_C", (quat(1),), 0.0)
+    a = Coordinate("boundary", (quat(1),), "Z_R", alpha=0.0)
+    b = Coordinate("boundary", (quat(1),), "P_C", alpha=0.0)
     assert coordinate_distance(a, b) == math.inf

@@ -119,6 +119,28 @@ def test_congruent_mixed_classes_is_domain_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["boundary-coord", "positive-coord",
+                                     "congruent"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_entry_is_usage_error(tmp_path, capsys, command,
+                                                value):
+    # a NaN self-product used to classify as positive, so congruent gave a
+    # confident "not congruent" and positive-coord a numpy traceback
+    sample = random_null_tuple if command == "boundary-coord" \
+        else random_regular_tuple
+    data = [p.to_json() for p in sample(2, 3, seed=5)]
+    data[1]["entries"][0][2] = value
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps(data))
+    good = write_tuple(tmp_path / "good.json", sample(2, 3, seed=5))
+    argv = (command, str(f), good) if command == "congruent" \
+        else (command, str(f))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "usage error" in err and "Traceback" not in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # realize
 
@@ -153,6 +175,21 @@ def test_realize_upper_triangle_completion(tmp_path, capsys):
     gm = gram(pts)
     assert all(abs(gm.entry(a, b).a0 - 1.0) <= 1e-8
                for a in range(3) for b in range(3))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_realize_non_finite_gram_entry_is_usage_error(tmp_path, capsys, value):
+    one = [1, 0, 0, 0]
+    data = {"m": 3, "entries": [
+        [one, [0.5, value, 0, 0], one],
+        [None, one, one],
+        [None, None, one]]}
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "realize", str(f), "--n", "2")
+    assert code == 2
+    assert "usage error" in err and "Traceback" not in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqmoduli.errors import DegenerateInputError, DomainError
+from hqmoduli.errors import DegenerateInputError, DomainError, UsageError
 from hqmoduli.quat import (I, J, K, ONE, ImVector3, Quaternion, canonical_sign,
                            mu, nu, quat, rotation_matrix,
                            rotation_normalize_vector)
@@ -270,6 +270,29 @@ def test_normalize_leading_real_entries_shift_stratum():
     assert tag == "Z(2,3)"
     assert abs(out[1].a2) <= 1e-10 and abs(out[1].a3) <= 1e-10
     assert out[1].a1 > 0
+
+
+def test_normalize_stratum_is_scale_invariant():
+    # the real/complex decision is relative to |q|: [1+i, 1+j] keeps its
+    # tag at every scale (an absolute floor made it Z_R below ~1e-9)
+    v = [Quaternion(1, 1), Quaternion(1, 0, 1)]
+    _, want, _ = rotation_normalize_vector(v)
+    for e in range(-12, 13):
+        s = 10.0 ** e
+        _, out, tag = rotation_normalize_vector([q * s for q in v])
+        assert tag == "P(2)", e
+        assert all(abs(a - b * s) <= 1e-12 * s for a, b in zip(out, want))
+        assert not Quaternion(s, s).is_real() and Quaternion(s).is_real()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_json_rejects_non_finite(bad):
+    assert Quaternion.from_json([1, 2, 3, 4]) == Quaternion(1, 2, 3, 4)
+    for k in range(4):
+        data = [0.0, 0.0, 0.0, 0.0]
+        data[k] = bad
+        with pytest.raises(UsageError):
+            Quaternion.from_json(data)
 
 
 def test_normalize_conjugation_invariant_and_idempotent():
