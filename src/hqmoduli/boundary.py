@@ -18,10 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import DegenerateInputError, DomainError, InconsistencyError, UsageError
 from .gram import (PRODUCT_EPS, gram, inertia, point_classes, rescale_gram,
                    triple_product, triple_product_vanishes)
-from .hform import HVector, PointClass
+from .hform import NULL_EPS, HVector, PointClass
 from .qmatrix import QMatrix
 from .quat import ONE, J, Quaternion, nu, quat, rotation_normalize_vector
 
@@ -74,13 +76,14 @@ def _boundary_gram(points) -> QMatrix:
     g = gram(points)
     if any(c != PointClass.NULL for c in point_classes(points, g)):
         raise DomainError("boundary tuple must consist of null points")
-    norms = [p.norm() for p in points]
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if abs(g.entry(i, j)) <= PRODUCT_EPS * norms[i] * norms[j]:
-                raise DegenerateInputError(
-                    f"points {i + 1} and {j + 1} have vanishing product; "
-                    "distinct null points cannot be orthogonal")
+    norms = np.array([p.norm() for p in points])
+    vanishing = g.modulus() <= PRODUCT_EPS * np.outer(norms, norms)
+    pairs = np.argwhere(np.triu(vanishing, 1))
+    if pairs.size:
+        i, j = pairs[0]
+        raise DegenerateInputError(
+            f"points {i + 1} and {j + 1} have vanishing product; "
+            "distinct null points cannot be orthogonal")
     return g
 
 
@@ -102,8 +105,10 @@ def semi_normalize(points):
     Returns (d, G, alpha) with d the list of diagonal entries of D and
     gram(p_i d_i) = G.  Chain-solves the unit off-diagonal conditions
     left to right, then applies the nu-based rotation that makes g_13 a
-    unit complex number of the form -e^{-i*alpha}.
+    unit complex number of the form -e^{-i*alpha}.  g_13 is read off the
+    scalar factors, and the composed D rescales the Gram matrix once.
     """
+    points = list(points)
     g0 = _boundary_gram(points)
     m = g0.shape[0]
 
@@ -115,33 +120,31 @@ def semi_normalize(points):
     # q = <p_1, p_3 lam_3>; rotate its imaginary part onto the i-axis
     q = lam[2].conj() * g0.entry(2, 0)
     aq = abs(q)
-    if q.im_vec().norm() <= 1e-14 * (1.0 + aq):
+    if q.im_vec().norm() <= 1e-14 * aq:
         lam1 = ONE / math.sqrt(aq)
     else:
         lam1 = nu(q.im_vec()) / math.sqrt(aq)
 
-    d = [lam1]
-    for i in range(2, m + 1):  # 1-based index
-        if i % 2 == 1:
-            d.append(lam[i - 1] * lam1)
-        else:
-            d.append(lam[i - 1] * lam1.conj().inverse())
+    # points 1, 3, 5, ... take lam1 on the right, the others conj(lam1)^-1
+    odd, even = lam1, lam1.conj().inverse()
+    d = [x * (even if i % 2 else odd) for i, x in enumerate(lam)]
 
-    g = rescale_gram(g0, d)
-    g13 = g.entry(0, 2)
+    g13 = d[0].conj() * g0.entry(0, 2) * d[2]
     if abs(g13.a2) > SEMI_TOL or abs(g13.a3) > SEMI_TOL:
         raise InconsistencyError("g_13 failed to land in the complex plane")
     if g13.a1 < 0.0:
         # conjugate everything by j to flip the sign of alpha
         d = [x * J for x in d]
-        g = rescale_gram(g0, d)
-        g13 = g.entry(0, 2)
+        g13 = J.conj() * g13 * J
+    g = rescale_gram(g0, d)
 
-    for i in range(m):
-        if abs(g.entry(i, i)) > SEMI_TOL:
-            raise InconsistencyError("nonzero diagonal after normalization")
-        if i >= 1 and abs(g.entry(i - 1, i) - ONE) > SEMI_TOL:
-            raise InconsistencyError("off-diagonal chain entry is not 1")
+    # classify allowed |<p_i, p_i>| <= NULL_EPS |p_i|^2; g_ii = |d_i|^2 <p_i, p_i>
+    dev = (g - QMatrix.real(np.eye(m, k=1))).modulus()
+    lift = np.array([p.norm() * abs(x) for p, x in zip(points, d)])
+    if np.any(np.diagonal(dev) > NULL_EPS * lift ** 2):
+        raise InconsistencyError("nonzero diagonal after normalization")
+    if np.any(np.diagonal(dev, 1) > SEMI_TOL):
+        raise InconsistencyError("off-diagonal chain entry is not 1")
     if abs(abs(g13) - 1.0) > SEMI_TOL:
         raise InconsistencyError("g_13 is not a unit quaternion")
 
@@ -149,37 +152,32 @@ def semi_normalize(points):
     return d, g, alpha
 
 
+def _t_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the t-vector entries g_ij, j >= i + 2, column
+    by column: (1,3), (1,4), (2,4), (1,5), ... in 1-based indices."""
+    j, i = np.tril_indices(m, -2)
+    return i, j
+
+
 def gram_to_vector(g: QMatrix) -> list[Quaternion]:
     """The t-vector (g_13, g_14, g_24, ..., g_1m, ..., g_{m-2,m}) of a
     semi-normalized m x m Gram matrix, t = (m-1)(m-2)/2."""
-    m = g.shape[0]
-    out = []
-    for j in range(3, m + 1):          # 1-based column
-        for i in range(1, j - 1):      # rows 1 .. j-2
-            out.append(g.entry(i - 1, j - 1))
-    return out
+    return [g.entry(i, j) for i, j in zip(*_t_index(g.shape[0]))]
 
 
 def vector_to_gram(v) -> QMatrix:
     """Hermitian completion of a t-vector back to the semi-normalized
     Gram matrix (zero diagonal, unit first off-diagonal)."""
-    v = [quat(x) for x in v]
-    t = len(v)
+    row = QMatrix.from_entries([v])
+    t = row.shape[1]
     # t = (m-1)(m-2)/2
     m = int(round((3 + math.sqrt(1 + 8 * t)) / 2))
     if (m - 1) * (m - 2) // 2 != t:
         raise UsageError(f"vector length {t} is not triangular")
-    g = QMatrix.zeros(m, m)
-    for i in range(1, m):
-        g.set_entry(i - 1, i, ONE)
-        g.set_entry(i, i - 1, ONE)
-    pos = 0
-    for j in range(3, m + 1):
-        for i in range(1, j - 1):
-            g.set_entry(i - 1, j - 1, v[pos])
-            g.set_entry(j - 1, i - 1, v[pos].conj())
-            pos += 1
-    return g
+    upper = QMatrix.real(np.eye(m, k=1))
+    i, j = _t_index(m)
+    upper.c1[i, j], upper.c2[i, j] = row.c1[0], row.c2[0]
+    return upper + upper.h
 
 
 def validate_boundary_vector(v, n: int) -> bool:

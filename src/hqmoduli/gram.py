@@ -89,9 +89,10 @@ def permute_gram(g: QMatrix, sigma) -> QMatrix:
 
 def rescale_gram(g: QMatrix, lambdas) -> QMatrix:
     """Gram matrix of the rescaled tuple (p_1 lambda_1, ...):
-    D* G D with D = diag(lambdas)."""
-    d = QMatrix.diagonal(lambdas)
-    return d.h @ (g @ d)
+    D* G D with D = diag(lambdas), that is conj(lambda_a) g_ab lambda_b
+    entrywise."""
+    d = QMatrix.from_entries([lambdas])
+    return d.h * g * d
 
 
 def _check_square_hermitian(g: QMatrix, what: str) -> None:
@@ -166,7 +167,7 @@ def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
     # vector orthogonal to the realized span, adding distinct multiples
     # of it separates the points without changing any product.
     unit = math.sqrt(max(-w[0], w[-1]))
-    col_norms = np.sqrt(np.sum(np.abs(p.c1) ** 2 + np.abs(p.c2) ** 2, axis=0))
+    col_norms = np.linalg.norm(p.modulus(), axis=0)
     null_available = iner.n_minus == 0 and iner.n_plus < n
     if np.any(col_norms <= 1e-12 * unit) and not null_available:
         raise RealizationError(

@@ -263,7 +263,7 @@ def _complete_frame(c: QMatrix, j: QMatrix) -> QMatrix:
     known, so taking it needs no threshold.  The form restricted to it,
     V* J V = U diag(mu) U*, gives the columns V U |mu|^(-1/2)."""
     dim, k = c.shape
-    norms = np.sqrt(np.sum(np.abs(c.c1) ** 2 + np.abs(c.c2) ** 2, axis=0))
+    norms = np.linalg.norm(c.modulus(), axis=0)
     jc = j @ QMatrix(c.c1 / norms, c.c2 / norms)
     _, q, pair = (jc @ jc.h).eigh()
     v = q.cols(np.argsort(pair, kind="stable")[:dim - k])

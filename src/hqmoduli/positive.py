@@ -67,7 +67,7 @@ class PartitionStructure:
 
 class _Lifts(tuple):
     """A validated tuple of positive lifts with its Gram matrix `g` and,
-    once partitioned, its first normalization (`d1`, `g1`) and partition
+    once partitioned, its first normalization factors `d1` and partition
     `structure`.  The coordinate stages accept it in place of the points
     and read all of this from it."""
 
@@ -94,31 +94,49 @@ def _partitioned(points) -> _Lifts:
     per-point rescaling."""
     lifts = _positive_lifts(points)
     if lifts.structure is None:
-        lifts.d1, lifts.g1 = one_normalize(lifts)
-        lifts.structure = detect_partition(lifts.g1, span_dimension(lifts))
+        lifts.d1, g1 = one_normalize(lifts)
+        lifts.structure = detect_partition(g1, span_dimension(lifts))
     return lifts
 
 
 def _nonzero_products(g: QMatrix) -> np.ndarray:
     """The zero-product rule: entry (a, b) is True when |g_ab| exceeds
     ZERO_EPS times the largest |g_ab|."""
-    mod = np.sqrt(np.abs(g.c1) ** 2 + np.abs(g.c2) ** 2)
+    mod = g.modulus()
     return mod > ZERO_EPS * mod.max()
 
 
-def _normalized_modulus(g: QMatrix, a: int, b: int) -> float:
-    return abs(g.entry(a, b)) / math.sqrt(g.entry(a, a).re() * g.entry(b, b).re())
+def _normalized_moduli(g: QMatrix) -> np.ndarray:
+    """|g_ab| / sqrt(g_aa g_bb) for every pair of a Gram matrix with
+    positive diagonal."""
+    s = np.sqrt(g.c1.diagonal().real)
+    return g.modulus() / np.outer(s, s)
+
+
+def _align(d, g: QMatrix, pairs) -> list[Quaternion]:
+    """The factors d with d_t turned, for each pair (c, t), so that the
+    rescaled entry conj(d_c) g_ct d_t of the raw Gram matrix g is real
+    and positive.  No d_c may itself be turned by a later pair."""
+    d = list(d)
+    for c, t in pairs:
+        h = d[c].conj() * g.entry(c, t) * d[t]
+        d[t] = d[t] * (h.conj() / abs(h))
+    return d
+
+
+def _same_block(blocks, m: int) -> np.ndarray:
+    """(m, m) mask of the index pairs that lie in one block."""
+    label = np.empty(m, dtype=int)
+    for k, blk in enumerate(blocks):
+        label[list(blk)] = k
+    return label[:, None] == label[None, :]
 
 
 def _check_distinct(points, g: QMatrix) -> None:
-    m = g.shape[0]
-    for a in range(m):
-        for b in range(a + 1, m):
-            if abs(_normalized_modulus(g, a, b) - 1.0) < 1e-10:
-                pair = columns([points[a], points[b]])
-                if pair.rank() < 2:
-                    raise DegenerateInputError(
-                        f"points {a + 1} and {b + 1} coincide")
+    near = np.abs(_normalized_moduli(g) - 1.0) < 1e-10
+    for a, b in zip(*np.nonzero(np.triu(near, 1))):
+        if columns([points[a], points[b]]).rank() < 2:
+            raise DegenerateInputError(f"points {a + 1} and {b + 1} coincide")
 
 
 def one_normalize(points):
@@ -127,27 +145,22 @@ def one_normalize(points):
     Returns (d, G): diagonal rescaling making every g_ii = 1 and every
     g_1i real nonnegative, followed (for m >= 3 with Im g_23 != 0) by a
     common unit factor rotating g_23 into the upper complex half plane.
+    The factors are composed first; G is rescaled to unit diagonal for
+    the zero products, then once more by the composed d.
     """
     lifts = _positive_lifts(points)
     g0 = lifts.g
     m = len(lifts)
 
-    d = [quat(1.0 / math.sqrt(g0.entry(t, t).re())) for t in range(m)]
-    g = rescale_gram(g0, d)
-    nz = _nonzero_products(g)
-    for t in range(1, m):
-        if nz[0, t]:
-            h = g.entry(0, t)
-            d[t] = d[t] * (h.conj() / abs(h))
-    g = rescale_gram(g0, d)
-
+    d = [quat(1.0 / math.sqrt(x)) for x in g0.c1.diagonal().real]
+    nz = _nonzero_products(rescale_gram(g0, d))
+    d = _align(d, g0, [(0, t) for t in range(1, m) if nz[0, t]])
     if m >= 3:
-        g23 = g.entry(1, 2)
+        g23 = d[1].conj() * g0.entry(1, 2) * d[2]
         if g23.im_vec().norm() > 1e-14 * (1.0 + abs(g23)):
             rot = canonical_sign(nu(g23.im_vec()))
             d = [x * rot for x in d]
-            g = rescale_gram(g0, d)
-    return d, g
+    return d, rescale_gram(g0, d)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +203,6 @@ def _refine_sub_blocks(indices, nz):
     return tuple(out), tuple(anchors)
 
 
-def _block_pairs(blocks):
-    return [(a, b) for blk in blocks for a in blk for b in blk if a < b]
-
-
 def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     """Partition structure of a positive tuple from its Gram matrix and
     the dimension of its span.
@@ -205,8 +214,8 @@ def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     blocks = _components(nz)
     iner = inertia(g)
     if iner.n_minus == 0 and iner.rank == span_dim - 1:
-        if any(abs(_normalized_modulus(g, a, b) - 1.0) > UNIT_EPS
-               for a, b in _block_pairs(blocks)):
+        same = _same_block(blocks, g.shape[0])
+        if np.any(np.abs(_normalized_moduli(g)[same] - 1.0) > UNIT_EPS):
             raise InconsistencyError(
                 "degenerate span but a product inside a block "
                 "does not have modulus 1")
@@ -257,18 +266,14 @@ def cross_ratio(z1, z2, z3, z4):
 
 
 def _parabolic_lifts(lifts: _Lifts):
-    """Rescaled lifts with every within-block product exactly ~1."""
+    """Rescaled lifts with every within-block product exactly ~1; the
+    composed factors rescale the Gram matrix once, for the check."""
     g, structure = lifts.g, lifts.structure
-    d = [quat(1.0 / math.sqrt(g.entry(t, t).re())) for t in range(len(lifts))]
-    for blk in structure.blocks:
-        a = blk[0]
-        for t in blk[1:]:
-            # the positive diagonal factors do not change the phase of g_at
-            h = g.entry(a, t)
-            d[t] = d[t] * (h.conj() / abs(h))
-    g2 = rescale_gram(g, d)
-    if any(abs(g2.entry(a, b) - ONE) > UNIT_EPS
-           for a, b in _block_pairs(structure.blocks)):
+    m = len(lifts)
+    d = [quat(1.0 / math.sqrt(x)) for x in g.c1.diagonal().real]
+    d = _align(d, g, [(blk[0], t) for blk in structure.blocks for t in blk[1:]])
+    dev = (rescale_gram(g, d) - QMatrix.real(np.ones((m, m)))).modulus()
+    if np.any(dev[_same_block(structure.blocks, m)] > UNIT_EPS):
         raise InconsistencyError("within-block products did not normalize to 1")
     return [p.rescale(x) for p, x in zip(lifts, d)]
 
@@ -317,22 +322,18 @@ def block_normalize(points):
     """Diagonal rescaling making g_ii = 1 and every anchor-row entry
     real positive inside its sub-block.
 
-    Returns (d, G, structure).  The residual freedom is one unit
-    quaternion per sub-block acting by simultaneous conjugation inside
-    the sub-block and by left/right translation on cross entries."""
+    Returns (d, G, structure), G rescaled once by the composed d.  The
+    residual freedom is one unit quaternion per sub-block acting by
+    simultaneous conjugation inside the sub-block and by left/right
+    translation on cross entries."""
     lifts = _partitioned(points)
     structure = lifts.structure
     if structure.kind != "regular":
         raise DomainError("tuple is not regular")
 
-    d = list(lifts.d1)
-    for sbs, ancs in zip(structure.sub_blocks, structure.anchors):
-        for sb, c in zip(sbs, ancs):
-            for t in sb:
-                if t == c:
-                    continue
-                h = lifts.g1.entry(c, t)
-                d[t] = d[t] * (h.conj() / abs(h))
+    pairs = [(c, t) for c, sb in _ordered_sub_blocks(structure)
+             for t in sb if t != c]
+    d = _align(lifts.d1, lifts.g, pairs)
     return d, rescale_gram(lifts.g, d), structure
 
 
@@ -340,12 +341,6 @@ def _ordered_sub_blocks(structure):
     flat = [(c, sb) for sbs, ancs in zip(structure.sub_blocks, structure.anchors)
             for sb, c in zip(sbs, ancs)]
     return sorted(flat, key=lambda t: t[0])
-
-
-def _apply_unit(g: QMatrix, idx, u: Quaternion) -> QMatrix:
-    m = g.shape[0]
-    d = [u if t in idx else ONE for t in range(m)]
-    return rescale_gram(g, d)
 
 
 def _pin(u: Quaternion, kind: str, right: bool) -> Quaternion:
@@ -382,33 +377,38 @@ def regular_coordinate(points) -> Coordinate:
     their anchors: the within-sub-block entries are rotation normalized,
     and the leftover unit freedom (Sp(1), U(1) or a sign, depending on
     the stratum) is pinned against the first nonzero cross entry to an
-    already processed sub-block."""
-    _, g, structure = block_normalize(points)
+    already processed sub-block.  Each sub-block gets one unit, the
+    rotation times the pin, and the composed factors rescale once."""
+    lifts = _partitioned(points)
+    d, g, structure = block_normalize(lifts)
     m = g.shape[0]
     # the unit factors below keep every |g_ab|, so one zero pattern serves
     nz = _nonzero_products(g)
     done = np.zeros(m, dtype=bool)
+    u = [ONE] * m
 
     for c, sb in _ordered_sub_blocks(structure):
+        in_sb = np.zeros(m, dtype=bool)
+        in_sb[list(sb)] = True
         vec = [g.entry(a, b) for a in sb for b in sb if a < b]
         if vec:
             rot, _, tag = rotation_normalize_vector(vec)
             kind = _residual_kind(tag)
         else:
             rot, kind = ONE, "sp1"
-        g = _apply_unit(g, set(sb), rot)
+        u = [rot if s else x for x, s in zip(u, in_sb)]
 
         # first nonzero cross entry, row-major, to a processed sub-block
-        in_sb = np.zeros(m, dtype=bool)
-        in_sb[list(sb)] = True
         cross = nz & (np.outer(in_sb, done) | np.outer(done, in_sb))
         pins = np.flatnonzero(np.triu(cross, 1))
         if pins.size:
             a, b = divmod(int(pins[0]), m)
-            e = _pin(g.entry(a, b), kind, right=bool(in_sb[b]))
-            g = _apply_unit(g, set(sb), e)
+            e = _pin(u[a].conj() * g.entry(a, b) * u[b], kind,
+                     right=bool(in_sb[b]))
+            u = [x * e if s else x for x, s in zip(u, in_sb)]
         done |= in_sb
 
+    g = rescale_gram(lifts.g, [x * y for x, y in zip(d, u)])
     entries = tuple(g.entry(a, b) for a in range(m) for b in range(a + 1, m))
     return Coordinate("regular", entries, structure=structure)
 

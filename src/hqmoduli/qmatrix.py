@@ -65,16 +65,6 @@ class QMatrix:
                        np.concatenate([c.c2 for c in cols], axis=1))
 
     @staticmethod
-    def diagonal(entries) -> "QMatrix":
-        qs = [quat(x) for x in entries]
-        n = len(qs)
-        m = QMatrix.zeros(n, n)
-        for i, q in enumerate(qs):
-            m.c1[i, i] = q.c1
-            m.c2[i, i] = q.c2
-        return m
-
-    @staticmethod
     def real(arr) -> "QMatrix":
         arr = np.asarray(arr, dtype=float)
         return QMatrix(arr.astype(complex), np.zeros_like(arr, dtype=complex))
@@ -122,6 +112,11 @@ class QMatrix:
         return QMatrix(a1 @ b1 - a2 @ np.conj(b2),
                        a1 @ b2 + a2 @ np.conj(b1))
 
+    def __mul__(self, other: "QMatrix") -> "QMatrix":
+        """Entrywise quaternion product a_ij b_ij, broadcasting like numpy."""
+        a1, a2, b1, b2 = self.c1, self.c2, other.c1, other.c2
+        return QMatrix(a1 * b1 - a2 * np.conj(b2), a1 * b2 + a2 * np.conj(b1))
+
     def scale(self, x: float) -> "QMatrix":
         return QMatrix(self.c1 * x, self.c2 * x)
 
@@ -151,9 +146,13 @@ class QMatrix:
     def inv(self) -> "QMatrix":
         return QMatrix.from_adjoint(np.linalg.inv(self.adjoint()))
 
+    def modulus(self) -> np.ndarray:
+        """Entrywise |a_ij|, a real array of the matrix's shape."""
+        return np.sqrt(np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2)
+
     def norm(self) -> float:
         """Frobenius norm."""
-        return float(np.sqrt(np.sum(np.abs(self.c1) ** 2 + np.abs(self.c2) ** 2)))
+        return float(np.linalg.norm(self.modulus()))
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         """||A - A*|| <= tol ||A|| in the Frobenius norm, read off C1 and

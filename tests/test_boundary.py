@@ -12,7 +12,8 @@ from hqmoduli.boundary import (Coordinate, boundary_coordinate,
                                vector_to_gram)
 from hqmoduli.errors import DomainError, UsageError
 from hqmoduli.gram import gram, rescale_gram
-from hqmoduli.hform import BALL, HVector, random_isometry
+from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify,
+                            random_isometry)
 from hqmoduli.positive import congruent, coordinate_distance
 from hqmoduli.quat import Quaternion, quat
 from hqmoduli.sampling import random_null_tuple, random_rescaling
@@ -53,17 +54,22 @@ def test_cartan_range_and_invariance():
         assert abs(alpha - alpha2) <= 1e-10
 
 
-SCALES = (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6)
+SCALES = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8,
+          1e10, 1e12)
 
 
 @pytest.mark.parametrize("scale", SCALES)
 def test_cartan_invariant_under_overall_lift_scale(scale):
-    # the triple product scales as scale^6; its vanishing test must too
-    pts = random_null_tuple(2, 3, seed=1)
-    alpha = boundary_coordinate(pts).alpha
-    scaled = tuple(p.scaled(scale) for p in pts)
-    assert abs(cartan_invariant(*scaled) - alpha) <= 1e-10
-    assert abs(boundary_coordinate(scaled).alpha - alpha) <= 1e-10
+    # the triple product scales as scale^6 and semi-normalization's g_13
+    # as scale^2; their tests must too
+    for model in (BALL, SIEGEL):
+        pts = random_null_tuple(2, 3, seed=1, model=model)
+        coord = boundary_coordinate(pts)
+        scaled = tuple(p.scaled(scale) for p in pts)
+        assert abs(cartan_invariant(*scaled) - coord.alpha) <= 1e-10
+        got = boundary_coordinate(scaled)
+        assert abs(got.alpha - coord.alpha) <= 1e-10
+        assert coordinate_distance(got, coord) <= 1e-8
 
 
 def test_cartan_rejects_coincident_points():
@@ -96,6 +102,27 @@ def test_semi_normalize_postconditions_and_action():
         assert 0.0 <= alpha <= math.pi / 2 + 1e-12
         got = rescale_gram(gram(pts), d)
         assert (got - g).norm() <= 1e-9 * (1 + g.norm())
+
+
+def test_semi_normalize_close_points_just_off_the_cone():
+    # four null points about 1e-2 apart; the last lift is pushed off the
+    # cone by a relative 9e-10, which classify still calls null.  The
+    # normalized diagonal grows as |d_i|^2, so its postcondition must
+    # allow what classify allowed, scaled by |p_i d_i|^2.
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=8)
+    base /= np.linalg.norm(base)
+    entries = []
+    for _ in range(4):
+        u = base + 0.015 * rng.normal(size=8)
+        u /= np.linalg.norm(u)
+        entries.append([Quaternion(*u[0:4]), Quaternion(*u[4:8]), 1.0])
+    on_cone = [HVector.from_entries(e, BALL) for e in entries]
+    entries[-1][2] = 1.0 - 9e-10
+    pts = [HVector.from_entries(e, BALL) for e in entries]
+    assert classify(pts[-1]) == PointClass.NULL
+    got = boundary_coordinate(pts)
+    assert coordinate_distance(got, boundary_coordinate(on_cone)) <= 1e-6
 
 
 def test_semi_normalize_triple_angle_is_cartan():

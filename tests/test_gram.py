@@ -59,8 +59,34 @@ def test_gram_rescaling_identity():
     pts = random_regular_tuple(2, 3, seed=4)
     d = random_rescaling(3, seed=5)
     lhs = gram([p.rescale(x) for p, x in zip(pts, d)])
-    rhs = rescale_gram(gram(pts), d)
+    g = gram(pts)
+    rhs = rescale_gram(g, d)
     assert (lhs - rhs).norm() <= 1e-9 * (1 + rhs.norm())
+    # the entrywise form against the dense product D* (G D), D = diag(d)
+    row = QMatrix.from_entries([d])
+    dense = QMatrix(np.diag(row.c1[0]), np.diag(row.c2[0]))
+    assert (dense.h @ (g @ dense) - rhs).norm() <= 1e-13 * rhs.norm()
+
+
+def random_qmatrix(rng, shape) -> QMatrix:
+    return QMatrix(rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                   rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def test_entrywise_product_matches_quaternion_products():
+    rng = np.random.default_rng(22)
+    a, b = random_qmatrix(rng, (4, 3)), random_qmatrix(rng, (4, 3))
+    want = QMatrix.from_entries(
+        [[x * y for x, y in zip(ra, rb)]
+         for ra, rb in zip(a.to_entries(), b.to_entries())])
+    assert (a * b - want).norm() <= 1e-14 * want.norm()
+    # (m,1) * (m,m) * (1,m) broadcasts to c_a g_ab r_b
+    col, g, row = (random_qmatrix(rng, (4, 1)), random_qmatrix(rng, (4, 4)),
+                   random_qmatrix(rng, (1, 4)))
+    want = QMatrix.from_entries(
+        [[col.entry(a, 0) * g.entry(a, b) * row.entry(0, b) for b in range(4)]
+         for a in range(4)])
+    assert (col * g * row - want).norm() <= 1e-14 * want.norm()
 
 
 def test_gram_isometry_invariant():

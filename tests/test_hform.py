@@ -124,7 +124,7 @@ def test_verify_isometry_identity_and_central():
     assert verify_isometry(ident) <= 1e-14
     rng = np.random.default_rng(8)
     u = random_unit_quaternion(rng)
-    central = Isometry(QMatrix.diagonal([u] * (n + 1)), BALL)
+    central = Isometry(QMatrix.eye(n + 1).right_scalar(u), BALL)
     assert verify_isometry(central) <= 1e-12
 
 
