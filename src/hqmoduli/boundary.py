@@ -67,9 +67,9 @@ class Coordinate:
                 "entries": entries}
 
 
-def _boundary_gram(points) -> QMatrix:
+def _boundary_gram(points) -> tuple[QMatrix, np.ndarray]:
     """Gram matrix of a tuple of at least 3 null points whose pairwise
-    products do not vanish."""
+    products do not vanish, and the Euclidean norms of the lifts."""
     points = list(points)
     if len(points) < 3:
         raise UsageError("need at least 3 boundary points")
@@ -84,13 +84,13 @@ def _boundary_gram(points) -> QMatrix:
         raise DegenerateInputError(
             f"points {i + 1} and {j + 1} have vanishing product; "
             "distinct null points cannot be orthogonal")
-    return g
+    return g, norms
 
 
 def cartan_invariant(p1: HVector, p2: HVector, p3: HVector) -> float:
     """Angular invariant arccos(Re(-T)/|T|) in [0, pi/2] of a triple of
     distinct null points, T the triple Hermitian product."""
-    g = _boundary_gram([p1, p2, p3])
+    g, _ = _boundary_gram([p1, p2, p3])
     if triple_product_vanishes(g, (p1, p2, p3)):
         raise DomainError("triple product vanishes; points not distinct")
     t = triple_product(g)
@@ -108,8 +108,7 @@ def semi_normalize(points):
     unit complex number of the form -e^{-i*alpha}.  g_13 is read off the
     scalar factors, and the composed D rescales the Gram matrix once.
     """
-    points = list(points)
-    g0 = _boundary_gram(points)
+    g0, norms = _boundary_gram(points)
     m = g0.shape[0]
 
     lam = [ONE] * m
@@ -140,7 +139,7 @@ def semi_normalize(points):
 
     # classify allowed |<p_i, p_i>| <= NULL_EPS |p_i|^2; g_ii = |d_i|^2 <p_i, p_i>
     dev = (g - QMatrix.real(np.eye(m, k=1))).modulus()
-    lift = np.array([p.norm() * abs(x) for p, x in zip(points, d)])
+    lift = norms * np.array([abs(x) for x in d])
     if np.any(np.diagonal(dev) > NULL_EPS * lift ** 2):
         raise InconsistencyError("nonzero diagonal after normalization")
     if np.any(np.diagonal(dev, 1) > SEMI_TOL):
