@@ -5,8 +5,8 @@ from .boundary import (Coordinate, boundary_coordinate, cartan_invariant,
                        semi_normalize)
 from .errors import (DegenerateInputError, DomainError, HQError,
                      InconsistencyError, RealizationError, UsageError)
-from .gram import (Inertia, check_admissible, gram, inertia, permute_gram,
-                   realize, rescale_gram, span_dimension)
+from .gram import (Inertia, Lifts, check_admissible, gram, inertia,
+                   permute_gram, realize, rescale_gram, span_dimension)
 from .hform import (BALL, SIEGEL, HVector, Isometry, PairConfiguration,
                     PointClass, cayley, classify, herm, pair_configuration,
                     pair_isometry, pair_moduli, random_isometry, to_model)

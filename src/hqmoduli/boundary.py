@@ -21,9 +21,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InconsistencyError, UsageError
-from .gram import (PRODUCT_EPS, gram, inertia, point_classes, rescale_gram,
-                   triple_product, triple_product_vanishes)
-from .hform import NULL_EPS, HVector, PointClass
+from .gram import (PRODUCT_EPS, Lifts, inertia, rescale_gram, triple_product,
+                   triple_product_vanishes)
+from .hform import HVector, PointClass
 from .qmatrix import QMatrix
 from .quat import ONE, J, Quaternion, nu, quat, rotation_normalize_vector
 
@@ -67,35 +67,25 @@ class Coordinate:
                 "entries": entries}
 
 
-def _boundary_gram(points) -> tuple[QMatrix, np.ndarray]:
-    """Gram matrix of a tuple of at least 3 null points whose pairwise
-    products do not vanish, and the Euclidean norms of the lifts."""
-    points = list(points)
-    if len(points) < 3:
-        raise UsageError("need at least 3 boundary points")
-    g = gram(points)
-    if any(c != PointClass.NULL for c in point_classes(points, g)):
-        raise DomainError("boundary tuple must consist of null points")
-    norms = np.array([p.norm() for p in points])
-    vanishing = g.modulus() <= PRODUCT_EPS * np.outer(norms, norms)
-    pairs = np.argwhere(np.triu(vanishing, 1))
+def _nonvanishing(lifts: Lifts) -> None:
+    """Raise when some |<p_a, p_b>| <= PRODUCT_EPS |p_a| |p_b|, a != b."""
+    n = lifts.norms
+    pairs = np.argwhere(np.triu(lifts.g.modulus() <= PRODUCT_EPS * np.outer(n, n), 1))
     if pairs.size:
         i, j = pairs[0]
         raise DegenerateInputError(
             f"points {i + 1} and {j + 1} have vanishing product; "
             "distinct null points cannot be orthogonal")
-    return g, norms
 
 
 def cartan_invariant(p1: HVector, p2: HVector, p3: HVector) -> float:
     """Angular invariant arccos(Re(-T)/|T|) in [0, pi/2] of a triple of
     distinct null points, T the triple Hermitian product."""
-    g, _ = _boundary_gram([p1, p2, p3])
-    if triple_product_vanishes(g, (p1, p2, p3)):
+    lifts = Lifts([p1, p2, p3]).validated(PointClass.NULL, 3, _nonvanishing)
+    if triple_product_vanishes(lifts.g, lifts):
         raise DomainError("triple product vanishes; points not distinct")
-    t = triple_product(g)
-    c = max(-1.0, min(1.0, -t.re() / abs(t)))
-    return math.acos(c)
+    t = triple_product(lifts.g)
+    return math.acos(max(-1.0, min(1.0, -t.re() / abs(t))))
 
 
 def semi_normalize(points):
@@ -108,8 +98,8 @@ def semi_normalize(points):
     unit complex number of the form -e^{-i*alpha}.  g_13 is read off the
     scalar factors, and the composed D rescales the Gram matrix once.
     """
-    g0, norms = _boundary_gram(points)
-    m = g0.shape[0]
+    lifts = Lifts(points).validated(PointClass.NULL, 3, _nonvanishing)
+    g0, m = lifts.g, len(lifts)
 
     lam = [ONE] * m
     for i in range(1, m):
@@ -137,10 +127,10 @@ def semi_normalize(points):
         g13 = J.conj() * g13 * J
     g = rescale_gram(g0, d)
 
-    # classify allowed |<p_i, p_i>| <= NULL_EPS |p_i|^2; g_ii = |d_i|^2 <p_i, p_i>
+    # classify allowed |<p_i, p_i>| <= eps |p_i|^2; g_ii = |d_i|^2 <p_i, p_i>
     dev = (g - QMatrix.real(np.eye(m, k=1))).modulus()
-    lift = norms * np.array([abs(x) for x in d])
-    if np.any(np.diagonal(dev) > NULL_EPS * lift ** 2):
+    lift = lifts.norms * np.array([abs(x) for x in d])
+    if np.any(np.diagonal(dev) > lifts.eps * lift ** 2):
         raise InconsistencyError("nonzero diagonal after normalization")
     if np.any(np.diagonal(dev, 1) > SEMI_TOL):
         raise InconsistencyError("off-diagonal chain entry is not 1")

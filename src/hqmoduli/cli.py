@@ -17,7 +17,7 @@ import numpy as np
 
 from .boundary import boundary_coordinate
 from .errors import (DomainError, HQError, RealizationError, UsageError)
-from .gram import inertia, realize
+from .gram import Lifts, inertia, realize
 from .hform import BALL, NULL_EPS, SIEGEL, HVector, random_isometry
 from .positive import (coordinate_distance, positive_coordinate,
                        tuple_coordinate)
@@ -43,15 +43,18 @@ def _load_json(path):
         raise UsageError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _parse_tuple(data) -> list[HVector]:
+def _parse_tuple(path, eps: float) -> Lifts:
+    """The record of the points in a JSON file, classified at `eps`."""
+    data = _load_json(path)
     if isinstance(data, dict) and "points" in data:
         data = data["points"]
     if not isinstance(data, list) or not data:
         raise UsageError("expected a nonempty JSON list of points")
     try:
-        return [HVector.from_json(item) for item in data]
+        points = [HVector.from_json(item) for item in data]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed point entry: {exc}") from exc
+    return Lifts(points, eps)
 
 
 def _parse_gram(data) -> QMatrix:
@@ -85,8 +88,7 @@ def _emit(args, payload: dict, summary: str) -> None:
 # subcommands
 
 def cmd_boundary_coord(args) -> int:
-    points = _parse_tuple(_load_json(args.tuple))
-    coord = boundary_coordinate(points)
+    coord = boundary_coordinate(_parse_tuple(args.tuple, args.eps))
     _emit(args, coord.to_json(),
           f"stratum {coord.stratum}  alpha {coord.alpha:.12g}  "
           f"v {[q.to_json() for q in coord.entries]}")
@@ -94,8 +96,7 @@ def cmd_boundary_coord(args) -> int:
 
 
 def cmd_positive_coord(args) -> int:
-    points = _parse_tuple(_load_json(args.tuple))
-    coord = positive_coordinate(points)
+    coord = positive_coordinate(_parse_tuple(args.tuple, args.eps))
     if coord.kind == "parabolic":
         summary = (f"parabolic  stratum {coord.stratum}  "
                    f"x {[q.to_json() for q in coord.entries]}")
@@ -107,11 +108,10 @@ def cmd_positive_coord(args) -> int:
 
 
 def cmd_congruent(args) -> int:
-    p = _parse_tuple(_load_json(args.a))
-    q = _parse_tuple(_load_json(args.b))
+    p, q = (_parse_tuple(f, args.eps) for f in (args.a, args.b))
     if len(p) != len(q):
         raise UsageError(f"tuple sizes differ: {len(p)} vs {len(q)}")
-    ca, cb = (tuple_coordinate(x, null_eps=args.eps) for x in (p, q))
+    ca, cb = tuple_coordinate(p), tuple_coordinate(q)
     kind_p, kind_q = ("boundary" if c.kind == "boundary" else "positive"
                       for c in (ca, cb))
     if kind_p != kind_q:
@@ -208,6 +208,16 @@ def cmd_triangle_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _bounded(convert, low, high=math.inf):
+    """argparse type: low <= convert(text) < high, so never NaN or inf."""
+    def parse(text):
+        if not low <= (x := convert(text)) < high:
+            raise argparse.ArgumentTypeError(f"{text} is not in [{low}, {high})")
+        return x
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hqmoduli",
@@ -215,9 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "point tuples in quaternionic hyperbolic space.")
     ap.add_argument("--json", action="store_true",
                     help="emit machine-readable JSON on stdout")
-    ap.add_argument("--eps", type=float, default=NULL_EPS,
-                    help="relative tolerance for classifying a lift as "
-                         "null: |<z,z>| <= eps |z|^2")
+    ap.add_argument("--eps", type=_bounded(float, 0.0, 1.0),
+                    default=NULL_EPS,
+                    help="null tolerance |<z,z>| <= eps |z|^2, 0 <= eps < 1, "
+                         "of boundary-coord, positive-coord and congruent")
     ap.add_argument("--model", choices=[BALL, SIEGEL], default=BALL,
                     help="model for generated/realized points")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
@@ -225,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS)
-    common.add_argument("--eps", type=float, default=argparse.SUPPRESS)
+    common.add_argument("--eps", type=_bounded(float, 0.0, 1.0),
+                        default=argparse.SUPPRESS)
     common.add_argument("--model", choices=[BALL, SIEGEL],
                         default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True,
@@ -246,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="test two tuples for congruence")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=_bounded(float, 0.0), default=1e-8,
                    help="coordinate comparison tolerance")
     p.set_defaults(func=cmd_congruent)
 
@@ -260,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="generate a random configuration")
     p.add_argument("kind", choices=["boundary-tuple", "positive-regular",
                                     "positive-parabolic", "isometry"])
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_bounded(int, 1), default=2)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_random)
@@ -276,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle-sweep",
                        help="CSV sweep of the triangle existence test")
-    p.add_argument("--r-max", type=float, default=2.0)
-    p.add_argument("--r-steps", type=int, default=20)
-    p.add_argument("--alpha-steps", type=int, default=10)
+    p.add_argument("--r-max", type=_bounded(float, 0.0), default=2.0)
+    p.add_argument("--r-steps", type=_bounded(int, 1), default=20)
+    p.add_argument("--alpha-steps", type=_bounded(int, 1), default=10)
     p.set_defaults(func=cmd_triangle_sweep)
     return ap
 

@@ -48,18 +48,48 @@ class Inertia:
         return self.n_plus + self.n_minus
 
 
+class Lifts(tuple):
+    """A tuple of lifts stacked once: the column matrix `p`, its column
+    norms `norms`, the Gram matrix `g` and the class of each lift,
+    `classes`, at `eps` (null when |<z,z>| <= eps |z|^2).  `Lifts(lifts)`
+    is the record itself, so the stages share and validate one record;
+    the positive stages keep their partition `structure` and `d1` on it."""
+
+    checked = structure = None
+
+    def __new__(cls, points, eps: float = NULL_EPS):
+        if isinstance(points, Lifts):
+            return points
+        lifts = super().__new__(cls, points)
+        lifts.p = columns(lifts)
+        lifts.norms = np.linalg.norm(lifts.p.modulus(), axis=0)
+        lifts.g = gram(lifts)
+        lifts.classes = [point_class(s, r, eps) for s, r in
+                         zip(lifts.g.c1.diagonal().real, lifts.norms)]
+        lifts.eps = eps
+        return lifts
+
+    def validated(self, cls: PointClass, least: int, distinct) -> "Lifts":
+        """Checked once: at least `least` lifts, all of class `cls`, passing `distinct`."""
+        if self.checked is not cls:
+            if len(self) < least:
+                raise UsageError(f"need at least {least} {cls.value} points")
+            if any(c != cls for c in self.classes):
+                raise DomainError(f"tuple must consist of {cls.value} points")
+            distinct(self)
+            self.checked = cls
+        return self
+
+
 def gram(points) -> QMatrix:
     """Gram matrix G with g_ij = <p_j, p_i> of a tuple of HVectors."""
-    points = list(points)
-    p = columns(points)
+    if isinstance(points, Lifts):
+        p = points.p
+    else:
+        points = list(points)
+        p = columns(points)
     j = form_matrix(points[0].model, points[0].n)
     return p.h @ (j @ p)
-
-
-def point_classes(points, g: QMatrix) -> list[PointClass]:
-    """Classes of the lifts read off the diagonal of their Gram matrix."""
-    return [point_class(g.entry(i, i).re(), p.norm(), NULL_EPS)
-            for i, p in enumerate(points)]
 
 
 def triple_product(g: QMatrix) -> Quaternion:
@@ -189,4 +219,4 @@ def realization_error(points, g: QMatrix) -> float:
 
 def span_dimension(points) -> int:
     """Quaternionic dimension of the right span of the lifted tuple."""
-    return columns(points).rank()
+    return (points.p if isinstance(points, Lifts) else columns(points)).rank()

@@ -328,23 +328,24 @@ def map_orthonormal_frames(p, q) -> Isometry:
     model, n = p[0].model, p[0].n
     if len(p) > n:
         raise DomainError("frame longer than n")
-    pb = [to_model(z, BALL) for z in p]
-    qb = [to_model(z, BALL) for z in q]
     j = form_matrix(BALL, n)
-    for tup in (pb, qb):
-        for a in range(len(tup)):
-            for b in range(len(tup)):
-                want = 1.0 if a == b else 0.0
-                got = herm(tup[a], tup[b])
-                if abs(got - quat(want)) > 1e-8 * tup[a].norm() * tup[b].norm():
-                    raise DomainError("input tuples are not orthonormal frames")
-    fp, fq = columns(pb), columns(qb)
-    gp = QMatrix.from_columns([fp, _complete_frame(fp, j)])
-    gq = QMatrix.from_columns([fq, _complete_frame(fq, j)])
-    g = Isometry(gq @ gp.inv(), BALL)
-    if model == SIEGEL:
-        g = cayley_isometry(g)
-    return g
+    fp, fq = (columns(to_model(z, BALL) for z in x) for x in (p, q))
+    for f in (fp, fq):
+        norms = np.linalg.norm(f.modulus(), axis=0)
+        dev = (f.h @ (j @ f) - QMatrix.eye(len(p))).modulus()
+        if np.any(dev > 1e-8 * np.outer(norms, norms)):
+            raise DomainError("input tuples are not orthonormal frames")
+    return _frames_isometry(fp, fq, j, model)
+
+
+def _frames_isometry(hp: QMatrix, hq: QMatrix, j: QMatrix,
+                     model: str) -> Isometry:
+    """Isometry g = F_q F_p^-1 carrying the ball-model head columns hp to
+    hq, each head completed to a frame, conjugated to `model`."""
+    fp, fq = (QMatrix.from_columns([h, _complete_frame(h, j)])
+              for h in (hp, hq))
+    g = Isometry(fq @ fp.inv(), BALL)
+    return cayley_isometry(g) if model == SIEGEL else g
 
 
 # ---------------------------------------------------------------------
@@ -404,6 +405,15 @@ class PairConfiguration:
     angle: float | None = None
     distance: float | None = None
 
+    @staticmethod
+    def from_t(t: float) -> "PairConfiguration":
+        """The trichotomy of a pair with t = |<p_1, p_2>| for unit lifts."""
+        if abs(t - 1.0) <= ASYMPTOTIC_EPS:
+            return PairConfiguration("asymptotic")
+        if t < 1.0:
+            return PairConfiguration("intersecting", angle=math.acos(t))
+        return PairConfiguration("ultraparallel", distance=2.0 * math.acosh(t))
+
 
 def pair_moduli(p1: HVector, p2: HVector) -> float:
     """The complete congruence invariant t >= 0 of a pair of positive
@@ -420,11 +430,7 @@ def pair_configuration(p1: HVector, p2: HVector) -> PairConfiguration:
     t = pair_moduli(p1, p2)
     if _proportional(p1, p2):
         raise DegenerateInputError("pair has equal projections")
-    if abs(t - 1.0) <= ASYMPTOTIC_EPS:
-        return PairConfiguration("asymptotic")
-    if t < 1.0:
-        return PairConfiguration("intersecting", angle=math.acos(t))
-    return PairConfiguration("ultraparallel", distance=2.0 * math.acosh(t))
+    return PairConfiguration.from_t(t)
 
 
 def _proportional(p1: HVector, p2: HVector) -> bool:
@@ -449,33 +455,25 @@ def pair_isometry(p1: HVector, p2: HVector, q1: HVector,
                   q2: HVector) -> Isometry:
     """Explicit isometry carrying the positive pair (p1, p2) to (q1, q2)
     projectively; exists iff their t-invariants agree."""
-    model = p1.model
-    pb = [_align_pair(to_model(p1, BALL), to_model(p2, BALL))]
-    qb = [_align_pair(to_model(q1, BALL), to_model(q2, BALL))]
-    (a1, a2, tp), (b1, b2, tq) = pb[0], qb[0]
+    (a1, a2, tp), (b1, b2, tq) = (_align_pair(to_model(x, BALL), to_model(y, BALL))
+                                  for x, y in ((p1, p2), (q1, q2)))
     if abs(tp - tq) > 1e-9 * (1.0 + tp + tq):
         raise DomainError("pairs have different moduli invariants")
     j = form_matrix(BALL, a1.n)
     t = 0.5 * (tp + tq)
 
-    def build_frame(x1: HVector, x2: HVector) -> QMatrix:
-        """(x1, u, ...) followed by the completion: u = x2 - x1 and its
-        null partner for an asymptotic pair, else u = x2 - x1 t, unit."""
-        if abs(t - 1.0) <= ASYMPTOTIC_EPS:
+    def head(x1: HVector, x2: HVector) -> QMatrix:
+        """(x1, u, ...): u = x2 - x1 and its null partner for an
+        asymptotic pair, else u = x2 - x1 t, unit."""
+        if PairConfiguration.from_t(t).kind == "asymptotic":
             u = (x2 - x1).qm
-            head = [x1.qm, u, _null_partner(u, j, [(x1.qm, 1.0)])]
-        else:
-            u = (x2 - x1.rescale(t)).qm
-            head = [x1.qm, u.scale(1.0 / math.sqrt(abs(_self(u, j))))]
-        head = QMatrix.from_columns(head)
-        return QMatrix.from_columns([head, _complete_frame(head, j)])
+            return QMatrix.from_columns(
+                [x1.qm, u, _null_partner(u, j, [(x1.qm, 1.0)])])
+        u = (x2 - x1.rescale(t)).qm
+        return QMatrix.from_columns(
+            [x1.qm, u.scale(1.0 / math.sqrt(abs(_self(u, j))))])
 
-    fp = build_frame(a1, a2)
-    fq = build_frame(b1, b2)
-    g = Isometry(fq @ fp.inv(), BALL)
-    if model == SIEGEL:
-        g = cayley_isometry(g)
-    return g
+    return _frames_isometry(head(a1, a2), head(b1, b2), j, p1.model)
 
 
 def projective_distance(a: HVector, b: HVector) -> float:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import Coordinate, boundary_coordinate
-from .errors import DegenerateInputError, DomainError, InconsistencyError, UsageError
-from .gram import gram, inertia, point_classes, rescale_gram, span_dimension
-from .hform import NULL_EPS, PointClass, classify, columns, herm, null_partner
+from .errors import DegenerateInputError, DomainError, InconsistencyError
+from .gram import Lifts, inertia, rescale_gram, span_dimension
+from .hform import HVector, PointClass, form_matrix, null_partner
 from .qmatrix import QMatrix
 from .quat import (ONE, Quaternion, canonical_sign, nu, quat,
                    rotation_normalize_vector)
@@ -65,34 +65,12 @@ class PartitionStructure:
 # ---------------------------------------------------------------------------
 # validation and first normalization
 
-class _Lifts(tuple):
-    """A validated tuple of positive lifts with its Gram matrix `g` and,
-    once partitioned, its first normalization factors `d1` and partition
-    `structure`.  The coordinate stages accept it in place of the points
-    and read all of this from it."""
-
-    structure = None
-
-
-def _positive_lifts(points) -> _Lifts:
-    if isinstance(points, _Lifts):
-        return points
-    lifts = _Lifts(points)
-    if len(lifts) < 2:
-        raise UsageError("need at least 2 positive points")
-    lifts.g = gram(lifts)
-    if any(c != PointClass.POSITIVE for c in point_classes(lifts, lifts.g)):
-        raise DomainError("tuple must consist of positive points")
-    _check_distinct(lifts, lifts.g)
-    return lifts
-
-
-def _partitioned(points) -> _Lifts:
-    """The validated lifts, normalized and partitioned once.  The
+def _partitioned(points) -> Lifts:
+    """The lifts, validated, normalized and partitioned once.  The
     partition is read off the one-normalized Gram matrix, whose unit
     diagonal makes the relative zero-product rule independent of
     per-point rescaling."""
-    lifts = _positive_lifts(points)
+    lifts = Lifts(points)
     if lifts.structure is None:
         lifts.d1, g1 = one_normalize(lifts)
         lifts.structure = detect_partition(g1, span_dimension(lifts))
@@ -132,10 +110,10 @@ def _same_block(blocks, m: int) -> np.ndarray:
     return label[:, None] == label[None, :]
 
 
-def _check_distinct(points, g: QMatrix) -> None:
-    near = np.abs(_normalized_moduli(g) - 1.0) < 1e-10
+def _check_distinct(lifts: Lifts) -> None:
+    near = np.abs(_normalized_moduli(lifts.g) - 1.0) < 1e-10
     for a, b in zip(*np.nonzero(np.triu(near, 1))):
-        if columns([points[a], points[b]]).rank() < 2:
+        if lifts.p.cols([a, b]).rank() < 2:
             raise DegenerateInputError(f"points {a + 1} and {b + 1} coincide")
 
 
@@ -148,7 +126,7 @@ def one_normalize(points):
     The factors are composed first; G is rescaled to unit diagonal for
     the zero products, then once more by the composed d.
     """
-    lifts = _positive_lifts(points)
+    lifts = Lifts(points).validated(PointClass.POSITIVE, 2, _check_distinct)
     g0 = lifts.g
     m = len(lifts)
 
@@ -265,8 +243,8 @@ def cross_ratio(z1, z2, z3, z4):
     return out
 
 
-def _parabolic_lifts(lifts: _Lifts):
-    """Rescaled lifts with every within-block product exactly ~1; the
+def _parabolic_lifts(lifts: Lifts) -> QMatrix:
+    """Columns of the lifts rescaled to within-block products ~1; the
     composed factors rescale the Gram matrix once, for the check."""
     g, structure = lifts.g, lifts.structure
     m = len(lifts)
@@ -275,7 +253,7 @@ def _parabolic_lifts(lifts: _Lifts):
     dev = (rescale_gram(g, d) - QMatrix.real(np.ones((m, m)))).modulus()
     if np.any(dev[_same_block(structure.blocks, m)] > UNIT_EPS):
         raise InconsistencyError("within-block products did not normalize to 1")
-    return [p.rescale(x) for p, x in zip(lifts, d)]
+    return lifts.p * QMatrix.from_entries([d])
 
 
 def parabolic_coordinates(points) -> Coordinate:
@@ -289,21 +267,22 @@ def parabolic_coordinates(points) -> Coordinate:
     t = 3..s.  Inside a block the lifts differ by right multiples of z0,
     so these quotients do not depend on the choice of w.
     """
-    points = _partitioned(points)
-    structure = points.structure
+    lifts = _partitioned(points)
+    structure = lifts.structure
     if structure.kind != "parabolic":
         raise DomainError("tuple is not parabolic")
 
-    lifts = _parabolic_lifts(points)
+    p = _parabolic_lifts(lifts)
     big = next(b for b in structure.blocks if len(b) >= 2)
-    z0 = lifts[big[1]] - lifts[big[0]]
-    for p in lifts:
-        if abs(herm(p, z0)) > 1e-7 * p.norm():
-            raise InconsistencyError(
-                "a lift is not orthogonal to the shared null direction")
+    z0 = p.col(big[1]) - p.col(big[0])
+    jp = form_matrix(lifts[0].model, lifts[0].n) @ p
+    orth = (z0.h @ jp).modulus()[0]
+    if np.any(orth > 1e-7 * np.linalg.norm(p.modulus(), axis=0)):
+        raise InconsistencyError(
+            "a lift is not orthogonal to the shared null direction")
 
-    w = null_partner(z0)
-    ks = [herm(p, w) for p in lifts]
+    w = null_partner(HVector(z0, lifts[0].model))
+    ks = (w.qm.h @ jp).to_entries()[0]
     x = []
     for blk in structure.blocks:
         for t in blk[2:]:
@@ -425,14 +404,14 @@ def positive_coordinate(points) -> Coordinate:
     return regular_coordinate(lifts)
 
 
-def tuple_coordinate(points, null_eps: float = NULL_EPS) -> Coordinate:
+def tuple_coordinate(points) -> Coordinate:
     """Moduli coordinate of a tuple of null or of positive points.  The
-    class of the first point (null within null_eps) picks the coordinate,
-    whose own Gram-diagonal check rejects a tuple whose classes mix."""
-    points = list(points)
-    if points and classify(points[0], null_eps) == PointClass.NULL:
-        return boundary_coordinate(points)
-    return positive_coordinate(points)
+    class of the first lift, decided at the record's eps, picks the
+    coordinate, whose own class check rejects a tuple whose classes mix."""
+    lifts = Lifts(points)
+    if lifts.classes[0] == PointClass.NULL:
+        return boundary_coordinate(lifts)
+    return positive_coordinate(lifts)
 
 
 def coordinate_distance(a: Coordinate, b: Coordinate) -> float:
@@ -450,7 +429,7 @@ def congruent(p, q, eps: float = COORD_TOL) -> bool:
     """Congruence test for two ordered tuples of null or of positive
     points: their coordinates agree within eps.  False when the sizes or
     the tuple classes differ."""
-    p, q = list(p), list(q)
+    p, q = Lifts(p), Lifts(q)
     if len(p) != len(q):
         return False
     return coordinate_distance(tuple_coordinate(p), tuple_coordinate(q)) <= eps

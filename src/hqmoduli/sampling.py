@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import UsageError
 from .gram import gram, inertia, span_dimension
-from .hform import BALL, SIEGEL, HVector, PointClass, classify, to_model
+from .hform import BALL, SIEGEL, HVector, to_model
 from .quat import ONE, Quaternion, quat
 
 MAX_RETRIES = 64
@@ -34,6 +34,8 @@ def _to_requested(points, model):
 
 def random_null_point(n: int, rng, model: str = BALL) -> HVector:
     """Uniform-ish null point: ball lift (u, 1) with |u| = 1."""
+    if n < 1:
+        raise UsageError("need n >= 1")
     v = rng.normal(size=4 * n)
     v /= np.linalg.norm(v)
     entries = [Quaternion(*v[4 * t:4 * t + 4]) for t in range(n)] + [ONE]
@@ -45,25 +47,22 @@ def random_null_tuple(n: int, m: int, seed, model: str = BALL):
     rng = np.random.default_rng(seed)
     for _ in range(MAX_RETRIES):
         pts = tuple(random_null_point(n, rng, BALL) for _ in range(m))
-        g = gram(pts)
-        ok = all(abs(g.entry(a, b)) > 1e-4
-                 for a in range(m) for b in range(a + 1, m))
-        if ok:
+        if np.all(gram(pts).modulus()[np.triu_indices(m, 1)] > 1e-4):
             return _to_requested(pts, model)
     raise UsageError("failed to sample a nondegenerate null tuple")
 
 
 def random_positive_point(n: int, rng, model: str = BALL) -> HVector:
     """Positive point as a ball lift (u, 1) with |u| > 1 (outside the
-    unit sphere, where the form is positive)."""
-    while True:
-        v = rng.normal(size=4 * n)
-        r = rng.uniform(1.1, 3.0)
-        v *= r / np.linalg.norm(v)
-        entries = [Quaternion(*v[4 * t:4 * t + 4]) for t in range(n)] + [ONE]
-        p = HVector.from_entries(entries, BALL)
-        if classify(p) == PointClass.POSITIVE:
-            return to_model(p, model)
+    unit sphere, where the form is positive: <p, p> = |u|^2 - 1 >= 0.21
+    clears the null bound NULL_EPS (|u|^2 + 1))."""
+    if n < 1:
+        raise UsageError("need n >= 1")
+    v = rng.normal(size=4 * n)
+    r = rng.uniform(1.1, 3.0)
+    v *= r / np.linalg.norm(v)
+    entries = [Quaternion(*v[4 * t:4 * t + 4]) for t in range(n)] + [ONE]
+    return to_model(HVector.from_entries(entries, BALL), model)
 
 
 def random_regular_tuple(n: int, m: int, seed, model: str = BALL):
@@ -72,9 +71,7 @@ def random_regular_tuple(n: int, m: int, seed, model: str = BALL):
     rng = np.random.default_rng(seed)
     for _ in range(MAX_RETRIES):
         pts = tuple(random_positive_point(n, rng, BALL) for _ in range(m))
-        g = gram(pts)
-        iner = inertia(g)
-        if iner.rank == span_dimension(pts):
+        if inertia(gram(pts)).rank == span_dimension(pts):
             return _to_requested(pts, model)
     raise UsageError("failed to sample a regular tuple")
 

@@ -10,7 +10,8 @@ unique normalized Gram matrix
 
 with r_t >= 0 and sin(a) >= 0, summarized as an (r1, r2, r3; alpha)
 parameter vector.  The triangle exists in H^{2,1} iff det G <= 0, with
-det G = 1 - (r1^2 + r2^2 + r3^2) + 2 r1 r2 r3 cos(alpha).
+det G = 1 - (r1^2 + r2^2 + r3^2) + 2 r1 r2 r3 cos(alpha).  The
+functions of a triangle take its vertices, or one `Lifts` record of them.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, InconsistencyError, UsageError
-from .gram import (PRODUCT_EPS, gram, inertia, point_classes, realize,
-                   span_dimension, triple_product, triple_product_vanishes)
-from .hform import ASYMPTOTIC_EPS, BALL, HVector, PairConfiguration, PointClass
+from .gram import (PRODUCT_EPS, Lifts, inertia, realize, span_dimension,
+                   triple_product, triple_product_vanishes)
+from .hform import BALL, HVector, PairConfiguration, PointClass
 from .positive import one_normalize
 from .qmatrix import QMatrix
 from .quat import Quaternion
@@ -63,44 +64,41 @@ class TriangleClass(Enum):
     HYPERBOLIC_FULL = "HyperbolicFull"
 
 
-def _triangle_gram(points) -> tuple[list[HVector], QMatrix]:
-    """The three vertices and their Gram matrix, whose diagonal shows
-    that each vertex is positive."""
-    points = list(points)
-    if len(points) != 3:
+def _vertices(points) -> Lifts:
+    """The record of a triangle's three positive vertices, or of one record."""
+    lifts = Lifts(points[0] if len(points) == 1 else points)
+    if len(lifts) != 3:
         raise UsageError("a triangle needs exactly 3 points")
-    g = gram(points)
-    if any(c != PointClass.POSITIVE for c in point_classes(points, g)):
+    if any(c != PointClass.POSITIVE for c in lifts.classes):
         raise DomainError("triangle vertices must be positive vectors")
-    return points, g
+    return lifts
 
 
-def triangle_angular_invariant(p1: HVector, p2: HVector, p3: HVector) -> float:
+def triangle_angular_invariant(*points) -> float:
     """arccos(Re T / |T|) in [0, pi] for the triple product T of a
     positive triple; pi/2 when T vanishes.  Invariant under
     permutations, rescalings and isometries.  The pi/2 fallback for a
     vanishing T (some pairwise product vanishes) conflates it with
     Re T = 0."""
-    points, g = _triangle_gram([p1, p2, p3])
-    if triple_product_vanishes(g, points):
+    lifts = _vertices(points)
+    if triple_product_vanishes(lifts.g, lifts):
         return math.pi / 2.0
-    t = triple_product(g)
+    t = triple_product(lifts.g)
     return math.acos(max(-1.0, min(1.0, t.re() / abs(t))))
 
 
-def normalize_triangle(p1: HVector, p2: HVector, p3: HVector) -> QMatrix:
+def normalize_triangle(*points) -> QMatrix:
     """The unique normalized Gram matrix of a positive triple: unit
     diagonal, g_12 and g_13 real nonnegative, g_23 = r1 e^{i alpha} with
     sin alpha >= 0."""
-    points, _ = _triangle_gram([p1, p2, p3])
-    _, g = one_normalize(points)
+    _, g = one_normalize(_vertices(points))
     return g
 
 
-def triangle_params(p1: HVector, p2: HVector, p3: HVector) -> TriangleParams:
+def triangle_params(*points) -> TriangleParams:
     """(r1, r2, r3; alpha) read off the normalized Gram matrix; alpha is
     recorded as 0 when g_23 = 0 leaves it undetermined."""
-    g = normalize_triangle(p1, p2, p3)
+    g = normalize_triangle(*points)
     r3 = max(0.0, g.entry(0, 1).re())
     r2 = max(0.0, g.entry(0, 2).re())
     g23 = g.entry(1, 2)
@@ -142,21 +140,20 @@ def realize_triangle(params: TriangleParams,
     return realize(gram_from_params(params), 2, model)
 
 
-def classify_triangle(p1: HVector, p2: HVector,
-                      p3: HVector) -> TriangleClass:
+def classify_triangle(*points) -> TriangleClass:
     """Class of the span of a positive triple from the Gram signature:
     rank-one (all products of modulus 1, parabolic span), positive rank
     two (elliptic plane), or hyperbolic span of dimension 2 or 3."""
-    points, g = _triangle_gram([p1, p2, p3])
-    iner = inertia(g)
+    lifts = _vertices(points)
+    iner = inertia(lifts.g)
     sig = (iner.n_plus, iner.n_minus)
     if sig == (1, 0):
-        params = triangle_params(*points)
+        params = triangle_params(lifts)
         if max(abs(params.r1 - 1), abs(params.r2 - 1), abs(params.r3 - 1),
                abs(params.alpha)) > 1e-6:
             raise InconsistencyError(
                 "rank-one triangle Gram is not of type (1,1,1;0)")
-        if span_dimension(points) != 2:
+        if span_dimension(lifts) != 2:
             raise InconsistencyError(
                 "parabolic triangle span has unexpected dimension")
         return TriangleClass.PARABOLIC111
@@ -175,11 +172,7 @@ def side_from_r(r: float) -> PairConfiguration:
     ultraparallel at distance 2 arccosh r."""
     if r < 0.0:
         raise UsageError("side parameter must be nonnegative")
-    if abs(r - 1.0) <= ASYMPTOTIC_EPS:
-        return PairConfiguration("asymptotic")
-    if r < 1.0:
-        return PairConfiguration("intersecting", angle=math.acos(r))
-    return PairConfiguration("ultraparallel", distance=2.0 * math.acosh(r))
+    return PairConfiguration.from_t(r)
 
 
 def side_data(params: TriangleParams) -> tuple[PairConfiguration, ...]:

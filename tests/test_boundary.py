@@ -11,9 +11,9 @@ from hqmoduli.boundary import (Coordinate, boundary_coordinate,
                                semi_normalize, validate_boundary_vector,
                                vector_to_gram)
 from hqmoduli.errors import DomainError, UsageError
-from hqmoduli.gram import gram, rescale_gram
+from hqmoduli.gram import Lifts, gram, rescale_gram
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify,
-                            random_isometry)
+                            random_isometry, self_product)
 from hqmoduli.positive import congruent, coordinate_distance
 from hqmoduli.quat import Quaternion, quat
 from hqmoduli.sampling import random_null_tuple, random_rescaling
@@ -123,6 +123,49 @@ def test_semi_normalize_close_points_just_off_the_cone():
     assert classify(pts[-1]) == PointClass.NULL
     got = boundary_coordinate(pts)
     assert coordinate_distance(got, boundary_coordinate(on_cone)) <= 1e-6
+
+
+def push_off_cone(z, direction, ratio):
+    """z + s d, s > 0 found by bisection, with |<z', z'>| / |z'|^2 just
+    below ratio."""
+    def rel(s):
+        w = z + direction.scaled(s)
+        return abs(self_product(w)) / w.norm() ** 2
+
+    lo, hi = 0.0, 1e-12
+    for _ in range(100):
+        if rel(hi) >= ratio:
+            break
+        hi *= 2.0
+    assert rel(hi) >= ratio
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rel(mid) < ratio else (lo, mid)
+    return z + direction.scaled(lo)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5, 1e-3])
+def test_every_tuple_classify_calls_null_gets_a_boundary_coordinate(eps):
+    """The null tolerance that classifies the points is the one that
+    semi-normalization checks: the first lift sits 0.9 eps off the cone."""
+    failures = []
+    for seed in range(10):
+        rng = np.random.default_rng(1000 + seed)
+        for n, m in ((2, 4), (3, 5)):
+            for model in (BALL, SIEGEL):
+                pts = random_null_tuple(n, m, seed, model)
+                direction = HVector.from_entries(
+                    [Quaternion(*rng.normal(size=4)) for _ in range(n + 1)],
+                    model)
+                pts = (push_off_cone(pts[0], direction, 0.9 * eps),) + pts[1:]
+                z = pts[0]
+                assert abs(self_product(z)) / z.norm() ** 2 >= 0.89 * eps
+                assert all(classify(p, eps) == PointClass.NULL for p in pts)
+                try:
+                    boundary_coordinate(Lifts(pts, eps))
+                except Exception as exc:  # noqa: BLE001 - collect every case
+                    failures.append((seed, n, m, model, repr(exc)))
+    assert not failures, failures[:5]
 
 
 def test_semi_normalize_triple_angle_is_cartan():

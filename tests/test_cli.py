@@ -141,6 +141,67 @@ def test_non_finite_point_entry_is_usage_error(tmp_path, capsys, command,
     assert out == ""
 
 
+def off_cone_tuple(tmp_path):
+    """random_null_tuple(2, 4, seed=3) with the first lift's last entry
+    multiplied by 1 - 1e-6: null at --eps 1e-4, not at the default."""
+    pts = list(random_null_tuple(2, 4, seed=3))
+    entries = pts[0].entries()
+    entries[-1] = entries[-1] * (1.0 - 1e-6)
+    pts[0] = HVector.from_entries(entries, pts[0].model)
+    return write_tuple(tmp_path / "t.json", pts)
+
+
+@pytest.mark.parametrize("command", ["congruent", "boundary-coord"])
+def test_eps_is_the_null_tolerance_of_every_point(tmp_path, capsys, command):
+    f = off_cone_tuple(tmp_path)
+    files = (f, f) if command == "congruent" else (f,)
+    code, _, err = run(capsys, "--eps", "1e-4", command, *files)
+    assert code == 0, err
+    code, _, err = run(capsys, command, *files)
+    assert code == 3
+    assert "must consist of" in err
+
+
+def test_eps_after_subcommand_reaches_positive_coord(tmp_path, capsys):
+    f = off_cone_tuple(tmp_path)
+    code, _, err = run(capsys, "positive-coord", f, "--eps", "1e-4")
+    assert code == 3
+    assert "positive points" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--eps", "nan", "congruent", "{r}", "{r}"),
+    ("--eps", "inf", "congruent", "{r}", "{r}"),
+    ("--eps", "1", "congruent", "{r}", "{r}"),
+    ("--eps", "-1e-9", "positive-coord", "{r}"),
+    ("boundary-coord", "{r}", "--eps", "nan"),
+    ("congruent", "--tol", "nan", "{r}", "{r}"),
+    ("congruent", "--tol", "-1", "{r}", "{r}"),
+    ("congruent", "--tol", "inf", "{r}", "{r}"),
+    ("triangle-sweep", "--r-steps", "-1"),
+    ("triangle-sweep", "--r-steps", "0"),
+    ("triangle-sweep", "--alpha-steps", "0"),
+    ("triangle-sweep", "--r-max", "nan"),
+    ("triangle-sweep", "--r-max", "-1"),
+    ("random", "boundary-tuple", "--n", "0", "--m", "3"),
+    ("random", "positive-regular", "--n", "0", "--m", "3"),
+    ("random", "isometry", "--n", "-2"),
+])
+def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv):
+    r = write_tuple(tmp_path / "r.json", random_regular_tuple(2, 3, seed=4))
+    code, out, err = run(capsys, *(a.format(r=r) for a in argv))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+
+
+def test_boundary_values_of_numeric_flags_are_accepted(tmp_path, capsys):
+    r = write_tuple(tmp_path / "r.json", random_regular_tuple(2, 3, seed=4))
+    assert run(capsys, "--eps", "0", "congruent", "--tol", "0", r, r)[0] == 0
+    code, out, _ = run(capsys, "triangle-sweep", "--r-max", "0",
+                       "--r-steps", "1", "--alpha-steps", "1")
+    assert code == 0 and len(out.strip().splitlines()) == 2
+
+
 # ---------------------------------------------------------------------------
 # realize
 

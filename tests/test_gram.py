@@ -1,5 +1,6 @@
 """Gram matrices: construction, actions, inertia, and realization."""
 
+import importlib
 import math
 
 import numpy as np
@@ -9,18 +10,25 @@ from hypothesis import strategies as st
 
 from hqmoduli.boundary import cartan_invariant, vector_to_gram
 from hqmoduli.errors import DomainError, RealizationError, UsageError
-from hqmoduli.gram import (INERTIA_EPS, Inertia, check_admissible, gram,
+from hqmoduli import boundary, positive
+from hqmoduli.gram import (INERTIA_EPS, Inertia, Lifts, check_admissible, gram,
                            inertia, permute_gram, realization_error, realize,
                            rescale_gram, span_dimension)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify,
                             form_matrix)
 from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import ONE, Quaternion
-from hqmoduli.sampling import (random_null_tuple, random_positive_point,
+from hqmoduli.positive import tuple_coordinate
+from hqmoduli.sampling import (random_null_point, random_null_tuple,
+                               random_parabolic_tuple, random_positive_point,
                                random_quaternion, random_rescaling,
-                               random_regular_tuple, random_unit_quaternion)
+                               random_regular_tuple, random_tuple,
+                               random_unit_quaternion)
+from hqmoduli.triangle import classify_triangle
 
 ROUND_TRIP_TOL = 1e-8
+# the package exports the function gram under the module's name
+gram_module = importlib.import_module("hqmoduli.gram")
 
 
 def ball(*entries):
@@ -356,3 +364,106 @@ def test_inertia_sandwich_random():
         iner = inertia(gram(pts))
         assert k - 1 <= iner.rank <= k
         assert iner.n_minus == 1
+
+
+# ---------------------------------------------------------------------------
+# the Lifts record
+
+def off_cone(points, factor):
+    """The tuple with the first lift's last entry multiplied by factor."""
+    entries = points[0].entries()
+    entries[-1] = entries[-1] * factor
+    return (HVector.from_entries(entries, points[0].model),) + tuple(points[1:])
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+def test_lifts_record_holds_stack_norms_gram_and_classes(model):
+    pts = random_null_tuple(2, 4, seed=3, model=model)
+    lifts = Lifts(pts)
+    assert lifts == pts and Lifts(lifts) is lifts
+    assert (lifts.p - QMatrix.from_columns(p.qm for p in pts)).norm() == 0.0
+    assert np.allclose(lifts.norms, [p.norm() for p in pts], rtol=1e-15)
+    assert (lifts.g - gram(pts)).norm() <= 1e-15 * lifts.g.norm()
+    assert lifts.classes == [classify(p) for p in pts]
+    assert lifts.eps == 1e-9
+
+
+def test_lifts_classes_follow_their_eps():
+    pts = off_cone(random_null_tuple(2, 4, seed=3), 1.0 - 1e-6)
+    assert Lifts(pts).classes[0] == classify(pts[0]) != PointClass.NULL
+    loose = Lifts(pts, 1e-4)
+    assert loose.eps == 1e-4
+    assert loose.classes == [classify(p, 1e-4) for p in pts]
+    assert set(loose.classes) == {PointClass.NULL}
+    # a record keeps the eps it was made with
+    assert Lifts(loose, 1e-12) is loose
+
+
+def test_lifts_reject_zero_vectors_and_mixed_tuples():
+    with pytest.raises(DomainError):
+        Lifts([ball(1, 0, 1), ball(0, 0, 0)])
+    with pytest.raises(UsageError):
+        Lifts([ball(1, 0, 1), ball(1, 0, 0, 1)])
+    with pytest.raises(UsageError):
+        Lifts([ball(1, 0, 1), HVector.from_entries((1, 0, 1), SIEGEL)])
+    with pytest.raises(UsageError):
+        Lifts([])
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls of module.name made through the module's global."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("points", [
+    random_null_tuple(3, 5, seed=1, model=SIEGEL),
+    random_regular_tuple(2, 4, seed=1),
+    random_parabolic_tuple(3, 5, seed=1),
+], ids=["boundary", "regular", "parabolic"])
+def test_each_tuple_gets_one_gram_matrix(monkeypatch, points):
+    calls = counting(monkeypatch, gram_module, "gram")
+    tuple_coordinate(points)
+    assert len(calls) == 1
+
+
+def test_parabolic_triangle_gets_one_gram_matrix(monkeypatch):
+    calls = counting(monkeypatch, gram_module, "gram")
+    assert classify_triangle(*example_parabolic_triple()).value \
+        == "Parabolic111"
+    assert len(calls) == 1
+
+
+def test_stages_validate_a_record_once(monkeypatch):
+    distinct = counting(monkeypatch, positive, "_check_distinct")
+    lifts = Lifts(random_regular_tuple(2, 4, seed=2))
+    positive.positive_coordinate(lifts)
+    positive.regular_coordinate(lifts)
+    positive.one_normalize(lifts)
+    assert len(distinct) == 1
+
+    nonvanishing = counting(monkeypatch, boundary, "_nonvanishing")
+    lifts = Lifts(random_null_tuple(2, 4, seed=2))
+    boundary.boundary_coordinate(lifts)
+    boundary.semi_normalize(lifts)
+    assert len(nonvanishing) == 1
+
+
+# ---------------------------------------------------------------------------
+# samplers
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_samplers_reject_dimension_below_one(n):
+    rng = np.random.default_rng(0)
+    for draw in (random_null_point, random_positive_point):
+        with pytest.raises(UsageError):
+            draw(n, rng)
+    for kind in ("boundary-tuple", "positive-regular", "positive-parabolic"):
+        with pytest.raises(UsageError):
+            random_tuple(kind, n, 3, seed=0)
