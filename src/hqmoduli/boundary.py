@@ -21,16 +21,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InconsistencyError, UsageError
-from .gram import (PRODUCT_EPS, Lifts, inertia, rescale_gram, triple_product,
-                   triple_product_vanishes)
+from .gram import Lifts, inertia, rescale_gram, triple_product, triple_product_vanishes
 from .hform import HVector, PointClass
 from .qmatrix import QMatrix
-from .quat import ONE, J, Quaternion, nu, quat, rotation_normalize_vector
+from .quat import ONE, J, Quaternion, negligible, nu, quat, rotation_normalize_vector
+from .tol import PRODUCT_EPS, SEMI_TOL, UNIT_EPS
 
 if TYPE_CHECKING:
     from .positive import PartitionStructure
-
-SEMI_TOL = 1e-8          # postcondition tolerance for the normalized form
 
 
 @dataclass(frozen=True)
@@ -108,11 +106,8 @@ def semi_normalize(points):
 
     # q = <p_1, p_3 lam_3>; rotate its imaginary part onto the i-axis
     q = lam[2].conj() * g0.entry(2, 0)
-    aq = abs(q)
-    if q.im_vec().norm() <= 1e-14 * aq:
-        lam1 = ONE / math.sqrt(aq)
-    else:
-        lam1 = nu(q.im_vec()) / math.sqrt(aq)
+    rot = ONE if negligible(q.im_vec().norm(), abs(q)) else nu(q.im_vec())
+    lam1 = rot / math.sqrt(abs(q))
 
     # points 1, 3, 5, ... take lam1 on the right, the others conj(lam1)^-1
     odd, even = lam1, lam1.conj().inverse()
@@ -176,8 +171,8 @@ def validate_boundary_vector(v, n: int) -> bool:
     if not v:
         raise UsageError("empty boundary vector")
     v1 = v[0]
-    if (abs(abs(v1) - 1.0) > 1e-6 or abs(v1.a2) > 1e-6 or abs(v1.a3) > 1e-6
-            or v1.a0 > 1e-6 or v1.a1 < -1e-6):
+    if (abs(abs(v1) - 1.0) > UNIT_EPS or abs(v1.a2) > UNIT_EPS
+            or abs(v1.a3) > UNIT_EPS or v1.a0 > UNIT_EPS or v1.a1 < -UNIT_EPS):
         raise UsageError("v_1 must be a unit complex -e^{-i*alpha}, "
                          "alpha in [0, pi/2]")
     iner = inertia(vector_to_gram(v))

@@ -18,12 +18,13 @@ import numpy as np
 from .boundary import boundary_coordinate
 from .errors import (DomainError, HQError, RealizationError, UsageError)
 from .gram import Lifts, inertia, realize
-from .hform import BALL, NULL_EPS, SIEGEL, HVector, random_isometry
+from .hform import BALL, SIEGEL, HVector, random_isometry
 from .positive import (coordinate_distance, positive_coordinate,
                        tuple_coordinate)
 from .qmatrix import QMatrix
 from .quat import Quaternion
 from .sampling import random_tuple
+from .tol import COORD_TOL, NULL_EPS
 from .triangle import (TriangleParams, classify_triangle, realize_triangle,
                        triangle_det, triangle_exists)
 
@@ -61,15 +62,14 @@ def _parse_gram(data) -> QMatrix:
     try:
         m = int(data["m"])
         entries = data["entries"]
+        if len(entries) != m or any(len(row) != m for row in entries):
+            raise UsageError(f"Gram matrix entries are not {m} x {m}")
         g = QMatrix.zeros(m, m)
         for i in range(m):
             for j in range(m):
                 if entries[i][j] is not None:
                     g.set_entry(i, j, Quaternion.from_json(entries[i][j]))
-        # Hermitian completion from the upper triangle
-        for i in range(m):
-            for j in range(i):
-                if entries[i][j] is None:
+                elif j < i:  # Hermitian completion from the upper triangle
                     g.set_entry(i, j, g.entry(j, i).conj())
         return g
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -258,14 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="test two tuples for congruence")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--tol", type=_bounded(float, 0.0), default=1e-8,
+    p.add_argument("--tol", type=_bounded(float, 0.0), default=COORD_TOL,
                    help="coordinate comparison tolerance")
     p.set_defaults(func=cmd_congruent)
 
     p = sub.add_parser("realize",
                        help="realize a Hermitian Gram matrix by points")
     p.add_argument("gram")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=_bounded(int, 1), required=True,
                    help="quaternionic dimension of H^(n,1)")
     p.set_defaults(func=cmd_realize)
 

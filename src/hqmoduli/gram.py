@@ -22,16 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RealizationError, UsageError
-from .hform import (BALL, NULL_EPS, HVector, PointClass, cayley, columns,
-                    form_matrix, point_class, tuple_from_columns)
+from .hform import (BALL, HVector, PointClass, cayley, columns, form_matrix,
+                    point_class, tuple_from_columns)
 from .qmatrix import QMatrix
 from .quat import Quaternion
-
-INERTIA_EPS = 1e-9    # relative spectral threshold for zero eigenvalues
-# A product of lifts vanishes when it is at most PRODUCT_EPS times the
-# matching product of their Euclidean norms, so rescaling the lifts never
-# changes the decision.
-PRODUCT_EPS = 1e-12
+from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS, STRUCTURE_TOL
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,7 @@ def rescale_gram(g: QMatrix, lambdas) -> QMatrix:
 def _check_square_hermitian(g: QMatrix, what: str) -> None:
     if g.shape[0] != g.shape[1]:
         raise UsageError(f"{what} needs a square matrix")
-    if not g.is_hermitian(1e-8):
+    if not g.is_hermitian(STRUCTURE_TOL):
         raise DomainError(f"{what} needs a Hermitian matrix")
 
 
@@ -199,7 +194,7 @@ def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
     unit = math.sqrt(max(-w[0], w[-1]))
     col_norms = np.linalg.norm(p.modulus(), axis=0)
     null_available = iner.n_minus == 0 and iner.n_plus < n
-    if np.any(col_norms <= 1e-12 * unit) and not null_available:
+    if np.any(col_norms <= PRODUCT_EPS * unit) and not null_available:
         raise RealizationError(
             "isotropic direction available for zero rows")
     if iner.n_zero > 0 and null_available:

@@ -21,13 +21,11 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, UsageError
 from .qmatrix import QMatrix
 from .quat import Quaternion, quat
+from .tol import (COORD_TOL, INERTIA_EPS, ISOMETRY_TOL, NULL_EPS, PRODUCT_EPS,
+                  STRUCTURE_TOL)
 
 BALL = "ball"
 SIEGEL = "siegel"
-
-NULL_EPS = 1e-9          # relative tolerance for <z,z> = 0
-ASYMPTOTIC_EPS = 1e-8    # |t - 1| threshold in the pair trichotomy
-ISOMETRY_TOL = 1e-9      # per-dimension Frobenius tolerance for g*Jg = J
 
 
 class PointClass(enum.Enum):
@@ -333,7 +331,7 @@ def map_orthonormal_frames(p, q) -> Isometry:
     for f in (fp, fq):
         norms = np.linalg.norm(f.modulus(), axis=0)
         dev = (f.h @ (j @ f) - QMatrix.eye(len(p))).modulus()
-        if np.any(dev > 1e-8 * np.outer(norms, norms)):
+        if np.any(dev > STRUCTURE_TOL * np.outer(norms, norms)):
             raise DomainError("input tuples are not orthonormal frames")
     return _frames_isometry(fp, fq, j, model)
 
@@ -407,38 +405,33 @@ class PairConfiguration:
 
     @staticmethod
     def from_t(t: float) -> "PairConfiguration":
-        """The trichotomy of a pair with t = |<p_1, p_2>| for unit lifts."""
-        if abs(t - 1.0) <= ASYMPTOTIC_EPS:
+        """The trichotomy of a pair with t = |<p_1, p_2>| for unit lifts;
+        asymptotic is the zero eigenvalue 1 - t of [[1, t], [t, 1]] in `inertia`."""
+        if abs(1.0 - t) <= INERTIA_EPS * (1.0 + t):
             return PairConfiguration("asymptotic")
         if t < 1.0:
             return PairConfiguration("intersecting", angle=math.acos(t))
         return PairConfiguration("ultraparallel", distance=2.0 * math.acosh(t))
 
 
+def _unit_positive(p: HVector) -> HVector:
+    s = self_product(p)
+    if point_class(s, p.norm()) != PointClass.POSITIVE:
+        raise DomainError("a pair needs positive vectors")
+    return p.scaled(1.0 / math.sqrt(s))
+
+
 def pair_moduli(p1: HVector, p2: HVector) -> float:
     """The complete congruence invariant t >= 0 of a pair of positive
     points with distinct projections."""
-    for p in (p1, p2):
-        if classify(p) != PointClass.POSITIVE:
-            raise DomainError("pair_moduli needs positive vectors")
-    num = abs(herm(p1, p2))
-    den = math.sqrt(self_product(p1) * self_product(p2))
-    return num / den
+    return abs(herm(_unit_positive(p1), _unit_positive(p2)))
 
 
 def pair_configuration(p1: HVector, p2: HVector) -> PairConfiguration:
     t = pair_moduli(p1, p2)
-    if _proportional(p1, p2):
+    if columns([p1, p2]).rank() < 2:
         raise DegenerateInputError("pair has equal projections")
     return PairConfiguration.from_t(t)
-
-
-def _proportional(p1: HVector, p2: HVector) -> bool:
-    return columns([p1, p2]).rank() < 2
-
-
-def _unit_positive(p: HVector) -> HVector:
-    return p.scaled(1.0 / math.sqrt(self_product(p)))
 
 
 def _align_pair(p1: HVector, p2: HVector) -> tuple[HVector, HVector, float]:
@@ -446,7 +439,7 @@ def _align_pair(p1: HVector, p2: HVector) -> tuple[HVector, HVector, float]:
     p1, p2 = _unit_positive(p1), _unit_positive(p2)
     h = herm(p1, p2)
     t = abs(h)
-    if t > 1e-14:
+    if t > PRODUCT_EPS:
         p2 = p2.rescale(h / t)
     return p1, p2, t
 
@@ -457,7 +450,7 @@ def pair_isometry(p1: HVector, p2: HVector, q1: HVector,
     projectively; exists iff their t-invariants agree."""
     (a1, a2, tp), (b1, b2, tq) = (_align_pair(to_model(x, BALL), to_model(y, BALL))
                                   for x, y in ((p1, p2), (q1, q2)))
-    if abs(tp - tq) > 1e-9 * (1.0 + tp + tq):
+    if abs(tp - tq) > COORD_TOL * (1.0 + tp + tq):
         raise DomainError("pairs have different moduli invariants")
     j = form_matrix(BALL, a1.n)
     t = 0.5 * (tp + tq)

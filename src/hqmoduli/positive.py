@@ -29,12 +29,8 @@ from .errors import DegenerateInputError, DomainError, InconsistencyError
 from .gram import Lifts, inertia, rescale_gram, span_dimension
 from .hform import HVector, PointClass, form_matrix, null_partner
 from .qmatrix import QMatrix
-from .quat import (ONE, Quaternion, canonical_sign, nu, quat,
-                   rotation_normalize_vector)
-
-ZERO_EPS = 1e-8        # relative threshold for a vanishing Gram entry
-UNIT_EPS = 1e-6        # tolerance for a normalized product of modulus 1
-COORD_TOL = 1e-8       # default tolerance for congruence of coordinates
+from .quat import ONE, Quaternion, negligible, nu, quat, rotation_normalize_vector
+from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS, ZERO_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +107,7 @@ def _same_block(blocks, m: int) -> np.ndarray:
 
 
 def _check_distinct(lifts: Lifts) -> None:
-    near = np.abs(_normalized_moduli(lifts.g) - 1.0) < 1e-10
+    near = np.abs(_normalized_moduli(lifts.g) - 1.0) <= UNIT_EPS
     for a, b in zip(*np.nonzero(np.triu(near, 1))):
         if lifts.p.cols([a, b]).rank() < 2:
             raise DegenerateInputError(f"points {a + 1} and {b + 1} coincide")
@@ -135,8 +131,8 @@ def one_normalize(points):
     d = _align(d, g0, [(0, t) for t in range(1, m) if nz[0, t]])
     if m >= 3:
         g23 = d[1].conj() * g0.entry(1, 2) * d[2]
-        if g23.im_vec().norm() > 1e-14 * (1.0 + abs(g23)):
-            rot = canonical_sign(nu(g23.im_vec()))
+        if not negligible(g23.im_vec().norm(), 1.0 + abs(g23)):
+            rot = nu(g23.im_vec())
             d = [x * rot for x in d]
     return d, rescale_gram(g0, d)
 
@@ -277,7 +273,7 @@ def parabolic_coordinates(points) -> Coordinate:
     z0 = p.col(big[1]) - p.col(big[0])
     jp = form_matrix(lifts[0].model, lifts[0].n) @ p
     orth = (z0.h @ jp).modulus()[0]
-    if np.any(orth > 1e-7 * np.linalg.norm(p.modulus(), axis=0)):
+    if np.any(orth > ORTHOGONAL_TOL * np.linalg.norm(p.modulus(), axis=0)):
         raise InconsistencyError(
             "a lift is not orthogonal to the shared null direction")
 
@@ -329,7 +325,7 @@ def _pin(u: Quaternion, kind: str, right: bool) -> Quaternion:
         return u.conj() / abs(u) if right else u / abs(u)
     if kind == "u1":
         c1, c2 = u.c1, u.c2
-        if abs(c2) > 1e-12 * (1.0 + abs(u)):
+        if not negligible(abs(c2), 1.0 + abs(u)):
             ph = c2 / abs(c2)
         else:
             ph = abs(c1) / c1 if right else c1 / abs(c1)

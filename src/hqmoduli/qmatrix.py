@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import UsageError
 from .quat import Quaternion, quat
+from .tol import INERTIA_EPS
 
 
 class QMatrix:
@@ -192,12 +193,15 @@ class QMatrix:
         return w, QMatrix(x[:m], -np.conj(x[m:])), source // 2
 
     def rank(self) -> int:
-        """Quaternionic rank via the adjoint's singular values: those
-        above 1e-9 times the largest."""
-        s = np.linalg.svd(self.adjoint(), compute_uv=False)
+        """Quaternionic rank of the columns scaled to unit length, which
+        rescaling a column keeps: the adjoint's singular values above
+        INERTIA_EPS times the largest."""
+        n = np.linalg.norm(self.modulus(), axis=0)
+        n[n == 0.0] = 1.0
+        s = np.linalg.svd(QMatrix(self.c1 / n, self.c2 / n).adjoint(), compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
             return 0
-        r = int(np.sum(s > 1e-9 * s[0]))
+        r = int(np.sum(s > INERTIA_EPS * s[0]))
         # adjoint rank is exactly twice the quaternionic rank
         return (r + 1) // 2
 

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, UsageError
-
-# Relative threshold below which an imaginary component counts as exactly
-# zero when classifying entries as real / complex / generic.
-CLASSIFY_EPS = 1e-9
-
-# Relative cross-product threshold below which two imaginary vectors are
-# treated as linearly dependent.
-DEPENDENCE_EPS = 1e-10
+from .tol import CLASSIFY_EPS, DEPENDENCE_EPS
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,6 +169,12 @@ class ImVector3:
                 > DEPENDENCE_EPS * self.norm() * other.norm())
 
 
+def negligible(x: float, scale: float) -> bool:
+    """The imaginary-part rule: an imaginary part of size x counts as zero
+    when it is at most CLASSIFY_EPS times the scale of its data."""
+    return x <= CLASSIFY_EPS * scale
+
+
 def check_unit(q: Quaternion) -> Quaternion:
     """Assert |q| = 1 within 1e-9 and return q renormalized exactly."""
     n = abs(q)
@@ -267,8 +266,8 @@ def rotation_normalize_vector(v):
     the CLI, are Z_R, Z_C(i), Z(i,j), P_C and P(j), with 1-based indices
     into v.
 
-    An imaginary part counts as zero when no component exceeds
-    CLASSIFY_EPS times the largest |v_i|: an entry that is exactly zero
+    An imaginary part counts as zero when its largest component is
+    negligible next to the largest |v_i|: an entry that is exactly zero
     carries rounding noise of that size, which a test relative to the
     entry itself would take for an imaginary part.
     """
@@ -276,8 +275,9 @@ def rotation_normalize_vector(v):
     if not v:
         raise DomainError("empty vector")
 
-    t = CLASSIFY_EPS * max(abs(q) for q in v)
-    imaginary = [max(abs(q.a1), abs(q.a2), abs(q.a3)) > t for q in v]
+    scale = max(abs(q) for q in v)
+    imaginary = [not negligible(max(abs(q.a1), abs(q.a2), abs(q.a3)), scale)
+                 for q in v]
     first = next((idx for idx, im in enumerate(imaginary) if im), None)
     if first is None:
         return ONE, list(v), "Z_R"
@@ -287,7 +287,7 @@ def rotation_normalize_vector(v):
                    and ref.is_independent_of(v[idx].im_vec())), None)
 
     if second is None:
-        rot = canonical_sign(nu(ref))
+        rot = nu(ref)
         tag = "P_C" if first == 0 else f"Z_C({first + 1})"
     else:
         rot = mu(ref, v[second].im_vec())

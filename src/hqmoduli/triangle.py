@@ -21,14 +21,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, InconsistencyError, UsageError
-from .gram import (PRODUCT_EPS, Lifts, inertia, realize, span_dimension,
+from .gram import (Lifts, inertia, realize, rescale_gram, span_dimension,
                    triple_product, triple_product_vanishes)
 from .hform import BALL, HVector, PairConfiguration, PointClass
 from .positive import one_normalize
 from .qmatrix import QMatrix
 from .quat import Quaternion
-
-DET_TOL = 1e-12          # tolerance on det G <= 0 in the existence test
+from .tol import DET_TOL, PRODUCT_EPS, UNIT_EPS
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class TriangleParams:
             raise UsageError("triangle parameters must be finite")
         if min(self.r1, self.r2, self.r3) < 0.0:
             raise UsageError("side parameters r_t must be nonnegative")
-        if not (-1e-12 <= self.alpha <= math.pi + 1e-12):
+        if not 0.0 <= self.alpha <= math.pi:
             raise UsageError("alpha must lie in [0, pi]")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -141,16 +140,17 @@ def realize_triangle(params: TriangleParams,
 
 
 def classify_triangle(*points) -> TriangleClass:
-    """Class of the span of a positive triple from the Gram signature:
+    """Class of the span of a positive triple from the signature of its
+    unit-diagonal Gram matrix, which rescaling the vertices keeps:
     rank-one (all products of modulus 1, parabolic span), positive rank
     two (elliptic plane), or hyperbolic span of dimension 2 or 3."""
     lifts = _vertices(points)
-    iner = inertia(lifts.g)
+    iner = inertia(rescale_gram(lifts.g, lifts.g.c1.diagonal().real ** -0.5))
     sig = (iner.n_plus, iner.n_minus)
     if sig == (1, 0):
         params = triangle_params(lifts)
         if max(abs(params.r1 - 1), abs(params.r2 - 1), abs(params.r3 - 1),
-               abs(params.alpha)) > 1e-6:
+               abs(params.alpha)) > UNIT_EPS:
             raise InconsistencyError(
                 "rank-one triangle Gram is not of type (1,1,1;0)")
         if span_dimension(lifts) != 2:

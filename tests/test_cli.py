@@ -186,10 +186,14 @@ def test_eps_after_subcommand_reaches_positive_coord(tmp_path, capsys):
     ("random", "boundary-tuple", "--n", "0", "--m", "3"),
     ("random", "positive-regular", "--n", "0", "--m", "3"),
     ("random", "isometry", "--n", "-2"),
+    ("realize", "{g}", "--n", "0"),
+    ("realize", "{g}", "--n", "-1"),
 ])
 def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv):
     r = write_tuple(tmp_path / "r.json", random_regular_tuple(2, 3, seed=4))
-    code, out, err = run(capsys, *(a.format(r=r) for a in argv))
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"m": 1, "entries": [[[1, 0, 0, 0]]]}))
+    code, out, err = run(capsys, *(a.format(r=r, g=g) for a in argv))
     assert code == 2
     assert out == "" and "Traceback" not in err
 
@@ -251,6 +255,21 @@ def test_realize_non_finite_gram_entry_is_usage_error(tmp_path, capsys, value):
     assert code == 2
     assert "usage error" in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("data", [
+    {"m": 1, "entries": [[[1, 0, 0, 0]], [[1, 0, 0, 0]]]},
+    {"m": 2, "entries": [[[1, 0, 0, 0]], [[1, 0, 0, 0]]]},
+    {"m": 2, "entries": [[[1, 0, 0, 0], None], [None, [1, 0, 0, 0]], []]},
+], ids=["extra-row", "short-rows", "extra-empty-row"])
+def test_realize_gram_of_wrong_shape_is_usage_error(tmp_path, capsys, data):
+    # rows or entries beyond m used to be ignored, so a malformed file
+    # got an answer about a matrix it does not hold
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "realize", str(f), "--n", "2")
+    assert code == 2
+    assert "usage error" in err and out == ""
 
 
 # ---------------------------------------------------------------------------

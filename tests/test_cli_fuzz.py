@@ -1,5 +1,7 @@
 """Fuzz of the command line: boundary-coord, positive-coord and congruent
-on sampled tuples with damaged points and random --eps / --tol.
+on sampled tuples with damaged points and random --eps / --tol, and
+realize on the Gram matrices of sampled tuples with damaged entries and
+random --n.
 
 Every run must end in an exit code 0-3 without an exception, and a run
 whose points or flags hold a non-finite number must not answer 0 or 1.
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqmoduli.cli import main
+from hqmoduli.gram import gram
 from hqmoduli.hform import BALL, SIEGEL
 from hqmoduli.sampling import random_tuple
 
@@ -64,6 +67,34 @@ def tuple_pair(draw):
     return damaged(draw, kind, *shape), damaged(draw, kind, *shape)
 
 
+@st.composite
+def gram_file(draw):
+    """The JSON Gram matrix of a sampled tuple, in half the cases damaged:
+    a component replaced by a number, an entry set to null, a row
+    dropped, m changed, or every entry random."""
+    kind = draw(st.sampled_from(KINDS))
+    n, m = draw(st.integers(2, 3)), draw(st.integers(3, 5))
+    g = gram(random_tuple(kind, n, m, draw(st.integers(0, 50)), BALL))
+    entries = [[q.to_json() for q in row] for row in g.to_entries()]
+    data = {"m": m, "entries": entries}
+    if not draw(st.booleans()):
+        return data
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    damage = draw(st.sampled_from(("entry", "null", "row", "m", "random")))
+    if damage == "entry":
+        entries[i][j][draw(st.integers(0, 3))] = draw(numbers)
+    elif damage == "null":
+        entries[i][j] = None
+    elif damage == "row":
+        entries.pop(i)
+    elif damage == "m":
+        data["m"] = draw(st.integers(-1, m + 1))
+    else:
+        data["entries"] = [[[draw(numbers) for _ in range(4)]
+                            for _ in range(m)] for _ in range(m)]
+    return data
+
+
 def non_finite(value) -> bool:
     if isinstance(value, float):
         return not math.isfinite(value)
@@ -107,3 +138,24 @@ def test_cli_exit_codes_under_fuzz(workdir, command, pair, eps, tol):
     assert "Traceback" not in err.getvalue()
     if non_finite(list(used)) or non_finite(flags):
         assert code in (2, 3), (argv, out.getvalue())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=gram_file(),
+       n=st.one_of(st.integers(-2, 5), st.sampled_from(("nan", "inf", "1.5"))),
+       model=st.sampled_from((BALL, SIEGEL)))
+def test_realize_exit_codes_under_fuzz(workdir, data, n, model):
+    path = workdir / "g.json"
+    path.write_text(json.dumps(data))
+    argv = ["realize", str(path), "--n", str(n), "--model", model]
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if non_finite(data) or n in ("nan", "inf"):
+        assert code in (2, 3), (argv, out.getvalue())
+    if isinstance(n, int) and n < 1:
+        assert code == 2, (argv, out.getvalue())

@@ -14,6 +14,7 @@ from hqmoduli.hform import (BALL, SIEGEL, HVector, Isometry, PointClass,
                             pair_configuration, pair_isometry, pair_moduli,
                             projective_distance, random_isometry,
                             self_product, to_model, verify_isometry)
+from hqmoduli.positive import positive_coordinate
 from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import I, ONE, Quaternion
 from hqmoduli.sampling import (random_null_point, random_parabolic_tuple,
@@ -344,6 +345,19 @@ def test_pair_moduli_invariance():
         assert abs(t - t2) <= 1e-9 * (1 + t)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-10, 3e-9, 5e-9, 2e-8])
+def test_pair_trichotomy_agrees_with_partition(delta):
+    # asymptotic is the zero eigenvalue 1 - t of the pair's unit-diagonal
+    # Gram matrix [[1, t], [t, 1]], the one detect_partition reads
+    t = 1.0 + delta
+    g = QMatrix.eye(2)
+    g.set_entry(0, 1, Quaternion(t))
+    g.set_entry(1, 0, Quaternion(t))
+    p1, p2 = realize(g, 2)
+    asymptotic = pair_configuration(p1, p2).kind == "asymptotic"
+    assert asymptotic == (positive_coordinate((p1, p2)).kind == "parabolic")
+
+
 def test_pair_configuration_rejects_proportional():
     p = ball(0, 2, 1)
     with pytest.raises(DegenerateInputError):
@@ -362,6 +376,15 @@ def test_pair_isometry_maps_pairs():
         assert verify_isometry(g) <= 1e-7
         assert projective_distance(g.apply(p1), q1) <= 1e-6
         assert projective_distance(g.apply(p2), q2) <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [ball(0, 0, 1), ball(1, 0, 1)],
+                         ids=["negative", "null"])
+def test_pair_isometry_rejects_non_positive_points(bad):
+    with pytest.raises(DomainError):
+        pair_isometry(bad, ball(1, 0, 0), ball(0, 1, 0), ball(1, 0, 0))
+    with pytest.raises(DomainError):
+        pair_isometry(ball(0, 1, 0), ball(1, 0, 0), ball(1, 0, 0), bad)
 
 
 @pytest.mark.parametrize("model", [BALL, SIEGEL])

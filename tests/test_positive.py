@@ -9,7 +9,7 @@ import pytest
 from hqmoduli.errors import DomainError, InconsistencyError
 from hqmoduli.gram import gram, inertia, realize, rescale_gram, span_dimension
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify, herm,
-                            random_isometry, to_model)
+                            pair_configuration, random_isometry, to_model)
 from hqmoduli.positive import (INFINITY, ZERO_EPS, _nonzero_products,
                                block_normalize, congruent,
                                coordinate_distance, cross_ratio, detect_partition, one_normalize,
@@ -256,6 +256,38 @@ def test_one_long_lift_keeps_partition_and_coordinate():
                 want, got = f(pts), f(long)
                 assert got.structure == want.structure
                 assert coordinate_distance(got, want) <= COORD_TOL
+
+
+def opposite_scales(points, scales):
+    """The tuple with its first lift times s and its last times 1/s for
+    each s, then the tuple with every lift moved to the other model."""
+    for s in scales:
+        yield (points[0].scaled(s),) + points[1:-1] + (points[-1].scaled(1.0 / s),)
+    yield tuple(to_model(p, SIEGEL if p.model == BALL else BALL) for p in points)
+
+
+def same_pair(a, b) -> bool:
+    return a.kind == b.kind and all(
+        x == y or math.isclose(x, y, rel_tol=1e-9)
+        for x, y in ((a.angle, b.angle), (a.distance, b.distance)))
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_opposite_lift_scales_keep_span_pairs_and_coordinate(n, model):
+    # companion of the sweep above: two lifts scaled oppositely spread the
+    # raw Gram entries over s^-2 ... s^2, so a rank read off the raw lifts
+    # drops; every rank and signature is read off unit lifts
+    for seed in range(10):
+        pts = random_regular_tuple(n, n, seed, model)
+        want = positive_coordinate(pts)
+        for moved in opposite_scales(pts, (1e-3, 1e-5, 1e-6)):
+            assert span_dimension(moved) == span_dimension(pts), seed
+            assert same_pair(pair_configuration(moved[0], moved[-1]),
+                             pair_configuration(pts[0], pts[-1])), seed
+            got = positive_coordinate(moved)
+            assert got.structure == want.structure, seed
+            assert coordinate_distance(got, want) <= COORD_TOL, seed
 
 
 def test_parabolic_rejects_regular_input():

@@ -10,9 +10,10 @@ import pytest
 from hqmoduli.errors import RealizationError, UsageError
 from hqmoduli.gram import (gram, inertia, realization_error, span_dimension,
                            triple_product, triple_product_vanishes)
-from hqmoduli.hform import BALL, HVector, pair_configuration
+from hqmoduli.hform import BALL, SIEGEL, HVector, pair_configuration
 from hqmoduli.quat import I, Quaternion, quat
-from hqmoduli.sampling import random_positive_point, random_rescaling
+from hqmoduli.sampling import (random_positive_point, random_regular_tuple,
+                               random_rescaling)
 from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_triangle,
                                gram_from_params, normalize_triangle,
                                realize_triangle, side_data, side_from_r,
@@ -212,6 +213,18 @@ def test_classify_generic_random_triples_consistent():
                 (1, 1): TriangleClass.HYPERBOLIC_PLANAR,
                 (2, 1): TriangleClass.HYPERBOLIC_FULL}
         assert cls == want[(iner.n_plus, iner.n_minus)]
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+def test_classify_under_opposite_vertex_scales(model):
+    # the first vertex times s and the last times 1/s spread the raw Gram
+    # entries over s^-2 ... s^2; the signature is read at unit diagonal
+    for seed in range(10):
+        pts = random_regular_tuple(2, 3, seed, model)
+        want = classify_triangle(*pts)
+        for s in (1e-3, 1e-4, 1e-5, 1e-6):
+            moved = (pts[0].scaled(s), pts[1], pts[2].scaled(1.0 / s))
+            assert classify_triangle(*moved) == want, (seed, s)
 
 
 # ---------------------------------------------------------------------------
