@@ -120,6 +120,13 @@ def rescale_gram(g: QMatrix, lambdas) -> QMatrix:
     return d.h * g * d
 
 
+def unit_diagonal(g: QMatrix) -> QMatrix:
+    """g_ab / sqrt(g_aa g_bb): the Gram matrix of the unit lifts of a tuple
+    with positive diagonal, which rescaling the lifts moves by unit factors."""
+    s = g.c1.diagonal().real ** -0.5
+    return QMatrix(g.c1 * s[:, None] * s, g.c2 * s[:, None] * s)
+
+
 def _check_square_hermitian(g: QMatrix, what: str) -> None:
     if g.shape[0] != g.shape[1]:
         raise UsageError(f"{what} needs a square matrix")

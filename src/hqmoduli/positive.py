@@ -26,7 +26,7 @@ import numpy as np
 
 from .boundary import Coordinate, boundary_coordinate
 from .errors import DegenerateInputError, DomainError, InconsistencyError
-from .gram import Lifts, inertia, rescale_gram, span_dimension
+from .gram import Lifts, inertia, rescale_gram, span_dimension, unit_diagonal
 from .hform import HVector, PointClass, form_matrix, null_partner
 from .qmatrix import QMatrix
 from .quat import ONE, Quaternion, negligible, nu, quat, rotation_normalize_vector
@@ -80,13 +80,6 @@ def _nonzero_products(g: QMatrix) -> np.ndarray:
     return mod > ZERO_EPS * mod.max()
 
 
-def _normalized_moduli(g: QMatrix) -> np.ndarray:
-    """|g_ab| / sqrt(g_aa g_bb) for every pair of a Gram matrix with
-    positive diagonal."""
-    s = np.sqrt(g.c1.diagonal().real)
-    return g.modulus() / np.outer(s, s)
-
-
 def _align(d, g: QMatrix, pairs) -> list[Quaternion]:
     """The factors d with d_t turned, for each pair (c, t), so that the
     rescaled entry conj(d_c) g_ct d_t of the raw Gram matrix g is real
@@ -107,7 +100,7 @@ def _same_block(blocks, m: int) -> np.ndarray:
 
 
 def _check_distinct(lifts: Lifts) -> None:
-    near = np.abs(_normalized_moduli(lifts.g) - 1.0) <= UNIT_EPS
+    near = np.abs(unit_diagonal(lifts.g).modulus() - 1.0) <= UNIT_EPS
     for a, b in zip(*np.nonzero(np.triu(near, 1))):
         if lifts.p.cols([a, b]).rank() < 2:
             raise DegenerateInputError(f"points {a + 1} and {b + 1} coincide")
@@ -127,7 +120,7 @@ def one_normalize(points):
     m = len(lifts)
 
     d = [quat(1.0 / math.sqrt(x)) for x in g0.c1.diagonal().real]
-    nz = _nonzero_products(rescale_gram(g0, d))
+    nz = _nonzero_products(unit_diagonal(g0))
     d = _align(d, g0, [(0, t) for t in range(1, m) if nz[0, t]])
     if m >= 3:
         g23 = d[1].conj() * g0.entry(1, 2) * d[2]
@@ -189,7 +182,7 @@ def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     iner = inertia(g)
     if iner.n_minus == 0 and iner.rank == span_dim - 1:
         same = _same_block(blocks, g.shape[0])
-        if np.any(np.abs(_normalized_moduli(g)[same] - 1.0) > UNIT_EPS):
+        if np.any(np.abs(unit_diagonal(g).modulus()[same] - 1.0) > UNIT_EPS):
             raise InconsistencyError(
                 "degenerate span but a product inside a block "
                 "does not have modulus 1")
