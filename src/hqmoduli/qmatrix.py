@@ -193,12 +193,12 @@ class QMatrix:
         return w, QMatrix(x[:m], -np.conj(x[m:])), source // 2
 
     def rank(self) -> int:
-        """Quaternionic rank of the columns scaled to unit length, which
-        rescaling a column keeps: the adjoint's singular values above
-        INERTIA_EPS times the largest."""
-        n = np.linalg.norm(self.modulus(), axis=0)
-        n[n == 0.0] = 1.0
-        s = np.linalg.svd(QMatrix(self.c1 / n, self.c2 / n).adjoint(), compute_uv=False)
+        """Quaternionic rank of the columns scaled to unit length (a column
+        and its two adjoint columns share a norm), which rescaling keeps:
+        the adjoint's singular values above INERTIA_EPS times the largest."""
+        a = self.adjoint()
+        n = np.linalg.norm(a, axis=0)
+        s = np.linalg.svd(a / np.where(n > 0.0, n, 1.0), compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
             return 0
         r = int(np.sum(s > INERTIA_EPS * s[0]))
