@@ -62,6 +62,8 @@ def _parse_gram(data) -> QMatrix:
     try:
         m = int(data["m"])
         entries = data["entries"]
+        if m < 1:
+            raise UsageError(f"Gram matrix needs m >= 1, got {m}")
         if len(entries) != m or any(len(row) != m for row in entries):
             raise UsageError(f"Gram matrix entries are not {m} x {m}")
         g = QMatrix.zeros(m, m)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +48,9 @@ class Lifts(tuple):
     """A tuple of lifts stacked once: the column matrix `p`, its column
     norms `norms`, the Gram matrix `g` and the class of each lift,
     `classes`, at `eps` (null when |<z,z>| <= eps |z|^2).  `Lifts(lifts)`
-    is the record itself, so the stages share and validate one record;
-    the positive stages keep their partition `structure` and `d1` on it."""
+    is the record itself, so the stages share and validate one record.
+    Its unit-diagonal Gram matrix `unit` is made on first use; the positive
+    stages keep on it the zero pattern `nz` and partition `structure`."""
 
     checked = structure = None
 
@@ -74,6 +76,10 @@ class Lifts(tuple):
             distinct(self)
             self.checked = cls
         return self
+
+    @cached_property
+    def unit(self) -> QMatrix:
+        return unit_diagonal(self.g)
 
 
 def gram(points) -> QMatrix:

@@ -13,7 +13,7 @@ Two regimes, distinguished by the span of the lifted tuple:
   the residual per-sub-block unit freedom.
 
 A tuple gets one Gram matrix and one partition decision, made on its
-first normalization.  The congruence test at the end of the module
+unit-diagonal Gram matrix.  The congruence test at the end of the module
 compares the coordinates of boundary and positive tuples alike.
 """
 
@@ -28,7 +28,7 @@ from .boundary import Coordinate, boundary_coordinate
 from .errors import DegenerateInputError, DomainError, InconsistencyError
 from .gram import Lifts, inertia, rescale_gram, span_dimension, unit_diagonal
 from .hform import HVector, PointClass, form_matrix, null_partner
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, adjoint_rank
 from .quat import ONE, Quaternion, negligible, nu, quat, rotation_normalize_vector
 from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS, ZERO_EPS
 
@@ -62,14 +62,12 @@ class PartitionStructure:
 # validation and first normalization
 
 def _partitioned(points) -> Lifts:
-    """The lifts, validated, normalized and partitioned once.  The
-    partition is read off the one-normalized Gram matrix, whose unit
-    diagonal makes the relative zero-product rule independent of
-    per-point rescaling."""
-    lifts = Lifts(points)
+    """The lifts, validated and partitioned once, on the record's
+    unit-diagonal Gram matrix: rescaling the lifts moves it by unit
+    factors, which keep every |g_ab| and every eigenvalue."""
+    lifts = Lifts(points).validated(PointClass.POSITIVE, 2, _check_distinct)
     if lifts.structure is None:
-        lifts.d1, g1 = one_normalize(lifts)
-        lifts.structure = detect_partition(g1, span_dimension(lifts))
+        lifts.nz, lifts.structure = _partition(lifts.unit, span_dimension(lifts))
     return lifts
 
 
@@ -80,11 +78,12 @@ def _nonzero_products(g: QMatrix) -> np.ndarray:
     return mod > ZERO_EPS * mod.max()
 
 
-def _align(d, g: QMatrix, pairs) -> list[Quaternion]:
-    """The factors d with d_t turned, for each pair (c, t), so that the
-    rescaled entry conj(d_c) g_ct d_t of the raw Gram matrix g is real
-    and positive.  No d_c may itself be turned by a later pair."""
-    d = list(d)
+def _align(g: QMatrix, pairs) -> list[Quaternion]:
+    """The real factors d_a = 1/sqrt(g_aa) of the raw Gram matrix g, with
+    d_t turned, for each pair (c, t), so that the rescaled entry
+    conj(d_c) g_ct d_t is real and positive.  No d_c may itself be turned
+    by a later pair."""
+    d = [quat(1.0 / math.sqrt(x)) for x in g.c1.diagonal().real]
     for c, t in pairs:
         h = d[c].conj() * g.entry(c, t) * d[t]
         d[t] = d[t] * (h.conj() / abs(h))
@@ -100,9 +99,14 @@ def _same_block(blocks, m: int) -> np.ndarray:
 
 
 def _check_distinct(lifts: Lifts) -> None:
-    near = np.abs(unit_diagonal(lifts.g).modulus() - 1.0) <= UNIT_EPS
-    for a, b in zip(*np.nonzero(np.triu(near, 1))):
-        if lifts.p.cols([a, b]).rank() < 2:
+    """Two lifts whose unit product has modulus 1 must span a plane; one
+    stacked rank of the column pairs' adjoints decides every such pair."""
+    near = np.argwhere(np.triu(np.abs(lifts.unit.modulus() - 1.0) <= UNIT_EPS, 1))
+    if near.size:
+        cols = np.hstack([near, near + len(lifts)])
+        ranks = adjoint_rank(np.moveaxis(lifts.p.adjoint()[:, cols], 1, 0))
+        if np.any(ranks < 2):
+            a, b = near[np.argmax(ranks < 2)]
             raise DegenerateInputError(f"points {a + 1} and {b + 1} coincide")
 
 
@@ -119,9 +123,8 @@ def one_normalize(points):
     g0 = lifts.g
     m = len(lifts)
 
-    d = [quat(1.0 / math.sqrt(x)) for x in g0.c1.diagonal().real]
-    nz = _nonzero_products(unit_diagonal(g0))
-    d = _align(d, g0, [(0, t) for t in range(1, m) if nz[0, t]])
+    nz = _nonzero_products(lifts.unit)
+    d = _align(g0, [(0, t) for t in range(1, m) if nz[0, t]])
     if m >= 3:
         g23 = d[1].conj() * g0.entry(1, 2) * d[2]
         if not negligible(g23.im_vec().norm(), 1.0 + abs(g23)):
@@ -172,24 +175,33 @@ def _refine_sub_blocks(indices, nz):
 
 def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     """Partition structure of a positive tuple from its Gram matrix and
-    the dimension of its span.
+    the dimension of its span, read off unit_diagonal(g), so that
+    rescaling the lifts leaves it unchanged.
 
     The tuple is parabolic when the span is degenerate: no negative
     eigenvalue and span dimension one more than the Gram rank.
     """
-    nz = _nonzero_products(g)
+    if not np.all(g.c1.diagonal().real > 0.0):
+        raise DomainError("partition needs a positive diagonal")
+    return _partition(unit_diagonal(g), span_dim)[1]
+
+
+def _partition(u: QMatrix, span_dim: int):
+    """The zero pattern of a unit-diagonal u and its `detect_partition`."""
+    nz = _nonzero_products(u)
     blocks = _components(nz)
-    iner = inertia(g)
+    iner = inertia(u)
     if iner.n_minus == 0 and iner.rank == span_dim - 1:
-        same = _same_block(blocks, g.shape[0])
-        if np.any(np.abs(unit_diagonal(g).modulus()[same] - 1.0) > UNIT_EPS):
+        same = _same_block(blocks, u.shape[0])
+        if np.any(np.abs(u.modulus()[same] - 1.0) > UNIT_EPS):
             raise InconsistencyError(
                 "degenerate span but a product inside a block "
                 "does not have modulus 1")
-        return PartitionStructure("parabolic", tuple(blocks))
+        return nz, PartitionStructure("parabolic", tuple(blocks))
 
     subs, ancs = zip(*(_refine_sub_blocks(blk, nz) for blk in blocks))
-    return PartitionStructure("regular", tuple(blocks), tuple(subs), tuple(ancs))
+    return nz, PartitionStructure("regular", tuple(blocks), tuple(subs),
+                                  tuple(ancs))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +249,7 @@ def _parabolic_lifts(lifts: Lifts) -> QMatrix:
     composed factors rescale the Gram matrix once, for the check."""
     g, structure = lifts.g, lifts.structure
     m = len(lifts)
-    d = [quat(1.0 / math.sqrt(x)) for x in g.c1.diagonal().real]
-    d = _align(d, g, [(blk[0], t) for blk in structure.blocks for t in blk[1:]])
+    d = _align(g, [(blk[0], t) for blk in structure.blocks for t in blk[1:]])
     dev = (rescale_gram(g, d) - QMatrix.real(np.ones((m, m)))).modulus()
     if np.any(dev[_same_block(structure.blocks, m)] > UNIT_EPS):
         raise InconsistencyError("within-block products did not normalize to 1")
@@ -290,10 +301,11 @@ def block_normalize(points):
     """Diagonal rescaling making g_ii = 1 and every anchor-row entry
     real positive inside its sub-block.
 
-    Returns (d, G, structure), G rescaled once by the composed d.  The
-    residual freedom is one unit quaternion per sub-block acting by
-    simultaneous conjugation inside the sub-block and by left/right
-    translation on cross entries."""
+    Returns (d, G, structure), G rescaled once by d; each anchor keeps
+    its real factor 1/sqrt(g_cc).  The residual freedom, which
+    `regular_coordinate` removes, is one unit quaternion per sub-block
+    acting by simultaneous conjugation inside the sub-block and by
+    left/right translation on cross entries."""
     lifts = _partitioned(points)
     structure = lifts.structure
     if structure.kind != "regular":
@@ -301,7 +313,7 @@ def block_normalize(points):
 
     pairs = [(c, t) for c, sb in _ordered_sub_blocks(structure)
              for t in sb if t != c]
-    d = _align(lifts.d1, lifts.g, pairs)
+    d = _align(lifts.g, pairs)
     return d, rescale_gram(lifts.g, d), structure
 
 
@@ -350,8 +362,8 @@ def regular_coordinate(points) -> Coordinate:
     lifts = _partitioned(points)
     d, g, structure = block_normalize(lifts)
     m = g.shape[0]
-    # the unit factors below keep every |g_ab|, so one zero pattern serves
-    nz = _nonzero_products(g)
+    # unit factors keep every |g_ab|, so the record's zero pattern serves
+    nz = lifts.nz
     done = np.zeros(m, dtype=bool)
     u = [ONE] * m
 

@@ -76,8 +76,8 @@ class QMatrix:
         return self.c1.shape
 
     def entry(self, i: int, j: int) -> Quaternion:
-        return Quaternion.from_complex_pair(complex(self.c1[i, j]),
-                                            complex(self.c2[i, j]))
+        return Quaternion.from_complex_pair(self.c1.item(i, j),
+                                            self.c2.item(i, j))
 
     def set_entry(self, i: int, j: int, q) -> None:
         q = quat(q)
@@ -193,22 +193,22 @@ class QMatrix:
         return w, QMatrix(x[:m], -np.conj(x[m:])), source // 2
 
     def rank(self) -> int:
-        """Quaternionic rank of the columns scaled to unit length (a column
-        and its two adjoint columns share a norm), which rescaling keeps:
-        the adjoint's singular values above INERTIA_EPS times the largest."""
-        a = self.adjoint()
-        n = np.linalg.norm(a, axis=0)
-        s = np.linalg.svd(a / np.where(n > 0.0, n, 1.0), compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        r = int(np.sum(s > INERTIA_EPS * s[0]))
-        # adjoint rank is exactly twice the quaternionic rank
-        return (r + 1) // 2
+        """Quaternionic rank of the columns, by `adjoint_rank`."""
+        return int(adjoint_rank(self.adjoint()))
 
     def __repr__(self) -> str:
         rows = self.to_entries()
         body = ";\n ".join(", ".join(format_quat(q) for q in row) for row in rows)
         return f"QMatrix([\n {body}\n])"
+
+
+def adjoint_rank(a: np.ndarray) -> np.ndarray:
+    """Quaternionic ranks of a stack (..., 2r, 2c) of complex adjoints, with
+    the columns scaled to unit length, which rescaling keeps: half the
+    singular values above INERTIA_EPS times the largest, rounded up."""
+    n = np.linalg.norm(a, axis=-2, keepdims=True)
+    s = np.linalg.svd(a / np.where(n > 0.0, n, 1.0), compute_uv=False)
+    return (np.sum(s > INERTIA_EPS * s[..., :1], axis=-1) + 1) // 2
 
 
 def format_quat(q: Quaternion) -> str:

@@ -12,24 +12,39 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, UsageError
 from .tol import CLASSIFY_EPS, DEPENDENCE_EPS
 
+_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
-    a0: float = 0.0
-    a1: float = 0.0
-    a2: float = 0.0
-    a3: float = 0.0
+
+class Quaternion(tuple):
+    """The immutable 4-tuple (a0, a1, a2, a3), equal and hashed as that
+    tuple.  numpy's binary operators defer to its own, so a numpy scalar
+    times a Quaternion is a Quaternion."""
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __new__(cls, a0=0.0, a1=0.0, a2=0.0, a3=0.0):
+        return _new(cls, (a0, a1, a2, a3))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "Quaternion(a0={!r}, a1={!r}, a2={!r}, a3={!r})".format(*self)
+
+    a0, a1, a2, a3 = (property(itemgetter(k)) for k in range(4))
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_complex_pair(c1: complex, c2: complex) -> "Quaternion":
-        return Quaternion(c1.real, c1.imag, c2.real, c2.imag)
+        return _new(Quaternion, (c1.real, c1.imag, c2.real, c2.imag))
 
     @staticmethod
     def from_json(data) -> "Quaternion":
@@ -41,27 +56,29 @@ class Quaternion:
     # -- views --------------------------------------------------------
     @property
     def c1(self) -> complex:
-        return complex(self.a0, self.a1)
+        return complex(self[0], self[1])
 
     @property
     def c2(self) -> complex:
-        return complex(self.a2, self.a3)
+        return complex(self[2], self[3])
 
     def to_json(self) -> list[float]:
-        return [self.a0, self.a1, self.a2, self.a3]
+        return list(self)
 
     def re(self) -> float:
-        return self.a0
+        return self[0]
 
     def im_vec(self) -> "ImVector3":
-        return ImVector3(self.a1, self.a2, self.a3)
+        return ImVector3(self[1], self[2], self[3])
 
     # -- algebra ------------------------------------------------------
     def conj(self) -> "Quaternion":
-        return Quaternion(self.a0, -self.a1, -self.a2, -self.a3)
+        a0, a1, a2, a3 = self
+        return _new(Quaternion, (a0, -a1, -a2, -a3))
 
     def norm2(self) -> float:
-        return self.a0 * self.a0 + self.a1 * self.a1 + self.a2 * self.a2 + self.a3 * self.a3
+        a0, a1, a2, a3 = self
+        return a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
 
     def __abs__(self) -> float:
         return math.sqrt(self.norm2())
@@ -70,49 +87,52 @@ class Quaternion:
         n2 = self.norm2()
         if n2 == 0.0:
             raise DomainError("inverse of zero quaternion")
-        return Quaternion(self.a0 / n2, -self.a1 / n2, -self.a2 / n2, -self.a3 / n2)
+        a0, a1, a2, a3 = self
+        return _new(Quaternion, (a0 / n2, -a1 / n2, -a2 / n2, -a3 / n2))
 
     def __add__(self, other):
-        other = _coerce(other)
-        return Quaternion(self.a0 + other.a0, self.a1 + other.a1,
-                          self.a2 + other.a2, self.a3 + other.a3)
+        p0, p1, p2, p3 = self
+        q0, q1, q2, q3 = _coerce(other)
+        return _new(Quaternion, (p0 + q0, p1 + q1, p2 + q2, p3 + q3))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return Quaternion(self.a0 - other.a0, self.a1 - other.a1,
-                          self.a2 - other.a2, self.a3 - other.a3)
+        p0, p1, p2, p3 = self
+        q0, q1, q2, q3 = _coerce(other)
+        return _new(Quaternion, (p0 - q0, p1 - q1, p2 - q2, p3 - q3))
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __neg__(self):
-        return Quaternion(-self.a0, -self.a1, -self.a2, -self.a3)
+        a0, a1, a2, a3 = self
+        return _new(Quaternion, (-a0, -a1, -a2, -a3))
 
     def __mul__(self, other):
-        q = _coerce(other)
-        p = self
-        return Quaternion(
-            p.a0 * q.a0 - p.a1 * q.a1 - p.a2 * q.a2 - p.a3 * q.a3,
-            p.a0 * q.a1 + p.a1 * q.a0 + p.a2 * q.a3 - p.a3 * q.a2,
-            p.a0 * q.a2 - p.a1 * q.a3 + p.a2 * q.a0 + p.a3 * q.a1,
-            p.a0 * q.a3 + p.a1 * q.a2 - p.a2 * q.a1 + p.a3 * q.a0,
-        )
+        p0, p1, p2, p3 = self
+        q0, q1, q2, q3 = _coerce(other)
+        return _new(Quaternion, (
+            p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
+        ))
 
     def __rmul__(self, other):
         return _coerce(other) * self
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(self.a0 / other, self.a1 / other,
-                              self.a2 / other, self.a3 / other)
+            a0, a1, a2, a3 = self
+            return _new(Quaternion, (a0 / other, a1 / other,
+                                     a2 / other, a3 / other))
         return self * _coerce(other).inverse()
 
     # -- classification ----------------------------------------------
     def is_real(self, eps: float = CLASSIFY_EPS) -> bool:
         t = eps * abs(self)
-        return abs(self.a1) <= t and abs(self.a2) <= t and abs(self.a3) <= t
+        return abs(self[1]) <= t and abs(self[2]) <= t and abs(self[3]) <= t
 
     def isclose(self, other: "Quaternion", tol: float = 1e-9) -> bool:
         return abs(self - other) <= tol * (1.0 + abs(self) + abs(other))
@@ -128,9 +148,9 @@ def _coerce(x) -> Quaternion:
     if isinstance(x, Quaternion):
         return x
     if isinstance(x, (int, float)):
-        return Quaternion(float(x))
+        return _new(Quaternion, (float(x), 0.0, 0.0, 0.0))
     if isinstance(x, complex):
-        return Quaternion(x.real, x.imag)
+        return _new(Quaternion, (x.real, x.imag, 0.0, 0.0))
     raise TypeError(f"cannot interpret {x!r} as a quaternion")
 
 

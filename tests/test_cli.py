@@ -261,7 +261,8 @@ def test_realize_non_finite_gram_entry_is_usage_error(tmp_path, capsys, value):
     {"m": 1, "entries": [[[1, 0, 0, 0]], [[1, 0, 0, 0]]]},
     {"m": 2, "entries": [[[1, 0, 0, 0]], [[1, 0, 0, 0]]]},
     {"m": 2, "entries": [[[1, 0, 0, 0], None], [None, [1, 0, 0, 0]], []]},
-], ids=["extra-row", "short-rows", "extra-empty-row"])
+    {"m": 0, "entries": []},
+], ids=["extra-row", "short-rows", "extra-empty-row", "empty"])
 def test_realize_gram_of_wrong_shape_is_usage_error(tmp_path, capsys, data):
     # rows or entries beyond m used to be ignored, so a malformed file
     # got an answer about a matrix it does not hold

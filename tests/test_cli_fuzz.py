@@ -71,7 +71,7 @@ def tuple_pair(draw):
 def gram_file(draw):
     """The JSON Gram matrix of a sampled tuple, in half the cases damaged:
     a component replaced by a number, an entry set to null, a row
-    dropped, m changed, or every entry random."""
+    dropped, m changed, every entry random, or the matrix empty."""
     kind = draw(st.sampled_from(KINDS))
     n, m = draw(st.integers(2, 3)), draw(st.integers(3, 5))
     g = gram(random_tuple(kind, n, m, draw(st.integers(0, 50)), BALL))
@@ -80,7 +80,8 @@ def gram_file(draw):
     if not draw(st.booleans()):
         return data
     i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
-    damage = draw(st.sampled_from(("entry", "null", "row", "m", "random")))
+    damage = draw(st.sampled_from(("entry", "null", "row", "m", "random",
+                                   "empty")))
     if damage == "entry":
         entries[i][j][draw(st.integers(0, 3))] = draw(numbers)
     elif damage == "null":
@@ -89,6 +90,8 @@ def gram_file(draw):
         entries.pop(i)
     elif damage == "m":
         data["m"] = draw(st.integers(-1, m + 1))
+    elif damage == "empty":
+        data.update(m=0, entries=[])
     else:
         data["entries"] = [[[draw(numbers) for _ in range(4)]
                             for _ in range(m)] for _ in range(m)]
@@ -157,5 +160,5 @@ def test_realize_exit_codes_under_fuzz(workdir, data, n, model):
     assert "Traceback" not in err.getvalue()
     if non_finite(data) or n in ("nan", "inf"):
         assert code in (2, 3), (argv, out.getvalue())
-    if isinstance(n, int) and n < 1:
+    if (isinstance(n, int) and n < 1) or not data["entries"]:
         assert code == 2, (argv, out.getvalue())

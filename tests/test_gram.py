@@ -455,6 +455,22 @@ def test_stages_validate_a_record_once(monkeypatch):
     assert len(nonvanishing) == 1
 
 
+def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
+    # the partition is read off the record's unit-diagonal Gram matrix, so
+    # no stage normalizes twice; every near pair of lifts shares one SVD
+    one = counting(monkeypatch, positive, "one_normalize")
+    units = [counting(monkeypatch, module, "unit_diagonal")
+             for module in (positive, gram_module)]
+    rescale = counting(monkeypatch, positive, "rescale_gram")
+    positive.positive_coordinate(Lifts(random_regular_tuple(2, 4, seed=2)))
+    assert len(one) == 0 and sum(map(len, units)) == 1 and len(rescale) <= 2
+
+    svd = counting(monkeypatch, np.linalg, "svd")
+    lifts = Lifts(random_parabolic_tuple(3, 5, seed=1))
+    assert positive.positive_coordinate(lifts).kind == "parabolic"
+    assert len(svd) == 2
+
+
 # ---------------------------------------------------------------------------
 # samplers
 

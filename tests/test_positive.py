@@ -290,6 +290,27 @@ def test_opposite_lift_scales_keep_span_pairs_and_coordinate(n, model):
             assert coordinate_distance(got, want) <= COORD_TOL, seed
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_detect_partition_on_a_raw_gram_keeps_opposite_lift_scales(n):
+    # the public function reads its zero pattern and its inertia off
+    # unit_diagonal(g), so the raw Gram matrix of a rescaled tuple gives
+    # the partition of the tuple itself
+    for seed in range(10):
+        pts = random_regular_tuple(n, n, seed)
+        want = detect_partition(gram(pts), span_dimension(pts))
+        assert want == positive_coordinate(pts).structure, seed
+        for moved in opposite_scales(pts, (1e-3, 1e-5, 1e-6)):
+            assert detect_partition(gram(moved), span_dimension(moved)) \
+                == want, seed
+
+
+def test_detect_partition_rejects_a_nonpositive_diagonal():
+    g = QMatrix.eye(3)
+    g.set_entry(1, 1, quat(0.0))
+    with pytest.raises(DomainError):
+        detect_partition(g, span_dim=3)
+
+
 def test_parabolic_rejects_regular_input():
     with pytest.raises(DomainError):
         parabolic_coordinates(random_regular_tuple(2, 3, seed=73))

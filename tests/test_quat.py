@@ -1,6 +1,8 @@
 """Quaternion arithmetic and the rotation-normalization primitives."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -82,6 +84,31 @@ def test_coercion_and_json_round_trip():
     assert quat(1 + 2j).isclose(Quaternion(1, 2), TOL)
     q = Quaternion(0.1, 0.2, 0.3, 0.4)
     assert Quaternion.from_json(q.to_json()).isclose(q, 0.0)
+
+
+def test_value_contract():
+    # an immutable value: hashed as its components, equal by them, shown
+    # by name, and written to JSON as a list of four floats
+    q = Quaternion(0.5, -1.0, 2.0, 0.25)
+    with pytest.raises(AttributeError):
+        q.a0 = 1.0
+    assert hash(q) == hash((0.5, -1.0, 2.0, 0.25))
+    assert q == Quaternion(0.5, -1.0, 2.0, 0.25) and q != q.conj()
+    assert Quaternion(1.0) == ONE and Quaternion(1.0) != 1.0
+    assert len({q, Quaternion(0.5, -1.0, 2.0, 0.25)}) == 1
+    assert repr(q) == "Quaternion(a0=0.5, a1=-1.0, a2=2.0, a3=0.25)"
+    assert pickle.loads(pickle.dumps(q)) == q and copy.deepcopy(q) == q
+    assert (q.a0, q.a1, q.a2, q.a3) == (0.5, -1.0, 2.0, 0.25)
+    js = q.to_json()
+    assert type(js) is list and len(js) == 4
+    assert all(isinstance(x, float) for x in js)
+
+
+def test_numpy_scalars_act_as_reals():
+    q = Quaternion(0.5, -1.0, 2.0, 0.25)
+    for x in (np.float64(2.0), 2.0):
+        assert type(x * q) is Quaternion and (x * q).isclose(q * 2.0, 0.0)
+        assert type(x + q) is Quaternion and (x + q).isclose(q + 2.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
