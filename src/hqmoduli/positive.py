@@ -116,8 +116,8 @@ def one_normalize(points):
     Returns (d, G): diagonal rescaling making every g_ii = 1 and every
     g_1i real nonnegative, followed (for m >= 3 with Im g_23 != 0) by a
     common unit factor rotating g_23 into the upper complex half plane.
-    The factors are composed first; G is rescaled to unit diagonal for
-    the zero products, then once more by the composed d.
+    The zero products are read off the record's unit-diagonal Gram
+    matrix, and G is rescaled once by the composed d.
     """
     lifts = Lifts(points).validated(PointClass.POSITIVE, 2, _check_distinct)
     g0 = lifts.g
