@@ -14,6 +14,7 @@ is defined here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, InconsistencyError, UsageError
 from .gram import Lifts, inertia, rescale_gram, triple_product, triple_product_vanishes
 from .hform import HVector, PointClass
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, strict_upper
 from .quat import ONE, J, Quaternion, negligible, nu, quat, rotation_normalize_vector
 from .tol import PRODUCT_EPS, SEMI_TOL, UNIT_EPS
 
@@ -68,7 +69,8 @@ class Coordinate:
 def _nonvanishing(lifts: Lifts) -> None:
     """Raise when some |<p_a, p_b>| <= PRODUCT_EPS |p_a| |p_b|, a != b."""
     n = lifts.norms
-    pairs = np.argwhere(np.triu(lifts.g.modulus() <= PRODUCT_EPS * np.outer(n, n), 1))
+    pairs = np.argwhere(strict_upper(len(n))
+                        & (lifts.g.modulus() <= PRODUCT_EPS * np.outer(n, n)))
     if pairs.size:
         i, j = pairs[0]
         raise DegenerateInputError(
@@ -136,10 +138,12 @@ def semi_normalize(points):
     return d, g, alpha
 
 
+@functools.lru_cache(maxsize=64)
 def _t_index(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the t-vector entries g_ij, j >= i + 2, column
-    by column: (1,3), (1,4), (2,4), (1,5), ... in 1-based indices."""
+    """Read-only rows and columns, cached per m, of the t-vector entries
+    g_ij, j >= i + 2, column by column: (1,3), (1,4), (2,4), (1,5), ... 1-based."""
     j, i = np.tril_indices(m, -2)
+    i.flags.writeable = j.flags.writeable = False
     return i, j
 
 

@@ -275,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["boundary-tuple", "positive-regular",
                                     "positive-parabolic", "isometry"])
     p.add_argument("--n", type=_bounded(int, 1), default=2)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m", type=_bounded(int, 1), default=3)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("triangle",

@@ -23,9 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, RealizationError, UsageError
-from .hform import (BALL, HVector, PointClass, cayley, columns, form_matrix,
+from .hform import (BALL, HVector, PointClass, cayley, columns, form_adjoint,
                     point_class, tuple_from_columns)
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, adjoint_rank
 from .quat import Quaternion
 from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS, STRUCTURE_TOL
 
@@ -45,8 +45,9 @@ class Inertia:
 
 
 class Lifts(tuple):
-    """A tuple of lifts stacked once: the column matrix `p`, its column
-    norms `norms`, the Gram matrix `g` and the class of each lift,
+    """A tuple of lifts stacked once: the column matrix `p`, its complex
+    adjoint `adj` (for the Gram matrix, the span and the distinctness check),
+    its column norms `norms`, the Gram matrix `g` and the class of each lift,
     `classes`, at `eps` (null when |<z,z>| <= eps |z|^2).  `Lifts(lifts)`
     is the record itself, so the stages share and validate one record.
     Its unit-diagonal Gram matrix `unit` is made on first use; the positive
@@ -59,6 +60,7 @@ class Lifts(tuple):
             return points
         lifts = super().__new__(cls, points)
         lifts.p = columns(lifts)
+        lifts.adj = lifts.p.adjoint()
         lifts.norms = np.linalg.norm(lifts.p.modulus(), axis=0)
         lifts.g = gram(lifts)
         lifts.classes = [point_class(s, r, eps) for s, r in
@@ -83,14 +85,17 @@ class Lifts(tuple):
 
 
 def gram(points) -> QMatrix:
-    """Gram matrix G with g_ij = <p_j, p_i> of a tuple of HVectors."""
+    """Gram matrix G with g_ij = <p_j, p_i> of a tuple of HVectors: the top
+    block row [G1, G2] of adj(P)^H adj(J) adj(P), the adjoint of P* J P."""
     if isinstance(points, Lifts):
-        p = points.p
+        adj = points.adj
     else:
         points = list(points)
-        p = columns(points)
-    j = form_matrix(points[0].model, points[0].n)
-    return p.h @ (j @ p)
+        adj = columns(points).adjoint()
+    m = adj.shape[1] // 2
+    j = form_adjoint(points[0].model, points[0].n)
+    top = adj[:, :m].conj().T @ (j @ adj)
+    return QMatrix(top[:, :m], top[:, m:])
 
 
 def triple_product(g: QMatrix) -> Quaternion:
@@ -227,4 +232,5 @@ def realization_error(points, g: QMatrix) -> float:
 
 def span_dimension(points) -> int:
     """Quaternionic dimension of the right span of the lifted tuple."""
-    return (points.p if isinstance(points, Lifts) else columns(points)).rank()
+    adj = points.adj if isinstance(points, Lifts) else columns(points).adjoint()
+    return int(adjoint_rank(adj))

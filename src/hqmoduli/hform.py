@@ -58,6 +58,14 @@ def form_matrix(model: str, n: int) -> QMatrix:
     return j
 
 
+@functools.lru_cache(maxsize=64)
+def form_adjoint(model: str, n: int) -> np.ndarray:
+    """The complex adjoint of `form_matrix(model, n)`, cached and read-only."""
+    a = form_matrix(model, n).adjoint()
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class HVector:
     """Column vector in H^{n,1} tagged with the model its form lives in."""

@@ -28,7 +28,7 @@ from .boundary import Coordinate, boundary_coordinate
 from .errors import DegenerateInputError, DomainError, InconsistencyError
 from .gram import Lifts, inertia, rescale_gram, span_dimension, unit_diagonal
 from .hform import HVector, PointClass, form_matrix, null_partner
-from .qmatrix import QMatrix, adjoint_rank
+from .qmatrix import QMatrix, adjoint_rank, strict_upper
 from .quat import ONE, Quaternion, negligible, nu, quat, rotation_normalize_vector
 from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS, ZERO_EPS
 
@@ -67,7 +67,7 @@ def _partitioned(points) -> Lifts:
     factors, which keep every |g_ab| and every eigenvalue."""
     lifts = Lifts(points).validated(PointClass.POSITIVE, 2, _check_distinct)
     if lifts.structure is None:
-        lifts.nz, lifts.structure = _partition(lifts.unit, span_dimension(lifts))
+        lifts.nz, lifts.structure = _partition(lifts.unit, lambda: span_dimension(lifts))
     return lifts
 
 
@@ -101,10 +101,11 @@ def _same_block(blocks, m: int) -> np.ndarray:
 def _check_distinct(lifts: Lifts) -> None:
     """Two lifts whose unit product has modulus 1 must span a plane; one
     stacked rank of the column pairs' adjoints decides every such pair."""
-    near = np.argwhere(np.triu(np.abs(lifts.unit.modulus() - 1.0) <= UNIT_EPS, 1))
+    m = len(lifts)
+    near = np.argwhere(strict_upper(m) & (np.abs(lifts.unit.modulus() - 1.0) <= UNIT_EPS))
     if near.size:
-        cols = np.hstack([near, near + len(lifts)])
-        ranks = adjoint_rank(np.moveaxis(lifts.p.adjoint()[:, cols], 1, 0))
+        cols = np.hstack([near, near + m])
+        ranks = adjoint_rank(np.moveaxis(lifts.adj[:, cols], 1, 0))
         if np.any(ranks < 2):
             a, b = near[np.argmax(ranks < 2)]
             raise DegenerateInputError(f"points {a + 1} and {b + 1} coincide")
@@ -183,15 +184,16 @@ def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     """
     if not np.all(g.c1.diagonal().real > 0.0):
         raise DomainError("partition needs a positive diagonal")
-    return _partition(unit_diagonal(g), span_dim)[1]
+    return _partition(unit_diagonal(g), lambda: span_dim)[1]
 
 
-def _partition(u: QMatrix, span_dim: int):
-    """The zero pattern of a unit-diagonal u and its `detect_partition`."""
+def _partition(u: QMatrix, span_dim):
+    """The zero pattern of a unit-diagonal u and its `detect_partition`,
+    asking `span_dim()` for the span only when no eigenvalue is negative."""
     nz = _nonzero_products(u)
     blocks = _components(nz)
     iner = inertia(u)
-    if iner.n_minus == 0 and iner.rank == span_dim - 1:
+    if iner.n_minus == 0 and iner.rank == span_dim() - 1:
         same = _same_block(blocks, u.shape[0])
         if np.any(np.abs(u.modulus()[same] - 1.0) > UNIT_EPS):
             raise InconsistencyError(
@@ -380,7 +382,7 @@ def regular_coordinate(points) -> Coordinate:
 
         # first nonzero cross entry, row-major, to a processed sub-block
         cross = nz & (np.outer(in_sb, done) | np.outer(done, in_sb))
-        pins = np.flatnonzero(np.triu(cross, 1))
+        pins = np.flatnonzero(cross & strict_upper(m))
         if pins.size:
             a, b = divmod(int(pins[0]), m)
             e = _pin(u[a].conj() * g.entry(a, b) * u[b], kind,

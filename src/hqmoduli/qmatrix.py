@@ -16,6 +16,7 @@ quaternions", Linear Algebra Appl. 251, 1997).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,11 +49,11 @@ class QMatrix:
 
     @staticmethod
     def from_entries(rows) -> "QMatrix":
-        """Build from a nested sequence of Quaternion-coercible entries."""
-        qrows = [[quat(x) for x in row] for row in rows]
-        c1 = np.array([[q.c1 for q in row] for row in qrows], dtype=complex)
-        c2 = np.array([[q.c2 for q in row] for row in qrows], dtype=complex)
-        return QMatrix(c1, c2)
+        """Build from a nested sequence of Quaternion-coercible entries, as
+        one (r, c, 4) float array of the 4-tuples read as pairs (c1, c2)."""
+        a = np.array([[quat(x) for x in row] for row in rows], dtype=float)
+        pairs = a.reshape(a.shape[:2] + (4,)).view(complex)
+        return QMatrix(pairs[..., 0], pairs[..., 1])
 
     @staticmethod
     def column(entries) -> "QMatrix":
@@ -134,9 +135,11 @@ class QMatrix:
 
     def adjoint(self) -> np.ndarray:
         """Complex adjoint embedding, shape (2r, 2c)."""
-        top = np.hstack([self.c1, self.c2])
-        bot = np.hstack([-np.conj(self.c2), np.conj(self.c1)])
-        return np.vstack([top, bot])
+        r, c = self.shape
+        a = np.empty((2 * r, 2 * c), dtype=complex)
+        a[:r, :c], a[:r, c:] = self.c1, self.c2
+        a[r:, :c], a[r:, c:] = -self.c2.conj(), self.c1.conj()
+        return a
 
     @staticmethod
     def from_adjoint(m: np.ndarray) -> "QMatrix":
@@ -209,6 +212,14 @@ def adjoint_rank(a: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(a, axis=-2, keepdims=True)
     s = np.linalg.svd(a / np.where(n > 0.0, n, 1.0), compute_uv=False)
     return (np.sum(s > INERTIA_EPS * s[..., :1], axis=-1) + 1) // 2
+
+
+@functools.lru_cache(maxsize=64)
+def strict_upper(m: int) -> np.ndarray:
+    """Read-only (m, m) mask of the index pairs a < b, made once per m."""
+    mask = np.arange(m)[:, None] < np.arange(m)
+    mask.flags.writeable = False
+    return mask
 
 
 def format_quat(q: Quaternion) -> str:

@@ -22,7 +22,7 @@ from enum import Enum
 
 from .errors import DomainError, InconsistencyError, UsageError
 from .gram import (Lifts, inertia, realize, span_dimension, triple_product,
-                   triple_product_vanishes, unit_diagonal)
+                   triple_product_vanishes)
 from .hform import BALL, HVector, PairConfiguration, PointClass
 from .positive import one_normalize
 from .qmatrix import QMatrix
@@ -145,7 +145,7 @@ def classify_triangle(*points) -> TriangleClass:
     rank-one (all products of modulus 1, parabolic span), positive rank
     two (elliptic plane), or hyperbolic span of dimension 2 or 3."""
     lifts = _vertices(points)
-    iner = inertia(unit_diagonal(lifts.g))
+    iner = inertia(lifts.unit)
     sig = (iner.n_plus, iner.n_minus)
     if sig == (1, 0):
         params = triangle_params(lifts)

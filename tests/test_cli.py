@@ -186,6 +186,8 @@ def test_eps_after_subcommand_reaches_positive_coord(tmp_path, capsys):
     ("random", "boundary-tuple", "--n", "0", "--m", "3"),
     ("random", "positive-regular", "--n", "0", "--m", "3"),
     ("random", "isometry", "--n", "-2"),
+    ("random", "boundary-tuple", "--seed", "-1"),
+    ("random", "boundary-tuple", "--m", "0"),
     ("realize", "{g}", "--n", "0"),
     ("realize", "{g}", "--n", "-1"),
 ])

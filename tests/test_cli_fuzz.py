@@ -1,7 +1,7 @@
 """Fuzz of the command line: boundary-coord, positive-coord and congruent
-on sampled tuples with damaged points and random --eps / --tol, and
-realize on the Gram matrices of sampled tuples with damaged entries and
-random --n.
+on sampled tuples with damaged points and random --eps / --tol, realize
+on the Gram matrices of sampled tuples with damaged entries and random
+--n, and random over its kinds, --n, --m and --seed.
 
 Every run must end in an exit code 0-3 without an exception, and a run
 whose points or flags hold a non-finite number must not answer 0 or 1.
@@ -162,3 +162,20 @@ def test_realize_exit_codes_under_fuzz(workdir, data, n, model):
         assert code in (2, 3), (argv, out.getvalue())
     if (isinstance(n, int) and n < 1) or not data["entries"]:
         assert code == 2, (argv, out.getvalue())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(KINDS + ("isometry",)), n=st.integers(-1, 4),
+       m=st.integers(-1, 6),
+       seed=st.one_of(st.integers(-3, 50), st.integers(2 ** 62, 2 ** 70)))
+def test_random_exit_codes_under_fuzz(kind, n, m, seed):
+    argv = ["random", kind, "--n", str(n), "--m", str(m), "--seed", str(seed)]
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if min(n, m) < 1 or seed < 0:
+        assert code == 2 and out.getvalue() == "", argv

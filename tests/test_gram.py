@@ -16,8 +16,9 @@ from hqmoduli.gram import (INERTIA_EPS, Inertia, Lifts, check_admissible, gram,
                            rescale_gram, span_dimension)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify,
                             form_matrix)
-from hqmoduli.qmatrix import QMatrix
-from hqmoduli.quat import ONE, Quaternion
+from hqmoduli.qmatrix import QMatrix, strict_upper
+from hqmoduli.quat import ONE, Quaternion, quat
+from hqmoduli.tol import STRUCTURE_TOL
 from hqmoduli.positive import tuple_coordinate
 from hqmoduli.sampling import (random_null_point, random_null_tuple,
                                random_parabolic_tuple, random_positive_point,
@@ -95,6 +96,55 @@ def test_entrywise_product_matches_quaternion_products():
         [[col.entry(a, 0) * g.entry(a, b) * row.entry(0, b) for b in range(4)]
          for a in range(4)])
     assert (col * g * row - want).norm() <= 1e-14 * want.norm()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), m=st.integers(1, 8),
+       model=st.sampled_from((BALL, SIEGEL)), seed=st.integers(0, 2 ** 32 - 1),
+       exponents=st.lists(st.floats(-8.0, 8.0), min_size=8, max_size=8))
+def test_adjoint_gram_matches_the_quaternion_product(n, m, model, seed,
+                                                     exponents):
+    # gram reads G = P* J P off the top block row of adj(P)^H adj(J) adj(P)
+    rng = np.random.default_rng(seed)
+    pts = [HVector(random_qmatrix(rng, (n + 1, 1)).scale(10.0 ** e), model)
+           for e in exponents[:m]]
+    p = QMatrix.from_columns(z.qm for z in pts)
+    want = p.h @ (form_matrix(model, n) @ p)
+    g = gram(pts)
+    norms = np.linalg.norm(p.modulus(), axis=0)
+    assert np.all((g - want).modulus() <= 1e-13 * np.outer(norms, norms))
+    assert g.is_hermitian(STRUCTURE_TOL)
+    lifts = Lifts(pts)
+    assert np.array_equal(lifts.adj, p.adjoint())
+    assert (lifts.g - g).norm() == 0.0
+
+
+def test_from_entries_equals_the_per_entry_construction():
+    rows = [[1, -2.5, 3 - 4j, np.float64(-0.0)],
+            [np.complex128(-1j), Quaternion(0.5, -1.0, 2.0, -0.0), 0, -7]]
+    got = QMatrix.from_entries(rows)
+    qs = [[quat(x) for x in row] for row in rows]
+    for part, want in ((got.c1, [[q.c1 for q in row] for row in qs]),
+                       (got.c2, [[q.c2 for q in row] for row in qs])):
+        want = np.array(want, dtype=complex)
+        assert part.dtype == want.dtype and part.shape == want.shape
+        # bitwise, so the signs of zeros agree too
+        assert np.ascontiguousarray(part).tobytes() == want.tobytes()
+    assert QMatrix.from_entries([[]]).shape == (1, 0)
+
+
+def test_cached_masks_and_indices_are_read_only():
+    mask = strict_upper(4)
+    assert strict_upper(4) is mask
+    assert np.array_equal(mask, np.triu(np.ones((4, 4), dtype=bool), 1))
+    with pytest.raises(ValueError):
+        mask[0, 1] = False
+    rows, cols = boundary._t_index(5)
+    assert list(zip(rows, cols)) == [(0, 2), (0, 3), (1, 3), (0, 4), (1, 4),
+                                     (2, 4)]
+    for index in (rows, cols):
+        with pytest.raises(ValueError):
+            index[0] = 1
 
 
 def test_gram_isometry_invariant():
@@ -457,18 +507,36 @@ def test_stages_validate_a_record_once(monkeypatch):
 
 def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     # the partition is read off the record's unit-diagonal Gram matrix, so
-    # no stage normalizes twice; every near pair of lifts shares one SVD
+    # no stage normalizes twice; every near pair of lifts shares one SVD,
+    # and the span is asked for only without a negative eigenvalue
+    regular = Lifts(random_regular_tuple(2, 4, seed=2))
+    parabolic = Lifts(random_parabolic_tuple(3, 5, seed=1))
     one = counting(monkeypatch, positive, "one_normalize")
     units = [counting(monkeypatch, module, "unit_diagonal")
              for module in (positive, gram_module)]
     rescale = counting(monkeypatch, positive, "rescale_gram")
-    positive.positive_coordinate(Lifts(random_regular_tuple(2, 4, seed=2)))
-    assert len(one) == 0 and sum(map(len, units)) == 1 and len(rescale) <= 2
-
     svd = counting(monkeypatch, np.linalg, "svd")
-    lifts = Lifts(random_parabolic_tuple(3, 5, seed=1))
-    assert positive.positive_coordinate(lifts).kind == "parabolic"
+    positive.positive_coordinate(regular)
+    assert len(one) == 0 and sum(map(len, units)) == 1 and len(rescale) <= 2
+    assert len(svd) == 0
+
+    assert positive.positive_coordinate(parabolic).kind == "parabolic"
     assert len(svd) == 2
+
+
+def test_coordinates_use_cached_masks_and_the_record_adjoint(monkeypatch):
+    null = Lifts(random_null_tuple(3, 5, seed=1))
+    regular = Lifts(random_regular_tuple(2, 4, seed=2))
+    pts = random_regular_tuple(3, 5, seed=3, model=SIEGEL)
+    triu = counting(monkeypatch, np, "triu")
+    boundary.boundary_coordinate(null)
+    positive.positive_coordinate(regular)
+    assert len(triu) == 0
+
+    matmul = counting(monkeypatch, QMatrix, "__matmul__")
+    gram(pts)
+    gram(Lifts(pts))
+    assert len(matmul) == 0
 
 
 # ---------------------------------------------------------------------------
