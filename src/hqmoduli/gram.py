@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, RealizationError, UsageError
-from .hform import (BALL, HVector, PointClass, cayley, columns, form_adjoint,
-                    point_class, tuple_from_columns)
+from .hform import (BALL, HVector, PointClass, columns, form_adjoint,
+                    point_class, to_model, tuple_from_columns)
 from .qmatrix import QMatrix, adjoint_rank
 from .quat import Quaternion
 from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS, STRUCTURE_TOL
@@ -109,18 +109,6 @@ def triple_product_vanishes(g: QMatrix, points) -> bool:
     """True when |<p1, p2, p3>| <= PRODUCT_EPS (|p1| |p2| |p3|)^2."""
     scale = math.prod(p.norm() for p in points) ** 2
     return abs(triple_product(g)) <= PRODUCT_EPS * scale
-
-
-def permute_gram(g: QMatrix, sigma) -> QMatrix:
-    """Gram matrix of the reordered tuple (p_sigma(1), ..., p_sigma(m)).
-
-    `sigma` lists 0-based source indices; it must be a permutation."""
-    m = g.shape[0]
-    sigma = list(sigma)
-    if sorted(sigma) != list(range(m)):
-        raise UsageError("sigma is not a permutation of 0..m-1")
-    idx = np.array(sigma)
-    return QMatrix(g.c1[np.ix_(idx, idx)], g.c2[np.ix_(idx, idx)])
 
 
 def rescale_gram(g: QMatrix, lambdas) -> QMatrix:
@@ -219,10 +207,7 @@ def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
         shift = unit * np.arange(1.0, m + 1.0)
         p.c1[iner.n_plus] += shift
         p.c1[n] += shift
-    points = tuple_from_columns(p, BALL)
-    if model != BALL:
-        points = tuple(cayley(z) for z in points)
-    return points
+    return tuple(to_model(z, model) for z in tuple_from_columns(p, BALL))
 
 
 def realization_error(points, g: QMatrix) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, UsageError
 from .qmatrix import QMatrix
-from .quat import Quaternion, quat
+from .quat import Quaternion
 from .tol import (COORD_TOL, INERTIA_EPS, ISOMETRY_TOL, NULL_EPS, PRODUCT_EPS,
                   STRUCTURE_TOL)
 
@@ -81,7 +81,7 @@ class HVector:
 
     @staticmethod
     def from_entries(entries, model: str = BALL) -> "HVector":
-        return HVector(QMatrix.column([quat(e) for e in entries]), model)
+        return HVector(QMatrix.from_entries([e] for e in entries), model)
 
     @property
     def n(self) -> int:
@@ -139,11 +139,6 @@ class Isometry:
                 "matrix": [[q.to_json() for q in row]
                            for row in self.qm.to_entries()]}
 
-    @staticmethod
-    def from_json(data) -> "Isometry":
-        rows = [[Quaternion.from_json(e) for e in row] for row in data["matrix"]]
-        return Isometry(QMatrix.from_entries(rows), data.get("model", BALL))
-
 
 def _check_compatible(z: HVector, w: HVector) -> None:
     if z.model != w.model or z.qm.shape != w.qm.shape:
@@ -195,43 +190,33 @@ def tuple_from_columns(qm: QMatrix, model: str) -> tuple[HVector, ...]:
 # Cayley transform between the two models
 # ---------------------------------------------------------------------
 
-def _cayley_matrix(n: int) -> QMatrix:
-    # C is real symmetric with C^2 = I and C* J_s C = J_b.
+@functools.lru_cache(maxsize=64)
+def cayley_matrix(n: int) -> QMatrix:
+    """The Cayley matrix C: real symmetric with C^2 = I and
+    C* J_siegel C = J_ball, so z -> C z carries either model to the other
+    preserving products.  Cached per n like `form_matrix`, so read-only."""
     a = 1.0 / math.sqrt(2.0)
-    m = np.zeros((n + 1, n + 1))
-    m[0, 0] = a
-    m[0, n] = a
-    m[n, 0] = a
+    m = np.eye(n + 1)
+    m[0, 0] = m[0, n] = m[n, 0] = a
     m[n, n] = -a
-    for i in range(1, n):
-        m[i, i] = 1.0
-    return QMatrix.real(m)
-
-
-def cayley(z: HVector) -> HVector:
-    """Map a ball-model vector to the Siegel model preserving products."""
-    if z.model != BALL:
-        raise UsageError("cayley expects a ball-model vector")
-    return HVector(_cayley_matrix(z.n) @ z.qm, SIEGEL)
-
-
-def cayley_inverse(z: HVector) -> HVector:
-    if z.model != SIEGEL:
-        raise UsageError("cayley_inverse expects a Siegel-model vector")
-    return HVector(_cayley_matrix(z.n) @ z.qm, BALL)
+    c = QMatrix.real(m)
+    c.c1.flags.writeable = False
+    c.c2.flags.writeable = False
+    return c
 
 
 def to_model(z: HVector, model: str) -> HVector:
+    """z in the given model: z itself, or C z for the Cayley matrix C."""
     if z.model == model:
         return z
-    return cayley(z) if model == SIEGEL else cayley_inverse(z)
+    return HVector(cayley_matrix(z.n) @ z.qm, model)
 
 
 def cayley_isometry(g: Isometry) -> Isometry:
     """Conjugate a ball-model isometry to the Siegel model."""
     if g.model != BALL:
         raise UsageError("cayley_isometry expects a ball-model isometry")
-    c = _cayley_matrix(g.n)
+    c = cayley_matrix(g.n)
     return Isometry(c @ g.qm @ c, SIEGEL)
 
 
@@ -391,19 +376,6 @@ def orthogonal_complement_basis(z: HVector) -> tuple[HVector, ...]:
 # ---------------------------------------------------------------------
 # Distances, angles and the m = 2 moduli invariant
 # ---------------------------------------------------------------------
-
-def dist_point_to_hyperplane(z: HVector, p: HVector) -> float:
-    """Distance from a negative point z to the hyperplane polar to the
-    positive vector p."""
-    if classify(z) != PointClass.NEGATIVE:
-        raise DomainError("z must be a negative point")
-    if classify(p) != PointClass.POSITIVE:
-        raise DomainError("p must be a positive vector")
-    zp = herm(z, p)
-    cosh2 = 1.0 - (zp * zp.conj()).re() / (self_product(z) * self_product(p))
-    cosh2 = max(cosh2, 1.0)
-    return 2.0 * math.acosh(math.sqrt(cosh2))
-
 
 @dataclass(frozen=True)
 class PairConfiguration:

@@ -56,10 +56,6 @@ class QMatrix:
         return QMatrix(pairs[..., 0], pairs[..., 1])
 
     @staticmethod
-    def column(entries) -> "QMatrix":
-        return QMatrix.from_entries([[q] for q in entries])
-
-    @staticmethod
     def from_columns(cols) -> "QMatrix":
         """Stack matrices with equal row counts side by side."""
         cols = list(cols)
@@ -141,14 +137,11 @@ class QMatrix:
         a[r:, :c], a[r:, c:] = -self.c2.conj(), self.c1.conj()
         return a
 
-    @staticmethod
-    def from_adjoint(m: np.ndarray) -> "QMatrix":
-        r2, c2 = m.shape
-        r, c = r2 // 2, c2 // 2
-        return QMatrix(m[:r, :c], m[:r, c:])
-
     def inv(self) -> "QMatrix":
-        return QMatrix.from_adjoint(np.linalg.inv(self.adjoint()))
+        """Inverse, read off the top block row of the adjoint's inverse."""
+        n = self.shape[0]
+        m = np.linalg.inv(self.adjoint())
+        return QMatrix(m[:n, :n], m[:n, n:])
 
     def modulus(self) -> np.ndarray:
         """Entrywise |a_ij|, a real array of the matrix's shape."""

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from operator import itemgetter
-
-import numpy as np
 
 from .errors import DegenerateInputError, DomainError, UsageError
 from .tol import CLASSIFY_EPS, DEPENDENCE_EPS
@@ -129,11 +128,6 @@ class Quaternion(tuple):
                                      a2 / other, a3 / other))
         return self * _coerce(other).inverse()
 
-    # -- classification ----------------------------------------------
-    def is_real(self, eps: float = CLASSIFY_EPS) -> bool:
-        t = eps * abs(self)
-        return abs(self[1]) <= t and abs(self[2]) <= t and abs(self[3]) <= t
-
     def isclose(self, other: "Quaternion", tol: float = 1e-9) -> bool:
         return abs(self - other) <= tol * (1.0 + abs(self) + abs(other))
 
@@ -151,6 +145,8 @@ def _coerce(x) -> Quaternion:
         return _new(Quaternion, (float(x), 0.0, 0.0, 0.0))
     if isinstance(x, complex):
         return _new(Quaternion, (x.real, x.imag, 0.0, 0.0))
+    if isinstance(x, numbers.Complex):  # numpy scalars, after the hot path
+        return _coerce(complex(x))
     raise TypeError(f"cannot interpret {x!r} as a quaternion")
 
 
@@ -174,9 +170,6 @@ class ImVector3:
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def dot(self, other: "ImVector3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
     def cross(self, other: "ImVector3") -> "ImVector3":
         return ImVector3(
             self.y * other.z - self.z * other.y,
@@ -193,31 +186,6 @@ def negligible(x: float, scale: float) -> bool:
     """The imaginary-part rule: an imaginary part of size x counts as zero
     when it is at most CLASSIFY_EPS times the scale of its data."""
     return x <= CLASSIFY_EPS * scale
-
-
-def check_unit(q: Quaternion) -> Quaternion:
-    """Assert |q| = 1 within 1e-9 and return q renormalized exactly."""
-    n = abs(q)
-    if abs(n - 1.0) > 1e-9:
-        raise DomainError(f"expected unit quaternion, got |q| = {n}")
-    return q / n
-
-
-def rotation_matrix(mu: Quaternion) -> np.ndarray:
-    """The SO(3) matrix acting on imaginary parts by v -> conj(mu) v mu."""
-    mu = check_unit(mu)
-    u0, u1, u2, u3 = mu.a0, mu.a1, mu.a2, mu.a3
-    return np.array([
-        [u1 * u1 + u0 * u0 - u3 * u3 - u2 * u2,
-         2 * u1 * u2 + 2 * u0 * u3,
-         2 * u1 * u3 - 2 * u0 * u2],
-        [2 * u1 * u2 - 2 * u0 * u3,
-         u2 * u2 - u3 * u3 + u0 * u0 - u1 * u1,
-         2 * u2 * u3 + 2 * u0 * u1],
-        [2 * u1 * u3 + 2 * u0 * u2,
-         2 * u2 * u3 - 2 * u0 * u1,
-         u3 * u3 - u2 * u2 - u1 * u1 + u0 * u0],
-    ])
 
 
 def nu(v1: ImVector3) -> Quaternion:

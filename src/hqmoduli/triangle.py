@@ -20,13 +20,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError, InconsistencyError, UsageError
 from .gram import (Lifts, inertia, realize, span_dimension, triple_product,
                    triple_product_vanishes)
-from .hform import BALL, HVector, PairConfiguration, PointClass
+from .hform import BALL, HVector, PointClass
 from .positive import one_normalize
 from .qmatrix import QMatrix
-from .quat import Quaternion
 from .tol import DET_TOL, PRODUCT_EPS, UNIT_EPS
 
 
@@ -108,16 +109,12 @@ def triangle_params(*points) -> TriangleParams:
 
 
 def gram_from_params(params: TriangleParams) -> QMatrix:
+    """The normalized Gram matrix of the parameters, all of whose entries
+    lie in C."""
     r1, r2, r3, a = params.as_tuple()
-    g = QMatrix.eye(3)
-    g23 = Quaternion(r1 * math.cos(a), r1 * math.sin(a))
-    g.set_entry(0, 1, r3)
-    g.set_entry(1, 0, r3)
-    g.set_entry(0, 2, r2)
-    g.set_entry(2, 0, r2)
-    g.set_entry(1, 2, g23)
-    g.set_entry(2, 1, g23.conj())
-    return g
+    g23 = complex(r1 * math.cos(a), r1 * math.sin(a))
+    c1 = np.array([[1.0, r3, r2], [r3, 1.0, g23], [r2, g23.conjugate(), 1.0]])
+    return QMatrix(c1, np.zeros((3, 3), dtype=complex))
 
 
 def triangle_det(params: TriangleParams) -> float:
@@ -164,16 +161,3 @@ def classify_triangle(*points) -> TriangleClass:
     if sig == (2, 1):
         return TriangleClass.HYPERBOLIC_FULL
     raise InconsistencyError(f"impossible triangle signature {sig}")
-
-
-def side_from_r(r: float) -> PairConfiguration:
-    """Geometry of one side from its parameter r = |<p_a, p_b>|: the two
-    lines intersect at angle arccos r, are asymptotic (ideal), or are
-    ultraparallel at distance 2 arccosh r."""
-    if r < 0.0:
-        raise UsageError("side parameter must be nonnegative")
-    return PairConfiguration.from_t(r)
-
-
-def side_data(params: TriangleParams) -> tuple[PairConfiguration, ...]:
-    return tuple(side_from_r(r) for r in (params.r1, params.r2, params.r3))

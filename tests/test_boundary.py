@@ -235,7 +235,7 @@ def test_real_form_tuple_lands_in_real_stratum():
     coord = boundary_coordinate(real_null_tuple(4))
     assert coord.stratum == "Z_R"
     for q in coord.entries:
-        assert q.is_real(1e-8)
+        assert max(abs(q.a1), abs(q.a2), abs(q.a3)) <= 1e-8 * abs(q)
     assert coord.alpha <= 1e-8
 
 

@@ -12,10 +12,10 @@ from hqmoduli.boundary import cartan_invariant, vector_to_gram
 from hqmoduli.errors import DomainError, RealizationError, UsageError
 from hqmoduli import boundary, positive
 from hqmoduli.gram import (INERTIA_EPS, Inertia, Lifts, check_admissible, gram,
-                           inertia, permute_gram, realization_error, realize,
+                           inertia, realization_error, realize,
                            rescale_gram, span_dimension)
-from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify,
-                            form_matrix)
+from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, cayley_matrix,
+                            classify, form_matrix)
 from hqmoduli.qmatrix import QMatrix, strict_upper
 from hqmoduli.quat import ONE, Quaternion, quat
 from hqmoduli.tol import STRUCTURE_TOL
@@ -145,6 +145,15 @@ def test_cached_masks_and_indices_are_read_only():
     for index in (rows, cols):
         with pytest.raises(ValueError):
             index[0] = 1
+    for n in (1, 2, 4):
+        c = cayley_matrix(n)
+        assert cayley_matrix(n) is c
+        for part in (c.c1, c.c2):
+            with pytest.raises(ValueError):
+                part[0, 0] = 1.0
+        assert (c @ c - QMatrix.eye(n + 1)).norm() <= 1e-15
+        assert (c.h @ form_matrix(SIEGEL, n) @ c
+                - form_matrix(BALL, n)).norm() <= 1e-15
 
 
 def test_gram_isometry_invariant():
@@ -154,36 +163,6 @@ def test_gram_isometry_invariant():
     lhs = gram([g.apply(p) for p in pts])
     rhs = gram(pts)
     assert (lhs - rhs).norm() <= 1e-9 * (1 + rhs.norm())
-
-
-# ---------------------------------------------------------------------------
-# permutation action
-
-def test_permute_identity():
-    g = gram(random_regular_tuple(2, 3, seed=8))
-    assert (permute_gram(g, [0, 1, 2]) - g).norm() <= 1e-14
-
-
-def test_permute_matches_reordered_tuple():
-    pts = list(random_regular_tuple(2, 3, seed=9))
-    sigma = [2, 0, 1]
-    lhs = permute_gram(gram(pts), sigma)
-    rhs = gram([pts[i] for i in sigma])
-    assert (lhs - rhs).norm() <= 1e-12
-
-
-def test_permute_composition():
-    g = gram(random_regular_tuple(2, 4, seed=10))
-    s1, s2 = [1, 0, 3, 2], [2, 3, 1, 0]
-    comp = [s1[i] for i in s2]
-    lhs = permute_gram(permute_gram(g, s1), s2)
-    rhs = permute_gram(g, comp)
-    assert (lhs - rhs).norm() <= 1e-12
-
-
-def test_permute_rejects_non_permutation():
-    with pytest.raises(UsageError):
-        permute_gram(QMatrix.eye(3), [0, 0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ import pytest
 from hqmoduli.errors import DegenerateInputError, DomainError, UsageError
 from hqmoduli.gram import inertia, gram, realize
 from hqmoduli.hform import (BALL, SIEGEL, HVector, Isometry, PointClass,
-                            cayley, cayley_inverse, cayley_isometry, classify,
-                            dist_point_to_hyperplane, form_matrix, herm,
+                            cayley_isometry, classify, form_matrix, herm,
                             map_orthonormal_frames, orthogonal_complement_basis,
                             pair_configuration, pair_isometry, pair_moduli,
                             projective_distance, random_isometry,
@@ -87,7 +86,7 @@ def test_classify_zero_raises():
 # Cayley transform
 
 def test_cayley_null_stays_null():
-    z = cayley(ball(1, 0, 1))
+    z = to_model(ball(1, 0, 1), SIEGEL)
     assert z.model == SIEGEL
     assert classify(z) == PointClass.NULL
 
@@ -96,7 +95,7 @@ def test_cayley_round_trip():
     rng = np.random.default_rng(5)
     for _ in range(50):
         z = ball(*(random_quaternion(rng) for _ in range(4)))
-        back = cayley_inverse(cayley(z))
+        back = to_model(to_model(z, SIEGEL), BALL)
         assert (back.qm - z.qm).norm() <= 1e-12 * max(1.0, z.norm())
 
 
@@ -106,7 +105,7 @@ def test_cayley_preserves_herm():
         z = ball(*(random_quaternion(rng) for _ in range(3)))
         w = ball(*(random_quaternion(rng) for _ in range(3)))
         lhs = herm(z, w)
-        rhs = herm(cayley(z), cayley(w))
+        rhs = herm(to_model(z, SIEGEL), to_model(w, SIEGEL))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
@@ -266,41 +265,6 @@ def test_complement_basis_is_scale_invariant(n, model):
             for v in basis:
                 assert v.model == model
                 assert abs(herm(v, z)) <= 1e-12 * v.norm() * z.norm(), e
-
-
-def test_distance_zero_on_hyperplane():
-    p = ball(0, 1, 0)
-    z = ball(0.3, 0, 1)  # orthogonal to p
-    assert classify(z) == PointClass.NEGATIVE
-    assert dist_point_to_hyperplane(z, p) <= 1e-7
-
-
-def test_distance_formula_one_dimensional_slice():
-    p = ball(0, 1, 0)
-    for q in (Quaternion(0.3), Quaternion(0.1, 0.2, -0.3, 0.1)):
-        z = ball(0, q, 1)
-        rho = dist_point_to_hyperplane(z, p)
-        want = abs(q) ** 2 / (1 - abs(q) ** 2)
-        got = math.cosh(rho / 2.0) ** 2 - 1.0
-        assert abs(got - want) <= 1e-9 * (1 + want)
-
-
-def test_distance_isometry_invariant():
-    rng = np.random.default_rng(15)
-    g = random_isometry(2, seed=55)
-    for _ in range(20):
-        p = random_positive_point(2, rng)
-        z = ball(0, random_quaternion(rng, 0.3), 1)
-        if classify(z) != PointClass.NEGATIVE:
-            continue
-        d1 = dist_point_to_hyperplane(z, p)
-        d2 = dist_point_to_hyperplane(g.apply(z), g.apply(p))
-        assert abs(d1 - d2) <= 1e-8 * (1 + d1)
-
-
-def test_distance_rejects_wrong_classes():
-    with pytest.raises(DomainError):
-        dist_point_to_hyperplane(ball(0, 1, 0), ball(0, 1, 0))
 
 
 # ---------------------------------------------------------------------------

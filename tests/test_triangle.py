@@ -7,16 +7,19 @@ import math
 import numpy as np
 import pytest
 
+from hqmoduli.cli import build_parser
 from hqmoduli.errors import RealizationError, UsageError
 from hqmoduli.gram import (gram, inertia, realization_error, span_dimension,
                            triple_product, triple_product_vanishes)
-from hqmoduli.hform import BALL, SIEGEL, HVector, pair_configuration
+from hqmoduli.hform import (BALL, SIEGEL, HVector, PairConfiguration,
+                            pair_configuration)
+from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import I, Quaternion, quat
 from hqmoduli.sampling import (random_positive_point, random_regular_tuple,
                                random_rescaling)
 from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_triangle,
                                gram_from_params, normalize_triangle,
-                               realize_triangle, side_data, side_from_r,
+                               realize_triangle,
                                triangle_angular_invariant, triangle_det,
                                triangle_exists, triangle_params)
 
@@ -127,6 +130,25 @@ def test_params_round_trip_through_gram():
                                           1.3 * math.sin(1.1))) <= 1e-14
 
 
+def test_gram_from_params_matches_entrywise_reference():
+    # values, not sign bits: the entrywise build wrote conj(g23)'s zero
+    # j-part as -0.0
+    args = build_parser().parse_args(["triangle-sweep"])
+    rs = np.linspace(0.0, args.r_max, args.r_steps)
+    for r1, r2, r3, a in itertools.product(
+            rs, rs, rs, np.linspace(0.0, math.pi / 2, args.alpha_steps)):
+        prm = TriangleParams(float(r1), float(r2), float(r3), float(a))
+        want = QMatrix.eye(3)
+        g23 = Quaternion(prm.r1 * math.cos(prm.alpha),
+                         prm.r1 * math.sin(prm.alpha))
+        for i, j, q in ((0, 1, quat(prm.r3)), (0, 2, quat(prm.r2)), (1, 2, g23)):
+            want.set_entry(i, j, q)
+            want.set_entry(j, i, q.conj())
+        got = gram_from_params(prm)
+        assert np.array_equal(got.c1, want.c1), prm
+        assert np.array_equal(got.c2, want.c2), prm
+
+
 def test_params_validation():
     with pytest.raises(UsageError):
         TriangleParams(-0.1, 0.0, 0.0, 0.0)
@@ -231,16 +253,8 @@ def test_classify_under_opposite_vertex_scales(model):
 # side geometry
 
 def test_side_from_r_cases():
-    cfg = side_from_r(0.0)
+    cfg = PairConfiguration.from_t(0.0)
     assert cfg.kind == "intersecting" and abs(cfg.angle - math.pi / 2) <= 1e-12
-    assert side_from_r(1.0).kind == "asymptotic"
-    cfg = side_from_r(math.cosh(1.5))
+    assert PairConfiguration.from_t(1.0).kind == "asymptotic"
+    cfg = PairConfiguration.from_t(math.cosh(1.5))
     assert cfg.kind == "ultraparallel" and abs(cfg.distance - 3.0) <= 1e-12
-    with pytest.raises(UsageError):
-        side_from_r(-0.5)
-
-
-def test_side_data_order():
-    prm = TriangleParams(math.cosh(1.5), 1.0, 0.2, 0.0)
-    kinds = [c.kind for c in side_data(prm)]
-    assert kinds == ["ultraparallel", "asymptotic", "intersecting"]
