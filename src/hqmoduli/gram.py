@@ -9,9 +9,13 @@ Congruence acts by G -> D* G D for an invertible right factor D.
 Both the inertia and the realization read the spectrum of the complex
 adjoint of G, in which every eigenvalue of G appears twice.  The
 eigenvalues are paired before they are compared with the zero threshold,
-so `inertia` and `realize` make the same rank decision; `realize` builds
-P = F sqrt|L| Q* from the eigendecomposition G = Q L Q* of
-`QMatrix.eigh`, the helper the frame constructions of `hform` share.
+so `inertia` and `realize` make the same rank decision.  `realize` builds
+P = F sqrt|L| Q* straight from the complex parts of Q, where G = Q L Q* is
+the one eigendecomposition of `QMatrix.eigh`, which the frame constructions
+of `hform` share: Q is read off the even eigenvectors of the adjoint, and
+a symplectic Gram-Schmidt runs only when a repeated eigenvalue leaves
+those vectors short of a quaternion frame (not once on the default
+triangle-sweep grid).
 """
 
 from __future__ import annotations
@@ -182,7 +186,8 @@ def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
 
     # g = Q diag(l) Q* with Q unitary, so P = F sqrt|l| Q* has P* J P = g
     # when F (ball model) puts the positive eigenvalues on distinct
-    # coordinates 0..n_plus-1 and the negative one on coordinate n.
+    # coordinates 0..n_plus-1 and the negative one on coordinate n.  F is
+    # real and Q* = C1^H - C2^T j, so P = F C1^H - (F C2^T) j.
     f = np.zeros((n + 1, m))
     next_pos = 0
     for t, lt in enumerate(lam[pair]):
@@ -191,7 +196,7 @@ def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
             next_pos += 1
         elif lt < 0:
             f[n, t] = math.sqrt(-lt)
-    p = QMatrix.real(f) @ q.h
+    p = QMatrix(f @ q.c1.conj().T, -(f @ q.c2.T))
 
     # Kernel directions of g leave columns that may coincide (or vanish,
     # for an all-zero row).  When the signature leaves room for a null

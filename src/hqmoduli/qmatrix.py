@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import UsageError
 from .quat import Quaternion, quat
-from .tol import INERTIA_EPS
+from .tol import INERTIA_EPS, PARTNER_EPS
 
 
 class QMatrix:
@@ -170,23 +170,22 @@ class QMatrix:
         index k of its eigenvalue pair (w[2k], w[2k+1]).
 
         An adjoint eigenvector (a; b) is the quaternion column a - conj(b) j;
-        its partner (-conj b; conj a) belongs to the same eigenvalue.  Each
-        step takes the first adjoint eigenvector whose part outside the
-        chosen vectors and their partners is at least half the largest such
-        part, then projects the pair out of the rest (symplectic
-        Gram-Schmidt), so repeated eigenvalues give independent columns."""
+        its partner (-conj b; conj a) belongs to the same eigenvalue.  When
+        the eigenvalues of A are distinct, the two-dimensional eigenspace of
+        each pair (w[2k], w[2k+1]) holds the partner of its first vector, so
+        the even eigenvectors v[:, 0::2] = (X; Y) give Q directly, column k
+        with pair k.  They are orthonormal, so Q is unitary exactly when
+        each is orthogonal to the partners of the others, that is when
+        X^T Y - Y^T X vanishes, which is decided at PARTNER_EPS.  A repeated
+        eigenvalue may put a vector and its partner among the even ones;
+        then `_symplectic_gram_schmidt` picks the columns instead."""
         w, v = np.linalg.eigh(self.adjoint())
         m = self.shape[0]
-        x, source = np.empty((2 * m, m), dtype=complex), np.empty(m, dtype=int)
-        for s in range(m):
-            size = np.einsum("ij,ij->j", v.conj(), v).real
-            t = int(np.argmax(size >= 0.5 * size.max()))
-            x[:, s] = v[:, t] / math.sqrt(size[t])
-            pair = np.column_stack([x[:, s], np.concatenate(
-                [-np.conj(x[m:, s]), np.conj(x[:m, s])])])
-            v = v - pair @ (pair.conj().T @ v)
-            source[s] = t
-        return w, QMatrix(x[:m], -np.conj(x[m:])), source // 2
+        x, pair = v[:, 0::2], np.arange(m)
+        d = x[:m].T @ x[m:]
+        if abs(d - d.T).max(initial=0.0) > PARTNER_EPS:
+            x, pair = _symplectic_gram_schmidt(v)
+        return w, QMatrix(x[:m], -np.conj(x[m:])), pair
 
     def rank(self) -> int:
         """Quaternionic rank of the columns, by `adjoint_rank`."""
@@ -213,6 +212,26 @@ def strict_upper(m: int) -> np.ndarray:
     mask = np.arange(m)[:, None] < np.arange(m)
     mask.flags.writeable = False
     return mask
+
+
+def _symplectic_gram_schmidt(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal adjoint vectors x[:, s], one per quaternion column, from
+    the (2m, 2m) adjoint eigenvectors v, and the eigenvalue pair of each.
+    Each step takes the first eigenvector whose part outside the chosen
+    vectors and their partners is at least half the largest such part,
+    then projects the pair out of the rest, so repeated eigenvalues give
+    independent columns."""
+    m = v.shape[0] // 2
+    x, source = np.empty((2 * m, m), dtype=complex), np.empty(m, dtype=int)
+    for s in range(m):
+        size = np.einsum("ij,ij->j", v.conj(), v).real
+        t = int(np.argmax(size >= 0.5 * size.max()))
+        x[:, s] = v[:, t] / math.sqrt(size[t])
+        pair = np.column_stack([x[:, s], np.concatenate(
+            [-np.conj(x[m:, s]), np.conj(x[:m, s])])])
+        v = v - pair @ (pair.conj().T @ v)
+        source[s] = t
+    return x, source // 2
 
 
 def format_quat(q: Quaternion) -> str:

@@ -122,11 +122,15 @@ class Quaternion(tuple):
         return _coerce(other) * self
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            a0, a1, a2, a3 = self
-            return _new(Quaternion, (a0 / other, a1 / other,
-                                     a2 / other, a3 / other))
-        return self * _coerce(other).inverse()
+        """Componentwise for a real divisor, which a numpy scalar meets as
+        a Python float; self times the inverse otherwise."""
+        if not isinstance(other, (int, float)):
+            if not isinstance(other, numbers.Real):
+                return self * _coerce(other).inverse()
+            other = float(other)
+        a0, a1, a2, a3 = self
+        return _new(Quaternion, (a0 / other, a1 / other,
+                                 a2 / other, a3 / other))
 
     def isclose(self, other: "Quaternion", tol: float = 1e-9) -> bool:
         return abs(self - other) <= tol * (1.0 + abs(self) + abs(other))

@@ -13,5 +13,6 @@ SEMI_TOL = 1e-8        # of 1: a semi-normalized entry equal to 0 or 1
 ORTHOGONAL_TOL = 1e-7  # of the lift norm: a lift orthogonal to the null direction
 STRUCTURE_TOL = 1e-8   # of the matrix norm: a caller's matrix Hermitian or a frame
 ISOMETRY_TOL = 1e-9    # of n + 1, Frobenius: g* J g = J
+PARTNER_EPS = 1e-12    # of 1, unit eigenvectors: a frame without Gram-Schmidt
 DET_TOL = 1e-12        # of 1, the unit-diagonal Gram: det G <= 0
 COORD_TOL = 1e-8       # of 1, the unit-free coordinates: two coordinates agree

@@ -2,22 +2,23 @@
 
 import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqmoduli.boundary import cartan_invariant, vector_to_gram
 from hqmoduli.errors import DomainError, RealizationError, UsageError
-from hqmoduli import boundary, positive
+from hqmoduli import boundary, positive, qmatrix
 from hqmoduli.gram import (INERTIA_EPS, Inertia, Lifts, check_admissible, gram,
                            inertia, realization_error, realize,
                            rescale_gram, span_dimension)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, cayley_matrix,
                             classify, form_matrix)
 from hqmoduli.qmatrix import QMatrix, strict_upper
-from hqmoduli.quat import ONE, Quaternion, quat
+from hqmoduli.quat import Quaternion, quat
 from hqmoduli.tol import STRUCTURE_TOL
 from hqmoduli.positive import tuple_coordinate
 from hqmoduli.sampling import (random_null_point, random_null_tuple,
@@ -363,6 +364,83 @@ def test_realize_repeated_eigenvalues(lam, seed, diagonal):
                          ids=["cI3", "all_ones3", "cI4"])
 def test_realize_repeated_eigenvalues_examples(g):
     assert_realizes(g, g.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# QMatrix.eigh: the even adjoint eigenvectors, Gram-Schmidt on repeated ones
+
+def with_spectrum(lam, seed):
+    """U diag(lam) U* with U from eigh of a random Hermitian matrix, or
+    diag(lam) itself (standard basis eigenvectors) when seed is None."""
+    g = QMatrix.real(np.diag(lam))
+    if seed is None:
+        return g
+    x = random_qmatrix(np.random.default_rng(seed), (len(lam),) * 2)
+    _, u, _ = (x + x.h).eigh()
+    return u @ g @ u.h
+
+
+def eigh_fallbacks(g):
+    """g.eigh() and the number of Gram-Schmidt fallbacks it made."""
+    with mock.patch.object(qmatrix, "_symplectic_gram_schmidt",
+                           wraps=qmatrix._symplectic_gram_schmidt) as gs:
+        return g.eigh(), gs.call_count
+
+
+@st.composite
+def spectra(draw):
+    """(lam, repeated, seed): m in 1..8 eigenvalues, distinct integers or
+    a few values of which at least one repeats, times a power of ten."""
+    m = draw(st.integers(1, 8))
+    repeated = m > 1 and draw(st.booleans())
+    if repeated:
+        values = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=m - 1,
+                               unique=True))
+        lam = values + draw(st.lists(st.sampled_from(values),
+                                     min_size=m - len(values),
+                                     max_size=m - len(values)))
+    else:
+        lam = draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m,
+                            unique=True))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    seed = draw(st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)))
+    return [scale * x for x in lam], repeated, seed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spectra())
+@example(([1.0, 1.0, 1.0], True, None))
+@example(([1.0, 1.0, 1.0], True, 5))
+@example(([1.0, 0.0, 0.0], True, None))
+@example(([1.0, 0.0, 0.0, 0.0], True, 6))
+@example(([0.0, 0.0], True, 7))
+def test_eigh_gives_a_unitary_frame_of_eigenvectors(case):
+    lam, repeated, seed = case
+    g = with_spectrum(lam, seed)
+    (w, q, pair), fallbacks = eigh_fallbacks(g)
+    m, tol = len(lam), 1e-12 * max(1.0, g.norm())
+    own = 0.5 * (w[0::2] + w[1::2])[pair]
+    assert (q.h @ q - QMatrix.eye(m)).norm() <= tol
+    assert (q @ QMatrix.real(np.diag(own)) @ q.h - g).norm() <= tol
+    # column k is an eigenvector of the eigenvalue of its pair
+    assert (g @ q - QMatrix(q.c1 * own, q.c2 * own)).norm() <= tol
+    assert fallbacks <= (1 if repeated else 0)
+
+
+def test_eigh_falls_back_only_on_repeated_spectra():
+    rng = np.random.default_rng(12)
+    counts = {True: 0, False: 0}
+    for trial in range(200):
+        m = 2 + trial % 7
+        lam = rng.permutation(np.arange(-m, m))[:m] * 0.5
+        counts[False] += eigh_fallbacks(with_spectrum(lam, trial))[1]
+        lam[1:] = lam[rng.integers(0, 2, m - 1)]
+        lam[1] = lam[0]
+        counts[True] += eigh_fallbacks(with_spectrum(lam, trial))[1]
+    assert counts[False] == 0
+    assert counts[True] > 0
+    # the standard basis of I_2 pairs e_1 with its partner
+    assert eigh_fallbacks(QMatrix.eye(2))[1] == 1
 
 
 # ---------------------------------------------------------------------------

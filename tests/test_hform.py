@@ -15,7 +15,7 @@ from hqmoduli.hform import (BALL, SIEGEL, HVector, Isometry, PointClass,
                             self_product, to_model, verify_isometry)
 from hqmoduli.positive import positive_coordinate
 from hqmoduli.qmatrix import QMatrix
-from hqmoduli.quat import I, ONE, Quaternion
+from hqmoduli.quat import ONE, Quaternion
 from hqmoduli.sampling import (random_null_point, random_parabolic_tuple,
                                random_positive_point, random_quaternion,
                                random_unit_quaternion)

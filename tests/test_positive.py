@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hqmoduli.errors import DomainError, InconsistencyError
-from hqmoduli.gram import gram, inertia, realize, rescale_gram, span_dimension
+from hqmoduli.gram import gram, inertia, realize, span_dimension
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify, herm,
                             pair_configuration, random_isometry, to_model)
 from hqmoduli.positive import (INFINITY, ZERO_EPS, _nonzero_products,
@@ -16,7 +16,7 @@ from hqmoduli.positive import (INFINITY, ZERO_EPS, _nonzero_products,
                                parabolic_coordinates, positive_coordinate,
                                regular_coordinate)
 from hqmoduli.qmatrix import QMatrix
-from hqmoduli.quat import I, J, ONE, Quaternion, quat
+from hqmoduli.quat import ONE, Quaternion, quat
 from hqmoduli.sampling import (random_null_tuple, random_parabolic_tuple,
                                random_quaternion, random_regular_tuple,
                                random_rescaling)

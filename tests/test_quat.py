@@ -111,6 +111,16 @@ def test_numpy_scalars_act_as_reals():
         assert type(q * x) is Quaternion and (q * x).isclose(q * 2.0, 0.0)
 
 
+def test_division_by_numpy_reals_is_componentwise():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        q = Quaternion(*rng.normal(size=4).tolist())
+        assert q / np.int64(3) == q / 3.0
+        assert q / np.float32(3.0) == q / 3.0
+        assert q / np.float64(3.0) == q / 3.0
+        assert all(type(x) is float for x in q / np.float32(3.0))
+
+
 # ---------------------------------------------------------------------------
 # nu
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from hqmoduli import qmatrix
 from hqmoduli.cli import build_parser
 from hqmoduli.errors import RealizationError, UsageError
 from hqmoduli.gram import (gram, inertia, realization_error, span_dimension,
@@ -147,6 +148,25 @@ def test_gram_from_params_matches_entrywise_reference():
         got = gram_from_params(prm)
         assert np.array_equal(got.c1, want.c1), prm
         assert np.array_equal(got.c2, want.c2), prm
+
+
+def test_eigh_fallback_never_fires_on_the_default_sweep_grid(monkeypatch):
+    # every 7th of the 80,000 cells: 11,429 cells, 0 Gram-Schmidt
+    # fallbacks (the full grid gives 0 too, in about 4 s)
+    calls = []
+    gs = qmatrix._symplectic_gram_schmidt
+    monkeypatch.setattr(qmatrix, "_symplectic_gram_schmidt",
+                        lambda v: calls.append(1) or gs(v))
+    args = build_parser().parse_args(["triangle-sweep"])
+    rs = np.linspace(0.0, args.r_max, args.r_steps)
+    cells = list(itertools.product(
+        rs, rs, rs, np.linspace(0.0, math.pi / 2, args.alpha_steps)))
+    assert len(cells) == 80_000
+    for cell in cells[::7]:
+        gram_from_params(TriangleParams(*map(float, cell))).eigh()
+    assert len(calls) == 0
+    QMatrix.eye(2).eigh()  # the counter sees a fallback that does fire
+    assert len(calls) == 1
 
 
 def test_params_validation():
