@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, InconsistencyError, UsageError
-from .gram import Lifts, inertia, rescale_gram, triple_product, triple_product_vanishes
+from .errors import DegenerateInputError, InconsistencyError, UsageError
+from .gram import Lifts, inertia, rescale_gram, triple_product
 from .hform import HVector, PointClass
 from .qmatrix import QMatrix, strict_upper
 from .quat import ONE, J, Quaternion, negligible, nu, quat, rotation_normalize_vector
@@ -80,10 +80,9 @@ def _nonvanishing(lifts: Lifts) -> None:
 
 def cartan_invariant(p1: HVector, p2: HVector, p3: HVector) -> float:
     """Angular invariant arccos(Re(-T)/|T|) in [0, pi/2] of a triple of
-    distinct null points, T the triple Hermitian product."""
+    distinct null points, T the triple Hermitian product, which is nonzero
+    because no pairwise product vanishes."""
     lifts = Lifts([p1, p2, p3]).validated(PointClass.NULL, 3, _nonvanishing)
-    if triple_product_vanishes(lifts.g, lifts):
-        raise DomainError("triple product vanishes; points not distinct")
     t = triple_product(lifts.g)
     return math.acos(max(-1.0, min(1.0, -t.re() / abs(t))))
 

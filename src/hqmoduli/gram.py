@@ -109,12 +109,6 @@ def triple_product(g: QMatrix) -> Quaternion:
     return g.entry(0, 1) * g.entry(1, 2) * g.entry(2, 0)
 
 
-def triple_product_vanishes(g: QMatrix, points) -> bool:
-    """True when |<p1, p2, p3>| <= PRODUCT_EPS (|p1| |p2| |p3|)^2."""
-    scale = math.prod(p.norm() for p in points) ** 2
-    return abs(triple_product(g)) <= PRODUCT_EPS * scale
-
-
 def rescale_gram(g: QMatrix, lambdas) -> QMatrix:
     """Gram matrix of the rescaled tuple (p_1 lambda_1, ...):
     D* G D with D = diag(lambdas), that is conj(lambda_a) g_ab lambda_b

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, UsageError
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, adjoint_rank
 from .quat import Quaternion
 from .tol import (COORD_TOL, INERTIA_EPS, ISOMETRY_TOL, NULL_EPS, PRODUCT_EPS,
                   STRUCTURE_TOL)
@@ -353,13 +353,6 @@ def _null_partner(z: QMatrix, j: QMatrix, frame=()) -> QMatrix:
     return w - z.scale(_self(w, j) / 2.0)
 
 
-def null_partner(z: HVector) -> HVector:
-    """For null z, a null w with <z, w> = 1 (and <w, w> = 0)."""
-    if classify(z) != PointClass.NULL:
-        raise DomainError("null_partner needs a null vector")
-    return HVector(_null_partner(z.qm, form_matrix(z.model, z.n)), z.model)
-
-
 def orthogonal_complement_basis(z: HVector) -> tuple[HVector, ...]:
     """Structured basis of z^perp: see the trichotomy on the sign of
     <z, z>.  For nonnull z it is J-orthonormal, the positives first, then
@@ -409,7 +402,7 @@ def pair_moduli(p1: HVector, p2: HVector) -> float:
 
 def pair_configuration(p1: HVector, p2: HVector) -> PairConfiguration:
     t = pair_moduli(p1, p2)
-    if columns([p1, p2]).rank() < 2:
+    if adjoint_rank(columns([p1, p2]).adjoint()) < 2:
         raise DegenerateInputError("pair has equal projections")
     return PairConfiguration.from_t(t)
 

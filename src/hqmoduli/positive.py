@@ -27,9 +27,10 @@ import numpy as np
 from .boundary import Coordinate, boundary_coordinate
 from .errors import DegenerateInputError, DomainError, InconsistencyError
 from .gram import Lifts, inertia, rescale_gram, span_dimension, unit_diagonal
-from .hform import HVector, PointClass, form_matrix, null_partner
+from .hform import PointClass, form_matrix
 from .qmatrix import QMatrix, adjoint_rank, strict_upper
-from .quat import ONE, Quaternion, negligible, nu, quat, rotation_normalize_vector
+from .quat import (ONE, Quaternion, canonical_sign, negligible, nu, quat,
+                   rotation_normalize_vector)
 from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS, ZERO_EPS
 
 
@@ -71,7 +72,7 @@ def _partitioned(points) -> Lifts:
     return lifts
 
 
-def _nonzero_products(g: QMatrix) -> np.ndarray:
+def nonzero_products(g: QMatrix) -> np.ndarray:
     """The zero-product rule: entry (a, b) is True when |g_ab| exceeds
     ZERO_EPS times the largest |g_ab|."""
     mod = g.modulus()
@@ -124,7 +125,7 @@ def one_normalize(points):
     g0 = lifts.g
     m = len(lifts)
 
-    nz = _nonzero_products(lifts.unit)
+    nz = nonzero_products(lifts.unit)
     d = _align(g0, [(0, t) for t in range(1, m) if nz[0, t]])
     if m >= 3:
         g23 = d[1].conj() * g0.entry(1, 2) * d[2]
@@ -190,7 +191,7 @@ def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
 def _partition(u: QMatrix, span_dim):
     """The zero pattern of a unit-diagonal u and its `detect_partition`,
     asking `span_dim()` for the span only when no eigenvalue is negative."""
-    nz = _nonzero_products(u)
+    nz = nonzero_products(u)
     blocks = _components(nz)
     iner = inertia(u)
     if iner.n_minus == 0 and iner.rank == span_dim() - 1:
@@ -263,11 +264,14 @@ def parabolic_coordinates(points) -> Coordinate:
     the rotation-normalized vector of horospherical cross ratios.
 
     Each point carries a height k = <p, w> along the shared null
-    direction z0, with w a null partner of z0 (moving z0 to the point at
-    infinity of the Siegel domain, k is the first coordinate).  Blocks of
-    size s >= 3 contribute the quotients (k_1 - k_t)(k_2 - k_t)^{-1},
-    t = 3..s.  Inside a block the lifts differ by right multiples of z0,
-    so these quotients do not depend on the choice of w.
+    direction z0, with w the null partner Jz0/|z0|^2 - z0 <w, w>/2 of z0
+    (moving z0 to the point at infinity of the Siegel domain, k is the
+    first coordinate).  J^2 = I and <p, z0> = 0 make k = z0* p / |z0|^2,
+    and the heights are read as z0* p: blocks of size s >= 3 contribute
+    the quotients (k_1 - k_t)(k_2 - k_t)^{-1}, t = 3..s, which a common
+    real factor leaves unchanged.  Inside a block the lifts differ by
+    right multiples of z0, so these quotients do not depend on the choice
+    of w.
     """
     lifts = _partitioned(points)
     structure = lifts.structure
@@ -276,15 +280,13 @@ def parabolic_coordinates(points) -> Coordinate:
 
     p = _parabolic_lifts(lifts)
     big = next(b for b in structure.blocks if len(b) >= 2)
-    z0 = p.col(big[1]) - p.col(big[0])
-    jp = form_matrix(lifts[0].model, lifts[0].n) @ p
-    orth = (z0.h @ jp).modulus()[0]
+    z0h = (p.col(big[1]) - p.col(big[0])).h
+    orth = (z0h @ (form_matrix(lifts[0].model, lifts[0].n) @ p)).modulus()[0]
     if np.any(orth > ORTHOGONAL_TOL * np.linalg.norm(p.modulus(), axis=0)):
         raise InconsistencyError(
             "a lift is not orthogonal to the shared null direction")
 
-    w = null_partner(HVector(z0, lifts[0].model))
-    ks = (w.qm.h @ jp).to_entries()[0]
+    ks = (z0h @ p).to_entries()[0]
     x = []
     for blk in structure.blocks:
         for t in blk[2:]:
@@ -338,10 +340,7 @@ def _pin(u: Quaternion, kind: str, right: bool) -> Quaternion:
             ph = abs(c1) / c1 if right else c1 / abs(c1)
         return Quaternion(ph.real, ph.imag)
     # kind == "sign"
-    for comp in (u.a0, u.a1, u.a2, u.a3):
-        if comp != 0.0:
-            return ONE if comp > 0.0 else -ONE
-    return ONE
+    return ONE if canonical_sign(u) == u else -ONE
 
 
 def _residual_kind(tag: str) -> str:

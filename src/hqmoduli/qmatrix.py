@@ -151,7 +151,7 @@ class QMatrix:
         """Frobenius norm."""
         return float(np.linalg.norm(self.modulus()))
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
+    def is_hermitian(self, tol: float) -> bool:
         """||A - A*|| <= tol ||A|| in the Frobenius norm, read off C1 and
         C2 directly: A* = C1^H - C2^T j."""
         c1, c2 = self.c1, self.c2
@@ -186,10 +186,6 @@ class QMatrix:
         if abs(d - d.T).max(initial=0.0) > PARTNER_EPS:
             x, pair = _symplectic_gram_schmidt(v)
         return w, QMatrix(x[:m], -np.conj(x[m:])), pair
-
-    def rank(self) -> int:
-        """Quaternionic rank of the columns, by `adjoint_rank`."""
-        return int(adjoint_rank(self.adjoint()))
 
     def __repr__(self) -> str:
         rows = self.to_entries()

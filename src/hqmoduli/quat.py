@@ -132,7 +132,7 @@ class Quaternion(tuple):
         return _new(Quaternion, (a0 / other, a1 / other,
                                  a2 / other, a3 / other))
 
-    def isclose(self, other: "Quaternion", tol: float = 1e-9) -> bool:
+    def isclose(self, other: "Quaternion", tol: float) -> bool:
         return abs(self - other) <= tol * (1.0 + abs(self) + abs(other))
 
 

@@ -16,20 +16,14 @@ from .quat import ONE, Quaternion, quat
 MAX_RETRIES = 64
 
 
-def random_quaternion(rng, scale: float = 1.0) -> Quaternion:
-    return Quaternion(*(rng.normal(size=4) * scale))
+def random_quaternion(rng) -> Quaternion:
+    return Quaternion(*rng.normal(size=4))
 
 
 def random_unit_quaternion(rng) -> Quaternion:
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
     return Quaternion(*v)
-
-
-def _to_requested(points, model):
-    if points[0].model == model:
-        return points
-    return tuple(to_model(p, model) for p in points)
 
 
 def random_null_point(n: int, rng, model: str = BALL) -> HVector:
@@ -48,7 +42,7 @@ def random_null_tuple(n: int, m: int, seed, model: str = BALL):
     for _ in range(MAX_RETRIES):
         pts = tuple(random_null_point(n, rng, BALL) for _ in range(m))
         if np.all(gram(pts).modulus()[np.triu_indices(m, 1)] > 1e-4):
-            return _to_requested(pts, model)
+            return tuple(to_model(p, model) for p in pts)
     raise UsageError("failed to sample a nondegenerate null tuple")
 
 
@@ -72,7 +66,7 @@ def random_regular_tuple(n: int, m: int, seed, model: str = BALL):
     for _ in range(MAX_RETRIES):
         pts = tuple(random_positive_point(n, rng, BALL) for _ in range(m))
         if inertia(gram(pts)).rank == span_dimension(pts):
-            return _to_requested(pts, model)
+            return tuple(to_model(p, model) for p in pts)
     raise UsageError("failed to sample a regular tuple")
 
 
@@ -113,20 +107,14 @@ def random_parabolic_tuple(n: int, m: int, seed, model: str = SIEGEL,
             entries = [h] + [quat(0)] * (n - 1) + [quat(0)]
             entries[1 + i] = ONE
             pts.append(HVector.from_entries(entries, SIEGEL))
-    pts = tuple(pts)
-    return _to_requested(pts, model)
+    return tuple(to_model(p, model) for p in pts)
 
 
-def random_rescaling(m: int, seed, unit: bool = False):
+def random_rescaling(m: int, seed):
     """m nonzero quaternions for a diagonal rescaling of a tuple."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(m):
-        q = random_unit_quaternion(rng)
-        if not unit:
-            q = q * float(rng.uniform(0.2, 5.0))
-        out.append(q)
-    return out
+    return [random_unit_quaternion(rng) * float(rng.uniform(0.2, 5.0))
+            for _ in range(m)]
 
 
 def random_tuple(kind: str, n: int, m: int, seed, model: str = BALL):

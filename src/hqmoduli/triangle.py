@@ -23,12 +23,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InconsistencyError, UsageError
-from .gram import (Lifts, inertia, realize, span_dimension, triple_product,
-                   triple_product_vanishes)
+from .gram import Lifts, inertia, realize, span_dimension, triple_product
 from .hform import BALL, HVector, PointClass
-from .positive import one_normalize
+from .positive import nonzero_products, one_normalize
 from .qmatrix import QMatrix
-from .tol import DET_TOL, PRODUCT_EPS, UNIT_EPS
+from .tol import DET_TOL, UNIT_EPS
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,12 @@ def _vertices(points) -> Lifts:
 
 def triangle_angular_invariant(*points) -> float:
     """arccos(Re T / |T|) in [0, pi] for the triple product T of a
-    positive triple; pi/2 when T vanishes.  Invariant under
-    permutations, rescalings and isometries.  The pi/2 fallback for a
-    vanishing T (some pairwise product vanishes) conflates it with
-    Re T = 0."""
+    positive triple; pi/2 when T vanishes, that is when the zero-product
+    rule of the partition marks some pairwise product as zero.  Invariant
+    under permutations, rescalings and isometries.  The pi/2 fallback
+    conflates a vanishing T with Re T = 0."""
     lifts = _vertices(points)
-    if triple_product_vanishes(lifts.g, lifts):
+    if not nonzero_products(lifts.unit).all():
         return math.pi / 2.0
     t = triple_product(lifts.g)
     return math.acos(max(-1.0, min(1.0, t.re() / abs(t))))
@@ -97,13 +96,16 @@ def normalize_triangle(*points) -> QMatrix:
 
 def triangle_params(*points) -> TriangleParams:
     """(r1, r2, r3; alpha) read off the normalized Gram matrix; alpha is
-    recorded as 0 when g_23 = 0 leaves it undetermined."""
-    g = normalize_triangle(*points)
+    recorded as 0 when g_23 = 0, by the zero-product rule of the
+    partition, leaves it undetermined."""
+    lifts = _vertices(points)
+    g = normalize_triangle(lifts)
     r3 = max(0.0, g.entry(0, 1).re())
     r2 = max(0.0, g.entry(0, 2).re())
     g23 = g.entry(1, 2)
     r1 = abs(g23)
-    alpha = math.atan2(g23.a1, g23.a0) if r1 > PRODUCT_EPS else 0.0
+    alpha = (math.atan2(g23.a1, g23.a0) if nonzero_products(lifts.unit)[1, 2]
+             else 0.0)
     alpha = min(max(alpha, 0.0), math.pi)
     return TriangleParams(r1, r2, r3, alpha)
 

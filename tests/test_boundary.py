@@ -78,6 +78,19 @@ def test_cartan_rejects_coincident_points():
         cartan_invariant(z, z, HVector.from_entries([0, 1, 1], BALL))
 
 
+@pytest.mark.parametrize("d", [1e-2, 1e-3])
+def test_cartan_invariant_of_close_distinct_points(d):
+    # pairwise products of order d^2 pass the pairwise check, so the
+    # triple product, of order d^6, is nonzero however small it is
+    pts = [HVector.from_entries([math.cos(t), Quaternion(math.sin(t) * math.cos(ph),
+                                                         math.sin(t) * math.sin(ph)),
+                                 1.0], BALL)
+           for t, ph in ((0.0, 0.0), (d, 0.3), (2 * d, 1.1))]
+    alpha = boundary_coordinate(pts).alpha
+    assert abs(alpha - 0.9138) <= 1e-4
+    assert abs(cartan_invariant(*pts) - alpha) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # semi-normalization
 

@@ -189,7 +189,7 @@ def test_inertia_sylvester_stability():
             col = s.col(t).right_scalar(u)
             s.c1[:, t] = col.c1[:, 0]
             s.c2[:, t] = col.c2[:, 0]
-        s.set_entry(0, 1, random_quaternion(rng, 0.5))
+        s.set_entry(0, 1, random_quaternion(rng) * 0.5)
         assert inertia(s.h @ (g @ s)).as_tuple() == inertia(g).as_tuple()
 
 

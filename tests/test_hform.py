@@ -363,7 +363,7 @@ def test_pair_isometry_maps_asymptotic_pairs(n, model):
         g0 = random_isometry(n, seed=2000 + seed, model=model)
         q1 = g0.apply(p1).rescale(random_quaternion(rng) + 2.0)
         q2 = g0.apply(p2).rescale(random_quaternion(rng) + 2.0)
-        p1 = p1.rescale(random_quaternion(rng, 1e-3))
+        p1 = p1.rescale(random_quaternion(rng) * 1e-3)
         g = pair_isometry(p1, p2, q1, q2)
         assert g.model == model
         assert verify_isometry(g) <= 1e-9

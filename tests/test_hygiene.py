@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is used in the module importing it."""
+"""Source hygiene: every imported name is used in the module importing it,
+and every threshold of the package is a name in tol.py."""
 
 import ast
 import pathlib
@@ -8,6 +9,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in [*(ROOT / "src" / "hqmoduli").glob("*.py"),
                              *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")
+# where small literals are not thresholds: the thresholds themselves, the
+# samplers' draw constants and the draw checks of random_isometry
+LITERAL_MODULES = {"tol.py", "sampling.py"}
+LITERAL_FUNCTIONS = {"hform.py": {"random_isometry"}}
 
 
 def _annotations(tree: ast.Module):
@@ -52,3 +57,34 @@ def test_unused_import_scan_catches_a_dead_name():
                      "def f(x: 'list[Q]') -> int:\n    return sep\n")
     assert unused_imports(tree) == ["R (line 4)", "math (line 2)",
                                     "path (line 3)"]
+
+
+def small_float_literals(tree: ast.Module, skip=()) -> list[str]:
+    """Float literals x with 0 < |x| < 1e-2, the size of a threshold,
+    outside the functions named in `skip`."""
+    skipped = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name in skip
+               for node in ast.walk(fn)}
+    return [f"{node.value!r} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0.0 < abs(node.value) < 1e-2 and id(node) not in skipped]
+
+
+def test_every_threshold_is_named_in_tol():
+    found = {p.name: small
+             for p in (ROOT / "src" / "hqmoduli").glob("*.py")
+             if p.name not in LITERAL_MODULES
+             and (small := small_float_literals(
+                 ast.parse(p.read_text()), LITERAL_FUNCTIONS.get(p.name, ())))}
+    assert not found, f"unnamed thresholds: {found}"
+
+
+def test_threshold_scan_catches_a_planted_literal():
+    tree = ast.parse("X = 1.0\ndef f(tol=1e-9):\n    return 2e-3 + 0.0\n"
+                     "def random_isometry():\n    return -1e-6\n"
+                     "Y = -0.5e-2 + 1e-2 + 3\n")
+    assert small_float_literals(tree, {"random_isometry"}) == [
+        "1e-09 (line 2)", "0.002 (line 3)", "0.005 (line 6)"]
+    assert small_float_literals(tree) == [
+        "1e-09 (line 2)", "0.002 (line 3)", "1e-06 (line 5)",
+        "0.005 (line 6)"]

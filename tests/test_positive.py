@@ -10,7 +10,7 @@ from hqmoduli.errors import DomainError, InconsistencyError
 from hqmoduli.gram import gram, inertia, realize, span_dimension
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify, herm,
                             pair_configuration, random_isometry, to_model)
-from hqmoduli.positive import (INFINITY, ZERO_EPS, _nonzero_products,
+from hqmoduli.positive import (INFINITY, ZERO_EPS, nonzero_products,
                                block_normalize, congruent,
                                coordinate_distance, cross_ratio, detect_partition, one_normalize,
                                parabolic_coordinates, positive_coordinate,
@@ -108,7 +108,7 @@ def test_zero_product_rule_matches_entrywise_reference():
         scale = max(abs(q) for row in g.to_entries() for q in row)
         want = [[abs(q) > ZERO_EPS * scale for q in row]
                 for row in g.to_entries()]
-        assert _nonzero_products(g).tolist() == want
+        assert nonzero_products(g).tolist() == want
 
 
 def test_detect_identity_is_regular_singletons():

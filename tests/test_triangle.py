@@ -10,12 +10,13 @@ import pytest
 from hqmoduli import qmatrix
 from hqmoduli.cli import build_parser
 from hqmoduli.errors import RealizationError, UsageError
-from hqmoduli.gram import (gram, inertia, realization_error, span_dimension,
-                           triple_product, triple_product_vanishes)
+from hqmoduli.gram import (Lifts, gram, inertia, realization_error,
+                           span_dimension, triple_product)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PairConfiguration,
-                            pair_configuration)
+                            pair_configuration, random_isometry)
+from hqmoduli.positive import nonzero_products
 from hqmoduli.qmatrix import QMatrix
-from hqmoduli.quat import I, Quaternion, quat
+from hqmoduli.quat import I, Quaternion
 from hqmoduli.sampling import (random_positive_point, random_regular_tuple,
                                random_rescaling)
 from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_triangle,
@@ -52,7 +53,7 @@ def test_angular_invariant_worked_example():
 
 def test_angular_invariant_fallback_on_orthogonal_triple():
     p = (ball(1, 0, 0, 0), ball(0, 1, 0, 0), ball(0, 0, 1, 0))
-    assert triple_product_vanishes(gram(p), p)
+    assert not nonzero_products(Lifts(p).unit)[~np.eye(3, dtype=bool)].any()
     assert abs(triangle_angular_invariant(*p) - math.pi / 2) <= 1e-12
 
 
@@ -68,7 +69,7 @@ def test_angular_invariant_under_overall_lift_scale(scale):
     assert abs(triangle_angular_invariant(*scaled) - a) <= 1e-10
     orth = tuple(p.scaled(scale) for p in (ball(1, 0, 0, 0), ball(0, 1, 0, 0),
                                            ball(0, 0, 1, 0)))
-    assert triple_product_vanishes(gram(orth), orth)
+    assert not nonzero_products(Lifts(orth).unit)[~np.eye(3, dtype=bool)].any()
     assert abs(triangle_angular_invariant(*orth) - math.pi / 2) <= 1e-12
 
 
@@ -98,6 +99,16 @@ def test_angular_invariant_matches_gram_alpha():
     assert abs(triangle_angular_invariant(*pts) - 0.6) <= 1e-9
 
 
+def test_angular_invariant_of_small_nonzero_products():
+    # products of 1e-6 are nonzero by the zero-product rule (ZERO_EPS of
+    # the largest |g_ab|), so T is nonzero and its angle is alpha, not pi/2
+    pts = realize_triangle(TriangleParams(1e-6, 1e-6, 2.0, 0.4))
+    assert abs(triangle_angular_invariant(*pts) - 0.4) <= 1e-8
+    g = random_isometry(2, seed=5)
+    moved = tuple(g.apply(p) for p in pts)
+    assert abs(triangle_angular_invariant(*moved) - 0.4) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # normalized Gram and parameters
 
@@ -123,6 +134,16 @@ def test_normalized_gram_unique_under_rescaling():
     assert (g1 - g2).norm() <= 1e-9 * (1 + g1.norm())
 
 
+def test_alpha_of_a_zero_product_is_zero_under_rescaling():
+    # g_23 = 1e-10 is zero by the zero-product rule, so alpha is
+    # undetermined and recorded as 0 whatever the lifts' scalars
+    pts = realize_triangle(TriangleParams(1e-10, 2.0, 2.0, 1.0))
+    for seed in range(6):
+        d = random_rescaling(3, seed=300 + seed)
+        moved = tuple(p.rescale(x) for p, x in zip(pts, d))
+        assert triangle_params(*moved).alpha == 0.0, seed
+
+
 def test_params_round_trip_through_gram():
     prm = TriangleParams(1.3, 0.4, 0.9, 1.1)
     g = gram_from_params(prm)
@@ -132,22 +153,29 @@ def test_params_round_trip_through_gram():
 
 
 def test_gram_from_params_matches_entrywise_reference():
+    # every cell of the default grid against one broadcast reference;
     # values, not sign bits: the entrywise build wrote conj(g23)'s zero
-    # j-part as -0.0
+    # j-part as -0.0.  The angles go through math.cos and math.sin, as in
+    # gram_from_params, since numpy's may differ in the last bit.
     args = build_parser().parse_args(["triangle-sweep"])
     rs = np.linspace(0.0, args.r_max, args.r_steps)
-    for r1, r2, r3, a in itertools.product(
-            rs, rs, rs, np.linspace(0.0, math.pi / 2, args.alpha_steps)):
-        prm = TriangleParams(float(r1), float(r2), float(r3), float(a))
-        want = QMatrix.eye(3)
-        g23 = Quaternion(prm.r1 * math.cos(prm.alpha),
-                         prm.r1 * math.sin(prm.alpha))
-        for i, j, q in ((0, 1, quat(prm.r3)), (0, 2, quat(prm.r2)), (1, 2, g23)):
-            want.set_entry(i, j, q)
-            want.set_entry(j, i, q.conj())
-        got = gram_from_params(prm)
-        assert np.array_equal(got.c1, want.c1), prm
-        assert np.array_equal(got.c2, want.c2), prm
+    alphas = np.linspace(0.0, math.pi / 2, args.alpha_steps)
+    cells = list(itertools.product(rs, rs, rs, alphas))
+    r1, r2, r3, k = (x.ravel() for x in np.meshgrid(
+        rs, rs, rs, np.arange(alphas.size), indexing="ij"))
+    cos = np.array([math.cos(a) for a in alphas])[k]
+    sin = np.array([math.sin(a) for a in alphas])[k]
+    want = np.zeros((len(cells), 3, 3), dtype=complex)
+    want[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    want[:, 0, 1] = want[:, 1, 0] = r3
+    want[:, 0, 2] = want[:, 2, 0] = r2
+    want.real[:, 1, 2] = want.real[:, 2, 1] = r1 * cos
+    want.imag[:, 1, 2] = r1 * sin
+    want.imag[:, 2, 1] = -(r1 * sin)
+    got = [gram_from_params(TriangleParams(*map(float, cell))) for cell in cells]
+    assert len(got) == 80_000
+    assert np.array_equal(np.stack([g.c1 for g in got]), want)
+    assert not np.any(np.stack([g.c2 for g in got]))
 
 
 def test_eigh_fallback_never_fires_on_the_default_sweep_grid(monkeypatch):
