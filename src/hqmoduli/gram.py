@@ -7,15 +7,18 @@ g_ij = <p_j, p_i> = p_i* J p_j, so G = P* J P with P the column matrix.
 Congruence acts by G -> D* G D for an invertible right factor D.
 
 Both the inertia and the realization read the spectrum of the complex
-adjoint of G, in which every eigenvalue of G appears twice.  The
+adjoint of G, in which every eigenvalue of G appears twice, from
+`QMatrix.eigvalsh` and `QMatrix.eigh`.  When C2 = 0, as for every
+normalized triangle Gram matrix, both decompose C1 itself and repeat its
+eigenvalues, since the adjoint is then diag(C1, conj C1).  The
 eigenvalues are paired before they are compared with the zero threshold,
 so `inertia` and `realize` make the same rank decision.  `realize` builds
 P = F sqrt|L| Q* straight from the complex parts of Q, where G = Q L Q* is
 the one eigendecomposition of `QMatrix.eigh`, which the frame constructions
-of `hform` share: Q is read off the even eigenvectors of the adjoint, and
-a symplectic Gram-Schmidt runs only when a repeated eigenvalue leaves
-those vectors short of a quaternion frame (not once on the default
-triangle-sweep grid).
+of `hform` share: Q is the eigenvectors of C1 when C2 = 0, and otherwise
+is read off the even eigenvectors of the adjoint, with a symplectic
+Gram-Schmidt only when a repeated eigenvalue leaves those vectors short
+of a quaternion frame.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class Lifts(tuple):
         lifts = super().__new__(cls, points)
         lifts.p = columns(lifts)
         lifts.adj = lifts.p.adjoint()
-        lifts.norms = np.linalg.norm(lifts.p.modulus(), axis=0)
+        lifts.norms = np.linalg.norm(lifts.adj[:, :len(lifts)], axis=0)
         lifts.g = gram(lifts)
         lifts.classes = [point_class(s, r, eps) for s, r in
                          zip(lifts.g.c1.diagonal().real, lifts.norms)]
@@ -131,28 +134,29 @@ def _check_square_hermitian(g: QMatrix, what: str) -> None:
         raise DomainError(f"{what} needs a Hermitian matrix")
 
 
-def _paired_eigenvalues(w: np.ndarray) -> np.ndarray:
+def _paired_eigenvalues(w: np.ndarray) -> list[float]:
     """Eigenvalues of a Hermitian quaternion matrix from the ascending
     spectrum w of its complex adjoint, where each one appears twice:
     adjacent pairs averaged, then set to 0 when at most
-    INERTIA_EPS * max|w|."""
-    lam = 0.5 * (w[0::2] + w[1::2])
-    if w.size:
-        lam[np.abs(lam) <= INERTIA_EPS * max(-w[0], w[-1])] = 0.0
-    return lam
+    INERTIA_EPS * max|w|.  A list, since there are at most a few."""
+    w = w.tolist()
+    if not w:
+        return []
+    zero = INERTIA_EPS * max(-w[0], w[-1])
+    lam = [0.5 * (a + b) for a, b in zip(w[0::2], w[1::2])]
+    return [0.0 if abs(x) <= zero else x for x in lam]
 
 
-def _signature(lam: np.ndarray) -> Inertia:
-    npos, nneg = np.count_nonzero(lam > 0), np.count_nonzero(lam < 0)
-    return Inertia(int(npos), int(nneg), lam.size - int(npos) - int(nneg))
+def _signature(lam: list[float]) -> Inertia:
+    npos, nneg = sum(x > 0 for x in lam), sum(x < 0 for x in lam)
+    return Inertia(npos, nneg, len(lam) - npos - nneg)
 
 
 def inertia(g: QMatrix) -> Inertia:
     """Signature (n_plus, n_minus, n_zero) of a Hermitian quaternion
-    matrix.  Uses the complex adjoint, whose spectrum doubles each real
-    eigenvalue."""
+    matrix, from the doubled spectrum of `QMatrix.eigvalsh`."""
     _check_square_hermitian(g, "inertia")
-    return _signature(_paired_eigenvalues(np.linalg.eigvalsh(g.adjoint())))
+    return _signature(_paired_eigenvalues(g.eigvalsh()))
 
 
 def check_admissible(iner: Inertia, n: int) -> None:
@@ -184,7 +188,8 @@ def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
     # real and Q* = C1^H - C2^T j, so P = F C1^H - (F C2^T) j.
     f = np.zeros((n + 1, m))
     next_pos = 0
-    for t, lt in enumerate(lam[pair]):
+    for t, k in enumerate(pair.tolist()):
+        lt = lam[k]
         if lt > 0:
             f[next_pos, t] = math.sqrt(lt)
             next_pos += 1
@@ -197,16 +202,20 @@ def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
     # vector orthogonal to the realized span, adding distinct multiples
     # of it separates the points without changing any product.
     unit = math.sqrt(max(-w[0], w[-1]))
-    col_norms = np.linalg.norm(p.modulus(), axis=0)
     null_available = iner.n_minus == 0 and iner.n_plus < n
-    if np.any(col_norms <= PRODUCT_EPS * unit) and not null_available:
-        raise RealizationError(
-            "isotropic direction available for zero rows")
-    if iner.n_zero > 0 and null_available:
+    if not null_available:
+        sq = (np.abs(p.c1) ** 2 + np.abs(p.c2) ** 2).sum(axis=0)
+        if sq.min() <= (PRODUCT_EPS * unit) ** 2:
+            raise RealizationError(
+                "isotropic direction available for zero rows")
+    elif iner.n_zero > 0:
         shift = unit * np.arange(1.0, m + 1.0)
         p.c1[iner.n_plus] += shift
         p.c1[n] += shift
-    return tuple(to_model(z, model) for z in tuple_from_columns(p, BALL))
+    points = tuple_from_columns(p, BALL)
+    if model == BALL:
+        return points
+    return tuple(to_model(z, model) for z in points)
 
 
 def realization_error(points, g: QMatrix) -> float:

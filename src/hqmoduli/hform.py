@@ -183,7 +183,9 @@ def columns(tup) -> QMatrix:
 
 
 def tuple_from_columns(qm: QMatrix, model: str) -> tuple[HVector, ...]:
-    return tuple(HVector(qm.col(j), model) for j in range(qm.shape[1]))
+    """The columns of qm as HVectors, each on a column slice of qm."""
+    return tuple(HVector(QMatrix(qm.c1[:, j:j + 1], qm.c2[:, j:j + 1]), model)
+                 for j in range(qm.shape[1]))
 
 
 # ---------------------------------------------------------------------

@@ -11,7 +11,9 @@ computations be delegated to numpy's complex kernels.  Hermitian
 quaternion matrices map to Hermitian complex matrices with each real
 eigenvalue doubled; `QMatrix.eigh` turns the adjoint's eigenvectors back
 into quaternion ones (F. Zhang, "Quaternions and matrices of
-quaternions", Linear Algebra Appl. 251, 1997).
+quaternions", Linear Algebra Appl. 251, 1997).  A matrix with C2 = 0 is
+complex, and `eigh` and `eigvalsh` decompose its C1 instead, at complex
+cost.
 """
 
 from __future__ import annotations
@@ -161,15 +163,36 @@ class QMatrix:
         dev = np.vdot(d1, d1).real + np.vdot(d2, d2).real
         return dev <= tol * tol * (np.vdot(c1, c1).real + np.vdot(c2, c2).real)
 
+    def _spectral_operand(self) -> tuple[np.ndarray, bool]:
+        """The complex matrix whose eigendecomposition gives that of this
+        Hermitian one, and whether it is C1.  When C2 is exactly zero the
+        adjoint is diag(C1, conj C1), whose spectrum is that of C1 with
+        every eigenvalue doubled; otherwise it is the adjoint itself."""
+        if self.c2.any():
+            return self.adjoint(), False
+        return self.c1, True
+
+    def eigvalsh(self) -> np.ndarray:
+        """The ascending adjoint spectrum of a Hermitian quaternion matrix,
+        each eigenvalue twice, as `eigh` returns it."""
+        a, is_complex = self._spectral_operand()
+        w = np.linalg.eigvalsh(a)
+        return np.repeat(w, 2) if is_complex else w
+
     def eigh(self) -> tuple[np.ndarray, "QMatrix", np.ndarray]:
         """Eigendecomposition A = Q diag(l) Q* of a Hermitian quaternion
-        matrix, from np.linalg.eigh of its complex adjoint.
+        matrix.
 
         Returns the ascending adjoint spectrum w, in which each eigenvalue
         of A appears twice, a unitary Q, and for each column of Q the
         index k of its eigenvalue pair (w[2k], w[2k+1]).
 
-        An adjoint eigenvector (a; b) is the quaternion column a - conj(b) j;
+        When C2 = 0, A is a complex Hermitian matrix: np.linalg.eigh of C1
+        gives its eigenvalues, each repeated, and its unitary eigenvectors
+        V, which are already a quaternion frame Q = V, column k with pair k.
+
+        Otherwise Q comes from np.linalg.eigh of the complex adjoint.  An
+        adjoint eigenvector (a; b) is the quaternion column a - conj(b) j;
         its partner (-conj b; conj a) belongs to the same eigenvalue.  When
         the eigenvalues of A are distinct, the two-dimensional eigenspace of
         each pair (w[2k], w[2k+1]) holds the partner of its first vector, so
@@ -179,8 +202,11 @@ class QMatrix:
         X^T Y - Y^T X vanishes, which is decided at PARTNER_EPS.  A repeated
         eigenvalue may put a vector and its partner among the even ones;
         then `_symplectic_gram_schmidt` picks the columns instead."""
-        w, v = np.linalg.eigh(self.adjoint())
+        a, is_complex = self._spectral_operand()
+        w, v = np.linalg.eigh(a)
         m = self.shape[0]
+        if is_complex:
+            return np.repeat(w, 2), QMatrix(v, np.zeros_like(v)), np.arange(m)
         x, pair = v[:, 0::2], np.arange(m)
         d = x[:m].T @ x[m:]
         if abs(d - d.T).max(initial=0.0) > PARTNER_EPS:

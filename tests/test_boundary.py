@@ -10,11 +10,13 @@ from hqmoduli.boundary import (Coordinate, boundary_coordinate,
                                cartan_invariant, gram_to_vector,
                                semi_normalize, validate_boundary_vector,
                                vector_to_gram)
-from hqmoduli.errors import DomainError, UsageError
+from hqmoduli.errors import DegenerateInputError, DomainError, UsageError
 from hqmoduli.gram import Lifts, gram, rescale_gram
-from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify,
-                            random_isometry, self_product)
+from hqmoduli.hform import (BALL, SIEGEL, HVector, Isometry, PointClass,
+                            classify, random_isometry, self_product,
+                            verify_isometry)
 from hqmoduli.positive import congruent, coordinate_distance
+from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import Quaternion, quat
 from hqmoduli.sampling import random_null_tuple, random_rescaling
 
@@ -78,14 +80,27 @@ def test_cartan_rejects_coincident_points():
         cartan_invariant(z, z, HVector.from_entries([0, 1, 1], BALL))
 
 
+def close_null_points(d):
+    """Three ball lifts (cos t, sin t e^{i ph}, 1) at t = 0, d, 2d."""
+    return [HVector.from_entries([math.cos(t), Quaternion(math.sin(t) * math.cos(ph),
+                                                          math.sin(t) * math.sin(ph)),
+                                  1.0], BALL)
+            for t, ph in ((0.0, 0.0), (d, 0.3), (2 * d, 1.1))]
+
+
+def ball_boost(rapidity, n=2):
+    """The isometry cosh/sinh of the rapidity on coordinates 0 and n."""
+    m = np.eye(n + 1)
+    m[0, 0] = m[n, n] = math.cosh(rapidity)
+    m[0, n] = m[n, 0] = math.sinh(rapidity)
+    return Isometry(QMatrix.real(m), BALL)
+
+
 @pytest.mark.parametrize("d", [1e-2, 1e-3])
 def test_cartan_invariant_of_close_distinct_points(d):
     # pairwise products of order d^2 pass the pairwise check, so the
     # triple product, of order d^6, is nonzero however small it is
-    pts = [HVector.from_entries([math.cos(t), Quaternion(math.sin(t) * math.cos(ph),
-                                                         math.sin(t) * math.sin(ph)),
-                                 1.0], BALL)
-           for t, ph in ((0.0, 0.0), (d, 0.3), (2 * d, 1.1))]
+    pts = close_null_points(d)
     alpha = boundary_coordinate(pts).alpha
     assert abs(alpha - 0.9138) <= 1e-4
     assert abs(cartan_invariant(*pts) - alpha) <= 1e-9
@@ -273,6 +288,22 @@ def test_congruent_boundary_oracle_and_negatives():
     assert not congruent(pts, swapped)
     other = random_null_tuple(2, 4, seed=54)
     assert not congruent(pts, other)
+
+
+@pytest.mark.parametrize("rapidity", [
+    pytest.param(4.0, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="products of about 5e-7 "
+        "|p|^2 lose six digits, so alpha moves by 2e-7 > COORD_TOL")),
+    pytest.param(7.0, marks=pytest.mark.xfail(
+        strict=True, raises=DegenerateInputError, reason="_nonvanishing "
+        "compares |g_ab| with PRODUCT_EPS |p_a| |p_b| in Euclidean norms, "
+        "which the boost does not keep")),
+], ids=["rapidity4", "rapidity7"])
+def test_close_null_points_are_congruent_to_their_boosted_image(rapidity):
+    pts = close_null_points(1e-3)
+    g = ball_boost(rapidity)
+    assert verify_isometry(g) <= 1e-9
+    assert congruent(pts, [g.apply(p) for p in pts])
 
 
 def test_coordinate_distance_cross_stratum_is_infinite():

@@ -439,8 +439,83 @@ def test_eigh_falls_back_only_on_repeated_spectra():
         counts[True] += eigh_fallbacks(with_spectrum(lam, trial))[1]
     assert counts[False] == 0
     assert counts[True] > 0
-    # the standard basis of I_2 pairs e_1 with its partner
-    assert eigh_fallbacks(QMatrix.eye(2))[1] == 1
+    # a quaternionic matrix with a repeated eigenvalue: the even adjoint
+    # eigenvectors of the double eigenvalue hold a vector and its partner
+    g = with_spectrum([1.0, 1.0, 2.0], 0)
+    assert g.c2.any()
+    assert eigh_fallbacks(g)[1] == 1
+    # a complex one decomposes C1 and never reaches the fallback
+    assert eigh_fallbacks(QMatrix.eye(2))[1] == 0
+
+
+@st.composite
+def complex_hermitian(draw):
+    """A complex Hermitian quaternion matrix (C2 = 0): U diag(lam) U^H for
+    a spectrum of `spectra` and a complex unitary U (the identity when its
+    seed is None), with up to m - 1 rows and columns set to zero."""
+    lam, _, seed = draw(spectra())
+    m = len(lam)
+    u = np.eye(m)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(m, m))
+                            + 1j * rng.normal(size=(m, m)))
+    c1 = (u * lam) @ u.conj().T
+    c1 = 0.5 * (c1 + c1.conj().T)
+    zero = draw(st.lists(st.integers(0, m - 1), max_size=m - 1, unique=True))
+    c1[zero, :] = 0.0
+    c1[:, zero] = 0.0
+    return QMatrix(c1, np.zeros((m, m), dtype=complex))
+
+
+def paired_signature(a):
+    """The signature of a Hermitian quaternion matrix from numpy's
+    eigvalsh of its complex adjoint a, paired and thresholded here."""
+    w = np.linalg.eigvalsh(a)
+    lam = 0.5 * (w[0::2] + w[1::2])
+    lam[np.abs(lam) <= INERTIA_EPS * np.abs(w).max(initial=0.0)] = 0.0
+    return (int(np.sum(lam > 0)), int(np.sum(lam < 0)), int(np.sum(lam == 0)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(complex_hermitian())
+@example(QMatrix.eye(2))
+@example(QMatrix.real(np.diag([2.0, 0.0, 0.0])))
+@example(QMatrix.real(np.diag([2.0, -1.0, 0.0])))
+@example(QMatrix.real(np.diag([-1.0, -1.0])))
+def test_complex_gram_decomposes_c1(g):
+    m, tol = g.shape[0], 1e-12 * max(1.0, g.norm())
+    w, q, pair = g.eigh()
+    assert not q.c2.any()
+    assert np.array_equal(pair, np.arange(m))
+    own = 0.5 * (w[0::2] + w[1::2])
+    assert (q.h @ q - QMatrix.eye(m)).norm() <= tol
+    assert (q @ QMatrix.real(np.diag(own)) @ q.h - g).norm() <= tol
+    iner = inertia(g)
+    assert iner.as_tuple() == paired_signature(g.adjoint())
+
+    zero_row = not np.abs(g.c1).max(axis=1).all()
+    fails = (iner.n_minus > 1 or iner.rank == 0
+             or (iner.n_minus == 1 and zero_row))
+    for model in (BALL, SIEGEL):
+        if fails:
+            with pytest.raises(RealizationError):
+                realize(g, m, model)
+            continue
+        pts = realize(g, m, model)
+        assert all(p.model == model and not p.qm.c2.any() for p in pts)
+        assert realization_error(pts, g) <= 1e-10 * (1 + g.norm())
+
+    # one C2 entry (and its Hermitian mirror) of 1e-14 of the norm takes
+    # the adjoint path and keeps the signature
+    if m > 1 and g.norm() > 0.0:
+        nudged = g.copy()
+        nudged.c2[0, 1] = 1e-14 * g.norm()
+        nudged.c2[1, 0] = -nudged.c2[0, 1]
+        with mock.patch.object(QMatrix, "adjoint", autospec=True,
+                               side_effect=QMatrix.adjoint) as adjoint:
+            assert inertia(nudged) == iner
+        assert adjoint.call_count == 1
 
 
 # ---------------------------------------------------------------------------

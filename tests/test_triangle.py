@@ -180,11 +180,14 @@ def test_gram_from_params_matches_entrywise_reference():
 
 def test_eigh_fallback_never_fires_on_the_default_sweep_grid(monkeypatch):
     # every 7th of the 80,000 cells: 11,429 cells, 0 Gram-Schmidt
-    # fallbacks (the full grid gives 0 too, in about 4 s)
-    calls = []
-    gs = qmatrix._symplectic_gram_schmidt
+    # fallbacks and 0 complex adjoints, since every normalized triangle
+    # Gram matrix is complex and eigh decomposes its C1
+    calls, adjoints = [], []
+    gs, adjoint = qmatrix._symplectic_gram_schmidt, QMatrix.adjoint
     monkeypatch.setattr(qmatrix, "_symplectic_gram_schmidt",
                         lambda v: calls.append(1) or gs(v))
+    monkeypatch.setattr(QMatrix, "adjoint",
+                        lambda a: adjoints.append(a.shape) or adjoint(a))
     args = build_parser().parse_args(["triangle-sweep"])
     rs = np.linspace(0.0, args.r_max, args.r_steps)
     cells = list(itertools.product(
@@ -193,8 +196,17 @@ def test_eigh_fallback_never_fires_on_the_default_sweep_grid(monkeypatch):
     for cell in cells[::7]:
         gram_from_params(TriangleParams(*map(float, cell))).eigh()
     assert len(calls) == 0
-    QMatrix.eye(2).eigh()  # the counter sees a fallback that does fire
+    assert len(adjoints) == 0
+    # the counters see a quaternionic matrix with a repeated eigenvalue,
+    # U diag(1, 1, 2) U* for a quaternion unitary U, take the adjoint path
+    # and the fallback
+    rng = np.random.default_rng(0)
+    x = QMatrix(*(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                  for _ in range(2)))
+    _, u, _ = (x + x.h).eigh()
+    (u @ QMatrix.real(np.diag([1.0, 1.0, 2.0])) @ u.h).eigh()
     assert len(calls) == 1
+    assert adjoints.count((3, 3)) == 2
 
 
 def test_params_validation():
