@@ -6,19 +6,19 @@ Conventions: for a tuple p = (p_1, ..., p_m) the Gram matrix has entries
 g_ij = <p_j, p_i> = p_i* J p_j, so G = P* J P with P the column matrix.
 Congruence acts by G -> D* G D for an invertible right factor D.
 
-Both the inertia and the realization read the spectrum of the complex
-adjoint of G, in which every eigenvalue of G appears twice, from
-`QMatrix.eigvalsh` and `QMatrix.eigh`.  When C2 = 0, as for every
-normalized triangle Gram matrix, both decompose C1 itself and repeat its
-eigenvalues, since the adjoint is then diag(C1, conj C1).  The
-eigenvalues are paired before they are compared with the zero threshold,
-so `inertia` and `realize` make the same rank decision.  `realize` builds
-P = F sqrt|L| Q* straight from the complex parts of Q, where G = Q L Q* is
-the one eigendecomposition of `QMatrix.eigh`, which the frame constructions
-of `hform` share: Q is the eigenvectors of C1 when C2 = 0, and otherwise
-is read off the even eigenvectors of the adjoint, with a symplectic
-Gram-Schmidt only when a repeated eigenvalue leaves those vectors short
-of a quaternion frame.
+Both the inertia and the realization read the m eigenvalues of G from
+`QMatrix.eigvalsh` and `QMatrix.eigh`, which check that G is square and
+Hermitian.  When C2 = 0, as for every normalized triangle Gram matrix,
+these are the eigenvalues of C1; otherwise they are the doubled spectrum
+of the complex adjoint, each pair averaged.  The same INERTIA_EPS zeroing
+is applied to both, so `inertia` and `realize` make the same rank
+decision.  `realize` builds P = F sqrt|L| Q* straight from the complex
+parts of Q, where G = Q L Q* is the one eigendecomposition of
+`QMatrix.eigh` and column k of Q belongs to the k-th eigenvalue; the
+frame constructions of `hform` share it.  Q is the eigenvectors of C1
+when C2 = 0, and otherwise is read off the even eigenvectors of the
+adjoint, with a symplectic Gram-Schmidt only when a repeated eigenvalue
+leaves those vectors short of a quaternion frame.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .hform import (BALL, HVector, PointClass, columns, form_adjoint,
                     point_class, to_model, tuple_from_columns)
 from .qmatrix import QMatrix, adjoint_rank
 from .quat import Quaternion
-from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS, STRUCTURE_TOL
+from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS
 
 
 @dataclass(frozen=True)
@@ -127,23 +127,14 @@ def unit_diagonal(g: QMatrix) -> QMatrix:
     return QMatrix(g.c1 * s[:, None] * s, g.c2 * s[:, None] * s)
 
 
-def _check_square_hermitian(g: QMatrix, what: str) -> None:
-    if g.shape[0] != g.shape[1]:
-        raise UsageError(f"{what} needs a square matrix")
-    if not g.is_hermitian(STRUCTURE_TOL):
-        raise DomainError(f"{what} needs a Hermitian matrix")
-
-
-def _paired_eigenvalues(w: np.ndarray) -> list[float]:
-    """Eigenvalues of a Hermitian quaternion matrix from the ascending
-    spectrum w of its complex adjoint, where each one appears twice:
-    adjacent pairs averaged, then set to 0 when at most
-    INERTIA_EPS * max|w|.  A list, since there are at most a few."""
-    w = w.tolist()
-    if not w:
+def _zeroed(lam: np.ndarray) -> list[float]:
+    """The ascending eigenvalues lam with those of modulus at most
+    INERTIA_EPS * max|lam| set to 0.  A list, since there are at most a
+    few."""
+    lam = lam.tolist()
+    if not lam:
         return []
-    zero = INERTIA_EPS * max(-w[0], w[-1])
-    lam = [0.5 * (a + b) for a, b in zip(w[0::2], w[1::2])]
+    zero = INERTIA_EPS * max(-lam[0], lam[-1])
     return [0.0 if abs(x) <= zero else x for x in lam]
 
 
@@ -154,9 +145,8 @@ def _signature(lam: list[float]) -> Inertia:
 
 def inertia(g: QMatrix) -> Inertia:
     """Signature (n_plus, n_minus, n_zero) of a Hermitian quaternion
-    matrix, from the doubled spectrum of `QMatrix.eigvalsh`."""
-    _check_square_hermitian(g, "inertia")
-    return _signature(_paired_eigenvalues(g.eigvalsh()))
+    matrix, from the eigenvalues of `QMatrix.eigvalsh`."""
+    return _signature(_zeroed(g.eigvalsh()))
 
 
 def check_admissible(iner: Inertia, n: int) -> None:
@@ -175,10 +165,8 @@ def check_admissible(iner: Inertia, n: int) -> None:
 def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
     """Tuple of points in H^{n,1} whose Gram matrix is g (up to numerical
     error), or RealizationError naming the inertia obstruction."""
-    _check_square_hermitian(g, "realize")
-    m = g.shape[0]
-    w, q, pair = g.eigh()
-    lam = _paired_eigenvalues(w)
+    w, q = g.eigh()
+    lam = _zeroed(w)
     iner = _signature(lam)
     check_admissible(iner, n)
 
@@ -186,10 +174,10 @@ def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
     # when F (ball model) puts the positive eigenvalues on distinct
     # coordinates 0..n_plus-1 and the negative one on coordinate n.  F is
     # real and Q* = C1^H - C2^T j, so P = F C1^H - (F C2^T) j.
+    m = len(lam)
     f = np.zeros((n + 1, m))
     next_pos = 0
-    for t, k in enumerate(pair.tolist()):
-        lt = lam[k]
+    for t, lt in enumerate(lam):
         if lt > 0:
             f[next_pos, t] = math.sqrt(lt)
             next_pos += 1

@@ -258,10 +258,8 @@ def _complete_frame(c: QMatrix, j: QMatrix) -> QMatrix:
     dim, k = c.shape
     norms = np.linalg.norm(c.modulus(), axis=0)
     jc = j @ QMatrix(c.c1 / norms, c.c2 / norms)
-    _, q, pair = (jc @ jc.h).eigh()
-    v = q.cols(np.argsort(pair, kind="stable")[:dim - k])
-    w, u, pair = (v.h @ (j @ v)).eigh()
-    mu = w[2 * pair]
+    v = (jc @ jc.h).eigh()[1].cols(range(dim - k))
+    mu, u = (v.h @ (j @ v)).eigh()
     # V has orthonormal columns, so mu is the form on unit vectors: the
     # relative test that point_class applies to <z, z> / |z|^2.
     if np.any(np.abs(mu) <= NULL_EPS):

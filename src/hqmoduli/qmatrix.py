@@ -9,11 +9,12 @@ The complex adjoint embedding
 is a *-algebra homomorphism, which lets eigenvalue, rank and inverse
 computations be delegated to numpy's complex kernels.  Hermitian
 quaternion matrices map to Hermitian complex matrices with each real
-eigenvalue doubled; `QMatrix.eigh` turns the adjoint's eigenvectors back
-into quaternion ones (F. Zhang, "Quaternions and matrices of
-quaternions", Linear Algebra Appl. 251, 1997).  A matrix with C2 = 0 is
-complex, and `eigh` and `eigvalsh` decompose its C1 instead, at complex
-cost.
+eigenvalue doubled; `QMatrix.eigh` and `QMatrix.eigvalsh` turn each pair
+back into one eigenvalue and the adjoint's eigenvectors into quaternion
+ones (F. Zhang, "Quaternions and matrices of quaternions", Linear Algebra
+Appl. 251, 1997).  A matrix with C2 = 0 is complex, and both decompose
+its C1 instead, at complex cost.  Both check their own input: a square
+matrix, Hermitian at STRUCTURE_TOL.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import math
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DomainError, UsageError
 from .quat import Quaternion, quat
-from .tol import INERTIA_EPS, PARTNER_EPS
+from .tol import INERTIA_EPS, PARTNER_EPS, STRUCTURE_TOL
 
 
 class QMatrix:
@@ -153,65 +154,61 @@ class QMatrix:
         """Frobenius norm."""
         return float(np.linalg.norm(self.modulus()))
 
-    def is_hermitian(self, tol: float) -> bool:
-        """||A - A*|| <= tol ||A|| in the Frobenius norm, read off C1 and
-        C2 directly: A* = C1^H - C2^T j."""
-        c1, c2 = self.c1, self.c2
-        if c1.shape[0] != c1.shape[1]:
-            return False
-        d1, d2 = c1 - c1.conj().T, c2 + c2.T
-        dev = np.vdot(d1, d1).real + np.vdot(d2, d2).real
-        return dev <= tol * tol * (np.vdot(c1, c1).real + np.vdot(c2, c2).real)
-
     def _spectral_operand(self) -> tuple[np.ndarray, bool]:
         """The complex matrix whose eigendecomposition gives that of this
         Hermitian one, and whether it is C1.  When C2 is exactly zero the
         adjoint is diag(C1, conj C1), whose spectrum is that of C1 with
-        every eigenvalue doubled; otherwise it is the adjoint itself."""
-        if self.c2.any():
-            return self.adjoint(), False
-        return self.c1, True
+        every eigenvalue doubled; otherwise it is the adjoint itself.
+        Either way ||a - a^H|| <= STRUCTURE_TOL ||a|| in the Frobenius norm
+        is the rule ||A - A*|| <= STRUCTURE_TOL ||A||, since the adjoint
+        doubles both squared norms; a non-finite entry fails it."""
+        if self.c1.shape[0] != self.c1.shape[1]:
+            raise UsageError("a spectral decomposition needs a square matrix")
+        is_complex = not self.c2.any()
+        a = self.c1 if is_complex else self.adjoint()
+        d = a - a.conj().T
+        if not np.vdot(d, d).real <= STRUCTURE_TOL ** 2 * np.vdot(a, a).real:
+            raise DomainError("a spectral decomposition needs a Hermitian matrix")
+        return a, is_complex
 
     def eigvalsh(self) -> np.ndarray:
-        """The ascending adjoint spectrum of a Hermitian quaternion matrix,
-        each eigenvalue twice, as `eigh` returns it."""
+        """The m ascending eigenvalues of an m x m Hermitian quaternion
+        matrix: those of C1 when C2 = 0, and otherwise the adjacent pairs
+        of the doubled adjoint spectrum, averaged."""
         a, is_complex = self._spectral_operand()
         w = np.linalg.eigvalsh(a)
-        return np.repeat(w, 2) if is_complex else w
+        return w if is_complex else 0.5 * (w[0::2] + w[1::2])
 
-    def eigh(self) -> tuple[np.ndarray, "QMatrix", np.ndarray]:
-        """Eigendecomposition A = Q diag(l) Q* of a Hermitian quaternion
-        matrix.
-
-        Returns the ascending adjoint spectrum w, in which each eigenvalue
-        of A appears twice, a unitary Q, and for each column of Q the
-        index k of its eigenvalue pair (w[2k], w[2k+1]).
+    def eigh(self) -> tuple[np.ndarray, "QMatrix"]:
+        """Eigendecomposition A = Q diag(lam) Q* of a Hermitian quaternion
+        matrix: the ascending eigenvalues lam of `eigvalsh` and a unitary
+        Q whose column k belongs to lam[k].
 
         When C2 = 0, A is a complex Hermitian matrix: np.linalg.eigh of C1
-        gives its eigenvalues, each repeated, and its unitary eigenvectors
-        V, which are already a quaternion frame Q = V, column k with pair k.
+        gives lam and unitary eigenvectors V, which are already a
+        quaternion frame Q = V.
 
         Otherwise Q comes from np.linalg.eigh of the complex adjoint.  An
         adjoint eigenvector (a; b) is the quaternion column a - conj(b) j;
         its partner (-conj b; conj a) belongs to the same eigenvalue.  When
         the eigenvalues of A are distinct, the two-dimensional eigenspace of
-        each pair (w[2k], w[2k+1]) holds the partner of its first vector, so
-        the even eigenvectors v[:, 0::2] = (X; Y) give Q directly, column k
-        with pair k.  They are orthonormal, so Q is unitary exactly when
+        each adjoint pair (w[2k], w[2k+1]) holds the partner of its first
+        vector, so the even eigenvectors v[:, 0::2] = (X; Y) give Q
+        directly.  They are orthonormal, so Q is unitary exactly when
         each is orthogonal to the partners of the others, that is when
         X^T Y - Y^T X vanishes, which is decided at PARTNER_EPS.  A repeated
         eigenvalue may put a vector and its partner among the even ones;
         then `_symplectic_gram_schmidt` picks the columns instead."""
         a, is_complex = self._spectral_operand()
         w, v = np.linalg.eigh(a)
-        m = self.shape[0]
         if is_complex:
-            return np.repeat(w, 2), QMatrix(v, np.zeros_like(v)), np.arange(m)
-        x, pair = v[:, 0::2], np.arange(m)
+            return w, QMatrix(v, np.zeros_like(v))
+        m = self.shape[0]
+        x = v[:, 0::2]
         d = x[:m].T @ x[m:]
         if abs(d - d.T).max(initial=0.0) > PARTNER_EPS:
-            x, pair = _symplectic_gram_schmidt(v)
-        return w, QMatrix(x[:m], -np.conj(x[m:])), pair
+            x = _symplectic_gram_schmidt(v)
+        return 0.5 * (w[0::2] + w[1::2]), QMatrix(x[:m], -np.conj(x[m:]))
 
     def __repr__(self) -> str:
         rows = self.to_entries()
@@ -236,24 +233,27 @@ def strict_upper(m: int) -> np.ndarray:
     return mask
 
 
-def _symplectic_gram_schmidt(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal adjoint vectors x[:, s], one per quaternion column, from
-    the (2m, 2m) adjoint eigenvectors v, and the eigenvalue pair of each.
-    Each step takes the first eigenvector whose part outside the chosen
-    vectors and their partners is at least half the largest such part,
-    then projects the pair out of the rest, so repeated eigenvalues give
-    independent columns."""
+def _symplectic_gram_schmidt(v: np.ndarray) -> np.ndarray:
+    """Orthonormal adjoint vectors, one per quaternion column, from the
+    (2m, 2m) adjoint eigenvectors v, in the order of the eigenvectors they
+    came from.  Each step takes the first eigenvector whose part outside
+    the chosen vectors and their partners is at least half the largest
+    such part, then projects the pair out of the rest, so repeated
+    eigenvalues give independent columns.  Each chosen vector stays in its
+    eigenspace, which has even size 2r in the ascending adjoint spectrum
+    and gives r of the m columns, so sorted column k belongs to the
+    eigenvalue of adjoint pair k."""
     m = v.shape[0] // 2
     x, source = np.empty((2 * m, m), dtype=complex), np.empty(m, dtype=int)
     for s in range(m):
         size = np.einsum("ij,ij->j", v.conj(), v).real
         t = int(np.argmax(size >= 0.5 * size.max()))
         x[:, s] = v[:, t] / math.sqrt(size[t])
-        pair = np.column_stack([x[:, s], np.concatenate(
+        both = np.column_stack([x[:, s], np.concatenate(
             [-np.conj(x[m:, s]), np.conj(x[:m, s])])])
-        v = v - pair @ (pair.conj().T @ v)
+        v = v - both @ (both.conj().T @ v)
         source[s] = t
-    return x, source // 2
+    return x[:, np.argsort(source)]
 
 
 def format_quat(q: Quaternion) -> str:

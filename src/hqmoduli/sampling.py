@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-from .gram import gram, inertia, span_dimension
+from .gram import Lifts, gram, inertia, span_dimension
 from .hform import BALL, SIEGEL, HVector, to_model
 from .quat import ONE, Quaternion, quat
 
@@ -64,9 +64,9 @@ def random_regular_tuple(n: int, m: int, seed, model: str = BALL):
     generic situation)."""
     rng = np.random.default_rng(seed)
     for _ in range(MAX_RETRIES):
-        pts = tuple(random_positive_point(n, rng, BALL) for _ in range(m))
-        if inertia(gram(pts)).rank == span_dimension(pts):
-            return tuple(to_model(p, model) for p in pts)
+        lifts = Lifts(random_positive_point(n, rng, BALL) for _ in range(m))
+        if inertia(lifts.g).rank == span_dimension(lifts):
+            return tuple(to_model(p, model) for p in lifts)
     raise UsageError("failed to sample a regular tuple")
 
 

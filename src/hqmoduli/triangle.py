@@ -22,10 +22,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InconsistencyError, UsageError
+from .errors import InconsistencyError, UsageError
 from .gram import Lifts, inertia, realize, span_dimension, triple_product
 from .hform import BALL, HVector, PointClass
-from .positive import nonzero_products, one_normalize
+from .positive import _check_distinct, nonzero_products, one_normalize
 from .qmatrix import QMatrix
 from .tol import DET_TOL, UNIT_EPS
 
@@ -64,13 +64,12 @@ class TriangleClass(Enum):
 
 
 def _vertices(points) -> Lifts:
-    """The record of a triangle's three positive vertices, or of one record."""
+    """The record of a triangle's three distinct positive vertices, or of
+    one record, checked as every positive tuple is."""
     lifts = Lifts(points[0] if len(points) == 1 else points)
     if len(lifts) != 3:
         raise UsageError("a triangle needs exactly 3 points")
-    if any(c != PointClass.POSITIVE for c in lifts.classes):
-        raise DomainError("triangle vertices must be positive vectors")
-    return lifts
+    return lifts.validated(PointClass.POSITIVE, 3, _check_distinct)
 
 
 def triangle_angular_invariant(*points) -> float:

@@ -1,5 +1,7 @@
 """Source hygiene: every imported name is used in the module importing it,
-and every threshold of the package is a name in tol.py."""
+every threshold of the package is a name in tol.py that some module
+imports, and only qmatrix.py calls numpy's eigen- and singular value
+kernels."""
 
 import ast
 import pathlib
@@ -88,3 +90,60 @@ def test_threshold_scan_catches_a_planted_literal():
     assert small_float_literals(tree) == [
         "1e-09 (line 2)", "0.002 (line 3)", "1e-06 (line 5)",
         "0.005 (line 6)"]
+
+
+def spectral_calls(tree: ast.Module) -> list[str]:
+    """Uses of linalg.eig* and linalg.svd: the decompositions that
+    QMatrix owns, with its square and Hermitian checks."""
+    return [f"linalg.{node.attr} (line {node.lineno})"
+            for node in sorted(ast.walk(tree), key=lambda x: getattr(x, "lineno", 0))
+            if isinstance(node, ast.Attribute)
+            and (node.attr.startswith("eig") or node.attr == "svd")
+            and getattr(node.value, "attr", getattr(node.value, "id", None))
+            == "linalg"]
+
+
+def test_decompositions_live_in_qmatrix():
+    found = {p.name: calls
+             for p in (ROOT / "src" / "hqmoduli").glob("*.py")
+             if p.name != "qmatrix.py"
+             and (calls := spectral_calls(ast.parse(p.read_text())))}
+    assert not found, f"decompositions outside qmatrix.py: {found}"
+
+
+def test_decomposition_scan_catches_a_planted_call():
+    tree = ast.parse("import numpy as np\nfrom numpy import linalg\n"
+                     "w = np.linalg.eigvalsh(a)\ns = linalg.svd(a)\n"
+                     "n = np.linalg.norm(a)\nv = x.eigh()\n"
+                     "e = np.linalg.eig\n")
+    assert spectral_calls(tree) == ["linalg.eigvalsh (line 3)",
+                                    "linalg.svd (line 4)",
+                                    "linalg.eig (line 7)"]
+
+
+def unimported_thresholds(tol: ast.Module, modules) -> list[str]:
+    """Names that tol.py assigns and no other module imports from it."""
+    named = [t.id for node in tol.body if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name)]
+    imported = {alias.name for tree in modules for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "tol"
+                for alias in node.names}
+    return [name for name in named if name not in imported]
+
+
+def test_every_threshold_in_tol_is_used():
+    src = ROOT / "src" / "hqmoduli"
+    unused = unimported_thresholds(
+        ast.parse((src / "tol.py").read_text()),
+        [ast.parse(p.read_text()) for p in src.glob("*.py")
+         if p.name != "tol.py"])
+    assert not unused, f"thresholds no module imports: {unused}"
+
+
+def test_threshold_use_scan_catches_a_dead_name():
+    tol = ast.parse("A = 1e-9  # of 1\nB = 1e-8\nC = 1e-7\n")
+    modules = [ast.parse("from .tol import A\n"),
+               ast.parse("from hqmoduli.tol import C as D\n"),
+               ast.parse("from .other import B\n")]
+    assert unimported_thresholds(tol, modules) == ["B"]

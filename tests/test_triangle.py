@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from hqmoduli import qmatrix
-from hqmoduli.cli import build_parser
-from hqmoduli.errors import RealizationError, UsageError
+from hqmoduli.cli import build_parser, main
+from hqmoduli.errors import DegenerateInputError, RealizationError, UsageError
 from hqmoduli.gram import (Lifts, gram, inertia, realization_error,
                            span_dimension, triple_product)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PairConfiguration,
@@ -144,10 +144,26 @@ def test_alpha_of_a_zero_product_is_zero_under_rescaling():
         assert triangle_params(*moved).alpha == 0.0, seed
 
 
+@pytest.mark.parametrize("fn", [classify_triangle, triangle_angular_invariant,
+                                triangle_params, normalize_triangle])
+def test_coincident_vertices_are_rejected(fn):
+    # classify_triangle(p, p, q) once answered HyperbolicPlanar and the
+    # angular invariant 0.0, while triangle_params raised: the vertices now
+    # get the distinctness check of every positive tuple, also when the
+    # repeated vertex is rescaled by a quaternion
+    rng = np.random.default_rng(3)
+    p, q = random_positive_point(2, rng), random_positive_point(2, rng)
+    for tri in ((p, p, q), (q, p, p.rescale(Quaternion(0.3, -1.2, 0.5, 2.0)))):
+        with pytest.raises(DegenerateInputError):
+            fn(*tri)
+        with pytest.raises(DegenerateInputError):
+            fn(Lifts(tri))
+
+
 def test_params_round_trip_through_gram():
     prm = TriangleParams(1.3, 0.4, 0.9, 1.1)
     g = gram_from_params(prm)
-    assert g.is_hermitian(1e-14)
+    assert (g - g.h).norm() <= 1e-14 * g.norm()
     assert abs(g.entry(1, 2) - Quaternion(1.3 * math.cos(1.1),
                                           1.3 * math.sin(1.1))) <= 1e-14
 
@@ -203,7 +219,7 @@ def test_eigh_fallback_never_fires_on_the_default_sweep_grid(monkeypatch):
     rng = np.random.default_rng(0)
     x = QMatrix(*(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
                   for _ in range(2)))
-    _, u, _ = (x + x.h).eigh()
+    _, u = (x + x.h).eigh()
     (u @ QMatrix.real(np.diag([1.0, 1.0, 2.0])) @ u.h).eigh()
     assert len(calls) == 1
     assert adjoints.count((3, 3)) == 2
@@ -226,6 +242,46 @@ def test_existence_spot_values():
     assert not triangle_exists(TriangleParams(0.5, 0.5, 0.5, math.pi / 2))
     assert abs(triangle_det(TriangleParams(2, 0, 0, 0)) + 3.0) <= 1e-14
     assert triangle_exists(TriangleParams(2, 0, 0, 0))
+
+
+def realizable(params: TriangleParams) -> bool:
+    try:
+        realize_triangle(params)
+    except RealizationError:
+        return False
+    return True
+
+
+# triangle_exists reads det G at the absolute DET_TOL, realize the
+# eigenvalues at the relative INERTIA_EPS, and near det G = 0 they
+# disagree both ways; the default grid has no such cell (acceptance
+# test 7).  The first has det 3e-14 and spectrum (3, -1e-7, -1e-7), the
+# second det 1e-10 and an elliptic realization.
+EXISTENCE_DISAGREEMENTS = [
+    pytest.param(TriangleParams(1 + 1e-7, 1 + 1e-7, 1 + 1e-7, 0.0),
+                 id="exists-but-n_minus-2"),
+    pytest.param(TriangleParams(0.7, 0.9, 0.8513371425810421, 0.3),
+                 id="absent-but-realized"),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="triangle_exists decides det G <= "
+                   "DET_TOL, realize the signature at INERTIA_EPS")
+@pytest.mark.parametrize("params", EXISTENCE_DISAGREEMENTS)
+def test_existence_agrees_with_realization_near_det_zero(params):
+    assert triangle_exists(params) == realizable(params)
+
+
+@pytest.mark.xfail(strict=True, reason="triangle_exists decides det G <= "
+                   "DET_TOL, realize the signature at INERTIA_EPS")
+def test_cli_triangle_near_det_zero_does_not_exist(capsys):
+    # the spectrum (3, -1e-7, -1e-7) has two negative eigenvalues, so no
+    # such triangle exists; the CLI says it exists and then fails to
+    # realize it (exit 3)
+    code = main(["triangle", "--r1", "1.0000001", "--r2", "1.0000001",
+                 "--r3", "1.0000001"])
+    capsys.readouterr()
+    assert code == 1
 
 
 def test_realize_boundary_case_is_degenerate():
