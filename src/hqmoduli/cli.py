@@ -25,7 +25,7 @@ from .qmatrix import QMatrix
 from .quat import Quaternion
 from .sampling import random_tuple
 from .tol import COORD_TOL, NULL_EPS
-from .triangle import (TriangleParams, classify_triangle, realize_triangle,
+from .triangle import (TriangleParams, classify_realized, realize_triangle,
                        triangle_det, triangle_exists)
 
 EXIT_OK = 0
@@ -171,7 +171,7 @@ def _triangle_row(params: TriangleParams):
     det = triangle_det(params)
     exists = triangle_exists(params)
     pts = realize_triangle(params) if exists else ()
-    cls = classify_triangle(*pts).value if exists else ""
+    cls = classify_realized(pts).value if exists else ""
     return det, exists, cls, pts
 
 

@@ -254,7 +254,8 @@ def _complete_frame(c: QMatrix, j: QMatrix) -> QMatrix:
     The complement is the kernel of (Jc)*, that is the bottom
     (dim - k)-dimensional eigenspace V of (Jc)(Jc)*.  Its dimension is
     known, so taking it needs no threshold.  The form restricted to it,
-    V* J V = U diag(mu) U*, gives the columns V U |mu|^(-1/2)."""
+    V* J V = U diag(mu) U*, gives the columns V U |mu|^(-1/2), those of U
+    reversed, so that mu descends and no rounding in mu reorders ties."""
     dim, k = c.shape
     norms = np.linalg.norm(c.modulus(), axis=0)
     jc = j @ QMatrix(c.c1 / norms, c.c2 / norms)
@@ -264,9 +265,8 @@ def _complete_frame(c: QMatrix, j: QMatrix) -> QMatrix:
     # relative test that point_class applies to <z, z> / |z|^2.
     if np.any(np.abs(mu) <= NULL_EPS):
         raise DomainError("the span has a null direction in its complement")
-    order = np.argsort(-mu, kind="stable")
-    f = v @ u.cols(order)
-    scale = 1.0 / np.sqrt(np.abs(mu[order]))
+    f = v @ u.cols(range(dim - k - 1, -1, -1))
+    scale = 1.0 / np.sqrt(np.abs(mu[::-1]))
     return QMatrix(f.c1 * scale, f.c2 * scale)
 
 

@@ -177,7 +177,7 @@ class QMatrix:
         of the doubled adjoint spectrum, averaged."""
         a, is_complex = self._spectral_operand()
         w = np.linalg.eigvalsh(a)
-        return w if is_complex else 0.5 * (w[0::2] + w[1::2])
+        return w if is_complex else _pair_means(w)
 
     def eigh(self) -> tuple[np.ndarray, "QMatrix"]:
         """Eigendecomposition A = Q diag(lam) Q* of a Hermitian quaternion
@@ -208,7 +208,7 @@ class QMatrix:
         d = x[:m].T @ x[m:]
         if abs(d - d.T).max(initial=0.0) > PARTNER_EPS:
             x = _symplectic_gram_schmidt(v)
-        return 0.5 * (w[0::2] + w[1::2]), QMatrix(x[:m], -np.conj(x[m:]))
+        return _pair_means(w), QMatrix(x[:m], -np.conj(x[m:]))
 
     def __repr__(self) -> str:
         rows = self.to_entries()
@@ -231,6 +231,11 @@ def strict_upper(m: int) -> np.ndarray:
     mask = np.arange(m)[:, None] < np.arange(m)
     mask.flags.writeable = False
     return mask
+
+
+def _pair_means(w: np.ndarray) -> np.ndarray:
+    """The doubled ascending adjoint spectrum w, each pair averaged."""
+    return 0.5 * (w[0::2] + w[1::2])
 
 
 def _symplectic_gram_schmidt(v: np.ndarray) -> np.ndarray:

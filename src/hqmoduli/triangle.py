@@ -137,6 +137,13 @@ def realize_triangle(params: TriangleParams,
     return realize(gram_from_params(params), 2, model)
 
 
+def classify_realized(points) -> TriangleClass:
+    """`classify_triangle` of a `realize_triangle` triple, checked positive
+    but not distinct: equal rows of G put two vertices together."""
+    return classify_triangle(Lifts(points).validated(
+        PointClass.POSITIVE, 3, lambda lifts: None))
+
+
 def classify_triangle(*points) -> TriangleClass:
     """Class of the span of a positive triple from the signature of its
     unit-diagonal Gram matrix, which rescaling the vertices keeps:

@@ -315,6 +315,29 @@ def test_triangle_exists_exit_zero(capsys):
     assert data["class"] == "Parabolic111"
 
 
+@pytest.mark.parametrize("r1, r2, r3, alpha", [
+    ("0", "0", "1", "0"), ("0.5", "0.5", "1", "0"), ("1", "0", "0", "0.7")])
+def test_triangle_with_coincident_realized_vertices_is_classified(
+        capsys, r1, r2, r3, alpha):
+    """Two equal rows of G put two realized vertices together; the
+    triangle exists and its class is the signature of G."""
+    code, out, err = run(capsys, "--json", "triangle", "--r1", r1,
+                         "--r2", r2, "--r3", r3, "--alpha", alpha)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["exists"] is True
+    assert data["class"] == "Elliptic"
+
+
+def test_triangle_sweep_through_r_equal_one(capsys):
+    code, out, err = run(capsys, "triangle-sweep",
+                         "--r-max", "1", "--r-steps", "2")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 2 ** 3 * 10
+    assert ["0", "0", "1", "0", "0", "true", "Elliptic"] in rows
+
+
 def test_triangle_nonexistent_exit_one(capsys):
     code, out, _ = run(capsys, "triangle",
                        "--r1", "0.5", "--r2", "0.5", "--r3", "0.5",

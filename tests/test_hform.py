@@ -267,6 +267,29 @@ def test_complement_basis_is_scale_invariant(n, model):
                 assert abs(herm(v, z)) <= 1e-12 * v.norm() * z.norm(), e
 
 
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_complement_basis_is_a_j_orthonormal_frame(n, model):
+    """What callers rely on, not which frame: past a null z itself, the
+    basis vectors have Gram matrix diag(+1, ..., +1[, -1]) and are
+    J-orthogonal to z; n - 1 or n such vectors span the complement."""
+    rng = np.random.default_rng(60 + n)
+    for _ in range(10):
+        cases = [(random_null_point(n, rng, model), [1.0] * (n - 1)),
+                 (random_positive_point(n, rng, model), [1.0] * (n - 1) + [-1.0]),
+                 (random_negative_point(n, rng, model), [1.0] * n)]
+        for z, signs in cases:
+            basis = orthogonal_complement_basis(z)
+            frame = basis[1:] if len(signs) < n else basis
+            assert len(frame) == len(signs)
+            if frame:
+                want = QMatrix(np.diag(signs).astype(complex),
+                               np.zeros((len(signs), len(signs)), complex))
+                assert (gram(frame) - want).norm() <= 1e-10
+            for v in frame:
+                assert abs(herm(v, z)) <= 1e-10 * v.norm() * z.norm()
+
+
 # ---------------------------------------------------------------------------
 # pairs of positive points
 

@@ -19,7 +19,8 @@ from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import I, Quaternion
 from hqmoduli.sampling import (random_positive_point, random_regular_tuple,
                                random_rescaling)
-from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_triangle,
+from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_realized,
+                               classify_triangle,
                                gram_from_params, normalize_triangle,
                                realize_triangle,
                                triangle_angular_invariant, triangle_det,
@@ -158,6 +159,15 @@ def test_coincident_vertices_are_rejected(fn):
             fn(*tri)
         with pytest.raises(DegenerateInputError):
             fn(Lifts(tri))
+
+
+def test_realized_coincident_vertices_keep_their_class():
+    # G = [[1, 1, 0], [1, 1, 0], [0, 0, 1]] has two equal rows and
+    # signature (2, 0, 1) with n_plus = n, so realize puts p1 on p2
+    pts = realize_triangle(TriangleParams(0.0, 0.0, 1.0, 0.0))
+    with pytest.raises(DegenerateInputError):
+        classify_triangle(*pts)
+    assert classify_realized(pts) == TriangleClass.ELLIPTIC
 
 
 def test_params_round_trip_through_gram():
