@@ -19,6 +19,11 @@ frame constructions of `hform` share it.  Q is the eigenvectors of C1
 when C2 = 0, and otherwise is read off the even eigenvectors of the
 adjoint, with a symplectic Gram-Schmidt only when a repeated eigenvalue
 leaves those vectors short of a quaternion frame.
+
+Products follow the same rule, complex matrices at complex cost: when
+every lift has C2 = 0, `gram` is P1^H (J1 P1) with an all-zero C2, and
+the record builds the complex adjoint of its columns only when the span
+or the distinctness check asks for it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, RealizationError, UsageError
 from .hform import (BALL, HVector, PointClass, columns, form_adjoint,
-                    point_class, to_model, tuple_from_columns)
+                    form_matrix, point_class, to_model, tuple_from_columns)
 from .qmatrix import QMatrix, adjoint_rank
 from .quat import Quaternion
 from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS
@@ -52,13 +57,15 @@ class Inertia:
 
 
 class Lifts(tuple):
-    """A tuple of lifts stacked once: the column matrix `p`, its complex
-    adjoint `adj` (for the Gram matrix, the span and the distinctness check),
-    its column norms `norms`, the Gram matrix `g` and the class of each lift,
+    """A tuple of lifts stacked once: the column matrix `p`, its column
+    norms `norms`, the Gram matrix `g` and the class of each lift,
     `classes`, at `eps` (null when |<z,z>| <= eps |z|^2).  `Lifts(lifts)`
     is the record itself, so the stages share and validate one record.
-    Its unit-diagonal Gram matrix `unit` is made on first use; the positive
-    stages keep on it the zero pattern `nz` and partition `structure`."""
+    The complex adjoint `adj` of `p` (for the Gram matrix, the span and the
+    distinctness check) is made at once when some lift has C2 != 0, and
+    on first use when all are complex.  Its unit-diagonal Gram matrix
+    `unit` is made on first use; the positive stages keep on it the zero
+    pattern `nz` and partition `structure`."""
 
     checked = structure = None
 
@@ -66,9 +73,9 @@ class Lifts(tuple):
         if isinstance(points, Lifts):
             return points
         lifts = super().__new__(cls, points)
-        lifts.p = columns(lifts)
-        lifts.adj = lifts.p.adjoint()
-        lifts.norms = np.linalg.norm(lifts.adj[:, :len(lifts)], axis=0)
+        p = lifts.p = columns(lifts)
+        lifts.norms = np.linalg.norm(
+            lifts.adj[:, :len(lifts)] if p.c2.any() else p.c1, axis=0)
         lifts.g = gram(lifts)
         lifts.classes = [point_class(s, r, eps) for s, r in
                          zip(lifts.g.c1.diagonal().real, lifts.norms)]
@@ -87,21 +94,29 @@ class Lifts(tuple):
         return self
 
     @cached_property
+    def adj(self) -> np.ndarray:
+        return self.p.adjoint()
+
+    @cached_property
     def unit(self) -> QMatrix:
         return unit_diagonal(self.g)
 
 
 def gram(points) -> QMatrix:
-    """Gram matrix G with g_ij = <p_j, p_i> of a tuple of HVectors: the top
-    block row [G1, G2] of adj(P)^H adj(J) adj(P), the adjoint of P* J P."""
-    if isinstance(points, Lifts):
-        adj = points.adj
-    else:
+    """Gram matrix G with g_ij = <p_j, p_i> of a tuple of HVectors.  With
+    every C2 = 0 it is P1^H (J1 P1), since J is real; otherwise it is the
+    top block row [G1, G2] of adj(P)^H adj(J) adj(P), the adjoint of
+    P* J P."""
+    record = isinstance(points, Lifts)
+    if not record:
         points = list(points)
-        adj = columns(points).adjoint()
-    m = adj.shape[1] // 2
-    j = form_adjoint(points[0].model, points[0].n)
-    top = adj[:, :m].conj().T @ (j @ adj)
+    p = points.p if record else columns(points)
+    z, m = points[0], len(points)
+    if not p.c2.any():
+        g1 = p.c1.conj().T @ (form_matrix(z.model, z.n).c1 @ p.c1)
+        return QMatrix(g1, np.zeros((m, m), dtype=complex))
+    adj = points.adj if record else p.adjoint()
+    top = adj[:, :m].conj().T @ (form_adjoint(z.model, z.n) @ adj)
     return QMatrix(top[:, :m], top[:, m:])
 
 

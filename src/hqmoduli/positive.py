@@ -103,8 +103,9 @@ def _check_distinct(lifts: Lifts) -> None:
     """Two lifts whose unit product has modulus 1 must span a plane; one
     stacked rank of the column pairs' adjoints decides every such pair."""
     m = len(lifts)
-    near = np.argwhere(strict_upper(m) & (np.abs(lifts.unit.modulus() - 1.0) <= UNIT_EPS))
-    if near.size:
+    close = strict_upper(m) & (np.abs(lifts.unit.modulus() - 1.0) <= UNIT_EPS)
+    if close.any():
+        near = np.argwhere(close)
         cols = np.hstack([near, near + m])
         ranks = adjoint_rank(np.moveaxis(lifts.adj[:, cols], 1, 0))
         if np.any(ranks < 2):

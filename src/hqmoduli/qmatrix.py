@@ -202,7 +202,7 @@ class QMatrix:
         a, is_complex = self._spectral_operand()
         w, v = np.linalg.eigh(a)
         if is_complex:
-            return w, QMatrix(v, np.zeros_like(v))
+            return w, QMatrix(v, np.zeros(v.shape, dtype=complex))
         m = self.shape[0]
         x = v[:, 0::2]
         d = x[:m].T @ x[m:]

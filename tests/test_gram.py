@@ -16,7 +16,7 @@ from hqmoduli.gram import (INERTIA_EPS, Inertia, Lifts, check_admissible, gram,
                            inertia, realization_error, realize,
                            rescale_gram, span_dimension)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, cayley_matrix,
-                            classify, form_matrix)
+                            classify, form_matrix, random_isometry)
 from hqmoduli.qmatrix import QMatrix, strict_upper
 from hqmoduli.quat import Quaternion, quat
 from hqmoduli.tol import STRUCTURE_TOL
@@ -83,6 +83,11 @@ def random_qmatrix(rng, shape) -> QMatrix:
                    rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
+def complex_qmatrix(rng, shape) -> QMatrix:
+    return QMatrix(rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                   np.zeros(shape))
+
+
 def test_entrywise_product_matches_quaternion_products():
     rng = np.random.default_rng(22)
     a, b = random_qmatrix(rng, (4, 3)), random_qmatrix(rng, (4, 3))
@@ -118,6 +123,31 @@ def test_adjoint_gram_matches_the_quaternion_product(n, m, model, seed,
     lifts = Lifts(pts)
     assert np.array_equal(lifts.adj, p.adjoint())
     assert (lifts.g - g).norm() == 0.0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), m=st.integers(1, 8),
+       model=st.sampled_from((BALL, SIEGEL)), seed=st.integers(0, 2 ** 32 - 1),
+       exponents=st.lists(st.floats(-8.0, 8.0), min_size=8, max_size=8))
+def test_complex_gram_is_the_complex_product(n, m, model, seed, exponents):
+    # lifts with C2 = 0 give G = P1^H (J1 P1), and their record makes the
+    # complex adjoint only when asked
+    rng = np.random.default_rng(seed)
+    pts = [HVector(complex_qmatrix(rng, (n + 1, 1)).scale(10.0 ** e), model)
+           for e in exponents[:m]]
+    p = QMatrix.from_columns(z.qm for z in pts)
+    want = p.h @ (form_matrix(model, n) @ p)
+    g = gram(pts)
+    assert not g.c2.any()
+    norms = np.linalg.norm(p.modulus(), axis=0)
+    assert np.all((g - want).modulus() <= 1e-13 * np.outer(norms, norms))
+    lifts = Lifts(pts)
+    assert "adj" not in vars(lifts)
+    assert (lifts.g - g).norm() == 0.0
+    assert np.array_equal(lifts.adj, p.adjoint())
+    # the norms are those read off the adjoint's left half, bit for bit
+    assert np.array_equal(lifts.norms,
+                          np.linalg.norm(lifts.adj[:, :m], axis=0))
 
 
 def test_from_entries_equals_the_per_entry_construction():
@@ -158,7 +188,6 @@ def test_cached_masks_and_indices_are_read_only():
 
 
 def test_gram_isometry_invariant():
-    from hqmoduli.hform import random_isometry
     pts = random_regular_tuple(3, 4, seed=6)
     g = random_isometry(3, seed=7)
     lhs = gram([g.apply(p) for p in pts])
@@ -664,7 +693,8 @@ def test_stages_validate_a_record_once(monkeypatch):
 def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     # the partition is read off the record's unit-diagonal Gram matrix, so
     # no stage normalizes twice; every near pair of lifts shares one SVD,
-    # and the span is asked for only without a negative eigenvalue
+    # the pairs are listed only when there is one, and the span is asked
+    # for only without a negative eigenvalue
     regular = Lifts(random_regular_tuple(2, 4, seed=2))
     parabolic = Lifts(random_parabolic_tuple(3, 5, seed=1))
     one = counting(monkeypatch, positive, "one_normalize")
@@ -672,12 +702,13 @@ def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
              for module in (positive, gram_module)]
     rescale = counting(monkeypatch, positive, "rescale_gram")
     svd = counting(monkeypatch, np.linalg, "svd")
+    argwhere = counting(monkeypatch, np, "argwhere")
     positive.positive_coordinate(regular)
     assert len(one) == 0 and sum(map(len, units)) == 1 and len(rescale) <= 2
-    assert len(svd) == 0
+    assert len(svd) == 0 and len(argwhere) == 0
 
     assert positive.positive_coordinate(parabolic).kind == "parabolic"
-    assert len(svd) == 2
+    assert len(svd) == 2 and len(argwhere) == 1
 
 
 def test_coordinates_use_cached_masks_and_the_record_adjoint(monkeypatch):

@@ -161,13 +161,60 @@ def test_coincident_vertices_are_rejected(fn):
             fn(Lifts(tri))
 
 
-def test_realized_coincident_vertices_keep_their_class():
+def counting_adjoints(monkeypatch) -> list:
+    """The shapes of the QMatrix.adjoint calls made from now on."""
+    shapes, adjoint = [], QMatrix.adjoint
+    monkeypatch.setattr(QMatrix, "adjoint",
+                        lambda a: shapes.append(a.shape) or adjoint(a))
+    return shapes
+
+
+def test_realized_coincident_vertices_keep_their_class(monkeypatch):
     # G = [[1, 1, 0], [1, 1, 0], [0, 0, 1]] has two equal rows and
-    # signature (2, 0, 1) with n_plus = n, so realize puts p1 on p2
+    # signature (2, 0, 1) with n_plus = n, so realize puts p1 on p2; the
+    # complex record of the points builds its adjoint only for the rank
+    # of the near pair
+    adjoints = counting_adjoints(monkeypatch)
     pts = realize_triangle(TriangleParams(0.0, 0.0, 1.0, 0.0))
+    lifts = Lifts(pts)
+    assert not lifts.p.c2.any() and "adj" not in vars(lifts)
     with pytest.raises(DegenerateInputError):
-        classify_triangle(*pts)
+        classify_triangle(lifts)
+    assert adjoints == [(3, 3)] and "adj" in vars(lifts)
     assert classify_realized(pts) == TriangleClass.ELLIPTIC
+
+
+@pytest.mark.parametrize("params, cls", [
+    ((0.6, 0.8, 0.0, 0.0), TriangleClass.ELLIPTIC),
+    ((2.0, math.sqrt(1.5), math.sqrt(1.5), 0.0),
+     TriangleClass.HYPERBOLIC_PLANAR),
+    ((0.5, 0.7, 1.3, 0.4), TriangleClass.HYPERBOLIC_FULL),
+    ((1.5, 0.2, 1.9, 1.2), TriangleClass.HYPERBOLIC_FULL),
+])
+def test_triangle_answers_build_no_complex_adjoint(monkeypatch, capsys,
+                                                   params, cls):
+    # realized triangles are complex, so their records, Gram matrices and
+    # spectra stay in C1; only a near pair of vertices or the span of a
+    # parabolic triangle asks for the adjoint
+    adjoints = counting_adjoints(monkeypatch)
+    prm = TriangleParams(*params)
+    for model in (BALL, SIEGEL):
+        pts = realize_triangle(prm, model)
+        assert not gram(pts).c2.any()
+        assert classify_triangle(*pts) == cls == classify_realized(pts)
+    argv = ["--json", "triangle"] + [
+        f"--{k}={v!r}" for k, v in zip(("r1", "r2", "r3", "alpha"), params)]
+    assert main(argv) == 0
+    assert f'"class": "{cls.value}"' in capsys.readouterr().out
+    assert adjoints == []
+
+
+def test_realized_parabolic_triangle_builds_one_adjoint(monkeypatch):
+    # its near pairs and its span share the record's one adjoint
+    adjoints = counting_adjoints(monkeypatch)
+    lifts = Lifts(realize_triangle(TriangleParams(1.0, 1.0, 1.0, 0.0)))
+    assert classify_triangle(lifts) == TriangleClass.PARABOLIC111
+    assert adjoints == [(3, 3)]
 
 
 def test_params_round_trip_through_gram():
