@@ -69,10 +69,10 @@ class Coordinate:
 def _nonvanishing(lifts: Lifts) -> None:
     """Raise when some |<p_a, p_b>| <= PRODUCT_EPS |p_a| |p_b|, a != b."""
     n = lifts.norms
-    pairs = np.argwhere(strict_upper(len(n))
-                        & (lifts.g.modulus() <= PRODUCT_EPS * np.outer(n, n)))
-    if pairs.size:
-        i, j = pairs[0]
+    small = strict_upper(len(n)) & (lifts.g.modulus()
+                                     <= PRODUCT_EPS * np.outer(n, n))
+    if np.count_nonzero(small):
+        i, j = np.argwhere(small)[0]
         raise DegenerateInputError(
             f"points {i + 1} and {j + 1} have vanishing product; "
             "distinct null points cannot be orthogonal")
@@ -126,9 +126,9 @@ def semi_normalize(points):
     # classify allowed |<p_i, p_i>| <= eps |p_i|^2; g_ii = |d_i|^2 <p_i, p_i>
     dev = (g - QMatrix.real(np.eye(m, k=1))).modulus()
     lift = lifts.norms * np.array([abs(x) for x in d])
-    if np.any(np.diagonal(dev) > lifts.eps * lift ** 2):
+    if np.count_nonzero(np.diagonal(dev) > lifts.eps * lift ** 2):
         raise InconsistencyError("nonzero diagonal after normalization")
-    if np.any(np.diagonal(dev, 1) > SEMI_TOL):
+    if np.count_nonzero(np.diagonal(dev, 1) > SEMI_TOL):
         raise InconsistencyError("off-diagonal chain entry is not 1")
     if abs(abs(g13) - 1.0) > SEMI_TOL:
         raise InconsistencyError("g_13 is not a unit quaternion")

@@ -21,9 +21,10 @@ adjoint, with a symplectic Gram-Schmidt only when a repeated eigenvalue
 leaves those vectors short of a quaternion frame.
 
 Products follow the same rule, complex matrices at complex cost: when
-every lift has C2 = 0, `gram` is P1^H (J1 P1) with an all-zero C2, and
-the record builds the complex adjoint of its columns only when the span
-or the distinctness check asks for it.
+the column matrix of the lifts passes `QMatrix.is_complex`, the one C2 = 0
+test that the spectra use too, `gram` is P1^H (J1 P1) with an all-zero
+C2, and the record builds the complex adjoint of its columns only when the
+span or the distinctness check asks for it.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ class Lifts(tuple):
         lifts = super().__new__(cls, points)
         p = lifts.p = columns(lifts)
         lifts.norms = np.linalg.norm(
-            lifts.adj[:, :len(lifts)] if p.c2.any() else p.c1, axis=0)
+            p.c1 if p.is_complex else lifts.adj[:, :len(lifts)], axis=0)
         lifts.g = gram(lifts)
-        lifts.classes = [point_class(s, r, eps) for s, r in
-                         zip(lifts.g.c1.diagonal().real, lifts.norms)]
+        lifts.classes = [point_class(s, r, eps) for s, r in zip(
+            lifts.g.c1.diagonal().real.tolist(), lifts.norms.tolist())]
         lifts.eps = eps
         return lifts
 
@@ -112,7 +113,7 @@ def gram(points) -> QMatrix:
         points = list(points)
     p = points.p if record else columns(points)
     z, m = points[0], len(points)
-    if not p.c2.any():
+    if p.is_complex:
         g1 = p.c1.conj().T @ (form_matrix(z.model, z.n).c1 @ p.c1)
         return QMatrix(g1, np.zeros((m, m), dtype=complex))
     adj = points.adj if record else p.adjoint()
@@ -154,7 +155,10 @@ def _zeroed(lam: np.ndarray) -> list[float]:
 
 
 def _signature(lam: list[float]) -> Inertia:
-    npos, nneg = sum(x > 0 for x in lam), sum(x < 0 for x in lam)
+    npos = nneg = 0
+    for x in lam:
+        npos += x > 0
+        nneg += x < 0
     return Inertia(npos, nneg, len(lam) - npos - nneg)
 
 

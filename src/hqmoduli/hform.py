@@ -176,10 +176,14 @@ def columns(tup) -> QMatrix:
     if not tup:
         raise UsageError("empty tuple")
     model, rows = tup[0].model, tup[0].qm.shape[0]
+    c1, c2 = [], []
     for z in tup:
-        if z.model != model or z.qm.shape[0] != rows:
+        q = z.qm
+        if z.model != model or q.shape[0] != rows:
             raise UsageError("tuple mixes models or dimensions")
-    return QMatrix.from_columns(z.qm for z in tup)
+        c1.append(q.c1)
+        c2.append(q.c2)
+    return QMatrix(np.concatenate(c1, axis=1), np.concatenate(c2, axis=1))
 
 
 def tuple_from_columns(qm: QMatrix, model: str) -> tuple[HVector, ...]:
@@ -263,7 +267,7 @@ def _complete_frame(c: QMatrix, j: QMatrix) -> QMatrix:
     mu, u = (v.h @ (j @ v)).eigh()
     # V has orthonormal columns, so mu is the form on unit vectors: the
     # relative test that point_class applies to <z, z> / |z|^2.
-    if np.any(np.abs(mu) <= NULL_EPS):
+    if np.count_nonzero(np.abs(mu) <= NULL_EPS):
         raise DomainError("the span has a null direction in its complement")
     f = v @ u.cols(range(dim - k - 1, -1, -1))
     scale = 1.0 / np.sqrt(np.abs(mu[::-1]))
@@ -324,7 +328,7 @@ def map_orthonormal_frames(p, q) -> Isometry:
     for f in (fp, fq):
         norms = np.linalg.norm(f.modulus(), axis=0)
         dev = (f.h @ (j @ f) - QMatrix.eye(len(p))).modulus()
-        if np.any(dev > STRUCTURE_TOL * np.outer(norms, norms)):
+        if np.count_nonzero(dev > STRUCTURE_TOL * np.outer(norms, norms)):
             raise DomainError("input tuples are not orthonormal frames")
     return _frames_isometry(fp, fq, j, model)
 

@@ -104,11 +104,11 @@ def _check_distinct(lifts: Lifts) -> None:
     stacked rank of the column pairs' adjoints decides every such pair."""
     m = len(lifts)
     close = strict_upper(m) & (np.abs(lifts.unit.modulus() - 1.0) <= UNIT_EPS)
-    if close.any():
+    if np.count_nonzero(close):
         near = np.argwhere(close)
         cols = np.hstack([near, near + m])
         ranks = adjoint_rank(np.moveaxis(lifts.adj[:, cols], 1, 0))
-        if np.any(ranks < 2):
+        if np.count_nonzero(ranks < 2):
             a, b = near[np.argmax(ranks < 2)]
             raise DegenerateInputError(f"points {a + 1} and {b + 1} coincide")
 
@@ -184,7 +184,8 @@ def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     The tuple is parabolic when the span is degenerate: no negative
     eigenvalue and span dimension one more than the Gram rank.
     """
-    if not np.all(g.c1.diagonal().real > 0.0):
+    diag = g.c1.diagonal().real
+    if np.count_nonzero(diag > 0.0) < diag.size:
         raise DomainError("partition needs a positive diagonal")
     return _partition(unit_diagonal(g), lambda: span_dim)[1]
 
@@ -197,7 +198,7 @@ def _partition(u: QMatrix, span_dim):
     iner = inertia(u)
     if iner.n_minus == 0 and iner.rank == span_dim() - 1:
         same = _same_block(blocks, u.shape[0])
-        if np.any(np.abs(u.modulus()[same] - 1.0) > UNIT_EPS):
+        if np.count_nonzero(np.abs(u.modulus()[same] - 1.0) > UNIT_EPS):
             raise InconsistencyError(
                 "degenerate span but a product inside a block "
                 "does not have modulus 1")
@@ -255,7 +256,7 @@ def _parabolic_lifts(lifts: Lifts) -> QMatrix:
     m = len(lifts)
     d = _align(g, [(blk[0], t) for blk in structure.blocks for t in blk[1:]])
     dev = (rescale_gram(g, d) - QMatrix.real(np.ones((m, m)))).modulus()
-    if np.any(dev[_same_block(structure.blocks, m)] > UNIT_EPS):
+    if np.count_nonzero(dev[_same_block(structure.blocks, m)] > UNIT_EPS):
         raise InconsistencyError("within-block products did not normalize to 1")
     return lifts.p * QMatrix.from_entries([d])
 
@@ -283,7 +284,8 @@ def parabolic_coordinates(points) -> Coordinate:
     big = next(b for b in structure.blocks if len(b) >= 2)
     z0h = (p.col(big[1]) - p.col(big[0])).h
     orth = (z0h @ (form_matrix(lifts[0].model, lifts[0].n) @ p)).modulus()[0]
-    if np.any(orth > ORTHOGONAL_TOL * np.linalg.norm(p.modulus(), axis=0)):
+    if np.count_nonzero(
+            orth > ORTHOGONAL_TOL * np.linalg.norm(p.modulus(), axis=0)):
         raise InconsistencyError(
             "a lift is not orthogonal to the shared null direction")
 

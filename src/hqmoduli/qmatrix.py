@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .quat import Quaternion, quat
+from .quat import Quaternion, _new, quat
 from .tol import INERTIA_EPS, PARTNER_EPS, STRUCTURE_TOL
 
 
@@ -75,9 +75,14 @@ class QMatrix:
     def shape(self) -> tuple[int, int]:
         return self.c1.shape
 
+    @property
+    def is_complex(self) -> bool:
+        """Whether C2 is exactly zero: -0.0 is zero and NaN is not."""
+        return not np.count_nonzero(self.c2)
+
     def entry(self, i: int, j: int) -> Quaternion:
-        return Quaternion.from_complex_pair(self.c1.item(i, j),
-                                            self.c2.item(i, j))
+        a, b = self.c1.item(i, j), self.c2.item(i, j)
+        return _new(Quaternion, (a.real, a.imag, b.real, b.imag))
 
     def set_entry(self, i: int, j: int, q) -> None:
         q = quat(q)
@@ -164,7 +169,7 @@ class QMatrix:
         doubles both squared norms; a non-finite entry fails it."""
         if self.c1.shape[0] != self.c1.shape[1]:
             raise UsageError("a spectral decomposition needs a square matrix")
-        is_complex = not self.c2.any()
+        is_complex = self.is_complex
         a = self.c1 if is_complex else self.adjoint()
         d = a - a.conj().T
         if not np.vdot(d, d).real <= STRUCTURE_TOL ** 2 * np.vdot(a, a).real:

@@ -42,10 +42,6 @@ class Quaternion(tuple):
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def from_complex_pair(c1: complex, c2: complex) -> "Quaternion":
-        return _new(Quaternion, (c1.real, c1.imag, c2.real, c2.imag))
-
-    @staticmethod
     def from_json(data) -> "Quaternion":
         a0, a1, a2, a3 = (float(x) for x in data)
         if not all(map(math.isfinite, (a0, a1, a2, a3))):

@@ -41,7 +41,8 @@ def random_null_tuple(n: int, m: int, seed, model: str = BALL):
     rng = np.random.default_rng(seed)
     for _ in range(MAX_RETRIES):
         pts = tuple(random_null_point(n, rng, BALL) for _ in range(m))
-        if np.all(gram(pts).modulus()[np.triu_indices(m, 1)] > 1e-4):
+        upper = gram(pts).modulus()[np.triu_indices(m, 1)]
+        if np.count_nonzero(upper > 1e-4) == upper.size:
             return tuple(to_model(p, model) for p in pts)
     raise UsageError("failed to sample a nondegenerate null tuple")
 

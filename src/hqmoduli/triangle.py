@@ -41,7 +41,9 @@ class TriangleParams:
     alpha: float
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in self.as_tuple()):
+        isfinite = math.isfinite
+        if not (isfinite(self.r1) and isfinite(self.r2) and isfinite(self.r3)
+                and isfinite(self.alpha)):
             raise UsageError("triangle parameters must be finite")
         if min(self.r1, self.r2, self.r3) < 0.0:
             raise UsageError("side parameters r_t must be nonnegative")
@@ -79,7 +81,8 @@ def triangle_angular_invariant(*points) -> float:
     under permutations, rescalings and isometries.  The pi/2 fallback
     conflates a vanishing T with Re T = 0."""
     lifts = _vertices(points)
-    if not nonzero_products(lifts.unit).all():
+    nz = nonzero_products(lifts.unit)
+    if np.count_nonzero(nz) < nz.size:
         return math.pi / 2.0
     t = triple_product(lifts.g)
     return math.acos(max(-1.0, min(1.0, t.re() / abs(t))))

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqmoduli.boundary import cartan_invariant, vector_to_gram
-from hqmoduli.errors import DomainError, RealizationError, UsageError
+from hqmoduli.errors import (DegenerateInputError, DomainError, RealizationError,
+                             UsageError)
 from hqmoduli import boundary, positive, qmatrix
 from hqmoduli.gram import (INERTIA_EPS, Inertia, Lifts, check_admissible, gram,
                            inertia, realization_error, realize,
@@ -254,17 +255,38 @@ def test_inertia_hermitian_check_is_relative(scale):
 @pytest.mark.parametrize("quaternionic", [False, True])
 def test_non_finite_entries_fail_the_hermitian_check(bad, quaternionic):
     """A mirrored NaN or inf entry is rejected in C1 when C2 = 0 and in C2
-    otherwise; it never gets a signature or points."""
+    otherwise, where QMatrix.is_complex reads it as nonzero, so it
+    reaches the adjoint's check; it never gets a signature or points."""
     g = QMatrix.real(np.diag([2.0, -1.0, 1.0]))
     if quaternionic:
         g.c2[0, 1], g.c2[1, 0] = bad, -bad
     else:
         g.c1[0, 1] = g.c1[1, 0] = bad
+    assert g.is_complex is not quaternionic
     # the check's own subtraction inf - inf warns
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"), mock.patch.object(
+            QMatrix, "adjoint", autospec=True,
+            side_effect=QMatrix.adjoint) as adjoint:
         for decide in (inertia, lambda a: realize(a, 2)):
             with pytest.raises(DomainError):
                 decide(g)
+    assert adjoint.call_count == 2 * quaternionic
+
+
+def test_minus_zero_c2_takes_the_c1_branch():
+    """QMatrix.is_complex reads -0.0 as zero, as numpy's any() does: the
+    spectrum, the Gram matrix and the record never build an adjoint."""
+    g = QMatrix(np.diag([2.0, -1.0, 1.0]), np.full((3, 3), -0.0))
+    pts = [HVector(QMatrix(z.qm.c1, np.full((3, 1), -0.0)))
+           for z in random_regular_tuple(2, 3, seed=4)]
+    assert g.is_complex
+    with mock.patch.object(QMatrix, "adjoint", autospec=True,
+                           side_effect=QMatrix.adjoint) as adjoint:
+        assert g.eigvalsh().tolist() == [-1.0, 1.0, 2.0]
+        assert inertia(g).as_tuple() == (2, 1, 0)
+        assert gram(pts).is_complex
+        assert "adj" not in vars(Lifts(pts))
+    assert adjoint.call_count == 0
 
 
 @pytest.mark.parametrize("quaternionic", [False, True])
@@ -709,6 +731,23 @@ def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
 
     assert positive.positive_coordinate(parabolic).kind == "parabolic"
     assert len(svd) == 2 and len(argwhere) == 1
+
+
+def test_nonvanishing_lists_pairs_only_when_a_product_vanishes(monkeypatch):
+    # a null tuple with every product clear of zero costs no np.argwhere;
+    # one with a vanishing product names its first pair as before
+    null = Lifts(random_null_tuple(3, 5, seed=1))
+    z = HVector.from_entries([0, 1, 1])
+    orthogonal = Lifts([HVector.from_entries([1, 0, 1]), z,
+                        z.rescale(Quaternion(0, 1)),
+                        z.rescale(Quaternion(0, 0, 1))])
+    argwhere = counting(monkeypatch, np, "argwhere")
+    boundary.boundary_coordinate(null)
+    assert len(argwhere) == 0
+    with pytest.raises(DegenerateInputError,
+                       match="points 2 and 3 have vanishing product"):
+        boundary.boundary_coordinate(orthogonal)
+    assert len(argwhere) == 1
 
 
 def test_coordinates_use_cached_masks_and_the_record_adjoint(monkeypatch):

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used in the module importing it,
 every threshold of the package is a name in tol.py that some module
-imports, and only qmatrix.py calls numpy's eigen- and singular value
-kernels."""
+imports, only qmatrix.py calls numpy's eigen- and singular value
+kernels, and the package decides over arrays with np.count_nonzero, not
+numpy's any and all."""
 
 import ast
 import pathlib
@@ -119,6 +120,33 @@ def test_decomposition_scan_catches_a_planted_call():
     assert spectral_calls(tree) == ["linalg.eigvalsh (line 3)",
                                     "linalg.svd (line 4)",
                                     "linalg.eig (line 7)"]
+
+
+def any_all_calls(tree: ast.Module) -> list[str]:
+    """Calls of np.any/np.all and of the .any()/.all() methods, whose
+    Python wrappers cost several times the one C call of np.count_nonzero
+    on the package's small arrays.  The builtins any(gen) and all(gen)
+    are plain names, so they stay allowed."""
+    return [f"{node.func.attr} (line {node.lineno})"
+            for node in sorted(ast.walk(tree), key=lambda x: getattr(x, "lineno", 0))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("any", "all")]
+
+
+def test_array_decisions_use_count_nonzero():
+    found = {p.name: calls
+             for p in (ROOT / "src" / "hqmoduli").glob("*.py")
+             if (calls := any_all_calls(ast.parse(p.read_text())))}
+    assert not found, f"numpy any/all calls in the package: {found}"
+
+
+def test_any_all_scan_catches_a_planted_call():
+    tree = ast.parse("import numpy as np\nok = any(x > 0 for x in xs)\n"
+                     "a = np.any(x > 0)\nb = (x > 0).all()\n"
+                     "c = all(map(f, xs))\nd = numpy.all(x, axis=0)\n"
+                     "e = x.any\nn = np.count_nonzero(x)\n")
+    assert any_all_calls(tree) == ["any (line 3)", "all (line 4)",
+                                   "all (line 6)"]
 
 
 def unimported_thresholds(tol: ast.Module, modules) -> list[str]:
