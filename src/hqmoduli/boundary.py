@@ -124,11 +124,13 @@ def semi_normalize(points):
     g = rescale_gram(g0, d)
 
     # classify allowed |<p_i, p_i>| <= eps |p_i|^2; g_ii = |d_i|^2 <p_i, p_i>
-    dev = (g - QMatrix.real(np.eye(m, k=1))).modulus()
+    diag = np.sqrt(abs(g.c1.diagonal()) ** 2 + abs(g.c2.diagonal()) ** 2)
+    chain = np.sqrt(abs(g.c1.diagonal(1) - 1.0) ** 2
+                    + abs(g.c2.diagonal(1)) ** 2)
     lift = lifts.norms * np.array([abs(x) for x in d])
-    if np.count_nonzero(np.diagonal(dev) > lifts.eps * lift ** 2):
+    if np.count_nonzero(diag > lifts.eps * lift ** 2):
         raise InconsistencyError("nonzero diagonal after normalization")
-    if np.count_nonzero(np.diagonal(dev, 1) > SEMI_TOL):
+    if np.count_nonzero(chain > SEMI_TOL):
         raise InconsistencyError("off-diagonal chain entry is not 1")
     if abs(abs(g13) - 1.0) > SEMI_TOL:
         raise InconsistencyError("g_13 is not a unit quaternion")

@@ -131,9 +131,14 @@ def triple_product(g: QMatrix) -> Quaternion:
 def rescale_gram(g: QMatrix, lambdas) -> QMatrix:
     """Gram matrix of the rescaled tuple (p_1 lambda_1, ...):
     D* G D with D = diag(lambdas), that is conj(lambda_a) g_ab lambda_b
-    entrywise."""
-    d = QMatrix.from_entries([lambdas])
-    return d.h * g * d
+    entrywise: the products of `D.h * G * D`, bit for bit, without D:
+    conj(lambda_a) is a column and lambda_b a (1, m) row, as in D.h and D."""
+    lam = np.array([lambdas], dtype=float).view(complex)
+    l1, l2 = lam[..., 0], lam[..., 1]
+    a1, a2 = np.conj(l1.T), -l2.T
+    x1 = a1 * g.c1 - a2 * np.conj(g.c2)
+    x2 = a1 * g.c2 + a2 * np.conj(g.c1)
+    return QMatrix(x1 * l1 - x2 * np.conj(l2), x1 * l2 + x2 * np.conj(l1))
 
 
 def unit_diagonal(g: QMatrix) -> QMatrix:

@@ -187,9 +187,17 @@ def columns(tup) -> QMatrix:
 
 
 def tuple_from_columns(qm: QMatrix, model: str) -> tuple[HVector, ...]:
-    """The columns of qm as HVectors, each on a column slice of qm."""
-    return tuple(HVector(QMatrix(qm.c1[:, j:j + 1], qm.c2[:, j:j + 1]), model)
-                 for j in range(qm.shape[1]))
+    """The columns of qm as HVectors, each on a column slice of qm, wrapped
+    without the checks of QMatrix and HVector: qm has passed them."""
+    if model not in (BALL, SIEGEL):
+        raise UsageError(f"unknown model {model!r}")
+    out = []
+    for j in range(qm.shape[1]):
+        col, z = object.__new__(QMatrix), object.__new__(HVector)
+        col.c1, col.c2 = qm.c1[:, j:j + 1], qm.c2[:, j:j + 1]
+        z.__dict__.update(qm=col, model=model)  # HVector is frozen
+        out.append(z)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------

@@ -29,8 +29,8 @@ from .errors import DegenerateInputError, DomainError, InconsistencyError
 from .gram import Lifts, inertia, rescale_gram, span_dimension, unit_diagonal
 from .hform import PointClass, form_matrix
 from .qmatrix import QMatrix, adjoint_rank, strict_upper
-from .quat import (ONE, Quaternion, canonical_sign, negligible, nu, quat,
-                   rotation_normalize_vector)
+from .quat import (ONE, Quaternion, canonical_sign, negligible,
+                   normalizing_rotation, nu, quat, rotation_normalize_vector)
 from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS, ZERO_EPS
 
 
@@ -62,13 +62,16 @@ class PartitionStructure:
 # ---------------------------------------------------------------------------
 # validation and first normalization
 
-def _partitioned(points) -> Lifts:
+def _partitioned(points, kind: str | None = None) -> Lifts:
     """The lifts, validated and partitioned once, on the record's
     unit-diagonal Gram matrix: rescaling the lifts moves it by unit
-    factors, which keep every |g_ab| and every eigenvalue."""
+    factors, which keep every |g_ab| and every eigenvalue.  With a kind,
+    a tuple of the other kind is a DomainError."""
     lifts = Lifts(points).validated(PointClass.POSITIVE, 2, _check_distinct)
     if lifts.structure is None:
         lifts.nz, lifts.structure = _partition(lifts.unit, lambda: span_dimension(lifts))
+    if kind not in (None, lifts.structure.kind):
+        raise DomainError(f"tuple is not {kind}")
     return lifts
 
 
@@ -225,27 +228,18 @@ def cross_ratio(z1, z2, z3, z4):
 
     Arguments may be INFINITY; the two factors containing an infinite
     argument are dropped, so [z, 1, 0, INFINITY] = z."""
-    args = [z1, z2, z3, z4]
-    fin = [quat(z) if z is not INFINITY else z for z in args]
-    if sum(1 for z in fin if z is INFINITY) > 1:
+    z = [x if x is INFINITY else quat(x) for x in (z1, z2, z3, z4)]
+    if sum(1 for x in z if x is INFINITY) > 1:
         raise DomainError("cross ratio needs at least three finite arguments")
-    z1, z2, z3, z4 = fin
-
-    def diff(a, b):
-        return None if (a is INFINITY or b is INFINITY) else a - b
-
-    factors = [diff(z1, z3), diff(z1, z4), diff(z2, z4), diff(z2, z3)]
-    inv = [False, True, False, True]
     out = ONE
-    for f, do_inv in zip(factors, inv):
-        if f is None:
+    for a, b, invert in ((0, 2, False), (0, 3, True),
+                         (1, 3, False), (1, 2, True)):
+        if z[a] is INFINITY or z[b] is INFINITY:
             continue
-        if do_inv:
-            if abs(f) == 0.0:
-                raise DomainError("cross ratio undefined: coincident arguments")
-            out = out * f.inverse()
-        else:
-            out = out * f
+        f = z[a] - z[b]
+        if invert and abs(f) == 0.0:
+            raise DomainError("cross ratio undefined: coincident arguments")
+        out = out * (f.inverse() if invert else f)
     return out
 
 
@@ -275,10 +269,8 @@ def parabolic_coordinates(points) -> Coordinate:
     right multiples of z0, so these quotients do not depend on the choice
     of w.
     """
-    lifts = _partitioned(points)
+    lifts = _partitioned(points, "parabolic")
     structure = lifts.structure
-    if structure.kind != "parabolic":
-        raise DomainError("tuple is not parabolic")
 
     p = _parabolic_lifts(lifts)
     big = next(b for b in structure.blocks if len(b) >= 2)
@@ -313,15 +305,16 @@ def block_normalize(points):
     `regular_coordinate` removes, is one unit quaternion per sub-block
     acting by simultaneous conjugation inside the sub-block and by
     left/right translation on cross entries."""
-    lifts = _partitioned(points)
-    structure = lifts.structure
-    if structure.kind != "regular":
-        raise DomainError("tuple is not regular")
+    lifts, d = _block_factors(points)
+    return d, rescale_gram(lifts.g, d), lifts.structure
 
-    pairs = [(c, t) for c, sb in _ordered_sub_blocks(structure)
+
+def _block_factors(points):
+    """The partitioned lifts of a regular tuple and its factors d."""
+    lifts = _partitioned(points, "regular")
+    pairs = [(c, t) for c, sb in _ordered_sub_blocks(lifts.structure)
              for t in sb if t != c]
-    d = _align(lifts.g, pairs)
-    return d, rescale_gram(lifts.g, d), structure
+    return lifts, _align(lifts.g, pairs)
 
 
 def _ordered_sub_blocks(structure):
@@ -362,21 +355,25 @@ def regular_coordinate(points) -> Coordinate:
     and the leftover unit freedom (Sp(1), U(1) or a sign, depending on
     the stratum) is pinned against the first nonzero cross entry to an
     already processed sub-block.  Each sub-block gets one unit, the
-    rotation times the pin, and the composed factors rescale once."""
-    lifts = _partitioned(points)
-    d, g, structure = block_normalize(lifts)
-    m = g.shape[0]
+    rotation times the pin; the loop reads entries as conj(d_a) g_ab d_b,
+    and the composed factors rescale the raw Gram matrix once."""
+    lifts, d = _block_factors(points)
+    g0, structure = lifts.g, lifts.structure
+    m = len(lifts)
     # unit factors keep every |g_ab|, so the record's zero pattern serves
     nz = lifts.nz
     done = np.zeros(m, dtype=bool)
     u = [ONE] * m
 
+    def entry(a, b):
+        return d[a].conj() * g0.entry(a, b) * d[b]
+
     for c, sb in _ordered_sub_blocks(structure):
         in_sb = np.zeros(m, dtype=bool)
         in_sb[list(sb)] = True
-        vec = [g.entry(a, b) for a in sb for b in sb if a < b]
+        vec = [entry(a, b) for a in sb for b in sb if a < b]
         if vec:
-            rot, _, tag = rotation_normalize_vector(vec)
+            rot, tag = normalizing_rotation(vec)
             kind = _residual_kind(tag)
         else:
             rot, kind = ONE, "sp1"
@@ -387,12 +384,12 @@ def regular_coordinate(points) -> Coordinate:
         pins = np.flatnonzero(cross & strict_upper(m))
         if pins.size:
             a, b = divmod(int(pins[0]), m)
-            e = _pin(u[a].conj() * g.entry(a, b) * u[b], kind,
+            e = _pin(u[a].conj() * entry(a, b) * u[b], kind,
                      right=bool(in_sb[b]))
             u = [x * e if s else x for x, s in zip(u, in_sb)]
         done |= in_sb
 
-    g = rescale_gram(lifts.g, [x * y for x, y in zip(d, u)])
+    g = rescale_gram(g0, [x * y for x, y in zip(d, u)])
     entries = tuple(g.entry(a, b) for a in range(m) for b in range(a + 1, m))
     return Coordinate("regular", entries, structure=structure)
 

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from hqmoduli import boundary
 from hqmoduli.boundary import (Coordinate, boundary_coordinate,
                                cartan_invariant, gram_to_vector,
                                semi_normalize, validate_boundary_vector,
                                vector_to_gram)
-from hqmoduli.errors import DegenerateInputError, DomainError, UsageError
+from hqmoduli.errors import (DegenerateInputError, DomainError,
+                             InconsistencyError, UsageError)
 from hqmoduli.gram import Lifts, gram, rescale_gram
 from hqmoduli.hform import (BALL, SIEGEL, HVector, Isometry, PointClass,
                             classify, random_isometry, self_product,
@@ -130,6 +132,38 @@ def test_semi_normalize_postconditions_and_action():
         assert 0.0 <= alpha <= math.pi / 2 + 1e-12
         got = rescale_gram(gram(pts), d)
         assert (got - g).norm() <= 1e-9 * (1 + g.norm())
+
+
+@pytest.mark.parametrize("part, entry, message", [
+    ("c1", (2, 2), "nonzero diagonal after normalization"),
+    ("c2", (0, 0), "nonzero diagonal after normalization"),
+    ("c1", (1, 2), "off-diagonal chain entry is not 1"),
+    ("c2", (3, 4), "off-diagonal chain entry is not 1"),
+])
+def test_semi_normalize_checks_fire_on_a_planted_entry(monkeypatch, part,
+                                                       entry, message):
+    # the diagonal and chain checks read C1 and C2 directly; an entry
+    # pushed to twice its threshold fails them, and half of it passes
+    pts = random_null_tuple(3, 5, seed=4)
+    lifts = Lifts(pts)
+    d, _, _ = semi_normalize(pts)
+    i, j = entry
+    if i == j:
+        bound = lifts.eps * (lifts.norms[i] * abs(d[i])) ** 2
+    else:
+        bound = SEMI_TOL
+
+    for factor, fails in ((0.5, False), (2.0, True)):
+        def planted(g, lambdas):
+            out = rescale_gram(g, lambdas)
+            getattr(out, part)[i, j] += factor * bound
+            return out
+        monkeypatch.setattr(boundary, "rescale_gram", planted)
+        if fails:
+            with pytest.raises(InconsistencyError, match=message):
+                semi_normalize(pts)
+        else:
+            semi_normalize(pts)
 
 
 def test_semi_normalize_close_points_just_off_the_cone():

@@ -32,6 +32,7 @@ from hqmoduli.triangle import classify_triangle
 ROUND_TRIP_TOL = 1e-8
 # the package exports the function gram under the module's name
 gram_module = importlib.import_module("hqmoduli.gram")
+quat_module = importlib.import_module("hqmoduli.quat")
 
 
 def ball(*entries):
@@ -726,11 +727,34 @@ def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     svd = counting(monkeypatch, np.linalg, "svd")
     argwhere = counting(monkeypatch, np, "argwhere")
     positive.positive_coordinate(regular)
-    assert len(one) == 0 and sum(map(len, units)) == 1 and len(rescale) <= 2
+    assert len(one) == 0 and sum(map(len, units)) == 1 and len(rescale) == 1
     assert len(svd) == 0 and len(argwhere) == 0
 
     assert positive.positive_coordinate(parabolic).kind == "parabolic"
     assert len(svd) == 2 and len(argwhere) == 1
+
+
+def test_coordinates_rescale_once_and_conjugate_only_their_output(monkeypatch):
+    # a regular coordinate reads its block-normalized entries off the raw
+    # Gram matrix and rescales once, and its rotations conjugate nothing;
+    # a boundary coordinate rescales once and conjugates its t-vector once
+    regular = Lifts(random_regular_tuple(3, 5, seed=2))
+    null = Lifts(random_null_tuple(3, 5, seed=1))
+    rescale = [counting(monkeypatch, module, "rescale_gram")
+               for module in (positive, boundary)]
+    conj = counting(monkeypatch, quat_module, "conjugate_vector")
+    scans, scan = [], quat_module.normalizing_rotation
+
+    def recording(v):
+        rot, tag = scan(v)
+        scans.append(tag)
+        return rot, tag
+    monkeypatch.setattr(positive, "normalizing_rotation", recording)
+    positive.regular_coordinate(regular)
+    assert len(rescale[0]) == 1 and len(conj) == 0
+    assert scans and "Z_R" not in scans
+    assert boundary.boundary_coordinate(null).stratum != "Z_R"
+    assert len(rescale[1]) == 1 and len(conj) == 1
 
 
 def test_nonvanishing_lists_pairs_only_when_a_product_vanishes(monkeypatch):

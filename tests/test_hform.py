@@ -12,7 +12,8 @@ from hqmoduli.hform import (BALL, SIEGEL, HVector, Isometry, PointClass,
                             map_orthonormal_frames, orthogonal_complement_basis,
                             pair_configuration, pair_isometry, pair_moduli,
                             projective_distance, random_isometry,
-                            self_product, to_model, verify_isometry)
+                            self_product, to_model, tuple_from_columns,
+                            verify_isometry)
 from hqmoduli.positive import positive_coordinate
 from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import ONE, Quaternion
@@ -425,3 +426,28 @@ def test_null_pair_gram_has_negative_eigenvalue():
         if projective_distance(z, w) < 1e-3:
             continue
         assert inertia(gram([z, w])).n_minus == 1
+
+
+def test_wrapped_columns_are_plain_hvectors_on_slices():
+    # tuple_from_columns skips the per-column checks, which a user-built
+    # HVector still runs; its vectors behave like checked ones
+    rng = np.random.default_rng(31)
+    qm = QMatrix(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)),
+                 rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+    cols = tuple_from_columns(qm, SIEGEL)
+    assert len(cols) == 3
+    for j, z in enumerate(cols):
+        assert type(z) is HVector and type(z.qm) is QMatrix
+        assert z.model == SIEGEL and z.n == 3 and z.qm.shape == (4, 1)
+        assert np.shares_memory(z.qm.c1, qm.c1) and np.shares_memory(z.qm.c2, qm.c2)
+        assert z.entries() == [qm.entry(i, j) for i in range(4)]
+        assert herm(z, z) == herm(HVector(qm.col(j), SIEGEL),
+                                  HVector(qm.col(j), SIEGEL))
+        with pytest.raises(AttributeError):
+            z.model = BALL
+    with pytest.raises(UsageError, match="unknown model"):
+        tuple_from_columns(qm, "poincare")
+    with pytest.raises(UsageError, match="single column"):
+        HVector(qm, BALL)
+    with pytest.raises(UsageError, match="unknown model"):
+        HVector(qm.col(0), "poincare")

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from hqmoduli.errors import DegenerateInputError, DomainError, UsageError
 from hqmoduli.quat import (I, J, K, ONE, ImVector3, Quaternion, canonical_sign,
-                           mu, nu, quat, rotation_normalize_vector)
+                           conjugate_vector, mu, normalizing_rotation, nu,
+                           quat, rotation_normalize_vector)
 
 TOL = 1e-12
 POST_TOL = 1e-10
@@ -310,3 +311,53 @@ def test_normalize_conjugation_invariant_and_idempotent():
         _, nn, tn = rotation_normalize_vector(nv)
         assert tn == tv
         assert max(abs(a - b) for a, b in zip(nn, nv)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# conjugate_vector and normalizing_rotation
+
+def test_conjugate_vector_is_the_two_product_form():
+    # the 3x3 map agrees with conj(mu) q mu for unit and non-unit mu, on
+    # generic, real and zero entries, within 1e-15 |mu|^2 |q|
+    rng = np.random.default_rng(23)
+    for trial in range(400):
+        m = Quaternion(*rng.normal(size=4))
+        if trial % 2:
+            m = m * (10.0 ** rng.uniform(-4, 4))
+        else:
+            m = m / abs(m)
+        v = [Quaternion(*rng.normal(size=4)) for _ in range(3)]
+        v += [quat(rng.normal()), Quaternion(), Quaternion(0.0, 0.0, rng.normal())]
+        got = conjugate_vector(m, v)
+        assert all(type(q) is Quaternion for q in got)
+        for q, g in zip(v, got):
+            assert abs(g - m.conj() * q * m) <= 1e-15 * m.norm2() * abs(q)
+
+
+def test_conjugate_vector_coerces_reals_and_complexes():
+    got = conjugate_vector(I, [2.0, 1j])
+    assert got == [Quaternion(2.0, 0.0, 0.0, 0.0), Quaternion(0.0, 1.0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("v, tag", [
+    ([quat(-1), quat(2), quat(3)], "Z_R"),
+    ([Quaternion(0.5, 0.25), quat(2.0)], "P_C"),
+    ([quat(1.0), Quaternion(0.5, 0.0, 0.3), quat(4.0)], "Z_C(2)"),
+    ([Quaternion(1, 1), Quaternion(1, 0, 1)], "P(2)"),
+    ([quat(1.0), Quaternion(0.5, 0.0, 0.3), Quaternion(0, 0, 0, 1.0)], "Z(2,3)"),
+])
+def test_normalizing_rotation_is_the_scan_of_rotation_normalize_vector(v, tag):
+    rot, out, want = rotation_normalize_vector(v)
+    assert want == tag
+    assert normalizing_rotation(v) == (rot, tag)
+    assert out == (v if tag == "Z_R" else conjugate_vector(rot, v))
+
+
+def test_normalizing_rotation_agrees_on_random_vectors():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        v = [Quaternion(*rng.normal(size=4)) for _ in range(int(rng.integers(1, 6)))]
+        rot, _, tag = rotation_normalize_vector(v)
+        assert normalizing_rotation(v) == (rot, tag)
+    with pytest.raises(DomainError, match="empty vector"):
+        normalizing_rotation([])
