@@ -1,27 +1,54 @@
 """Canonical moduli coordinates and congruence invariants for tuples of
-points in quaternionic hyperbolic/projective space under PU(1,n;H)."""
+points in quaternionic hyperbolic/projective space under PU(1,n;H).
 
-from .boundary import (Coordinate, boundary_coordinate, cartan_invariant,
-                       semi_normalize)
-from .errors import (DegenerateInputError, DomainError, HQError,
-                     InconsistencyError, RealizationError, UsageError)
-from .gram import (Inertia, Lifts, check_admissible, gram, inertia, realize,
-                   rescale_gram, span_dimension)
-from .hform import (BALL, SIEGEL, HVector, Isometry, PairConfiguration,
-                    PointClass, classify, herm, pair_configuration,
-                    pair_isometry, pair_moduli, random_isometry, to_model)
-from .positive import (INFINITY, PartitionStructure, block_normalize,
-                       congruent, coordinate_distance, cross_ratio,
-                       detect_partition, one_normalize, parabolic_coordinates,
-                       positive_coordinate, regular_coordinate)
-from .qmatrix import QMatrix
-from .quat import (ImVector3, Quaternion, canonical_sign, mu, nu, quat,
-                   rotation_normalize_vector)
-from .sampling import (random_null_tuple, random_parabolic_tuple,
-                       random_regular_tuple, random_rescaling, random_tuple)
-from .triangle import (TriangleClass, TriangleParams, classify_triangle,
-                       normalize_triangle, realize_triangle,
-                       triangle_angular_invariant, triangle_det,
-                       triangle_exists, triangle_params)
+The names below load lazily (PEP 562): reading one imports its module,
+so `python -m hqmoduli.cli` loads only the modules its subcommand runs."""
 
+import importlib
+
+# exported name -> the module that defines it
+_MODULE_OF = {name: module for module, names in {
+    "boundary": "Coordinate boundary_coordinate cartan_invariant "
+                "semi_normalize",
+    "errors": "DegenerateInputError DomainError HQError InconsistencyError "
+              "RealizationError UsageError",
+    "gram": "Inertia Lifts check_admissible gram inertia realize "
+            "rescale_gram span_dimension",
+    "hform": "BALL SIEGEL HVector Isometry PairConfiguration PointClass "
+             "classify herm pair_configuration pair_isometry pair_moduli "
+             "random_isometry to_model",
+    "positive": "INFINITY PartitionStructure block_normalize congruent "
+                "coordinate_distance cross_ratio detect_partition "
+                "one_normalize parabolic_coordinates positive_coordinate "
+                "regular_coordinate",
+    "qmatrix": "QMatrix",
+    "quat": "ImVector3 Quaternion canonical_sign mu nu quat "
+            "rotation_normalize_vector",
+    "sampling": "random_null_tuple random_parabolic_tuple "
+                "random_regular_tuple random_rescaling random_tuple",
+    "triangle": "TriangleClass TriangleParams classify_triangle "
+                "normalize_triangle realize_triangle "
+                "triangle_angular_invariant triangle_det triangle_exists "
+                "triangle_params"}.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # unknown names raise, so `from hqmoduli import cli` imports the module
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+# `gram` and `quat` each name a submodule and a function in it.  Importing
+# the submodule binds the module under that name, hiding `__getattr__`, so
+# the functions are bound here, after the core that every subcommand loads.
+gram, quat = __getattr__("gram"), __getattr__("quat")

@@ -15,18 +15,13 @@ import sys
 
 import numpy as np
 
-from .boundary import boundary_coordinate
+# the core that every subcommand runs; each handler imports the rest
 from .errors import (DomainError, HQError, RealizationError, UsageError)
 from .gram import Lifts, inertia, realize
 from .hform import BALL, SIEGEL, HVector, random_isometry
-from .positive import (coordinate_distance, positive_coordinate,
-                       tuple_coordinate)
 from .qmatrix import QMatrix
 from .quat import Quaternion
-from .sampling import random_tuple
 from .tol import COORD_TOL, NULL_EPS
-from .triangle import (TriangleParams, classify_realized, realize_triangle,
-                       triangle_det, triangle_exists)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -90,6 +85,7 @@ def _emit(args, payload: dict, summary: str) -> None:
 # subcommands
 
 def cmd_boundary_coord(args) -> int:
+    from .boundary import boundary_coordinate
     coord = boundary_coordinate(_parse_tuple(args.tuple, args.eps))
     _emit(args, coord.to_json(),
           f"stratum {coord.stratum}  alpha {coord.alpha:.12g}  "
@@ -98,6 +94,7 @@ def cmd_boundary_coord(args) -> int:
 
 
 def cmd_positive_coord(args) -> int:
+    from .positive import positive_coordinate
     coord = positive_coordinate(_parse_tuple(args.tuple, args.eps))
     if coord.kind == "parabolic":
         summary = (f"parabolic  stratum {coord.stratum}  "
@@ -110,6 +107,7 @@ def cmd_positive_coord(args) -> int:
 
 
 def cmd_congruent(args) -> int:
+    from .positive import coordinate_distance, tuple_coordinate
     p, q = (_parse_tuple(f, args.eps) for f in (args.a, args.b))
     if len(p) != len(q):
         raise UsageError(f"tuple sizes differ: {len(p)} vs {len(q)}")
@@ -149,6 +147,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_random(args) -> int:
+    from .sampling import random_tuple
     if args.n > args.m and args.kind != "isometry":
         sys.stderr.write(
             f"warning: n = {args.n} > m = {args.m}; the configuration "
@@ -165,9 +164,11 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _triangle_row(params: TriangleParams):
-    """(det, exists, class, points); the points realize the triangle when
-    it exists."""
+def _triangle_row(params):
+    """(det, exists, class, points) of the `TriangleParams`; the points
+    realize the triangle when it exists."""
+    from .triangle import (classify_realized, realize_triangle, triangle_det,
+                           triangle_exists)
     det = triangle_det(params)
     exists = triangle_exists(params)
     pts = realize_triangle(params) if exists else ()
@@ -176,6 +177,7 @@ def _triangle_row(params: TriangleParams):
 
 
 def cmd_triangle(args) -> int:
+    from .triangle import TriangleParams
     if not (0.0 <= args.alpha <= math.pi / 2):
         raise UsageError("alpha must lie in [0, pi/2]")
     params = TriangleParams(args.r1, args.r2, args.r3, args.alpha)
@@ -191,6 +193,7 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_triangle_sweep(args) -> int:
+    from .triangle import TriangleParams
     rs = np.linspace(0.0, args.r_max, args.r_steps)
     alphas = np.linspace(0.0, math.pi / 2, args.alpha_steps)
     out = sys.stdout
