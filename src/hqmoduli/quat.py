@@ -192,19 +192,19 @@ def nu(v1: ImVector3) -> Quaternion:
     """Unit quaternion sending the imaginary vector v1 to |v1| * i by
     conjugation.
 
-    Two-branch formula: if v1 is a negative multiple of i the generic
-    branch degenerates and j is used instead.
+    Two-branch formula: r*i + v1 = (r + x1)i + yj + zk over its computed
+    norm, with r + x1 written without cancellation for x1 < 0; if v1 is
+    a negative multiple of i this degenerates and j is used instead.
     """
-    x1, r = v1.x, v1.norm()
+    x1, y, z = v1.x, v1.y, v1.z
+    r = v1.norm()
     if r == 0.0:
         raise DomainError("nu of zero vector")
-    if x1 < 0.0 and v1.y == 0.0 and v1.z == 0.0:
+    s = r + x1 if x1 >= 0.0 else (y * y + z * z) / (r - x1)
+    if s <= 0.0:
         return J
-    denom = 2.0 * r * (r + x1)
-    if denom <= 0.0:
-        # x1 == -r up to rounding: same degenerate direction as above
-        return J
-    return (r * I + v1.to_quaternion()) / math.sqrt(denom)
+    h = math.hypot(s, y, z)
+    return Quaternion(0.0, s / h, y / h, z / h)
 
 
 def mu(v1: ImVector3, v2: ImVector3) -> Quaternion:

@@ -164,6 +164,35 @@ def test_nu_postcondition_random():
         assert abs(abs(nu(v)) - 1.0) <= POST_TOL
 
 
+NEAR_AXIS = [10.0 ** -k for k in range(3, 16)]
+
+
+@pytest.mark.parametrize("eps", NEAR_AXIS)
+def test_nu_stays_unit_and_exact_near_the_negative_i_axis(eps):
+    # r + x1 cancels as v1 nears -i; nu must stay unit to rounding and
+    # still send v1 onto |v1| i
+    for v in (ImVector3(-1.0, eps, 0.0), ImVector3(-2.0, eps, -eps),
+              ImVector3(-1.0, 0.0, eps)):
+        assert abs(abs(nu(v)) - 1.0) <= 5e-16
+        assert nu_post(v) <= 1e-15 * v.norm()
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+def test_normalize_near_the_negative_i_axis_is_conjugation_invariant(eps):
+    # the first imaginary part lies eps off -i, so the rotation goes
+    # through the near-degenerate branch of nu for v but not for its
+    # conjugates
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        v = [Quaternion(0.3, -1.0, eps, 0.0),
+             *(Quaternion(*rng.normal(size=4)) for _ in range(2))]
+        u = random_unit(rng)
+        _, nv, tv = rotation_normalize_vector(v)
+        _, nw, tw = rotation_normalize_vector([u.conj() * q * u for q in v])
+        assert tv == tw == "P(2)"
+        assert max(abs(a - b) for a, b in zip(nv, nw)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # mu
 
