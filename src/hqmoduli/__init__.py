@@ -6,30 +6,26 @@ so `python -m hqmoduli.cli` loads only the modules its subcommand runs."""
 
 import importlib
 
-# exported name -> the module that defines it
-_MODULE_OF = {name: module for module, names in {
-    "boundary": "Coordinate boundary_coordinate cartan_invariant "
-                "semi_normalize",
-    "errors": "DegenerateInputError DomainError HQError InconsistencyError "
-              "RealizationError UsageError",
-    "gram": "Inertia Lifts check_admissible gram inertia realize "
-            "rescale_gram span_dimension",
-    "hform": "BALL SIEGEL HVector Isometry PairConfiguration PointClass "
-             "classify herm pair_configuration pair_isometry pair_moduli "
-             "random_isometry to_model",
-    "positive": "INFINITY PartitionStructure block_normalize congruent "
-                "coordinate_distance cross_ratio detect_partition "
-                "one_normalize parabolic_coordinates positive_coordinate "
-                "regular_coordinate",
-    "qmatrix": "QMatrix",
-    "quat": "ImVector3 Quaternion canonical_sign mu nu quat "
-            "rotation_normalize_vector",
-    "sampling": "random_null_tuple random_parabolic_tuple "
-                "random_regular_tuple random_rescaling random_tuple",
-    "triangle": "TriangleClass TriangleParams classify_triangle "
-                "normalize_triangle realize_triangle "
-                "triangle_angular_invariant triangle_det triangle_exists "
-                "triangle_params"}.items() for name in names.split()}
+# exported name -> the module that defines it, from lines "module: names"
+_MODULE_OF = {name: line.split(":")[0] for line in """
+boundary: Coordinate boundary_coordinate cartan_invariant semi_normalize
+errors: DegenerateInputError DomainError HQError InconsistencyError
+errors: RealizationError UsageError
+gram: Inertia Lifts check_admissible gram inertia realize rescale_gram
+gram: span_dimension
+hform: BALL SIEGEL HVector Isometry PairConfiguration PointClass classify herm
+hform: pair_configuration pair_isometry pair_moduli random_isometry to_model
+positive: INFINITY PartitionStructure block_normalize congruent
+positive: coordinate_distance cross_ratio detect_partition one_normalize
+positive: parabolic_coordinates positive_coordinate regular_coordinate
+qmatrix: QMatrix
+quat: ImVector3 Quaternion canonical_sign mu nu quat rotation_normalize_vector
+sampling: random_null_tuple random_parabolic_tuple random_regular_tuple
+sampling: random_rescaling random_tuple
+triangle: TriangleClass TriangleParams classify_triangle normalize_triangle
+triangle: realize_triangle triangle_angular_invariant triangle_det
+triangle: triangle_exists triangle_params
+""".strip().splitlines() for name in line.split()[1:]}
 __all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
 
@@ -38,9 +34,8 @@ def __getattr__(name):
     # unknown names raise, so `from hqmoduli import cli` imports the module
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
-                    name)
-    globals()[name] = value
+    module = importlib.import_module(f".{_MODULE_OF[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
     return value
 
 

@@ -164,24 +164,24 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _triangle_row(params):
-    """(det, exists, class, points) of the `TriangleParams`; the points
-    realize the triangle when it exists."""
-    from .triangle import (classify_realized, realize_triangle, triangle_det,
-                           triangle_exists)
+def _triangle_row(*values):
+    """(params, det, exists, class, points) of the (r1, r2, r3; alpha)
+    triangle; the points realize it when it exists."""
+    from .triangle import (TriangleParams, classify_realized, realize_triangle,
+                           triangle_det, triangle_exists)
+    params = TriangleParams(*values)
     det = triangle_det(params)
     exists = triangle_exists(params)
     pts = realize_triangle(params) if exists else ()
     cls = classify_realized(pts).value if exists else ""
-    return det, exists, cls, pts
+    return params, det, exists, cls, pts
 
 
 def cmd_triangle(args) -> int:
-    from .triangle import TriangleParams
     if not (0.0 <= args.alpha <= math.pi / 2):
         raise UsageError("alpha must lie in [0, pi/2]")
-    params = TriangleParams(args.r1, args.r2, args.r3, args.alpha)
-    det, exists, cls, pts = _triangle_row(params)
+    params, det, exists, cls, pts = _triangle_row(args.r1, args.r2, args.r3,
+                                                  args.alpha)
     payload = {"params": params.to_json(), "det": det, "exists": exists}
     if exists:
         payload["class"] = cls
@@ -193,7 +193,6 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_triangle_sweep(args) -> int:
-    from .triangle import TriangleParams
     rs = np.linspace(0.0, args.r_max, args.r_steps)
     alphas = np.linspace(0.0, math.pi / 2, args.alpha_steps)
     out = sys.stdout
@@ -202,9 +201,8 @@ def cmd_triangle_sweep(args) -> int:
         for r2 in rs:
             for r3 in rs:
                 for al in alphas:
-                    params = TriangleParams(float(r1), float(r2),
-                                            float(r3), float(al))
-                    det, exists, cls, _ = _triangle_row(params)
+                    _, det, exists, cls, _ = _triangle_row(
+                        float(r1), float(r2), float(r3), float(al))
                     out.write(f"{r1:.6g},{r2:.6g},{r3:.6g},{al:.6g},"
                               f"{det:.12g},{str(exists).lower()},{cls}\n")
     return EXIT_OK

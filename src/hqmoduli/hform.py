@@ -40,21 +40,16 @@ def form_matrix(model: str, n: int) -> QMatrix:
 
     Cached per (model, n) and shared by every caller, so its arrays are
     read-only."""
-    if model == BALL:
-        d = np.ones(n + 1)
-        d[n] = -1.0
-        j = QMatrix.real(np.diag(d))
-    elif model == SIEGEL:
-        m = np.zeros((n + 1, n + 1))
-        m[0, n] = 1.0
-        m[n, 0] = 1.0
-        for i in range(1, n):
-            m[i, i] = 1.0
-        j = QMatrix.real(m)
-    else:
+    if model not in (BALL, SIEGEL):
         raise UsageError(f"unknown model {model!r}")
-    j.c1.flags.writeable = False
-    j.c2.flags.writeable = False
+    m = np.eye(n + 1)
+    if model == BALL:
+        m[n, n] = -1.0
+    else:
+        m[0, 0] = m[n, n] = 0.0
+        m[0, n] = m[n, 0] = 1.0
+    j = QMatrix.real(m)
+    j.c1.flags.writeable = j.c2.flags.writeable = False
     return j
 
 
@@ -214,8 +209,7 @@ def cayley_matrix(n: int) -> QMatrix:
     m[0, 0] = m[0, n] = m[n, 0] = a
     m[n, n] = -a
     c = QMatrix.real(m)
-    c.c1.flags.writeable = False
-    c.c2.flags.writeable = False
+    c.c1.flags.writeable = c.c2.flags.writeable = False
     return c
 
 
@@ -295,9 +289,7 @@ def random_isometry(n: int, seed: int, model: str = BALL) -> Isometry:
             raw = rng.standard_normal((n, 4))
             raw /= 2.0 * max(1.0, float(np.linalg.norm(raw)))
             neg = QMatrix.zeros(n + 1, 1)
-            for i in range(n):
-                neg.c1[i, 0] = complex(raw[i, 0], raw[i, 1])
-                neg.c2[i, 0] = complex(raw[i, 2], raw[i, 3])
+            neg.c1[:n, 0], neg.c2[:n, 0] = raw.view(complex).T
             neg.c1[n, 0] = 1.0
             s = _self(neg, j)
             if s >= -1e-6:

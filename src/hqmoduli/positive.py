@@ -282,14 +282,9 @@ def parabolic_coordinates(points) -> Coordinate:
             "a lift is not orthogonal to the shared null direction")
 
     ks = (z0h @ p).to_entries()[0]
-    x = []
-    for blk in structure.blocks:
-        for t in blk[2:]:
-            x.append(cross_ratio(ks[blk[0]], ks[blk[1]], ks[t], INFINITY))
-    if x:
-        _, xn, tag = rotation_normalize_vector(x)
-    else:
-        xn, tag = [], "Z_R"
+    x = [cross_ratio(ks[blk[0]], ks[blk[1]], ks[t], INFINITY)
+         for blk in structure.blocks for t in blk[2:]]
+    _, xn, tag = rotation_normalize_vector(x) if x else (ONE, [], "Z_R")
     return Coordinate("parabolic", tuple(xn), tag, structure)
 
 
@@ -372,11 +367,8 @@ def regular_coordinate(points) -> Coordinate:
         in_sb = np.zeros(m, dtype=bool)
         in_sb[list(sb)] = True
         vec = [entry(a, b) for a in sb for b in sb if a < b]
-        if vec:
-            rot, tag = normalizing_rotation(vec)
-            kind = _residual_kind(tag)
-        else:
-            rot, kind = ONE, "sp1"
+        rot, tag = normalizing_rotation(vec) if vec else (ONE, "Z_R")
+        kind = _residual_kind(tag)
         u = [rot if s else x for x, s in zip(u, in_sb)]
 
         # first nonzero cross entry, row-major, to a processed sub-block

@@ -87,18 +87,18 @@ class Quaternion(tuple):
 
     def __add__(self, other):
         p0, p1, p2, p3 = self
-        q0, q1, q2, q3 = _coerce(other)
+        q0, q1, q2, q3 = quat(other)
         return _new(Quaternion, (p0 + q0, p1 + q1, p2 + q2, p3 + q3))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         p0, p1, p2, p3 = self
-        q0, q1, q2, q3 = _coerce(other)
+        q0, q1, q2, q3 = quat(other)
         return _new(Quaternion, (p0 - q0, p1 - q1, p2 - q2, p3 - q3))
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return quat(other) - self
 
     def __neg__(self):
         a0, a1, a2, a3 = self
@@ -106,7 +106,7 @@ class Quaternion(tuple):
 
     def __mul__(self, other):
         p0, p1, p2, p3 = self
-        q0, q1, q2, q3 = _coerce(other)
+        q0, q1, q2, q3 = quat(other)
         return _new(Quaternion, (
             p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
             p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
@@ -115,14 +115,14 @@ class Quaternion(tuple):
         ))
 
     def __rmul__(self, other):
-        return _coerce(other) * self
+        return quat(other) * self
 
     def __truediv__(self, other):
         """Componentwise for a real divisor, which a numpy scalar meets as
         a Python float; self times the inverse otherwise."""
         if not isinstance(other, (int, float)):
             if not isinstance(other, numbers.Real):
-                return self * _coerce(other).inverse()
+                return self * quat(other).inverse()
             other = float(other)
         a0, a1, a2, a3 = self
         return _new(Quaternion, (a0 / other, a1 / other,
@@ -138,7 +138,8 @@ J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def _coerce(x) -> Quaternion:
+def quat(x) -> Quaternion:
+    """Coerce a real, complex or quaternion value to Quaternion."""
     if isinstance(x, Quaternion):
         return x
     if isinstance(x, (int, float)):
@@ -146,13 +147,8 @@ def _coerce(x) -> Quaternion:
     if isinstance(x, complex):
         return _new(Quaternion, (x.real, x.imag, 0.0, 0.0))
     if isinstance(x, numbers.Complex):  # numpy scalars, after the hot path
-        return _coerce(complex(x))
+        return quat(complex(x))
     raise TypeError(f"cannot interpret {x!r} as a quaternion")
-
-
-def quat(x) -> Quaternion:
-    """Coerce a real, complex or quaternion value to Quaternion."""
-    return _coerce(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,8 +192,7 @@ def nu(v1: ImVector3) -> Quaternion:
     norm, with r + x1 written without cancellation for x1 < 0; if v1 is
     a negative multiple of i this degenerates and j is used instead.
     """
-    x1, y, z = v1.x, v1.y, v1.z
-    r = v1.norm()
+    x1, y, z, r = v1.x, v1.y, v1.z, v1.norm()
     if r == 0.0:
         raise DomainError("nu of zero vector")
     s = r + x1 if x1 >= 0.0 else (y * y + z * z) / (r - x1)
@@ -252,7 +247,7 @@ def conjugate_vector(mu_: Quaternion, v: list[Quaternion]) -> list[Quaternion]:
     return [_new(Quaternion, (n2 * a0, r11 * a1 + r12 * a2 + r13 * a3,
                               r21 * a1 + r22 * a2 + r23 * a3,
                               r31 * a1 + r32 * a2 + r33 * a3))
-            for a0, a1, a2, a3 in map(_coerce, v)]
+            for a0, a1, a2, a3 in map(quat, v)]
 
 
 def normalizing_rotation(v: list[Quaternion]) -> tuple[Quaternion, str]:

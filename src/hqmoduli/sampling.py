@@ -121,10 +121,9 @@ def random_rescaling(m: int, seed):
 def random_tuple(kind: str, n: int, m: int, seed, model: str = BALL):
     """Dispatch by kind: 'boundary-tuple', 'positive-regular' or
     'positive-parabolic'."""
-    if kind == "boundary-tuple":
-        return random_null_tuple(n, m, seed, model)
-    if kind == "positive-regular":
-        return random_regular_tuple(n, m, seed, model)
-    if kind == "positive-parabolic":
-        return random_parabolic_tuple(n, m, seed, model)
-    raise UsageError(f"unknown sampling kind {kind!r}")
+    samplers = {"boundary-tuple": random_null_tuple,
+                "positive-regular": random_regular_tuple,
+                "positive-parabolic": random_parabolic_tuple}
+    if kind not in samplers:
+        raise UsageError(f"unknown sampling kind {kind!r}")
+    return samplers[kind](n, m, seed, model)

@@ -41,9 +41,7 @@ class TriangleParams:
     alpha: float
 
     def __post_init__(self):
-        isfinite = math.isfinite
-        if not (isfinite(self.r1) and isfinite(self.r2) and isfinite(self.r3)
-                and isfinite(self.alpha)):
+        if not all(map(math.isfinite, self.as_tuple())):
             raise UsageError("triangle parameters must be finite")
         if min(self.r1, self.r2, self.r3) < 0.0:
             raise UsageError("side parameters r_t must be nonnegative")
@@ -63,6 +61,10 @@ class TriangleClass(Enum):
     ELLIPTIC = "Elliptic"
     HYPERBOLIC_PLANAR = "HyperbolicPlanar"
     HYPERBOLIC_FULL = "HyperbolicFull"
+
+
+# the class of each possible signature (n_plus, n_minus) of a triangle
+_CLASS_OF = dict(zip([(1, 0), (2, 0), (1, 1), (2, 1)], TriangleClass))
 
 
 def _vertices(points) -> Lifts:
@@ -155,6 +157,8 @@ def classify_triangle(*points) -> TriangleClass:
     lifts = _vertices(points)
     iner = inertia(lifts.unit)
     sig = (iner.n_plus, iner.n_minus)
+    if sig not in _CLASS_OF:
+        raise InconsistencyError(f"impossible triangle signature {sig}")
     if sig == (1, 0):
         params = triangle_params(lifts)
         if max(abs(params.r1 - 1), abs(params.r2 - 1), abs(params.r3 - 1),
@@ -164,11 +168,4 @@ def classify_triangle(*points) -> TriangleClass:
         if span_dimension(lifts) != 2:
             raise InconsistencyError(
                 "parabolic triangle span has unexpected dimension")
-        return TriangleClass.PARABOLIC111
-    if sig == (2, 0):
-        return TriangleClass.ELLIPTIC
-    if sig == (1, 1):
-        return TriangleClass.HYPERBOLIC_PLANAR
-    if sig == (2, 1):
-        return TriangleClass.HYPERBOLIC_FULL
-    raise InconsistencyError(f"impossible triangle signature {sig}")
+    return _CLASS_OF[sig]

@@ -8,10 +8,8 @@ import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# the package's __init__ imports only to re-export
-MODULES = sorted(p for p in [*(ROOT / "src" / "hqmoduli").glob("*.py"),
-                             *(ROOT / "tests").glob("*.py")]
-                 if p.name != "__init__.py")
+MODULES = sorted([*(ROOT / "src" / "hqmoduli").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 # where small literals are not thresholds: the thresholds themselves, the
 # samplers' draw constants and the draw checks of random_isometry
 LITERAL_MODULES = {"tol.py", "sampling.py"}
