@@ -15,9 +15,9 @@ gram: Inertia Lifts check_admissible gram inertia realize rescale_gram
 gram: span_dimension
 hform: BALL SIEGEL HVector Isometry PairConfiguration PointClass classify herm
 hform: pair_configuration pair_isometry pair_moduli random_isometry to_model
-positive: INFINITY PartitionStructure block_normalize congruent
-positive: coordinate_distance cross_ratio detect_partition one_normalize
-positive: parabolic_coordinates positive_coordinate regular_coordinate
+positive: INFINITY PartitionStructure congruent coordinate_distance
+positive: cross_ratio detect_partition one_normalize parabolic_coordinates
+positive: positive_coordinate regular_coordinate
 qmatrix: QMatrix
 quat: ImVector3 Quaternion canonical_sign mu nu quat rotation_normalize_vector
 sampling: random_null_tuple random_parabolic_tuple random_regular_tuple

@@ -35,12 +35,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, RealizationError, UsageError
+from .errors import (DegenerateInputError, DomainError, RealizationError,
+                     UsageError)
 from .hform import (BALL, HVector, PointClass, columns, form_adjoint,
                     form_matrix, point_class, to_model, tuple_from_columns)
-from .qmatrix import QMatrix, adjoint_rank
+from .qmatrix import QMatrix, adjoint_rank, strict_upper
 from .quat import Quaternion
-from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS
+from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS, UNIT_EPS, ZERO_EPS
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,27 @@ def unit_diagonal(g: QMatrix) -> QMatrix:
     with positive diagonal, which rescaling the lifts moves by unit factors."""
     s = g.c1.diagonal().real ** -0.5
     return QMatrix(g.c1 * s[:, None] * s, g.c2 * s[:, None] * s)
+
+
+def nonzero_products(g: QMatrix) -> np.ndarray:
+    """The zero-product rule: entry (a, b) is True when |g_ab| exceeds
+    ZERO_EPS times the largest |g_ab|."""
+    mod = g.modulus()
+    return mod > ZERO_EPS * mod.max()
+
+
+def check_distinct(lifts: Lifts) -> None:
+    """Two lifts whose unit product has modulus 1 must span a plane; one
+    stacked rank of the column pairs' adjoints decides every such pair."""
+    m = len(lifts)
+    close = strict_upper(m) & (np.abs(lifts.unit.modulus() - 1.0) <= UNIT_EPS)
+    if np.count_nonzero(close):
+        near = np.argwhere(close)
+        cols = np.hstack([near, near + m])
+        ranks = adjoint_rank(np.moveaxis(lifts.adj[:, cols], 1, 0))
+        if np.count_nonzero(ranks < 2):
+            a, b = near[np.argmax(ranks < 2)]
+            raise DegenerateInputError(f"points {a + 1} and {b + 1} coincide")
 
 
 def _zeroed(lam: np.ndarray) -> list[float]:

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import Coordinate, boundary_coordinate
-from .errors import DegenerateInputError, DomainError, InconsistencyError
-from .gram import Lifts, inertia, rescale_gram, span_dimension, unit_diagonal
+from .errors import DomainError, InconsistencyError
+from .gram import (Lifts, check_distinct, inertia, nonzero_products,
+                   rescale_gram, span_dimension, unit_diagonal)
 from .hform import PointClass, form_matrix
-from .qmatrix import QMatrix, adjoint_rank, strict_upper
+from .qmatrix import QMatrix, strict_upper
 from .quat import (ONE, Quaternion, canonical_sign, negligible,
                    normalizing_rotation, nu, quat, rotation_normalize_vector)
-from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS, ZERO_EPS
+from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -67,19 +68,12 @@ def _partitioned(points, kind: str | None = None) -> Lifts:
     unit-diagonal Gram matrix: rescaling the lifts moves it by unit
     factors, which keep every |g_ab| and every eigenvalue.  With a kind,
     a tuple of the other kind is a DomainError."""
-    lifts = Lifts(points).validated(PointClass.POSITIVE, 2, _check_distinct)
+    lifts = Lifts(points).validated(PointClass.POSITIVE, 2, check_distinct)
     if lifts.structure is None:
         lifts.nz, lifts.structure = _partition(lifts.unit, lambda: span_dimension(lifts))
     if kind not in (None, lifts.structure.kind):
         raise DomainError(f"tuple is not {kind}")
     return lifts
-
-
-def nonzero_products(g: QMatrix) -> np.ndarray:
-    """The zero-product rule: entry (a, b) is True when |g_ab| exceeds
-    ZERO_EPS times the largest |g_ab|."""
-    mod = g.modulus()
-    return mod > ZERO_EPS * mod.max()
 
 
 def _align(g: QMatrix, pairs) -> list[Quaternion]:
@@ -102,20 +96,6 @@ def _same_block(blocks, m: int) -> np.ndarray:
     return label[:, None] == label[None, :]
 
 
-def _check_distinct(lifts: Lifts) -> None:
-    """Two lifts whose unit product has modulus 1 must span a plane; one
-    stacked rank of the column pairs' adjoints decides every such pair."""
-    m = len(lifts)
-    close = strict_upper(m) & (np.abs(lifts.unit.modulus() - 1.0) <= UNIT_EPS)
-    if np.count_nonzero(close):
-        near = np.argwhere(close)
-        cols = np.hstack([near, near + m])
-        ranks = adjoint_rank(np.moveaxis(lifts.adj[:, cols], 1, 0))
-        if np.count_nonzero(ranks < 2):
-            a, b = near[np.argmax(ranks < 2)]
-            raise DegenerateInputError(f"points {a + 1} and {b + 1} coincide")
-
-
 def one_normalize(points):
     """First normalization of a positive tuple.
 
@@ -123,9 +103,11 @@ def one_normalize(points):
     g_1i real nonnegative, followed (for m >= 3 with Im g_23 != 0) by a
     common unit factor rotating g_23 into the upper complex half plane.
     The zero products are read off the record's unit-diagonal Gram
-    matrix, and G is rescaled once by the composed d.
+    matrix, and G is rescaled once by the composed d.  No coordinate
+    calls it: for a triple it is the reference that the closed form of
+    `triangle.normalize_triangle` is tested against.
     """
-    lifts = Lifts(points).validated(PointClass.POSITIVE, 2, _check_distinct)
+    lifts = Lifts(points).validated(PointClass.POSITIVE, 2, check_distinct)
     g0 = lifts.g
     m = len(lifts)
 
@@ -291,27 +273,6 @@ def parabolic_coordinates(points) -> Coordinate:
 # ---------------------------------------------------------------------------
 # regular tuples: block normalization and canonical Gram matrix
 
-def block_normalize(points):
-    """Diagonal rescaling making g_ii = 1 and every anchor-row entry
-    real positive inside its sub-block.
-
-    Returns (d, G, structure), G rescaled once by d; each anchor keeps
-    its real factor 1/sqrt(g_cc).  The residual freedom, which
-    `regular_coordinate` removes, is one unit quaternion per sub-block
-    acting by simultaneous conjugation inside the sub-block and by
-    left/right translation on cross entries."""
-    lifts, d = _block_factors(points)
-    return d, rescale_gram(lifts.g, d), lifts.structure
-
-
-def _block_factors(points):
-    """The partitioned lifts of a regular tuple and its factors d."""
-    lifts = _partitioned(points, "regular")
-    pairs = [(c, t) for c, sb in _ordered_sub_blocks(lifts.structure)
-             for t in sb if t != c]
-    return lifts, _align(lifts.g, pairs)
-
-
 def _ordered_sub_blocks(structure):
     flat = [(c, sb) for sbs, ancs in zip(structure.sub_blocks, structure.anchors)
             for sb, c in zip(sbs, ancs)]
@@ -345,16 +306,22 @@ def _residual_kind(tag: str) -> str:
 def regular_coordinate(points) -> Coordinate:
     """Canonical Gram matrix of a regular tuple.
 
-    After block normalization, sub-blocks are processed in order of
-    their anchors: the within-sub-block entries are rotation normalized,
+    Block normalization gives factors d making g_ii = 1 and every
+    anchor-row entry real positive inside its sub-block; each anchor
+    keeps its real factor 1/sqrt(g_cc).  The residual freedom is one unit
+    quaternion per sub-block, acting by simultaneous conjugation inside
+    the sub-block and by left/right translation on cross entries.  The
+    sub-blocks are processed in order of their anchors: the
+    within-sub-block entries are rotation normalized,
     and the leftover unit freedom (Sp(1), U(1) or a sign, depending on
     the stratum) is pinned against the first nonzero cross entry to an
     already processed sub-block.  Each sub-block gets one unit, the
     rotation times the pin; the loop reads entries as conj(d_a) g_ab d_b,
     and the composed factors rescale the raw Gram matrix once."""
-    lifts, d = _block_factors(points)
-    g0, structure = lifts.g, lifts.structure
-    m = len(lifts)
+    lifts = _partitioned(points, "regular")
+    g0, m = lifts.g, len(lifts)
+    order = _ordered_sub_blocks(lifts.structure)
+    d = _align(g0, [(c, t) for c, sb in order for t in sb if t != c])
     # unit factors keep every |g_ab|, so the record's zero pattern serves
     nz = lifts.nz
     done = np.zeros(m, dtype=bool)
@@ -363,7 +330,7 @@ def regular_coordinate(points) -> Coordinate:
     def entry(a, b):
         return d[a].conj() * g0.entry(a, b) * d[b]
 
-    for c, sb in _ordered_sub_blocks(structure):
+    for c, sb in order:
         in_sb = np.zeros(m, dtype=bool)
         in_sb[list(sb)] = True
         vec = [entry(a, b) for a in sb for b in sb if a < b]
@@ -383,7 +350,7 @@ def regular_coordinate(points) -> Coordinate:
 
     g = rescale_gram(g0, [x * y for x, y in zip(d, u)])
     entries = tuple(g.entry(a, b) for a in range(m) for b in range(a + 1, m))
-    return Coordinate("regular", entries, structure=structure)
+    return Coordinate("regular", entries, structure=lifts.structure)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import InconsistencyError, UsageError
-from .gram import Lifts, inertia, realize, span_dimension, triple_product
+from .gram import (Lifts, check_distinct, inertia, nonzero_products, realize,
+                   span_dimension, triple_product)
 from .hform import BALL, HVector, PointClass
-from .positive import _check_distinct, nonzero_products, one_normalize
 from .qmatrix import QMatrix
 from .tol import DET_TOL, UNIT_EPS
 
@@ -73,7 +73,19 @@ def _vertices(points) -> Lifts:
     lifts = Lifts(points[0] if len(points) == 1 else points)
     if len(lifts) != 3:
         raise UsageError("a triangle needs exactly 3 points")
-    return lifts.validated(PointClass.POSITIVE, 3, _check_distinct)
+    return lifts.validated(PointClass.POSITIVE, 3, check_distinct)
+
+
+def _angle(lifts: Lifts, fallback: float) -> float:
+    """arccos(Re T / |T|) in [0, pi] for the triple product T of the
+    vertices, taken as atan2(|Im T|, Re T), which keeps its precision near
+    0 and pi; `fallback` when the zero-product rule of the partition marks
+    some pairwise product as zero, so that T vanishes."""
+    nz = nonzero_products(lifts.unit)
+    if np.count_nonzero(nz) < nz.size:
+        return fallback
+    t = triple_product(lifts.g)
+    return math.atan2(math.hypot(t.a1, t.a2, t.a3), t.a0)
 
 
 def triangle_angular_invariant(*points) -> float:
@@ -82,36 +94,28 @@ def triangle_angular_invariant(*points) -> float:
     rule of the partition marks some pairwise product as zero.  Invariant
     under permutations, rescalings and isometries.  The pi/2 fallback
     conflates a vanishing T with Re T = 0."""
-    lifts = _vertices(points)
-    nz = nonzero_products(lifts.unit)
-    if np.count_nonzero(nz) < nz.size:
-        return math.pi / 2.0
-    t = triple_product(lifts.g)
-    return math.acos(max(-1.0, min(1.0, t.re() / abs(t))))
+    return _angle(_vertices(points), math.pi / 2.0)
 
 
 def normalize_triangle(*points) -> QMatrix:
     """The unique normalized Gram matrix of a positive triple: unit
     diagonal, g_12 and g_13 real nonnegative, g_23 = r1 e^{i alpha} with
-    sin alpha >= 0."""
-    _, g = one_normalize(_vertices(points))
-    return g
+    sin alpha >= 0, built from `triangle_params`."""
+    return gram_from_params(triangle_params(*points))
 
 
 def triangle_params(*points) -> TriangleParams:
-    """(r1, r2, r3; alpha) read off the normalized Gram matrix; alpha is
-    recorded as 0 when g_23 = 0, by the zero-product rule of the
-    partition, leaves it undetermined."""
+    """(r1, r2, r3; alpha) read off the record: r_t = |u_ab| for the
+    record's unit-diagonal Gram matrix u and the pair (a, b) opposite
+    vertex t, and alpha the angle of the triple product T, which is
+    r1 r2 r3 e^{i alpha} for the normalized Gram matrix; rescaling the
+    lifts multiplies T by a positive factor and conjugates it by a unit,
+    which keeps the angle.  alpha is recorded as 0 when the zero-product
+    rule of the partition marks some product as zero: T then vanishes,
+    and a unit factor on one vertex turns g_23 to any phase."""
     lifts = _vertices(points)
-    g = normalize_triangle(lifts)
-    r3 = max(0.0, g.entry(0, 1).re())
-    r2 = max(0.0, g.entry(0, 2).re())
-    g23 = g.entry(1, 2)
-    r1 = abs(g23)
-    alpha = (math.atan2(g23.a1, g23.a0) if nonzero_products(lifts.unit)[1, 2]
-             else 0.0)
-    alpha = min(max(alpha, 0.0), math.pi)
-    return TriangleParams(r1, r2, r3, alpha)
+    r = lifts.unit.modulus().tolist()
+    return TriangleParams(r[1][2], r[0][2], r[0][1], _angle(lifts, 0.0))
 
 
 def gram_from_params(params: TriangleParams) -> QMatrix:

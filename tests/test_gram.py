@@ -699,7 +699,7 @@ def test_parabolic_triangle_gets_one_gram_matrix(monkeypatch):
 
 
 def test_stages_validate_a_record_once(monkeypatch):
-    distinct = counting(monkeypatch, positive, "_check_distinct")
+    distinct = counting(monkeypatch, positive, "check_distinct")
     lifts = Lifts(random_regular_tuple(2, 4, seed=2))
     positive.positive_coordinate(lifts)
     positive.regular_coordinate(lifts)

@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is used in the module importing it,
 every threshold of the package is a name in tol.py that some module
 imports, only qmatrix.py calls numpy's eigen- and singular value
-kernels, and the package decides over arrays with np.count_nonzero, not
-numpy's any and all."""
+kernels, the package decides over arrays with np.count_nonzero, not
+numpy's any and all, and no package module imports another's private
+names."""
 
 import ast
 import pathlib
@@ -14,6 +15,9 @@ MODULES = sorted([*(ROOT / "src" / "hqmoduli").glob("*.py"),
 # samplers' draw constants and the draw checks of random_isometry
 LITERAL_MODULES = {"tol.py", "sampling.py"}
 LITERAL_FUNCTIONS = {"hform.py": {"random_isometry"}}
+# private names one package module may import from another: the hot-path
+# quaternion constructor that qmatrix builds its entries with
+SHARED_PRIVATE = {("quat", "_new")}
 
 
 def _annotations(tree: ast.Module):
@@ -173,3 +177,36 @@ def test_threshold_use_scan_catches_a_dead_name():
                ast.parse("from hqmoduli.tol import C as D\n"),
                ast.parse("from .other import B\n")]
     assert unimported_thresholds(tol, modules) == ["B"]
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """Names with a leading underscore that an import from the package,
+    relative or from hqmoduli, binds, other than the SHARED_PRIVATE ones."""
+    found = []
+    for node in sorted(ast.walk(tree), key=lambda x: getattr(x, "lineno", 0)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level == 0 and parts[0] != "hqmoduli":
+            continue
+        found += [f"{parts[-1]}.{alias.name} (line {node.lineno})"
+                  for alias in node.names if alias.name.startswith("_")
+                  and (parts[-1], alias.name) not in SHARED_PRIVATE]
+    return found
+
+
+def test_no_private_names_cross_package_modules():
+    found = {p.name: names
+             for p in (ROOT / "src" / "hqmoduli").glob("*.py")
+             if (names := private_imports(ast.parse(p.read_text())))}
+    assert not found, f"private names imported from another module: {found}"
+
+
+def test_private_import_scan_catches_a_planted_name():
+    tree = ast.parse("from .quat import Quaternion, _new\n"
+                     "from .positive import _check_distinct\n"
+                     "from numpy import _core\n"
+                     "def f():\n    from hqmoduli.gram import _zeroed as z\n"
+                     "from hqmoduli.quat import _new\nfrom . import _tol\n")
+    assert private_imports(tree) == ["positive._check_distinct (line 2)",
+                                     "gram._zeroed (line 5)", "._tol (line 7)"]

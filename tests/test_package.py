@@ -32,7 +32,7 @@ EXPORTS = {
     "hform": ["BALL", "SIEGEL", "HVector", "Isometry", "PairConfiguration",
               "PointClass", "classify", "herm", "pair_configuration",
               "pair_isometry", "pair_moduli", "random_isometry", "to_model"],
-    "positive": ["INFINITY", "PartitionStructure", "block_normalize",
+    "positive": ["INFINITY", "PartitionStructure",
                  "congruent", "coordinate_distance", "cross_ratio",
                  "detect_partition", "one_normalize", "parabolic_coordinates",
                  "positive_coordinate", "regular_coordinate"],
@@ -102,7 +102,7 @@ LOADS = {"realize": set(), "random": {"sampling"},
          "boundary-coord": {"boundary"},
          "positive-coord": {"boundary", "positive"},
          "congruent": {"boundary", "positive"},
-         "triangle": {"boundary", "positive", "triangle"}}
+         "triangle": {"triangle"}}
 PROBE = """\
 import json, sys
 from hqmoduli import cli

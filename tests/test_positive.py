@@ -8,12 +8,12 @@ import pytest
 
 from hqmoduli.boundary import vector_to_gram
 from hqmoduli.errors import DomainError, InconsistencyError
-from hqmoduli.gram import Lifts, gram, inertia, realize, span_dimension
+from hqmoduli.gram import (Lifts, gram, inertia, nonzero_products, realize,
+                           span_dimension)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify, herm,
                             pair_configuration, random_isometry, to_model)
-from hqmoduli.positive import (INFINITY, ZERO_EPS, nonzero_products,
-                               block_normalize, congruent,
-                               coordinate_distance, cross_ratio, detect_partition, one_normalize,
+from hqmoduli.positive import (INFINITY, congruent, coordinate_distance,
+                               cross_ratio, detect_partition, one_normalize,
                                parabolic_coordinates, positive_coordinate,
                                regular_coordinate, tuple_coordinate)
 from hqmoduli.qmatrix import QMatrix
@@ -21,6 +21,7 @@ from hqmoduli.quat import ONE, Quaternion, quat
 from hqmoduli.sampling import (random_null_tuple, random_parabolic_tuple,
                                random_quaternion, random_regular_tuple,
                                random_rescaling)
+from hqmoduli.tol import ZERO_EPS
 
 COORD_TOL = 1e-8
 
@@ -321,7 +322,7 @@ def test_parabolic_rejects_regular_input():
 # ---------------------------------------------------------------------------
 # regular tuples
 
-def test_block_normalize_anchor_selection():
+def test_regular_anchor_selection():
     # pattern [[1,r,0],[r,1,s],[0,s,1]]: row 2 has no zeros, anchor is 2
     g = QMatrix.eye(3)
     g.set_entry(0, 1, quat(0.4))
@@ -329,18 +330,21 @@ def test_block_normalize_anchor_selection():
     g.set_entry(1, 2, quat(0.3))
     g.set_entry(2, 1, quat(0.3))
     pts = realize(g, 3)
-    d, gb, structure = block_normalize(pts)
+    structure = detect_partition(gram(pts), span_dimension(pts))
     assert structure.kind == "regular"
     assert structure.blocks == ((0, 1, 2),)
     assert structure.sub_blocks == (((0, 1, 2),),)
     assert structure.anchors == ((1,),)
-    # anchor row real nonnegative inside its sub-block
-    for t in (0, 2):
-        h = gb.entry(1, t)
+    c = regular_coordinate(pts)
+    assert c.structure == structure
+    # the anchor-row entries g_12 and g_23 are real nonnegative: block
+    # normalization makes them so, and conjugating by the one sub-block's
+    # rotation keeps a real entry real
+    for h in (c.entries[0], c.entries[2]):
         assert h.a0 >= -1e-12
         assert abs(h.a1) <= 1e-9 and abs(h.a2) <= 1e-9 and abs(h.a3) <= 1e-9
-    got = gram([p.rescale(x) for p, x in zip(pts, d)])
-    assert (got - gb).norm() <= 1e-9
+    assert [abs(h) for h in c.entries] == pytest.approx([0.4, 0.0, 0.3],
+                                                        abs=1e-9)
 
 
 def test_regular_coordinate_orthonormal_frame():

@@ -10,11 +10,11 @@ import pytest
 from hqmoduli import qmatrix
 from hqmoduli.cli import build_parser, main
 from hqmoduli.errors import DegenerateInputError, RealizationError, UsageError
-from hqmoduli.gram import (Lifts, gram, inertia, realization_error,
-                           span_dimension, triple_product)
+from hqmoduli.gram import (Lifts, gram, inertia, nonzero_products,
+                           realization_error, span_dimension, triple_product)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PairConfiguration,
                             pair_configuration, random_isometry)
-from hqmoduli.positive import nonzero_products
+from hqmoduli.positive import one_normalize
 from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import I, Quaternion
 from hqmoduli.sampling import (random_positive_point, random_regular_tuple,
@@ -136,13 +136,39 @@ def test_normalized_gram_unique_under_rescaling():
 
 
 def test_alpha_of_a_zero_product_is_zero_under_rescaling():
-    # g_23 = 1e-10 is zero by the zero-product rule, so alpha is
-    # undetermined and recorded as 0 whatever the lifts' scalars
-    pts = realize_triangle(TriangleParams(1e-10, 2.0, 2.0, 1.0))
-    for seed in range(6):
-        d = random_rescaling(3, seed=300 + seed)
-        moved = tuple(p.rescale(x) for p, x in zip(pts, d))
-        assert triangle_params(*moved).alpha == 0.0, seed
+    # a product that is zero by the zero-product rule (g_23 = 1e-10, or
+    # g_12 = 0, or g_13 = 0) leaves alpha undetermined, so it is recorded
+    # as 0 whatever the lifts' scalars, and the normalized Gram matrix is
+    # the same for every rescaling.  With g_12 or g_13 zero, alpha once
+    # followed the lifts: the second normalization never turned g_23
+    for params in ((1e-10, 2.0, 2.0, 1.0), (1.5, 0.8, 0.0, 0.0),
+                   (0.7, 0.0, 1.3, 0.0)):
+        pts = realize_triangle(TriangleParams(*params))
+        want = normalize_triangle(*pts)
+        for seed in range(6):
+            d = random_rescaling(3, seed=300 + seed)
+            moved = tuple(p.rescale(x) for p, x in zip(pts, d))
+            assert triangle_params(*moved).alpha == 0.0, (params, seed)
+            got = normalize_triangle(*moved)
+            assert (got - want).norm() <= 1e-12 * want.norm(), (params, seed)
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+def test_normalized_gram_matches_one_normalize(model):
+    # the closed form read off the record against the reference, the
+    # rotations of positive.one_normalize, on triples whose products are
+    # all nonzero, with lift scales from 1e-3 to 1e3
+    rng = np.random.default_rng(41)
+    for trial in range(20):
+        pts = tuple(random_positive_point(2, rng, model) for _ in range(3))
+        units = random_rescaling(3, seed=500 + trial)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=3)
+        moved = tuple(p.rescale(x / abs(x) * float(s))
+                      for p, x, s in zip(pts, units, scales))
+        assert nonzero_products(Lifts(moved).unit).all(), trial
+        _, want = one_normalize(moved)
+        got = normalize_triangle(*moved)
+        assert (got - want).norm() <= 1e-12 * want.norm(), trial
 
 
 @pytest.mark.parametrize("fn", [classify_triangle, triangle_angular_invariant,
