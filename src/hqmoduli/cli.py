@@ -178,8 +178,6 @@ def _triangle_row(*values):
 
 
 def cmd_triangle(args) -> int:
-    if not (0.0 <= args.alpha <= math.pi / 2):
-        raise UsageError("alpha must lie in [0, pi/2]")
     params, det, exists, cls, pts = _triangle_row(args.r1, args.r2, args.r3,
                                                   args.alpha)
     payload = {"params": params.to_json(), "det": det, "exists": exists}

@@ -29,9 +29,10 @@ from .errors import DomainError, InconsistencyError
 from .gram import (Lifts, check_distinct, inertia, nonzero_products,
                    rescale_gram, span_dimension, unit_diagonal)
 from .hform import PointClass, form_matrix
-from .qmatrix import QMatrix, strict_upper
-from .quat import (ONE, Quaternion, canonical_sign, negligible,
-                   normalizing_rotation, nu, quat, rotation_normalize_vector)
+from .qmatrix import QMatrix
+from .quat import (ONE, Quaternion, canonical_sign, conjugate_vector,
+                   negligible, normalizing_rotation, nu, quat,
+                   rotation_normalize_vector)
 from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS
 
 
@@ -77,14 +78,15 @@ def _partitioned(points, kind: str | None = None) -> Lifts:
 
 
 def _align(g: QMatrix, pairs) -> list[Quaternion]:
-    """The real factors d_a = 1/sqrt(g_aa) of the raw Gram matrix g, with
-    d_t turned, for each pair (c, t), so that the rescaled entry
-    conj(d_c) g_ct d_t is real and positive.  No d_c may itself be turned
-    by a later pair."""
-    d = [quat(1.0 / math.sqrt(x)) for x in g.c1.diagonal().real]
+    """The real factors s_a = 1/sqrt(g_aa) of the raw Gram matrix g, with
+    d_t = conj(g_ct) s_t / |g_ct| for each pair (c, t), so that the
+    rescaled entry conj(d_c) g_ct d_t = s_c |g_ct| s_t is real and
+    positive.  No c may also be a t: each c keeps its real s_c."""
+    r = [math.sqrt(x) for x in g.c1.diagonal().real.tolist()]
+    d = [quat(1.0 / x) for x in r]
     for c, t in pairs:
-        h = d[c].conj() * g.entry(c, t) * d[t]
-        d[t] = d[t] * (h.conj() / abs(h))
+        h = g.entry(c, t)
+        d[t] = h.conj() / (abs(h) * r[t])
     return d
 
 
@@ -315,41 +317,45 @@ def regular_coordinate(points) -> Coordinate:
     within-sub-block entries are rotation normalized,
     and the leftover unit freedom (Sp(1), U(1) or a sign, depending on
     the stratum) is pinned against the first nonzero cross entry to an
-    already processed sub-block.  Each sub-block gets one unit, the
-    rotation times the pin; the loop reads entries as conj(d_a) g_ab d_b,
-    and the composed factors rescale the raw Gram matrix once."""
+    already processed sub-block.  Each sub-block gets one unit u, the
+    rotation times the pin.  The block-normalized entries
+    x_ab = conj(d_a) g_ab d_b are formed once, and the canonical entry is
+    conj(u_a) x_ab u_b: one conjugation by u per sub-block for the
+    entries inside it, two products for each cross entry."""
     lifts = _partitioned(points, "regular")
     g0, m = lifts.g, len(lifts)
     order = _ordered_sub_blocks(lifts.structure)
     d = _align(g0, [(c, t) for c, sb in order for t in sb if t != c])
-    # unit factors keep every |g_ab|, so the record's zero pattern serves
-    nz = lifts.nz
-    done = np.zeros(m, dtype=bool)
-    u = [ONE] * m
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    x = {(a, b): d[a].conj() * g0.entry(a, b) * d[b] for a, b in pairs}
+    # unit factors keep every |g_ab|, so the record's zero pattern serves;
+    # sub[a] is the index of a's sub-block once it is reached, m before
+    nz = lifts.nz.tolist()
+    u, sub, inner = [ONE] * m, [m] * m, {}
 
-    def entry(a, b):
-        return d[a].conj() * g0.entry(a, b) * d[b]
-
-    for c, sb in order:
-        in_sb = np.zeros(m, dtype=bool)
-        in_sb[list(sb)] = True
-        vec = [entry(a, b) for a in sb for b in sb if a < b]
+    for k, (_, sb) in enumerate(order):
+        own = [(a, b) for a in sb for b in sb if a < b]
+        vec = [x[ab] for ab in own]
         rot, tag = normalizing_rotation(vec) if vec else (ONE, "Z_R")
-        kind = _residual_kind(tag)
-        u = [rot if s else x for x, s in zip(u, in_sb)]
+        for a in sb:
+            u[a], sub[a] = rot, k
 
-        # first nonzero cross entry, row-major, to a processed sub-block
-        cross = nz & (np.outer(in_sb, done) | np.outer(done, in_sb))
-        pins = np.flatnonzero(cross & strict_upper(m))
-        if pins.size:
-            a, b = divmod(int(pins[0]), m)
-            e = _pin(u[a].conj() * entry(a, b) * u[b], kind,
-                     right=bool(in_sb[b]))
-            u = [x * e if s else x for x, s in zip(u, in_sb)]
-        done |= in_sb
+        # first nonzero cross entry, row-major, to a processed sub-block;
+        # the first sub-block has nothing processed to pin against
+        pin = next(((a, b) for a, b in pairs if nz[a][b]
+                    and k == max(sub[a], sub[b]) > min(sub[a], sub[b])),
+                   None) if k else None
+        if pin:
+            a, b = pin
+            rot = rot * _pin(u[a].conj() * x[pin] * u[b],
+                             _residual_kind(tag), right=sub[b] == k)
+            for a in sb:
+                u[a] = rot
+        if vec:
+            inner.update(zip(own, conjugate_vector(rot, vec)))
 
-    g = rescale_gram(g0, [x * y for x, y in zip(d, u)])
-    entries = tuple(g.entry(a, b) for a in range(m) for b in range(a + 1, m))
+    entries = tuple(inner[a, b] if sub[a] == sub[b]
+                    else u[a].conj() * x[a, b] * u[b] for a, b in pairs)
     return Coordinate("regular", entries, structure=lifts.structure)
 
 

@@ -11,6 +11,8 @@ from hqmoduli.hform import BALL, HVector, PointClass, classify
 from hqmoduli.positive import positive_coordinate
 from hqmoduli.sampling import random_null_tuple, random_regular_tuple
 from hqmoduli.hform import random_isometry
+from hqmoduli.triangle import (TriangleParams, classify_realized,
+                               realize_triangle, triangle_exists)
 
 
 def write_tuple(path, points):
@@ -347,9 +349,26 @@ def test_triangle_nonexistent_exit_one(capsys):
 
 
 def test_triangle_alpha_out_of_range_is_usage_error(capsys):
-    code, _, err = run(capsys, "triangle",
-                       "--r1", "1", "--r2", "1", "--r3", "1", "--alpha", "2.0")
-    assert code == 2
+    # the one alpha domain is TriangleParams' [0, pi]
+    for alpha in ("3.5", "-0.1"):
+        code, _, err = run(capsys, "triangle", "--r1", "1", "--r2", "1",
+                           "--r3", "1", "--alpha", alpha)
+        assert code == 2
+        assert "alpha must lie in [0, pi]" in err
+
+
+def test_triangle_takes_alpha_beyond_half_pi(capsys):
+    # alpha in (pi/2, pi], as triangle_params reads it off a realized
+    # triangle, gets the library's answer
+    params = TriangleParams(0.9, 0.8, 0.7, 2.5)
+    code, out, err = run(capsys, "--json", "triangle", "--r1", "0.9",
+                         "--r2", "0.8", "--r3", "0.7", "--alpha", "2.5")
+    data = json.loads(out)
+    exists = triangle_exists(params)
+    assert code == (0 if exists else 1), err
+    assert data["exists"] is exists
+    assert data.get("class") == (
+        classify_realized(realize_triangle(params)).value if exists else None)
 
 
 @pytest.mark.parametrize("flag", ["--r1", "--r3", "--alpha"])

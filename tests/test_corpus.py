@@ -5,15 +5,24 @@ import importlib.util
 import json
 from pathlib import Path
 
+from hqmoduli import positive
 from hqmoduli.hform import HVector
 
 DATA = Path(__file__).parent / "data"
-_spec = importlib.util.spec_from_file_location("make_corpus",
-                                               DATA / "make_corpus.py")
-make_corpus = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_corpus)
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, DATA / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+make_corpus = load("make_corpus")
+make_sub_blocks = load("make_sub_blocks")
 
 CORPUS = json.loads((DATA / "corpus.json").read_text())
+SUB_BLOCKS = json.loads((DATA / "sub_blocks.json").read_text())
 FLOAT_TOL = 1e-12
 
 
@@ -67,4 +76,34 @@ def test_triangle_slice_reproduces():
     failures = [d for want in CORPUS["triangles"]
                 if (d := mismatch(want, make_corpus.triangle_case(
                     want["params"])))]
+    assert not failures, failures[:5]
+
+
+def test_sub_block_set_covers_both_models_and_both_pin_kinds(monkeypatch):
+    # every pattern in both models, two or three sub-blocks each, and pins
+    # of residual Sp(1) from both sides and of residual sign
+    assert [(e["name"], e["model"]) for e in SUB_BLOCKS] == [
+        (name, model) for name in make_sub_blocks.PATTERNS
+        for model in make_sub_blocks.MODELS]
+    pins, pin = [], positive._pin
+
+    def recording(u, kind, right):
+        pins.append((kind, right))
+        return pin(u, kind, right)
+    monkeypatch.setattr(positive, "_pin", recording)
+    for entry in SUB_BLOCKS:
+        points = tuple(HVector.from_json(p) for p in entry["points"])
+        structure = positive.positive_coordinate(points).structure
+        assert sum(map(len, structure.sub_blocks)) in (2, 3)
+    assert set(pins) == {("sign", True), ("sp1", True), ("sp1", False)}
+
+
+def test_sub_block_coordinates_reproduce():
+    failures = []
+    for entry in SUB_BLOCKS:
+        points = tuple(HVector.from_json(p) for p in entry["points"])
+        diff = mismatch(entry["coordinate"],
+                        positive.positive_coordinate(points).to_json())
+        if diff:
+            failures.append((entry["name"], entry["model"], diff))
     assert not failures, failures[:5]

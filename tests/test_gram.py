@@ -715,9 +715,10 @@ def test_stages_validate_a_record_once(monkeypatch):
 
 def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     # the partition is read off the record's unit-diagonal Gram matrix, so
-    # no stage normalizes twice; every near pair of lifts shares one SVD,
-    # the pairs are listed only when there is one, and the span is asked
-    # for only without a negative eigenvalue
+    # no stage normalizes twice, and a regular coordinate rescales nothing;
+    # every near pair of lifts shares one SVD, the pairs are listed only
+    # when there is one, and the span is asked for only without a negative
+    # eigenvalue
     regular = Lifts(random_regular_tuple(2, 4, seed=2))
     parabolic = Lifts(random_parabolic_tuple(3, 5, seed=1))
     one = counting(monkeypatch, positive, "one_normalize")
@@ -727,22 +728,31 @@ def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     svd = counting(monkeypatch, np.linalg, "svd")
     argwhere = counting(monkeypatch, np, "argwhere")
     positive.positive_coordinate(regular)
-    assert len(one) == 0 and sum(map(len, units)) == 1 and len(rescale) == 1
+    assert len(one) == 0 and sum(map(len, units)) == 1 and len(rescale) == 0
     assert len(svd) == 0 and len(argwhere) == 0
 
     assert positive.positive_coordinate(parabolic).kind == "parabolic"
     assert len(svd) == 2 and len(argwhere) == 1
 
 
-def test_coordinates_rescale_once_and_conjugate_only_their_output(monkeypatch):
-    # a regular coordinate reads its block-normalized entries off the raw
-    # Gram matrix and rescales once, and its rotations conjugate nothing;
+def test_coordinates_conjugate_once_per_sub_block_or_t_vector(monkeypatch):
+    # a regular coordinate takes its canonical entries from the
+    # block-normalized products without a rescale: one conjugation per
+    # sub-block of at least two points, none for a one-point sub-block;
     # a boundary coordinate rescales once and conjugates its t-vector once
     regular = Lifts(random_regular_tuple(3, 5, seed=2))
+    g = QMatrix.eye(5)
+    for a, b, q in ((0, 1, Quaternion(0.3, 0.1)),
+                    (2, 3, Quaternion(0.2, 0.1, -0.05, 0.02))):
+        g.set_entry(a, b, q)
+        g.set_entry(b, a, q.conj())
+    # sub-blocks (0, 1), (2, 3) and (4,)
+    split = Lifts(realize(g, 5))
     null = Lifts(random_null_tuple(3, 5, seed=1))
     rescale = [counting(monkeypatch, module, "rescale_gram")
                for module in (positive, boundary)]
-    conj = counting(monkeypatch, quat_module, "conjugate_vector")
+    conj = [counting(monkeypatch, module, "conjugate_vector")
+            for module in (positive, quat_module)]
     scans, scan = [], quat_module.normalizing_rotation
 
     def recording(v):
@@ -751,10 +761,13 @@ def test_coordinates_rescale_once_and_conjugate_only_their_output(monkeypatch):
         return rot, tag
     monkeypatch.setattr(positive, "normalizing_rotation", recording)
     positive.regular_coordinate(regular)
-    assert len(rescale[0]) == 1 and len(conj) == 0
+    assert len(rescale[0]) == 0 and len(conj[0]) == 1 and len(conj[1]) == 0
     assert scans and "Z_R" not in scans
+    assert positive.regular_coordinate(split).structure.sub_blocks == (
+        ((0, 1),), ((2, 3),), ((4,),))
+    assert len(rescale[0]) == 0 and len(conj[0]) == 3
     assert boundary.boundary_coordinate(null).stratum != "Z_R"
-    assert len(rescale[1]) == 1 and len(conj) == 1
+    assert len(rescale[1]) == 1 and len(conj[1]) == 1
 
 
 def test_nonvanishing_lists_pairs_only_when_a_product_vanishes(monkeypatch):
