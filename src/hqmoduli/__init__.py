@@ -23,8 +23,7 @@ quat: ImVector3 Quaternion canonical_sign mu nu quat rotation_normalize_vector
 sampling: random_null_tuple random_parabolic_tuple random_regular_tuple
 sampling: random_rescaling random_tuple
 triangle: TriangleClass TriangleParams classify_triangle normalize_triangle
-triangle: realize_triangle triangle_angular_invariant triangle_det
-triangle: triangle_exists triangle_params
+triangle: realize_triangle triangle_det triangle_exists triangle_params
 """.strip().splitlines() for name in line.split()[1:]}
 __all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"

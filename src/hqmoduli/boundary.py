@@ -81,7 +81,10 @@ def _nonvanishing(lifts: Lifts) -> None:
 def cartan_invariant(p1: HVector, p2: HVector, p3: HVector) -> float:
     """Angular invariant arccos(Re(-T)/|T|) in [0, pi/2] of a triple of
     distinct null points, T the triple Hermitian product, which is nonzero
-    because no pairwise product vanishes."""
+    because no pairwise product vanishes.  An independent formula on the
+    triple product, kept as the reference that the alpha of
+    `semi_normalize`, which `boundary_coordinate` reports, is tested
+    against."""
     lifts = Lifts([p1, p2, p3]).validated(PointClass.NULL, 3, _nonvanishing)
     t = triple_product(lifts.g)
     return math.acos(max(-1.0, min(1.0, -t.re() / abs(t))))

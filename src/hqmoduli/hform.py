@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, UsageError
-from .qmatrix import QMatrix, adjoint_rank
+from .qmatrix import QMatrix
 from .quat import Quaternion
 from .tol import (COORD_TOL, INERTIA_EPS, ISOMETRY_TOL, NULL_EPS, PRODUCT_EPS,
                   STRUCTURE_TOL)
@@ -316,21 +316,23 @@ def random_isometry(n: int, seed: int, model: str = BALL) -> Isometry:
 
 def map_orthonormal_frames(p, q) -> Isometry:
     """Isometry g with g p_i = q_i for J-orthonormal positive tuples
-    (length m <= n)."""
+    (length m <= n), each read off one `Lifts` record of its ball lifts."""
+    from .gram import Lifts
     p, q = list(p), list(q)
     if len(p) != len(q) or not p:
         raise UsageError("frames must be nonempty and of equal length")
     model, n = p[0].model, p[0].n
     if len(p) > n:
         raise DomainError("frame longer than n")
-    j = form_matrix(BALL, n)
-    fp, fq = (columns(to_model(z, BALL) for z in x) for x in (p, q))
-    for f in (fp, fq):
-        norms = np.linalg.norm(f.modulus(), axis=0)
-        dev = (f.h @ (j @ f) - QMatrix.eye(len(p))).modulus()
-        if np.count_nonzero(dev > STRUCTURE_TOL * np.outer(norms, norms)):
+    heads = []
+    for x in (p, q):
+        lifts = Lifts([to_model(z, BALL) for z in x])
+        dev = (lifts.g - QMatrix.eye(len(p))).modulus()
+        if np.count_nonzero(
+                dev > STRUCTURE_TOL * np.outer(lifts.norms, lifts.norms)):
             raise DomainError("input tuples are not orthonormal frames")
-    return _frames_isometry(fp, fq, j, model)
+        heads.append(lifts.p)
+    return _frames_isometry(*heads, form_matrix(BALL, n), model)
 
 
 def _frames_isometry(hp: QMatrix, hq: QMatrix, j: QMatrix,
@@ -391,40 +393,40 @@ class PairConfiguration:
         return PairConfiguration("ultraparallel", distance=2.0 * math.acosh(t))
 
 
-def _unit_positive(p: HVector) -> HVector:
-    s = self_product(p)
-    if point_class(s, p.norm()) != PointClass.POSITIVE:
-        raise DomainError("a pair needs positive vectors")
-    return p.scaled(1.0 / math.sqrt(s))
+def _pair(p1: HVector, p2: HVector):
+    """The `Lifts` record of two distinct positive points, checked as every
+    positive tuple is, and t = |u_12| of its unit-diagonal Gram matrix u;
+    `gram` imports this module, so it is imported here."""
+    from .gram import Lifts, check_distinct
+    lifts = Lifts([p1, p2]).validated(PointClass.POSITIVE, 2, check_distinct)
+    return lifts, float(lifts.unit.modulus()[0, 1])
 
 
 def pair_moduli(p1: HVector, p2: HVector) -> float:
-    """The complete congruence invariant t >= 0 of a pair of positive
-    points with distinct projections."""
-    return abs(herm(_unit_positive(p1), _unit_positive(p2)))
+    """The complete congruence invariant t = |<p_1, p_2>| >= 0 of the unit
+    lifts of a pair of positive points with distinct projections."""
+    return _pair(p1, p2)[1]
 
 
 def pair_configuration(p1: HVector, p2: HVector) -> PairConfiguration:
-    t = pair_moduli(p1, p2)
-    if adjoint_rank(columns([p1, p2]).adjoint()) < 2:
-        raise DegenerateInputError("pair has equal projections")
-    return PairConfiguration.from_t(t)
+    return PairConfiguration.from_t(pair_moduli(p1, p2))
 
 
 def _align_pair(p1: HVector, p2: HVector) -> tuple[HVector, HVector, float]:
     """Unit lifts with <p1, p2> real nonnegative; returns (p1, p2, t)."""
-    p1, p2 = _unit_positive(p1), _unit_positive(p2)
-    h = herm(p1, p2)
-    t = abs(h)
+    lifts, t = _pair(p1, p2)
+    p1, p2 = (p.scaled(s ** -0.5) for p, s in
+              zip(lifts, lifts.g.c1.diagonal().real.tolist()))
     if t > PRODUCT_EPS:
-        p2 = p2.rescale(h / t)
+        p2 = p2.rescale(lifts.unit.entry(1, 0) / t)
     return p1, p2, t
 
 
 def pair_isometry(p1: HVector, p2: HVector, q1: HVector,
                   q2: HVector) -> Isometry:
     """Explicit isometry carrying the positive pair (p1, p2) to (q1, q2)
-    projectively; exists iff their t-invariants agree."""
+    projectively; exists iff their t-invariants agree.  The points of
+    each pair must be distinct, as for `pair_moduli`."""
     (a1, a2, tp), (b1, b2, tq) = (_align_pair(to_model(x, BALL), to_model(y, BALL))
                                   for x, y in ((p1, p2), (q1, q2)))
     if abs(tp - tq) > COORD_TOL * (1.0 + tp + tq):

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InconsistencyError, UsageError
+from .errors import DomainError, InconsistencyError, UsageError
 from .gram import (Lifts, check_distinct, inertia, nonzero_products, realize,
                    span_dimension, triple_product)
 from .hform import BALL, HVector, PointClass
@@ -76,27 +76,6 @@ def _vertices(points) -> Lifts:
     return lifts.validated(PointClass.POSITIVE, 3, check_distinct)
 
 
-def _angle(lifts: Lifts, fallback: float) -> float:
-    """arccos(Re T / |T|) in [0, pi] for the triple product T of the
-    vertices, taken as atan2(|Im T|, Re T), which keeps its precision near
-    0 and pi; `fallback` when the zero-product rule of the partition marks
-    some pairwise product as zero, so that T vanishes."""
-    nz = nonzero_products(lifts.unit)
-    if np.count_nonzero(nz) < nz.size:
-        return fallback
-    t = triple_product(lifts.g)
-    return math.atan2(math.hypot(t.a1, t.a2, t.a3), t.a0)
-
-
-def triangle_angular_invariant(*points) -> float:
-    """arccos(Re T / |T|) in [0, pi] for the triple product T of a
-    positive triple; pi/2 when T vanishes, that is when the zero-product
-    rule of the partition marks some pairwise product as zero.  Invariant
-    under permutations, rescalings and isometries.  The pi/2 fallback
-    conflates a vanishing T with Re T = 0."""
-    return _angle(_vertices(points), math.pi / 2.0)
-
-
 def normalize_triangle(*points) -> QMatrix:
     """The unique normalized Gram matrix of a positive triple: unit
     diagonal, g_12 and g_13 real nonnegative, g_23 = r1 e^{i alpha} with
@@ -107,15 +86,21 @@ def normalize_triangle(*points) -> QMatrix:
 def triangle_params(*points) -> TriangleParams:
     """(r1, r2, r3; alpha) read off the record: r_t = |u_ab| for the
     record's unit-diagonal Gram matrix u and the pair (a, b) opposite
-    vertex t, and alpha the angle of the triple product T, which is
-    r1 r2 r3 e^{i alpha} for the normalized Gram matrix; rescaling the
-    lifts multiplies T by a positive factor and conjugates it by a unit,
-    which keeps the angle.  alpha is recorded as 0 when the zero-product
-    rule of the partition marks some product as zero: T then vanishes,
-    and a unit factor on one vertex turns g_23 to any phase."""
+    vertex t, and alpha = arccos(Re T / |T|) in [0, pi] for the triple
+    product T, which is r1 r2 r3 e^{i alpha} for the normalized Gram
+    matrix; rescaling the lifts multiplies T by a positive factor and
+    conjugates it by a unit, which keeps the angle.  It is taken as
+    atan2(|Im T|, Re T), which keeps its precision near 0 and pi.  alpha
+    is recorded as 0 when the zero-product rule of the partition marks
+    some product as zero: T then vanishes, and a unit factor on one
+    vertex turns g_23 to any phase."""
     lifts = _vertices(points)
     r = lifts.unit.modulus().tolist()
-    return TriangleParams(r[1][2], r[0][2], r[0][1], _angle(lifts, 0.0))
+    nz, alpha = nonzero_products(lifts.unit), 0.0
+    if np.count_nonzero(nz) == nz.size:
+        t = triple_product(lifts.g)
+        alpha = math.atan2(math.hypot(t.a1, t.a2, t.a3), t.a0)
+    return TriangleParams(r[1][2], r[0][2], r[0][1], alpha)
 
 
 def gram_from_params(params: TriangleParams) -> QMatrix:
@@ -128,9 +113,13 @@ def gram_from_params(params: TriangleParams) -> QMatrix:
 
 
 def triangle_det(params: TriangleParams) -> float:
+    """det G in closed form; DomainError when it overflows to inf or NaN."""
     r1, r2, r3, a = params.as_tuple()
-    return 1.0 - (r1 * r1 + r2 * r2 + r3 * r3) \
+    det = 1.0 - (r1 * r1 + r2 * r2 + r3 * r3) \
         + 2.0 * r1 * r2 * r3 * math.cos(a)
+    if not math.isfinite(det):
+        raise DomainError("det G overflows for these parameters")
+    return det
 
 
 def triangle_exists(params: TriangleParams) -> bool:

@@ -383,6 +383,17 @@ def test_triangle_non_finite_parameter_is_usage_error(capsys, flag, value):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("r", ["1e200", "1e103"])
+def test_triangle_det_overflow_is_domain_error(capsys, r):
+    # det G once overflowed to NaN (r = 1e200), which answered "does not
+    # exist" with "det": NaN, no JSON, or to inf (r = 1e103)
+    code, out, err = run(capsys, "--json", "triangle",
+                         "--r1", r, "--r2", r, "--r3", r)
+    assert code == 3
+    assert out == ""
+    assert "det G overflows" in err
+
+
 def test_triangle_sweep_csv_shape(capsys):
     code, out, _ = run(capsys, "triangle-sweep",
                        "--r-max", "1.5", "--r-steps", "3", "--alpha-steps", "2")

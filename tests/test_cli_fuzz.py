@@ -1,7 +1,8 @@
 """Fuzz of the command line: boundary-coord, positive-coord and congruent
 on sampled tuples with damaged points and random --eps / --tol, realize
 on the Gram matrices of sampled tuples with damaged entries and random
---n, and random over its kinds, --n, --m and --seed.
+--n, random over its kinds, --n, --m and --seed, and triangle over its
+parameters up to the largest doubles.
 
 Every run must end in an exit code 0-3 without an exception, and a run
 whose points or flags hold a non-finite number must not answer 0 or 1.
@@ -179,3 +180,39 @@ def test_random_exit_codes_under_fuzz(kind, n, m, seed):
     assert "Traceback" not in err.getvalue()
     if min(n, m) < 1 or seed < 0:
         assert code == 2 and out.getvalue() == "", argv
+
+
+def no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@st.composite
+def triangle_parameters(draw):
+    """(r1, r2, r3, alpha) with r_t up to 1e308, in half the cases with
+    one of them replaced by a negative, large or non-finite number."""
+    values = [draw(st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e308)))
+              for _ in range(3)] + [draw(st.floats(0.0, math.pi))]
+    if draw(st.booleans()):
+        values[draw(st.integers(0, 3))] = draw(st.one_of(
+            st.floats(-1e308, -1e-300), st.floats(3.0, 1e308),
+            st.sampled_from(NON_FINITE)))
+    return values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(values=triangle_parameters())
+def test_triangle_exit_codes_under_fuzz(values):
+    argv = ["--json", "triangle"] + [
+        f"--{k}={v!r}" for k, v in zip(("r1", "r2", "r3", "alpha"), values)]
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    *r, alpha = values
+    if non_finite(values) or min(r) < 0.0 or not 0.0 <= alpha <= math.pi:
+        assert code == 2, (argv, out.getvalue())
+    if code in (0, 1):
+        json.loads(out.getvalue(), parse_constant=no_constant)

@@ -14,12 +14,12 @@ from hqmoduli.hform import (BALL, SIEGEL, HVector, Isometry, PointClass,
                             projective_distance, random_isometry,
                             self_product, to_model, tuple_from_columns,
                             verify_isometry)
-from hqmoduli.positive import positive_coordinate
+from hqmoduli.positive import positive_coordinate, regular_coordinate
 from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import ONE, Quaternion
 from hqmoduli.sampling import (random_null_point, random_parabolic_tuple,
                                random_positive_point, random_quaternion,
-                               random_unit_quaternion)
+                               random_regular_tuple, random_unit_quaternion)
 
 HERM_TOL = 1e-10
 
@@ -350,6 +350,36 @@ def test_pair_configuration_rejects_proportional():
     p = ball(0, 2, 1)
     with pytest.raises(DegenerateInputError):
         pair_configuration(p, p.rescale(Quaternion(0.5, 0.5, 0, 0)))
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+def test_coincident_pairs_are_rejected(model):
+    # p and p lambda are one projective point: pair_moduli once answered
+    # t = 1 and pair_isometry returned a matrix that is no isometry
+    rng = np.random.default_rng(23)
+    p, q = (random_positive_point(2, rng, model) for _ in range(2))
+    lam, mu = Quaternion(0.3, -1.2, 0.5, 2.0), Quaternion(-0.7, 0.1, 1.1, 0.4)
+    for fn in (pair_moduli, pair_configuration):
+        with pytest.raises(DegenerateInputError):
+            fn(p, p.rescale(lam))
+    for pairs in ((p, p.rescale(lam), q, q.rescale(mu)),
+                  (p, q, q, q.rescale(mu))):
+        with pytest.raises(DegenerateInputError):
+            pair_isometry(*pairs)
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+def test_pair_moduli_is_the_regular_coordinate_entry(model):
+    # one invariant, one value: t is |g_12| of the canonical Gram matrix
+    # of the pair, at lift scales from 1e-6 to 1e6
+    rng = np.random.default_rng(29)
+    for seed in range(100):
+        p1, p2 = random_regular_tuple(2 + seed % 2, 2, seed, model)
+        s1, s2 = 10.0 ** rng.uniform(-6.0, 6.0, size=2)
+        p1 = p1.rescale(random_unit_quaternion(rng) * float(s1))
+        p2 = p2.rescale(random_unit_quaternion(rng) * float(s2))
+        entry = regular_coordinate((p1, p2)).entries[0]
+        assert abs(pair_moduli(p1, p2) - abs(entry)) <= 1e-14, seed
 
 
 def test_pair_isometry_maps_pairs():

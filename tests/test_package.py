@@ -42,8 +42,7 @@ EXPORTS = {
     "sampling": ["random_null_tuple", "random_parabolic_tuple",
                  "random_regular_tuple", "random_rescaling", "random_tuple"],
     "triangle": ["TriangleClass", "TriangleParams", "classify_triangle",
-                 "normalize_triangle", "realize_triangle",
-                 "triangle_angular_invariant", "triangle_det",
+                 "normalize_triangle", "realize_triangle", "triangle_det",
                  "triangle_exists", "triangle_params"],
 }
 ALL = sorted(name for names in EXPORTS.values() for name in names)

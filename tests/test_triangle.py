@@ -1,5 +1,5 @@
-"""Triangles of quaternionic lines in H^{2,1}: angular invariant,
-normalized Gram, existence, classification, and side geometry."""
+"""Triangles of quaternionic lines in H^{2,1}: the angular invariant
+alpha, normalized Gram, existence, classification, and side geometry."""
 
 import itertools
 import math
@@ -22,8 +22,7 @@ from hqmoduli.sampling import (random_positive_point, random_regular_tuple,
 from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_realized,
                                classify_triangle,
                                gram_from_params, normalize_triangle,
-                               realize_triangle,
-                               triangle_angular_invariant, triangle_det,
+                               realize_triangle, triangle_det,
                                triangle_exists, triangle_params)
 
 
@@ -43,19 +42,24 @@ def random_positive_triple(seed):
 
 
 # ---------------------------------------------------------------------------
-# angular invariant
+# angular invariant: the alpha of triangle_params
+
+def alpha(*points) -> float:
+    return triangle_params(*points).alpha
+
 
 def test_angular_invariant_worked_example():
     p1, p2, p3 = ball(0, 1, 0), ball(1, 1, 1), ball(I, 1, 1)
     t = triple_product(gram([p1, p2, p3]))
     assert abs(t - I) <= 1e-12
-    assert abs(triangle_angular_invariant(p1, p2, p3) - math.pi / 2) <= 1e-12
+    assert abs(alpha(p1, p2, p3) - math.pi / 2) <= 1e-12
 
 
 def test_angular_invariant_fallback_on_orthogonal_triple():
+    # every product is zero by the rule, so T vanishes and alpha is 0
     p = (ball(1, 0, 0, 0), ball(0, 1, 0, 0), ball(0, 0, 1, 0))
     assert not nonzero_products(Lifts(p).unit)[~np.eye(3, dtype=bool)].any()
-    assert abs(triangle_angular_invariant(*p) - math.pi / 2) <= 1e-12
+    assert alpha(*p) == 0.0
 
 
 SCALES = (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6)
@@ -64,14 +68,14 @@ SCALES = (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6)
 @pytest.mark.parametrize("scale", SCALES)
 def test_angular_invariant_under_overall_lift_scale(scale):
     pts = random_positive_triple(101)
-    a = triangle_angular_invariant(*pts)
+    a = alpha(*pts)
     assert abs(a - 1.65385) <= 1e-5
     scaled = tuple(p.scaled(scale) for p in pts)
-    assert abs(triangle_angular_invariant(*scaled) - a) <= 1e-10
+    assert abs(alpha(*scaled) - a) <= 1e-10
     orth = tuple(p.scaled(scale) for p in (ball(1, 0, 0, 0), ball(0, 1, 0, 0),
                                            ball(0, 0, 1, 0)))
     assert not nonzero_products(Lifts(orth).unit)[~np.eye(3, dtype=bool)].any()
-    assert abs(triangle_angular_invariant(*orth) - math.pi / 2) <= 1e-12
+    assert alpha(*orth) == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -85,29 +89,29 @@ def test_params_reject_non_finite_values(bad):
 
 def test_angular_invariant_permutation_and_rescale_invariance():
     pts = random_positive_triple(101)
-    a = triangle_angular_invariant(*pts)
+    a = alpha(*pts)
     for perm in itertools.permutations(range(3)):
-        assert abs(triangle_angular_invariant(*(pts[i] for i in perm)) - a) <= 1e-10
+        assert abs(alpha(*(pts[i] for i in perm)) - a) <= 1e-10
     d = random_rescaling(3, seed=102)
     rescaled = tuple(p.rescale(x) for p, x in zip(pts, d))
-    assert abs(triangle_angular_invariant(*rescaled) - a) <= 1e-10
+    assert abs(alpha(*rescaled) - a) <= 1e-10
 
 
 def test_angular_invariant_matches_gram_alpha():
     params = TriangleParams(0.9, 0.8, 0.7, 0.6)
     assert triangle_exists(params)
     pts = realize_triangle(params)
-    assert abs(triangle_angular_invariant(*pts) - 0.6) <= 1e-9
+    assert abs(alpha(*pts) - 0.6) <= 1e-9
 
 
 def test_angular_invariant_of_small_nonzero_products():
     # products of 1e-6 are nonzero by the zero-product rule (ZERO_EPS of
-    # the largest |g_ab|), so T is nonzero and its angle is alpha, not pi/2
+    # the largest |g_ab|), so T is nonzero and its angle is alpha, not 0
     pts = realize_triangle(TriangleParams(1e-6, 1e-6, 2.0, 0.4))
-    assert abs(triangle_angular_invariant(*pts) - 0.4) <= 1e-8
+    assert abs(alpha(*pts) - 0.4) <= 1e-8
     g = random_isometry(2, seed=5)
     moved = tuple(g.apply(p) for p in pts)
-    assert abs(triangle_angular_invariant(*moved) - 0.4) <= 1e-8
+    assert abs(alpha(*moved) - 0.4) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +175,8 @@ def test_normalized_gram_matches_one_normalize(model):
         assert (got - want).norm() <= 1e-12 * want.norm(), trial
 
 
-@pytest.mark.parametrize("fn", [classify_triangle, triangle_angular_invariant,
-                                triangle_params, normalize_triangle])
+@pytest.mark.parametrize("fn", [classify_triangle, alpha, triangle_params,
+                                normalize_triangle])
 def test_coincident_vertices_are_rejected(fn):
     # classify_triangle(p, p, q) once answered HyperbolicPlanar and the
     # angular invariant 0.0, while triangle_params raised: the vertices now
