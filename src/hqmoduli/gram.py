@@ -164,7 +164,7 @@ def check_distinct(lifts: Lifts) -> None:
     if np.count_nonzero(close):
         near = np.argwhere(close)
         cols = np.hstack([near, near + m])
-        ranks = adjoint_rank(np.moveaxis(lifts.adj[:, cols], 1, 0))
+        ranks = adjoint_rank(lifts.adj[:, cols].transpose(1, 0, 2))
         if np.count_nonzero(ranks < 2):
             a, b = near[np.argmax(ranks < 2)]
             raise DegenerateInputError(f"points {a + 1} and {b + 1} coincide")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -227,16 +228,22 @@ def cross_ratio(z1, z2, z3, z4):
     return out
 
 
-def _parabolic_lifts(lifts: Lifts) -> QMatrix:
-    """Columns of the lifts rescaled to within-block products ~1; the
-    composed factors rescale the Gram matrix once, for the check."""
-    g, structure = lifts.g, lifts.structure
-    m = len(lifts)
-    d = _align(g, [(blk[0], t) for blk in structure.blocks for t in blk[1:]])
-    dev = (rescale_gram(g, d) - QMatrix.real(np.ones((m, m)))).modulus()
-    if np.count_nonzero(dev[_same_block(structure.blocks, m)] > UNIT_EPS):
-        raise InconsistencyError("within-block products did not normalize to 1")
-    return lifts.p * QMatrix.from_entries([d])
+def _parabolic_lifts(lifts: Lifts) -> tuple[list[Quaternion], QMatrix]:
+    """The factors d that align each block on its anchor blk[0], and the
+    lifts scaled by them, with within-block products ~1.  Only the products
+    of two non-anchor points of a block carry a phase, so only they are
+    checked: `_align` makes an anchor product conj(d_c) g_ct d_t equal to
+    |u_ct|, which `_partition` has held within UNIT_EPS of 1, and each
+    diagonal entry is 1 by construction."""
+    g, blocks = lifts.g, lifts.structure.blocks
+    d = _align(g, [(blk[0], t) for blk in blocks for t in blk[1:]])
+    for blk in blocks:
+        for a, b in combinations(blk[1:], 2):
+            if abs(d[a].conj() * g.entry(a, b) * d[b] - ONE) > UNIT_EPS:
+                raise InconsistencyError(
+                    "within-block products did not normalize to 1")
+    row = np.array([d], dtype=float).view(complex)
+    return d, lifts.p * QMatrix(row[..., 0], row[..., 1])
 
 
 def parabolic_coordinates(points) -> Coordinate:
@@ -256,16 +263,20 @@ def parabolic_coordinates(points) -> Coordinate:
     lifts = _partitioned(points, "parabolic")
     structure = lifts.structure
 
-    p = _parabolic_lifts(lifts)
+    d, p = _parabolic_lifts(lifts)
     big = next(b for b in structure.blocks if len(b) >= 2)
-    z0h = (p.col(big[1]) - p.col(big[0])).h
-    orth = (z0h @ (form_matrix(lifts[0].model, lifts[0].n) @ p)).modulus()[0]
+    z0 = p.col(big[1]) - p.col(big[0])
+    jz0 = form_matrix(lifts[0].model, lifts[0].n) @ z0
+    # J is real and symmetric, so row 1 is (J z0)* p = z0* J p, each lift's
+    # product with z0, tested against the column norms |p_t| |d_t| of p
+    rows = QMatrix.from_columns([z0, jz0]).h @ p
+    orth = rows.modulus()[1]
     if np.count_nonzero(
-            orth > ORTHOGONAL_TOL * np.linalg.norm(p.modulus(), axis=0)):
+            orth > ORTHOGONAL_TOL * lifts.norms * [abs(x) for x in d]):
         raise InconsistencyError(
             "a lift is not orthogonal to the shared null direction")
 
-    ks = (z0h @ p).to_entries()[0]
+    ks = [rows.entry(0, t) for t in range(len(lifts))]
     x = [cross_ratio(ks[blk[0]], ks[blk[1]], ks[t], INFINITY)
          for blk in structure.blocks for t in blk[2:]]
     _, xn, tag = rotation_normalize_vector(x) if x else (ONE, [], "Z_R")

@@ -770,6 +770,23 @@ def test_coordinates_conjugate_once_per_sub_block_or_t_vector(monkeypatch):
     assert len(rescale[1]) == 1 and len(conj[1]) == 1
 
 
+def test_parabolic_coordinate_rescales_nothing(monkeypatch):
+    # a parabolic coordinate checks only the within-block products that
+    # carry a phase and scales its lifts by one factor row: no rescaled
+    # Gram matrix, no row built entry by entry, and one product for J z0
+    # and one for the heights and the orthogonality test together
+    records = [Lifts(random_parabolic_tuple(3, 5, seed=1, model=model))
+               for model in (BALL, SIEGEL)]
+    rescale = [counting(monkeypatch, module, "rescale_gram")
+               for module in (positive, gram_module)]
+    entries = counting(monkeypatch, QMatrix, "from_entries")
+    matmul = counting(monkeypatch, QMatrix, "__matmul__")
+    for lifts in records:
+        assert positive.positive_coordinate(lifts).kind == "parabolic"
+    assert sum(map(len, rescale)) == 0 and len(entries) == 0
+    assert len(matmul) == 2 * len(records)
+
+
 def test_nonvanishing_lists_pairs_only_when_a_product_vanishes(monkeypatch):
     # a null tuple with every product clear of zero costs no np.argwhere;
     # one with a vanishing product names its first pair as before

@@ -6,22 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from hqmoduli.boundary import vector_to_gram
+from hqmoduli import positive
+from hqmoduli.boundary import Coordinate, vector_to_gram
 from hqmoduli.errors import DomainError, InconsistencyError
 from hqmoduli.gram import (Lifts, gram, inertia, nonzero_products, realize,
-                           span_dimension)
-from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify, herm,
+                           rescale_gram, span_dimension)
+from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify,
+                            form_matrix, herm,
                             pair_configuration, random_isometry, to_model)
 from hqmoduli.positive import (INFINITY, congruent, coordinate_distance,
                                cross_ratio, detect_partition, one_normalize,
                                parabolic_coordinates, positive_coordinate,
                                regular_coordinate, tuple_coordinate)
 from hqmoduli.qmatrix import QMatrix
-from hqmoduli.quat import ONE, Quaternion, quat
+from hqmoduli.quat import ONE, Quaternion, quat, rotation_normalize_vector
 from hqmoduli.sampling import (random_null_tuple, random_parabolic_tuple,
                                random_quaternion, random_regular_tuple,
                                random_rescaling)
-from hqmoduli.tol import ZERO_EPS
+from hqmoduli.tol import ORTHOGONAL_TOL, UNIT_EPS, ZERO_EPS
 
 COORD_TOL = 1e-8
 
@@ -317,6 +319,129 @@ def test_detect_partition_rejects_a_nonpositive_diagonal():
 def test_parabolic_rejects_regular_input():
     with pytest.raises(DomainError):
         parabolic_coordinates(random_regular_tuple(2, 3, seed=73))
+
+
+def reference_parabolic_lifts(lifts):
+    """The scaled lifts as the library once made them: the composed
+    factors rescale the whole Gram matrix once, every within-block entry is
+    checked against 1, and the factor row is built entry by entry."""
+    g, structure = lifts.g, lifts.structure
+    m = len(lifts)
+    d = positive._align(
+        g, [(blk[0], t) for blk in structure.blocks for t in blk[1:]])
+    dev = (rescale_gram(g, d) - QMatrix.real(np.ones((m, m)))).modulus()
+    if np.count_nonzero(dev[positive._same_block(structure.blocks, m)]
+                        > UNIT_EPS):
+        raise InconsistencyError("within-block products did not normalize to 1")
+    return lifts.p * QMatrix.from_entries([d])
+
+
+def reference_parabolic_coordinates(lifts):
+    """The parabolic coordinate as the library once made it: J p, then
+    one product each for the orthogonality test and the heights, against
+    the column norms of the scaled lifts."""
+    structure = lifts.structure
+    p = reference_parabolic_lifts(lifts)
+    big = next(b for b in structure.blocks if len(b) >= 2)
+    z0h = (p.col(big[1]) - p.col(big[0])).h
+    orth = (z0h @ (form_matrix(lifts[0].model, lifts[0].n) @ p)).modulus()[0]
+    if np.count_nonzero(
+            orth > ORTHOGONAL_TOL * np.linalg.norm(p.modulus(), axis=0)):
+        raise InconsistencyError(
+            "a lift is not orthogonal to the shared null direction")
+    ks = (z0h @ p).to_entries()[0]
+    x = [cross_ratio(ks[blk[0]], ks[blk[1]], ks[t], INFINITY)
+         for blk in structure.blocks for t in blk[2:]]
+    _, xn, tag = rotation_normalize_vector(x) if x else (ONE, [], "Z_R")
+    return Coordinate("parabolic", tuple(xn), tag, structure)
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 4), (3, 5), (3, 6)])
+def test_parabolic_path_matches_the_full_gram_reference(n, m, model):
+    # checking only the within-block products that carry a phase scales
+    # the lifts bit for bit as the full rescaled Gram matrix did, and the
+    # two-row product gives the same coordinate up to rounding
+    for seed in range(8):
+        pts = random_parabolic_tuple(n, m, seed, model)
+        d = random_rescaling(m, seed=100 + seed)
+        for scale in (1.0, 1e-3, 1e3):
+            lifts = positive._partitioned(
+                [p.rescale(x).scaled(scale) for p, x in zip(pts, d)])
+            assert lifts.structure.kind == "parabolic"
+            want_p = reference_parabolic_lifts(lifts)
+            _, got_p = positive._parabolic_lifts(lifts)
+            assert np.array_equal(got_p.c1, want_p.c1), (seed, scale)
+            assert np.array_equal(got_p.c2, want_p.c2), (seed, scale)
+            want = reference_parabolic_coordinates(lifts)
+            got = parabolic_coordinates(lifts)
+            assert (got.stratum, got.structure) == (want.stratum,
+                                                    want.structure)
+            assert coordinate_distance(got, want) <= 1e-14, (seed, scale)
+
+
+def partitioned_parabolic(seed):
+    """A partitioned Siegel record of five points in two blocks, and a
+    block of at least three points."""
+    lifts = positive._partitioned(random_parabolic_tuple(3, 5, seed), "parabolic")
+    return lifts, next(b for b in lifts.structure.blocks if len(b) >= 3)
+
+
+def test_within_block_phase_check_fires():
+    # a unit phase on a product of two non-anchor points keeps every
+    # modulus, so the partition passes, and only the phase check sees it
+    lifts, blk = partitioned_parabolic(seed=3)
+    a, b = blk[1], blk[2]
+    phase = Quaternion(math.cos(0.1), 0.0, math.sin(0.1))
+    x = lifts.g.entry(a, b) * phase
+    lifts.g.set_entry(a, b, x)
+    lifts.g.set_entry(b, a, x.conj())
+    with pytest.raises(InconsistencyError,
+                       match="within-block products did not normalize to 1"):
+        parabolic_coordinates(lifts)
+
+
+def test_orthogonality_check_fires():
+    # in the Siegel model the shared null direction is the first
+    # coordinate axis, which the form pairs with the last coordinate: a
+    # last entry moves a lift off its orthogonal complement
+    lifts, blk = partitioned_parabolic(seed=3)
+    t = blk[2]
+    lifts.p.c1[-1, t] += 0.1 * lifts.norms[t]
+    with pytest.raises(InconsistencyError, match="a lift is not orthogonal "
+                       "to the shared null direction"):
+        parabolic_coordinates(lifts)
+
+
+def two_dimensional_positive_part():
+    """Three distinct positive ball lifts in H^{3,1} along one null
+    direction z0 whose positive parts e1, e2 and e1 + e2 are not parallel:
+    |u_12| = 0 and |u_13| = |u_23| = 1/sqrt(2)."""
+    z0 = ball(1, 0, 0, 1)
+    e1, e2 = ball(0, 1, 0, 0), ball(0, 0, 1, 0)
+    return (e1 + z0.scaled(0.3), e2 - z0.scaled(0.7),
+            e1 + e2 + z0.scaled(1.9))
+
+
+def test_two_dimensional_positive_part_is_a_degenerate_span():
+    pts = two_dimensional_positive_part()
+    assert all(classify(p) == PointClass.POSITIVE for p in pts)
+    r = 2 ** -0.5
+    assert np.allclose(Lifts(pts).unit.modulus(),
+                       [[1, 0, r], [0, 1, r], [r, r, 1]], rtol=0.0, atol=1e-15)
+    assert inertia(gram(pts)).as_tuple() == (2, 0, 1)
+    assert span_dimension(pts) == 3
+
+
+@pytest.mark.xfail(raises=InconsistencyError, strict=True,
+                   reason="the parabolic coordinate assumes that the positive "
+                          "parts of a block are parallel (ROADMAP item 16)")
+def test_two_dimensional_positive_part_gets_an_invariant_coordinate():
+    pts = two_dimensional_positive_part()
+    moved = apply_action(pts, random_isometry(3, seed=5),
+                         random_rescaling(3, seed=6))
+    assert coordinate_distance(positive_coordinate(pts),
+                               positive_coordinate(moved)) <= COORD_TOL
 
 
 # ---------------------------------------------------------------------------
