@@ -25,7 +25,7 @@ from .errors import DegenerateInputError, InconsistencyError, UsageError
 from .gram import Lifts, inertia, rescale_gram, triple_product
 from .hform import HVector, PointClass
 from .qmatrix import QMatrix, strict_upper
-from .quat import ONE, J, Quaternion, negligible, nu, quat, rotation_normalize_vector
+from .quat import ONE, Quaternion, negligible, nu, quat, rotation_normalize_vector
 from .tol import PRODUCT_EPS, SEMI_TOL, UNIT_EPS
 
 if TYPE_CHECKING:
@@ -95,36 +95,33 @@ def semi_normalize(points):
     matrix.
 
     Returns (d, G, alpha) with d the list of diagonal entries of D and
-    gram(p_i d_i) = G.  Chain-solves the unit off-diagonal conditions
-    left to right, then applies the nu-based rotation that makes g_13 a
-    unit complex number of the form -e^{-i*alpha}.  g_13 is read off the
-    scalar factors, and the composed D rescales the Gram matrix once.
+    gram(p_i d_i) = G.  D solves the chain of unit off-diagonal
+    conditions once, from d_1 = rot / sqrt|q|, with q = <p_1, p_3 lam_3>
+    read off the first two steps of the chain lam started from 1.  From
+    d_1 the chain gives lam_i d_1 to points 1, 3, 5, ... and
+    lam_i conj(d_1)^-1 to the others, so g_13 = conj(rot) conj(q) rot / |q|.
+    rot = nu(Im conj(q)) turns Im conj(q) onto |Im q| i, so Im g_13 >= 0:
+    g_13 = -e^{-i*alpha} with alpha in [0, pi/2] as it stands, and no
+    conjugation by j has to flip it.  D rescales the Gram matrix once,
+    and g_13 is read off the result.
     """
     lifts = Lifts(points).validated(PointClass.NULL, 3, _nonvanishing)
     g0, m = lifts.g, len(lifts)
 
-    lam = [ONE] * m
+    def step(i, prev):
+        # <p_{i-1} d_{i-1}, p_i d_i> = conj(d_i) g_{i,i-1} d_{i-1} = 1
+        return (g0.entry(i, i - 1) * prev).inverse().conj()
+
+    q = step(2, step(1, ONE)).conj() * g0.entry(2, 0)
+    im = q.conj().im_vec()
+    d = [(ONE if negligible(im.norm(), abs(q)) else nu(im)) / math.sqrt(abs(q))]
     for i in range(1, m):
-        # <p_{i-1} lam_{i-1}, p_i lam_i> = conj(lam_i) g_{i,i-1} lam_{i-1} = 1
-        lam[i] = (g0.entry(i, i - 1) * lam[i - 1]).inverse().conj()
+        d.append(step(i, d[-1]))
+    g = rescale_gram(g0, d)
 
-    # q = <p_1, p_3 lam_3>; rotate its imaginary part onto the i-axis
-    q = lam[2].conj() * g0.entry(2, 0)
-    rot = ONE if negligible(q.im_vec().norm(), abs(q)) else nu(q.im_vec())
-    lam1 = rot / math.sqrt(abs(q))
-
-    # points 1, 3, 5, ... take lam1 on the right, the others conj(lam1)^-1
-    odd, even = lam1, lam1.conj().inverse()
-    d = [x * (even if i % 2 else odd) for i, x in enumerate(lam)]
-
-    g13 = d[0].conj() * g0.entry(0, 2) * d[2]
+    g13 = g.entry(0, 2)
     if abs(g13.a2) > SEMI_TOL or abs(g13.a3) > SEMI_TOL:
         raise InconsistencyError("g_13 failed to land in the complex plane")
-    if g13.a1 < 0.0:
-        # conjugate everything by j to flip the sign of alpha
-        d = [x * J for x in d]
-        g13 = J.conj() * g13 * J
-    g = rescale_gram(g0, d)
 
     # classify allowed |<p_i, p_i>| <= eps |p_i|^2; g_ii = |d_i|^2 <p_i, p_i>
     diag = np.sqrt(abs(g.c1.diagonal()) ** 2 + abs(g.c2.diagonal()) ** 2)

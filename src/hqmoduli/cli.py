@@ -164,22 +164,22 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _triangle_row(*values):
+def _triangle_row(model, *values):
     """(params, det, exists, class, points) of the (r1, r2, r3; alpha)
-    triangle; the points realize it when it exists."""
+    triangle; the points realize it in the model when it exists."""
     from .triangle import (TriangleParams, classify_realized, realize_triangle,
                            triangle_det, triangle_exists)
     params = TriangleParams(*values)
     det = triangle_det(params)
     exists = triangle_exists(params)
-    pts = realize_triangle(params) if exists else ()
+    pts = realize_triangle(params, model) if exists else ()
     cls = classify_realized(pts).value if exists else ""
     return params, det, exists, cls, pts
 
 
 def cmd_triangle(args) -> int:
-    params, det, exists, cls, pts = _triangle_row(args.r1, args.r2, args.r3,
-                                                  args.alpha)
+    params, det, exists, cls, pts = _triangle_row(
+        args.model, args.r1, args.r2, args.r3, args.alpha)
     payload = {"params": params.to_json(), "det": det, "exists": exists}
     if exists:
         payload["class"] = cls
@@ -200,7 +200,7 @@ def cmd_triangle_sweep(args) -> int:
             for r3 in rs:
                 for al in alphas:
                     _, det, exists, cls, _ = _triangle_row(
-                        float(r1), float(r2), float(r3), float(al))
+                        args.model, float(r1), float(r2), float(r3), float(al))
                     out.write(f"{r1:.6g},{r2:.6g},{r3:.6g},{al:.6g},"
                               f"{det:.12g},{str(exists).lower()},{cls}\n")
     return EXIT_OK

@@ -66,8 +66,9 @@ class Lifts(tuple):
     The complex adjoint `adj` of `p` (for the Gram matrix, the span and the
     distinctness check) is made at once when some lift has C2 != 0, and
     on first use when all are complex.  Its unit-diagonal Gram matrix
-    `unit` is made on first use; the positive stages keep on it the zero
-    pattern `nz` and partition `structure`."""
+    `unit` and the zero pattern `nz` of `unit`, which every positive stage
+    reads, are made on first use; the positive stages keep on it the
+    partition `structure`."""
 
     checked = structure = None
 
@@ -102,6 +103,10 @@ class Lifts(tuple):
     @cached_property
     def unit(self) -> QMatrix:
         return unit_diagonal(self.g)
+
+    @cached_property
+    def nz(self) -> np.ndarray:
+        return nonzero_products(self.unit)
 
 
 def gram(points) -> QMatrix:

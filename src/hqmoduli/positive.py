@@ -72,7 +72,8 @@ def _partitioned(points, kind: str | None = None) -> Lifts:
     a tuple of the other kind is a DomainError."""
     lifts = Lifts(points).validated(PointClass.POSITIVE, 2, check_distinct)
     if lifts.structure is None:
-        lifts.nz, lifts.structure = _partition(lifts.unit, lambda: span_dimension(lifts))
+        lifts.structure = _partition(lifts.unit, lifts.nz,
+                                     lambda: span_dimension(lifts))
     if kind not in (None, lifts.structure.kind):
         raise DomainError(f"tuple is not {kind}")
     return lifts
@@ -91,14 +92,6 @@ def _align(g: QMatrix, pairs) -> list[Quaternion]:
     return d
 
 
-def _same_block(blocks, m: int) -> np.ndarray:
-    """(m, m) mask of the index pairs that lie in one block."""
-    label = np.empty(m, dtype=int)
-    for k, blk in enumerate(blocks):
-        label[list(blk)] = k
-    return label[:, None] == label[None, :]
-
-
 def one_normalize(points):
     """First normalization of a positive tuple.
 
@@ -114,8 +107,7 @@ def one_normalize(points):
     g0 = lifts.g
     m = len(lifts)
 
-    nz = nonzero_products(lifts.unit)
-    d = _align(g0, [(0, t) for t in range(1, m) if nz[0, t]])
+    d = _align(g0, [(0, t) for t in range(1, m) if lifts.nz[0, t]])
     if m >= 3:
         g23 = d[1].conj() * g0.entry(1, 2) * d[2]
         if not negligible(g23.im_vec().norm(), 1.0 + abs(g23)):
@@ -175,26 +167,28 @@ def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     diag = g.c1.diagonal().real
     if np.count_nonzero(diag > 0.0) < diag.size:
         raise DomainError("partition needs a positive diagonal")
-    return _partition(unit_diagonal(g), lambda: span_dim)[1]
+    u = unit_diagonal(g)
+    return _partition(u, nonzero_products(u), lambda: span_dim)
 
 
-def _partition(u: QMatrix, span_dim):
-    """The zero pattern of a unit-diagonal u and its `detect_partition`,
-    asking `span_dim()` for the span only when no eigenvalue is negative."""
-    nz = nonzero_products(u)
+def _partition(u: QMatrix, nz: np.ndarray, span_dim) -> PartitionStructure:
+    """`detect_partition` of a unit-diagonal u with zero pattern nz, asking
+    `span_dim()` for the span only when no eigenvalue is negative.  The
+    blocks are the components of nz, so a parabolic tuple's nz is the
+    pairs inside one block exactly when it has sum |block|^2 entries."""
     blocks = _components(nz)
     iner = inertia(u)
     if iner.n_minus == 0 and iner.rank == span_dim() - 1:
-        same = _same_block(blocks, u.shape[0])
-        if np.count_nonzero(np.abs(u.modulus()[same] - 1.0) > UNIT_EPS):
+        if (np.count_nonzero(nz) != sum(len(b) ** 2 for b in blocks)
+                or np.count_nonzero(np.abs(u.modulus()[nz] - 1.0) > UNIT_EPS)):
             raise InconsistencyError(
                 "degenerate span but a product inside a block "
                 "does not have modulus 1")
-        return nz, PartitionStructure("parabolic", tuple(blocks))
+        return PartitionStructure("parabolic", tuple(blocks))
 
     subs, ancs = zip(*(_refine_sub_blocks(blk, nz) for blk in blocks))
-    return nz, PartitionStructure("regular", tuple(blocks), tuple(subs),
-                                  tuple(ancs))
+    return PartitionStructure("regular", tuple(blocks), tuple(subs),
+                              tuple(ancs))
 
 
 # ---------------------------------------------------------------------------

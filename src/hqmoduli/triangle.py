@@ -23,8 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InconsistencyError, UsageError
-from .gram import (Lifts, check_distinct, inertia, nonzero_products, realize,
-                   span_dimension, triple_product)
+from .gram import (Lifts, check_distinct, inertia, realize, span_dimension,
+                   triple_product)
 from .hform import BALL, HVector, PointClass
 from .qmatrix import QMatrix
 from .tol import DET_TOL, UNIT_EPS
@@ -96,8 +96,8 @@ def triangle_params(*points) -> TriangleParams:
     vertex turns g_23 to any phase."""
     lifts = _vertices(points)
     r = lifts.unit.modulus().tolist()
-    nz, alpha = nonzero_products(lifts.unit), 0.0
-    if np.count_nonzero(nz) == nz.size:
+    alpha = 0.0
+    if np.count_nonzero(lifts.nz) == lifts.nz.size:
         t = triple_product(lifts.g)
         alpha = math.atan2(math.hypot(t.a1, t.a2, t.a3), t.a0)
     return TriangleParams(r[1][2], r[0][2], r[0][1], alpha)

@@ -7,12 +7,13 @@ import pytest
 
 from hqmoduli.cli import main
 from hqmoduli.gram import gram
-from hqmoduli.hform import BALL, HVector, PointClass, classify
+from hqmoduli.hform import BALL, SIEGEL, HVector, PointClass, classify
 from hqmoduli.positive import positive_coordinate
 from hqmoduli.sampling import random_null_tuple, random_regular_tuple
 from hqmoduli.hform import random_isometry
 from hqmoduli.triangle import (TriangleParams, classify_realized,
-                               realize_triangle, triangle_exists)
+                               gram_from_params, realize_triangle,
+                               triangle_exists)
 
 
 def write_tuple(path, points):
@@ -346,6 +347,20 @@ def test_triangle_nonexistent_exit_one(capsys):
                        "--alpha", "1.0")
     assert code == 1
     assert "does not exist" in out
+
+
+def test_triangle_realizes_its_points_in_the_model(capsys):
+    params = TriangleParams(1.2, 1.3, 1.4, 2.5)
+    code, out, err = run(capsys, "--model", "siegel", "--json", "triangle",
+                         "--r1", "1.2", "--r2", "1.3", "--r3", "1.4",
+                         "--alpha", "2.5")
+    assert code == 0, err
+    data = json.loads(out)
+    pts = [HVector.from_json(p) for p in data["points"]]
+    assert {p.model for p in pts} == {SIEGEL}
+    target = gram_from_params(params)
+    assert (gram(pts) - target).norm() <= 1e-12 * target.norm()
+    assert data["class"] == classify_realized(realize_triangle(params)).value
 
 
 def test_triangle_alpha_out_of_range_is_usage_error(capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hqmoduli.boundary import cartan_invariant, vector_to_gram
 from hqmoduli.errors import (DegenerateInputError, DomainError, RealizationError,
                              UsageError)
-from hqmoduli import boundary, positive, qmatrix
+from hqmoduli import boundary, positive, qmatrix, triangle
 from hqmoduli.gram import (INERTIA_EPS, Inertia, Lifts, check_admissible, gram,
                            inertia, realization_error, realize,
                            rescale_gram, span_dimension)
@@ -711,6 +711,23 @@ def test_stages_validate_a_record_once(monkeypatch):
     boundary.boundary_coordinate(lifts)
     boundary.semi_normalize(lifts)
     assert len(nonvanishing) == 1
+
+
+def test_stages_read_the_zero_pattern_of_a_record_once(monkeypatch):
+    # the zero-product rule runs once per record, however many stages read
+    # the pattern, through whichever module's global they call it
+    calls = [counting(monkeypatch, module, "nonzero_products")
+             for module in (gram_module, positive, triangle)
+             if hasattr(module, "nonzero_products")]
+    lifts = Lifts(random_regular_tuple(2, 4, seed=2))
+    positive.positive_coordinate(lifts)
+    positive.one_normalize(lifts)
+    assert sum(map(len, calls)) == 1
+
+    lifts = Lifts(random_regular_tuple(2, 3, seed=3))
+    triangle.triangle_params(lifts)
+    triangle.triangle_params(lifts)
+    assert sum(map(len, calls)) == 2
 
 
 def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):

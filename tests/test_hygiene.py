@@ -2,8 +2,8 @@
 every threshold of the package is a name in tol.py that some module
 imports, only qmatrix.py calls numpy's eigen- and singular value
 kernels, the package decides over arrays with np.count_nonzero, not
-numpy's any and all, and no package module imports another's private
-names."""
+numpy's any and all, no package module imports another's private
+names, and the zero-product rule runs where a record keeps its result."""
 
 import ast
 import pathlib
@@ -210,3 +210,42 @@ def test_private_import_scan_catches_a_planted_name():
                      "from hqmoduli.quat import _new\nfrom . import _tol\n")
     assert private_imports(tree) == ["positive._check_distinct (line 2)",
                                      "gram._zeroed (line 5)", "._tol (line 7)"]
+
+
+# outside gram.py, its home, the zero-product rule may run only in the
+# partition of a raw Gram matrix, which has no record to read the pattern off
+ZERO_RULE_CALLERS = {"positive.py": {"detect_partition"}}
+
+
+def zero_rule_calls(tree: ast.Module, allowed=()) -> list[str]:
+    """Calls of nonzero_products, by name or attribute, outside the
+    functions named in `allowed`."""
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+              for node in ast.walk(fn)}
+    return [f"nonzero_products (line {node.lineno})"
+            for node in sorted(ast.walk(tree), key=lambda x: getattr(x, "lineno", 0))
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            == "nonzero_products"]
+
+
+def test_zero_products_are_decided_on_the_record():
+    found = {p.name: calls
+             for p in (ROOT / "src" / "hqmoduli").glob("*.py")
+             if p.name != "gram.py"
+             and (calls := zero_rule_calls(ast.parse(p.read_text()),
+                                           ZERO_RULE_CALLERS.get(p.name, ())))}
+    assert not found, f"zero-product rule outside the Lifts record: {found}"
+
+
+def test_zero_rule_scan_catches_a_planted_call():
+    tree = ast.parse("from .gram import nonzero_products\n"
+                     "def detect_partition(g):\n    return nonzero_products(g)\n"
+                     "def triangle_params(u):\n    return nonzero_products(u)\n"
+                     "nz = gram.nonzero_products(u)\nf = nonzero_products\n")
+    assert zero_rule_calls(tree, {"detect_partition"}) == [
+        "nonzero_products (line 5)", "nonzero_products (line 6)"]
+    assert zero_rule_calls(tree) == [
+        "nonzero_products (line 3)", "nonzero_products (line 5)",
+        "nonzero_products (line 6)"]

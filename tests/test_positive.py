@@ -330,8 +330,10 @@ def reference_parabolic_lifts(lifts):
     d = positive._align(
         g, [(blk[0], t) for blk in structure.blocks for t in blk[1:]])
     dev = (rescale_gram(g, d) - QMatrix.real(np.ones((m, m)))).modulus()
-    if np.count_nonzero(dev[positive._same_block(structure.blocks, m)]
-                        > UNIT_EPS):
+    label = np.empty(m, dtype=int)
+    for k, blk in enumerate(structure.blocks):
+        label[list(blk)] = k
+    if np.count_nonzero(dev[label[:, None] == label[None, :]] > UNIT_EPS):
         raise InconsistencyError("within-block products did not normalize to 1")
     return lifts.p * QMatrix.from_entries([d])
 
