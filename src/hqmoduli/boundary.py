@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,12 +27,8 @@ from .qmatrix import QMatrix, strict_upper
 from .quat import ONE, Quaternion, negligible, nu, quat, rotation_normalize_vector
 from .tol import PRODUCT_EPS, SEMI_TOL, UNIT_EPS
 
-if TYPE_CHECKING:
-    from .positive import PartitionStructure
 
-
-@dataclass(frozen=True)
-class Coordinate:
+class Coordinate(tuple):
     """Canonical moduli coordinate of a tuple, one of three kinds:
 
     * "boundary": the rotation-normalized t-vector of a tuple of null
@@ -46,13 +41,21 @@ class Coordinate:
       Gram matrix of a positive tuple with nondegenerate span (the
       diagonal is all ones) and its partition structure.
 
-    Fields a kind does not use are None."""
+    Fields a kind does not use are None.  An immutable 5-tuple
+    (kind, entries, stratum, structure, alpha)."""
 
-    kind: str
-    entries: tuple[Quaternion, ...]
-    stratum: str | None = None
-    structure: PartitionStructure | None = None
-    alpha: float | None = None
+    __slots__ = ()
+
+    def __new__(cls, kind: str, entries: tuple[Quaternion, ...],
+                stratum: str | None = None, structure=None,
+                alpha: float | None = None):
+        return tuple.__new__(cls, (kind, entries, stratum, structure, alpha))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    kind, entries, stratum, structure, alpha = (property(itemgetter(k))
+                                                for k in range(5))
 
     def to_json(self) -> dict:
         entries = [q.to_json() for q in self.entries]

@@ -17,7 +17,7 @@ import numpy as np
 
 # the core that every subcommand runs; each handler imports the rest
 from .errors import (DomainError, HQError, RealizationError, UsageError)
-from .gram import Lifts, inertia, realize
+from .gram import Lifts, realize_with_inertia
 from .hform import BALL, SIEGEL, HVector, random_isometry
 from .qmatrix import QMatrix
 from .quat import Quaternion
@@ -132,14 +132,14 @@ def cmd_congruent(args) -> int:
 def cmd_realize(args) -> int:
     g = _parse_gram(_load_json(args.gram))
     try:
-        points = realize(g, args.n, args.model)
+        points, iner = realize_with_inertia(g, args.n, args.model)
     except RealizationError as exc:
         _emit(args, {"realizable": False, "violated": exc.violated},
               f"not realizable: violates {exc.violated}")
         return EXIT_NEGATIVE
     payload = {"realizable": True,
                "points": [p.to_json() for p in points],
-               "inertia": inertia(g).as_tuple()}
+               "inertia": iner.as_tuple()}
     _emit(args, payload,
           f"realized {len(points)} points in H^({args.n},1), "
           f"model {points[0].model}")

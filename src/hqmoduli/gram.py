@@ -30,8 +30,8 @@ span or the distinctness check asks for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,14 +44,22 @@ from .quat import Quaternion
 from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS, UNIT_EPS, ZERO_EPS
 
 
-@dataclass(frozen=True)
-class Inertia:
-    n_plus: int
-    n_minus: int
-    n_zero: int
+class Inertia(tuple):
+    """The signature (n_plus, n_minus, n_zero) of a Hermitian matrix, an
+    immutable 3-tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_plus, n_minus, n_zero):
+        return tuple.__new__(cls, (n_plus, n_minus, n_zero))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    n_plus, n_minus, n_zero = (property(itemgetter(k)) for k in range(3))
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.n_plus, self.n_minus, self.n_zero)
+        return tuple(self)
 
     @property
     def rank(self) -> int:
@@ -62,7 +70,9 @@ class Lifts(tuple):
     """A tuple of lifts stacked once: the column matrix `p`, its column
     norms `norms`, the Gram matrix `g` and the class of each lift,
     `classes`, at `eps` (null when |<z,z>| <= eps |z|^2).  `Lifts(lifts)`
-    is the record itself, so the stages share and validate one record.
+    is the record itself, so the stages share and validate one record; an
+    eps other than the record's own makes a new record, and a new record
+    without one is classified at NULL_EPS.
     The complex adjoint `adj` of `p` (for the Gram matrix, the span and the
     distinctness check) is made at once when some lift has C2 != 0, and
     on first use when all are complex.  Its unit-diagonal Gram matrix
@@ -70,11 +80,13 @@ class Lifts(tuple):
     reads, are made on first use; the positive stages keep on it the
     partition `structure`."""
 
-    checked = structure = None
+    checked, structure = (), None
 
-    def __new__(cls, points, eps: float = NULL_EPS):
-        if isinstance(points, Lifts):
+    def __new__(cls, points, eps: float | None = None):
+        if isinstance(points, Lifts) and eps in (None, points.eps):
             return points
+        if eps is None:
+            eps = NULL_EPS
         lifts = super().__new__(cls, points)
         p = lifts.p = columns(lifts)
         lifts.norms = np.linalg.norm(
@@ -86,14 +98,15 @@ class Lifts(tuple):
         return lifts
 
     def validated(self, cls: PointClass, least: int, distinct) -> "Lifts":
-        """Checked once: at least `least` lifts, all of class `cls`, passing `distinct`."""
-        if self.checked is not cls:
+        """Checked once per class and distinctness check: at least `least`
+        lifts, all of class `cls`, passing `distinct`."""
+        if (cls, distinct) not in self.checked:
             if len(self) < least:
                 raise UsageError(f"need at least {least} {cls.value} points")
             if any(c != cls for c in self.classes):
                 raise DomainError(f"tuple must consist of {cls.value} points")
             distinct(self)
-            self.checked = cls
+            self.checked += ((cls, distinct),)
         return self
 
     @cached_property
@@ -216,6 +229,13 @@ def check_admissible(iner: Inertia, n: int) -> None:
 def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
     """Tuple of points in H^{n,1} whose Gram matrix is g (up to numerical
     error), or RealizationError naming the inertia obstruction."""
+    return realize_with_inertia(g, n, model)[0]
+
+
+def realize_with_inertia(g: QMatrix, n: int, model: str = BALL
+                         ) -> tuple[tuple[HVector, ...], Inertia]:
+    """`realize` of g and the inertia of g, read off the one
+    eigendecomposition that the realization makes."""
     w, q = g.eigh()
     lam = _zeroed(w)
     iner = _signature(lam)
@@ -252,9 +272,9 @@ def realize(g: QMatrix, n: int, model: str = BALL) -> tuple[HVector, ...]:
         p.c1[iner.n_plus] += shift
         p.c1[n] += shift
     points = tuple_from_columns(p, BALL)
-    if model == BALL:
-        return points
-    return tuple(to_model(z, model) for z in points)
+    if model != BALL:
+        points = tuple(to_model(z, model) for z in points)
+    return points, iner
 
 
 def realization_error(points, g: QMatrix) -> float:

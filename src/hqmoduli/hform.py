@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -61,26 +61,44 @@ def form_adjoint(model: str, n: int) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class HVector:
-    """Column vector in H^{n,1} tagged with the model its form lives in."""
+class _Tagged:
+    """A quaternion matrix `qm` tagged with the model its form lives in:
+    immutable, and equal only to itself."""
 
-    qm: QMatrix
-    model: str = BALL
+    __slots__ = ("qm", "model")
 
-    def __post_init__(self):
-        if self.qm.shape[1] != 1:
-            raise UsageError("HVector must be a single column")
-        if self.model not in (BALL, SIEGEL):
-            raise UsageError(f"unknown model {self.model!r}")
+    def __init__(self, qm: QMatrix, model: str = BALL):
+        object.__setattr__(self, "qm", qm)
+        object.__setattr__(self, "model", model)
 
-    @staticmethod
-    def from_entries(entries, model: str = BALL) -> "HVector":
-        return HVector(QMatrix.from_entries([e] for e in entries), model)
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.qm, self.model)
 
     @property
     def n(self) -> int:
         return self.qm.shape[0] - 1
+
+
+class HVector(_Tagged):
+    """Column vector in H^{n,1} tagged with the model its form lives in."""
+
+    __slots__ = ()
+
+    def __init__(self, qm: QMatrix, model: str = BALL):
+        if qm.shape[1] != 1:
+            raise UsageError("HVector must be a single column")
+        if model not in (BALL, SIEGEL):
+            raise UsageError(f"unknown model {model!r}")
+        super().__init__(qm, model)
+
+    @staticmethod
+    def from_entries(entries, model: str = BALL) -> "HVector":
+        return HVector(QMatrix.from_entries([e] for e in entries), model)
 
     def entries(self) -> list[Quaternion]:
         return [self.qm.entry(i, 0) for i in range(self.qm.shape[0])]
@@ -113,16 +131,10 @@ class HVector:
             data.get("model", BALL))
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(_Tagged):
     """Element of Sp(n,1): quaternion matrix with g* J g = J."""
 
-    qm: QMatrix
-    model: str = BALL
-
-    @property
-    def n(self) -> int:
-        return self.qm.shape[0] - 1
+    __slots__ = ()
 
     def apply(self, z: HVector) -> HVector:
         if z.model != self.model:
@@ -190,7 +202,8 @@ def tuple_from_columns(qm: QMatrix, model: str) -> tuple[HVector, ...]:
     for j in range(qm.shape[1]):
         col, z = object.__new__(QMatrix), object.__new__(HVector)
         col.c1, col.c2 = qm.c1[:, j:j + 1], qm.c2[:, j:j + 1]
-        z.__dict__.update(qm=col, model=model)  # HVector is frozen
+        object.__setattr__(z, "qm", col)  # HVector is immutable
+        object.__setattr__(z, "model", model)
         out.append(z)
     return tuple(out)
 
@@ -376,11 +389,21 @@ def orthogonal_complement_basis(z: HVector) -> tuple[HVector, ...]:
 # Distances, angles and the m = 2 moduli invariant
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairConfiguration:
-    kind: str                  # "intersecting" | "asymptotic" | "ultraparallel"
-    angle: float | None = None
-    distance: float | None = None
+class PairConfiguration(tuple):
+    """The kind of a pair of positive points, "intersecting", "asymptotic"
+    or "ultraparallel", with the angle of an intersecting pair and the
+    distance of an ultraparallel one: an immutable 3-tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, angle: float | None = None,
+                distance: float | None = None):
+        return tuple.__new__(cls, (kind, angle, distance))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    kind, angle, distance = (property(itemgetter(k)) for k in range(3))
 
     @staticmethod
     def from_t(t: float) -> "PairConfiguration":

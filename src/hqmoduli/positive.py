@@ -20,8 +20,8 @@ compares the coordinates of boundary and positive tuples alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,17 +40,25 @@ from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS
 # ---------------------------------------------------------------------------
 # structures
 
-@dataclass(frozen=True)
-class PartitionStructure:
+class PartitionStructure(tuple):
     """Zero-pattern data of a positive tuple: the kind (regular or
     parabolic), the top-level blocks (connected components of the
     nonzero-product graph), and for regular tuples the sub-block
-    refinement with its anchor indices.  All indices are 0-based."""
+    refinement with its anchor indices.  All indices are 0-based.  An
+    immutable 4-tuple (kind, blocks, sub_blocks, anchors)."""
 
-    kind: str
-    blocks: tuple[tuple[int, ...], ...]
-    sub_blocks: tuple[tuple[tuple[int, ...], ...], ...] = ()
-    anchors: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, kind: str, blocks: tuple[tuple[int, ...], ...],
+                sub_blocks: tuple[tuple[tuple[int, ...], ...], ...] = (),
+                anchors: tuple[tuple[int, ...], ...] = ()):
+        return tuple.__new__(cls, (kind, blocks, sub_blocks, anchors))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    kind, blocks, sub_blocks, anchors = (property(itemgetter(k))
+                                         for k in range(4))
 
     def to_json(self) -> dict:
         out = {"kind": self.kind,
@@ -132,7 +140,7 @@ def _components(nz: np.ndarray) -> list[tuple[int, ...]]:
             a = stack.pop()
             comp.append(a)
             for b in range(m):
-                if not seen[b] and nz[a, b]:
+                if not seen[b] and nz[a][b]:
                     seen[b] = True
                     stack.append(b)
         comps.append(tuple(sorted(comp)))
@@ -146,10 +154,10 @@ def _refine_sub_blocks(indices, nz):
     out, anchors = [], []
     rem = list(indices)
     while rem:
-        zeros = {a: sum(1 for b in rem if b != a and not nz[a, b]) for a in rem}
+        zeros = {a: sum(1 for b in rem if b != a and not nz[a][b]) for a in rem}
         mn = min(zeros.values())
         c = min(a for a in rem if zeros[a] == mn)
-        sb = tuple(sorted(b for b in rem if b == c or nz[c, b]))
+        sb = tuple(sorted(b for b in rem if b == c or nz[c][b]))
         out.append(sb)
         anchors.append(c)
         rem = [b for b in rem if b not in sb]
@@ -175,8 +183,10 @@ def _partition(u: QMatrix, nz: np.ndarray, span_dim) -> PartitionStructure:
     """`detect_partition` of a unit-diagonal u with zero pattern nz, asking
     `span_dim()` for the span only when no eigenvalue is negative.  The
     blocks are the components of nz, so a parabolic tuple's nz is the
-    pairs inside one block exactly when it has sum |block|^2 entries."""
-    blocks = _components(nz)
+    pairs inside one block exactly when it has sum |block|^2 entries.  The
+    graph walks index nz as nested lists, one conversion for them all."""
+    rows = nz.tolist()
+    blocks = _components(rows)
     iner = inertia(u)
     if iner.n_minus == 0 and iner.rank == span_dim() - 1:
         if (np.count_nonzero(nz) != sum(len(b) ** 2 for b in blocks)
@@ -186,7 +196,7 @@ def _partition(u: QMatrix, nz: np.ndarray, span_dim) -> PartitionStructure:
                 "does not have modulus 1")
         return PartitionStructure("parabolic", tuple(blocks))
 
-    subs, ancs = zip(*(_refine_sub_blocks(blk, nz) for blk in blocks))
+    subs, ancs = zip(*(_refine_sub_blocks(blk, rows) for blk in blocks))
     return PartitionStructure("regular", tuple(blocks), tuple(subs),
                               tuple(ancs))
 

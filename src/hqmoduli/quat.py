@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import DegenerateInputError, DomainError, UsageError
@@ -64,7 +63,7 @@ class Quaternion(tuple):
         return self[0]
 
     def im_vec(self) -> "ImVector3":
-        return ImVector3(self[1], self[2], self[3])
+        return _new(ImVector3, self[1:])
 
     # -- algebra ------------------------------------------------------
     def conj(self) -> "Quaternion":
@@ -151,27 +150,32 @@ def quat(x) -> Quaternion:
     raise TypeError(f"cannot interpret {x!r} as a quaternion")
 
 
-@dataclass(frozen=True, slots=True)
-class ImVector3:
+class ImVector3(tuple):
     """Purely imaginary quaternion v = x*i + y*j + z*k seen as a vector
-    in R^3."""
+    in R^3: the immutable 3-tuple (x, y, z), as Quaternion is its 4-tuple."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
+
+    def __new__(cls, x, y, z):
+        return _new(cls, (x, y, z))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    x, y, z = (property(itemgetter(k)) for k in range(3))
 
     def to_quaternion(self) -> Quaternion:
-        return Quaternion(0.0, self.x, self.y, self.z)
+        return _new(Quaternion, (0.0, *self))
 
     def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        x, y, z = self
+        return math.sqrt(x * x + y * y + z * z)
 
     def cross(self, other: "ImVector3") -> "ImVector3":
-        return ImVector3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
+        x1, y1, z1 = self
+        x2, y2, z2 = other
+        return _new(ImVector3, (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2,
+                                x1 * y2 - y1 * x2))
 
     def is_independent_of(self, other: "ImVector3") -> bool:
         return (self.cross(other).norm()
@@ -192,7 +196,7 @@ def nu(v1: ImVector3) -> Quaternion:
     norm, with r + x1 written without cancellation for x1 < 0; if v1 is
     a negative multiple of i this degenerates and j is used instead.
     """
-    x1, y, z, r = v1.x, v1.y, v1.z, v1.norm()
+    (x1, y, z), r = v1, v1.norm()
     if r == 0.0:
         raise DomainError("nu of zero vector")
     s = r + x1 if x1 >= 0.0 else (y * y + z * z) / (r - x1)

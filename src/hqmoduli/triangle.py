@@ -17,8 +17,8 @@ functions of a triangle take its vertices, or one `Lifts` record of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,26 +30,30 @@ from .qmatrix import QMatrix
 from .tol import DET_TOL, UNIT_EPS
 
 
-@dataclass(frozen=True)
-class TriangleParams:
+class TriangleParams(tuple):
     """Parameters (r1, r2, r3; alpha) of a normalized triangle Gram
-    matrix; alpha lies in [0, pi] (sin alpha >= 0)."""
+    matrix; alpha lies in [0, pi] (sin alpha >= 0).  An immutable
+    4-tuple."""
 
-    r1: float
-    r2: float
-    r3: float
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, self.as_tuple())):
+    def __new__(cls, r1: float, r2: float, r3: float, alpha: float):
+        params = tuple.__new__(cls, (r1, r2, r3, alpha))
+        if not all(map(math.isfinite, params)):
             raise UsageError("triangle parameters must be finite")
-        if min(self.r1, self.r2, self.r3) < 0.0:
+        if min(r1, r2, r3) < 0.0:
             raise UsageError("side parameters r_t must be nonnegative")
-        if not 0.0 <= self.alpha <= math.pi:
+        if not 0.0 <= alpha <= math.pi:
             raise UsageError("alpha must lie in [0, pi]")
+        return params
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    r1, r2, r3, alpha = (property(itemgetter(k)) for k in range(4))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.r1, self.r2, self.r3, self.alpha)
+        return tuple(self)
 
     def to_json(self) -> dict:
         return {"r1": self.r1, "r2": self.r2, "r3": self.r3,
@@ -67,13 +71,19 @@ class TriangleClass(Enum):
 _CLASS_OF = dict(zip([(1, 0), (2, 0), (1, 1), (2, 1)], TriangleClass))
 
 
-def _vertices(points) -> Lifts:
-    """The record of a triangle's three distinct positive vertices, or of
-    one record, checked as every positive tuple is."""
+def _vertices(points, distinct=check_distinct) -> Lifts:
+    """The record of a triangle's three positive vertices, or of one
+    record, checked as every positive tuple is: distinct, unless
+    `distinct` is the check of realized vertices, `_realized`."""
     lifts = Lifts(points[0] if len(points) == 1 else points)
     if len(lifts) != 3:
         raise UsageError("a triangle needs exactly 3 points")
-    return lifts.validated(PointClass.POSITIVE, 3, check_distinct)
+    return lifts.validated(PointClass.POSITIVE, 3, distinct)
+
+
+def _realized(lifts: Lifts) -> None:
+    """The distinctness check of realized vertices: none, since equal rows
+    of G put two vertices together."""
 
 
 def normalize_triangle(*points) -> QMatrix:
@@ -94,7 +104,10 @@ def triangle_params(*points) -> TriangleParams:
     is recorded as 0 when the zero-product rule of the partition marks
     some product as zero: T then vanishes, and a unit factor on one
     vertex turns g_23 to any phase."""
-    lifts = _vertices(points)
+    return _params(_vertices(points))
+
+
+def _params(lifts: Lifts) -> TriangleParams:
     r = lifts.unit.modulus().tolist()
     alpha = 0.0
     if np.count_nonzero(lifts.nz) == lifts.nz.size:
@@ -138,8 +151,7 @@ def realize_triangle(params: TriangleParams,
 def classify_realized(points) -> TriangleClass:
     """`classify_triangle` of a `realize_triangle` triple, checked positive
     but not distinct: equal rows of G put two vertices together."""
-    return classify_triangle(Lifts(points).validated(
-        PointClass.POSITIVE, 3, lambda lifts: None))
+    return _classify(_vertices((points,), _realized))
 
 
 def classify_triangle(*points) -> TriangleClass:
@@ -147,13 +159,16 @@ def classify_triangle(*points) -> TriangleClass:
     unit-diagonal Gram matrix, which rescaling the vertices keeps:
     rank-one (all products of modulus 1, parabolic span), positive rank
     two (elliptic plane), or hyperbolic span of dimension 2 or 3."""
-    lifts = _vertices(points)
+    return _classify(_vertices(points))
+
+
+def _classify(lifts: Lifts) -> TriangleClass:
     iner = inertia(lifts.unit)
     sig = (iner.n_plus, iner.n_minus)
     if sig not in _CLASS_OF:
         raise InconsistencyError(f"impossible triangle signature {sig}")
     if sig == (1, 0):
-        params = triangle_params(lifts)
+        params = _params(lifts)
         if max(abs(params.r1 - 1), abs(params.r2 - 1), abs(params.r3 - 1),
                abs(params.alpha)) > UNIT_EPS:
             raise InconsistencyError(

@@ -6,9 +6,10 @@ import math
 import pytest
 
 from hqmoduli.cli import main
-from hqmoduli.gram import gram
+from hqmoduli.gram import gram, inertia
 from hqmoduli.hform import BALL, SIEGEL, HVector, PointClass, classify
 from hqmoduli.positive import positive_coordinate
+from hqmoduli.qmatrix import QMatrix
 from hqmoduli.sampling import random_null_tuple, random_regular_tuple
 from hqmoduli.hform import random_isometry
 from hqmoduli.triangle import (TriangleParams, classify_realized,
@@ -245,6 +246,26 @@ def test_realize_upper_triangle_completion(tmp_path, capsys):
     gm = gram(pts)
     assert all(abs(gm.entry(a, b).a0 - 1.0) <= 1e-8
                for a in range(3) for b in range(3))
+
+
+def test_realize_decomposes_its_gram_matrix_once(tmp_path, capsys,
+                                                 monkeypatch):
+    # the "inertia" field is the signature that the realization read off
+    # its one eigendecomposition
+    g = gram(random_regular_tuple(2, 4, seed=5))
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"m": 4, "entries": [
+        [g.entry(i, j).to_json() for j in range(4)] for i in range(4)]}))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(self, name=name, fn=getattr(QMatrix, name)):
+            calls.append(name)
+            return fn(self)
+        monkeypatch.setattr(QMatrix, name, counted)
+    code, out, _ = run(capsys, "--json", "realize", str(f), "--n", "2")
+    assert code == 0 and calls == ["eigh"]
+    monkeypatch.undo()
+    assert json.loads(out)["inertia"] == list(inertia(g).as_tuple())
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

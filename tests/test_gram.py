@@ -27,7 +27,8 @@ from hqmoduli.sampling import (random_null_point, random_null_tuple,
                                random_quaternion, random_rescaling,
                                random_regular_tuple, random_tuple,
                                random_unit_quaternion)
-from hqmoduli.triangle import classify_triangle
+from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_realized,
+                               classify_triangle, realize_triangle)
 
 ROUND_TRIP_TOL = 1e-8
 # the package exports the function gram under the module's name
@@ -653,8 +654,11 @@ def test_lifts_classes_follow_their_eps():
     assert loose.eps == 1e-4
     assert loose.classes == [classify(p, 1e-4) for p in pts]
     assert set(loose.classes) == {PointClass.NULL}
-    # a record keeps the eps it was made with
-    assert Lifts(loose, 1e-12) is loose
+    # a record passes through at its own eps and is made again at another
+    assert Lifts(loose) is loose and Lifts(loose, 1e-4) is loose
+    tight = Lifts(loose, 1e-12)
+    assert tight is not loose and tight == loose and tight.eps == 1e-12
+    assert tight.classes == [classify(p, 1e-12) for p in pts]
 
 
 def test_lifts_reject_zero_vectors_and_mixed_tuples():
@@ -711,6 +715,25 @@ def test_stages_validate_a_record_once(monkeypatch):
     boundary.boundary_coordinate(lifts)
     boundary.semi_normalize(lifts)
     assert len(nonvanishing) == 1
+
+
+def test_a_record_is_checked_again_for_another_distinctness_check():
+    # classify_realized lets realized vertices coincide; that does not
+    # vouch for the distinctness that classify_triangle checks
+    lifts = Lifts(realize_triangle(TriangleParams(0, 0, 1, 0)))
+    assert classify_realized(lifts) == TriangleClass.ELLIPTIC
+    with pytest.raises(DegenerateInputError, match="points 1 and 2 coincide"):
+        classify_triangle(lifts)
+
+
+def test_a_record_at_another_eps_is_classified_again():
+    pts = (ball(1, 0, 0.9), ball(0, 1, 0.9), ball(0.7, 0.7, 0.9))
+    record = Lifts(pts)
+    assert set(record.classes) == {PointClass.POSITIVE}
+    loose = Lifts(record, eps=0.5)
+    assert loose is not record and loose.eps == 0.5
+    assert loose.classes == [classify(p, 0.5) for p in pts]
+    assert set(loose.classes) == {PointClass.NULL}
 
 
 def test_stages_read_the_zero_pattern_of_a_record_once(monkeypatch):

@@ -3,7 +3,8 @@ every threshold of the package is a name in tol.py that some module
 imports, only qmatrix.py calls numpy's eigen- and singular value
 kernels, the package decides over arrays with np.count_nonzero, not
 numpy's any and all, no package module imports another's private
-names, and the zero-product rule runs where a record keeps its result."""
+names, the zero-product rule runs where a record keeps its result, and
+no record is a generated dataclass."""
 
 import ast
 import pathlib
@@ -249,3 +250,25 @@ def test_zero_rule_scan_catches_a_planted_call():
     assert zero_rule_calls(tree) == [
         "nonzero_products (line 3)", "nonzero_products (line 5)",
         "nonzero_products (line 6)"]
+
+
+def dataclass_mentions(source: str) -> list[str]:
+    """Lines that name `dataclass`: each decorated class runs `exec` on its
+    generated methods when its module is imported, which every CLI process
+    pays; the package's records are declared by hand, as Quaternion is."""
+    return [f"line {k}" for k, line in enumerate(source.splitlines(), 1)
+            if "dataclass" in line]
+
+
+def test_records_are_declared_by_hand():
+    found = {p.name: lines
+             for p in (ROOT / "src" / "hqmoduli").glob("*.py")
+             if (lines := dataclass_mentions(p.read_text()))}
+    assert not found, f"dataclass in the package: {found}"
+
+
+def test_dataclass_scan_catches_a_planted_record():
+    source = ("import dataclasses\nfrom operator import itemgetter\n"
+              "@dataclasses.dataclass(frozen=True)\nclass A:\n    x: int\n"
+              "class B(tuple):\n    __slots__ = ()\n")
+    assert dataclass_mentions(source) == ["line 1", "line 3"]

@@ -1,23 +1,34 @@
-"""The package namespace and what each CLI subcommand imports.
+"""The package namespace, what each CLI subcommand imports, and the
+value contract of the package's records.
 
 `hqmoduli` exports its names lazily, and the CLI imports the modules
 beyond its core inside the handlers that run them, so that one
 `python -m hqmoduli.cli` process loads and compiles only what its
-subcommand runs."""
+subcommand runs.  The records are declared by hand, as `Quaternion` is,
+so that importing a module generates no code for them."""
 
+import copy
 import importlib
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hqmoduli
-from hqmoduli.gram import gram
+from hqmoduli.boundary import Coordinate
+from hqmoduli.gram import Inertia, gram
+from hqmoduli.hform import (SIEGEL, HVector, PairConfiguration,
+                            random_isometry)
+from hqmoduli.positive import PartitionStructure
+from hqmoduli.quat import ImVector3, Quaternion
 from hqmoduli.sampling import (random_null_tuple, random_parabolic_tuple,
                                random_regular_tuple)
+from hqmoduli.triangle import TriangleParams
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -102,12 +113,15 @@ LOADS = {"realize": set(), "random": {"sampling"},
          "positive-coord": {"boundary", "positive"},
          "congruent": {"boundary", "positive"},
          "triangle": {"triangle"}}
-PROBE = """\
+# the modules that only generated record classes need
+GENERATED = {"dataclasses", "copy"}
+PROBE = f"""\
 import json, sys
 from hqmoduli import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(name for name in sys.modules
-                               if name.startswith("hqmoduli."))]))
+                               if name.startswith("hqmoduli.")
+                               or name in {sorted(GENERATED)!r})]))
 """
 
 
@@ -145,3 +159,70 @@ def test_subcommand_imports_only_what_it_runs(command, argvs):
     loaded = {name.removeprefix("hqmoduli.") for name in modules}
     assert loaded & OPTIONAL <= LOADS[command]
     assert {"errors", "tol", "hform", "gram", "qmatrix", "quat"} <= loaded
+    assert not loaded & GENERATED
+
+
+# ---------------------------------------------------------------------------
+# records
+
+STRUCTURE = PartitionStructure("regular", ((0, 1, 2),), (((0, 1), (2,)),),
+                               ((0, 2),))
+# each tuple-backed record, with its fields in order
+TUPLE_RECORDS = [
+    (ImVector3(0.5, -1.0, 2.0), ("x", "y", "z")),
+    (Inertia(2, 1, 0), ("n_plus", "n_minus", "n_zero")),
+    (PairConfiguration("intersecting", angle=0.5),
+     ("kind", "angle", "distance")),
+    (Coordinate("regular", (Quaternion(0.5, 1.0), Quaternion(-2.0)),
+                structure=STRUCTURE),
+     ("kind", "entries", "stratum", "structure", "alpha")),
+    (STRUCTURE, ("kind", "blocks", "sub_blocks", "anchors")),
+    (TriangleParams(0.5, 1.0, 1.5, 0.25), ("r1", "r2", "r3", "alpha")),
+]
+
+
+@pytest.mark.parametrize("record,fields", TUPLE_RECORDS,
+                         ids=[type(r).__name__ for r, _ in TUPLE_RECORDS])
+def test_tuple_records_are_immutable_values(record, fields):
+    # equal and hashed as the tuple of their fields, which they are
+    assert tuple(getattr(record, f) for f in fields) == tuple(record)
+    assert record == tuple(record) and hash(record) == hash(tuple(record))
+    assert type(record)(*record) == record
+    for back in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                 copy.deepcopy(record)):
+        assert type(back) is type(record) and back == record
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert not hasattr(record, "__dict__")
+
+
+def test_record_defaults_are_the_unused_fields():
+    assert PairConfiguration("asymptotic") == ("asymptotic", None, None)
+    assert PartitionStructure("parabolic", ((0, 1),)) == (
+        "parabolic", ((0, 1),), (), ())
+    assert Coordinate("boundary", (), "Z_R", alpha=0.5) == (
+        "boundary", (), "Z_R", None, 0.5)
+
+
+@pytest.mark.parametrize("record", [
+    HVector.from_entries([Quaternion(0.5, 1.0), Quaternion(2.0)], SIEGEL),
+    random_isometry(2, 3)], ids=["HVector", "Isometry"])
+def test_matrix_records_are_immutable_and_not_tuples(record):
+    # equal only to itself, and hashed so
+    assert record == record and record != type(record)(record.qm, record.model)
+    assert len({record, copy.copy(record)}) == 2
+    with pytest.raises(TypeError):
+        iter(record)
+    for name in ("qm", "model", "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        del record.model
+    shallow = copy.copy(record)
+    assert shallow.qm is record.qm and shallow.model == record.model
+    for back in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(back) is type(record) and back.model == record.model
+        assert back.qm is not record.qm
+        assert np.array_equal(back.qm.c1, record.qm.c1)
+        assert np.array_equal(back.qm.c2, record.qm.c2)
