@@ -16,19 +16,19 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegenerateInputError, InconsistencyError, UsageError
-from .gram import Lifts, inertia, rescale_gram, triple_product
+from .errors import InconsistencyError, UsageError
+from .gram import Lifts, align, inertia, rescale_gram, triple_product
 from .hform import HVector, PointClass
-from .qmatrix import QMatrix, strict_upper
-from .quat import ONE, Quaternion, negligible, nu, quat, rotation_normalize_vector
-from .tol import PRODUCT_EPS, SEMI_TOL, UNIT_EPS
+from .qmatrix import QMatrix
+from .quat import (ONE, Quaternion, Record, negligible, nu, quat,
+                   rotation_normalize_vector)
+from .tol import SEMI_TOL, UNIT_EPS
 
 
-class Coordinate(tuple):
+class Coordinate(Record, fields="kind entries stratum structure alpha"):
     """Canonical moduli coordinate of a tuple, one of three kinds:
 
     * "boundary": the rotation-normalized t-vector of a tuple of null
@@ -51,12 +51,6 @@ class Coordinate(tuple):
                 alpha: float | None = None):
         return tuple.__new__(cls, (kind, entries, stratum, structure, alpha))
 
-    def __getnewargs__(self):
-        return tuple(self)
-
-    kind, entries, stratum, structure, alpha = (property(itemgetter(k))
-                                                for k in range(5))
-
     def to_json(self) -> dict:
         entries = [q.to_json() for q in self.entries]
         if self.kind == "boundary":
@@ -69,18 +63,6 @@ class Coordinate(tuple):
                 "entries": entries}
 
 
-def _nonvanishing(lifts: Lifts) -> None:
-    """Raise when some |<p_a, p_b>| <= PRODUCT_EPS |p_a| |p_b|, a != b."""
-    n = lifts.norms
-    small = strict_upper(len(n)) & (lifts.g.modulus()
-                                     <= PRODUCT_EPS * np.outer(n, n))
-    if np.count_nonzero(small):
-        i, j = np.argwhere(small)[0]
-        raise DegenerateInputError(
-            f"points {i + 1} and {j + 1} have vanishing product; "
-            "distinct null points cannot be orthogonal")
-
-
 def cartan_invariant(p1: HVector, p2: HVector, p3: HVector) -> float:
     """Angular invariant arccos(Re(-T)/|T|) in [0, pi/2] of a triple of
     distinct null points, T the triple Hermitian product, which is nonzero
@@ -88,7 +70,7 @@ def cartan_invariant(p1: HVector, p2: HVector, p3: HVector) -> float:
     triple product, kept as the reference that the alpha of
     `semi_normalize`, which `boundary_coordinate` reports, is tested
     against."""
-    lifts = Lifts([p1, p2, p3]).validated(PointClass.NULL, 3, _nonvanishing)
+    lifts = Lifts([p1, p2, p3]).validated(PointClass.NULL, 3)
     t = triple_product(lifts.g)
     return math.acos(max(-1.0, min(1.0, -t.re() / abs(t))))
 
@@ -98,28 +80,24 @@ def semi_normalize(points):
     matrix.
 
     Returns (d, G, alpha) with d the list of diagonal entries of D and
-    gram(p_i d_i) = G.  D solves the chain of unit off-diagonal
-    conditions once, from d_1 = rot / sqrt|q|, with q = <p_1, p_3 lam_3>
-    read off the first two steps of the chain lam started from 1.  From
-    d_1 the chain gives lam_i d_1 to points 1, 3, 5, ... and
-    lam_i conj(d_1)^-1 to the others, so g_13 = conj(rot) conj(q) rot / |q|.
+    gram(p_i d_i) = G.  D is `align` along the chain of unit off-diagonal
+    conditions (i - 1, i), solved once from d_1 = rot / sqrt|q|, with
+    q = <p_1, p_3 lam_3> read off the first two edges of the chain lam
+    started from 1.  From d_1 the chain gives lam_i d_1 to points 1, 3,
+    5, ... and lam_i conj(d_1)^-1 to the others, so
+    g_13 = conj(rot) conj(q) rot / |q|.
     rot = nu(Im conj(q)) turns Im conj(q) onto |Im q| i, so Im g_13 >= 0:
     g_13 = -e^{-i*alpha} with alpha in [0, pi/2] as it stands, and no
     conjugation by j has to flip it.  D rescales the Gram matrix once,
     and g_13 is read off the result.
     """
-    lifts = Lifts(points).validated(PointClass.NULL, 3, _nonvanishing)
+    lifts = Lifts(points).validated(PointClass.NULL, 3)
     g0, m = lifts.g, len(lifts)
-
-    def step(i, prev):
-        # <p_{i-1} d_{i-1}, p_i d_i> = conj(d_i) g_{i,i-1} d_{i-1} = 1
-        return (g0.entry(i, i - 1) * prev).inverse().conj()
-
-    q = step(2, step(1, ONE)).conj() * g0.entry(2, 0)
+    chain = [(i - 1, i) for i in range(1, m)]
+    q = align(lifts, chain[:2], [ONE] * m)[2].conj() * g0.entry(2, 0)
     im = q.conj().im_vec()
-    d = [(ONE if negligible(im.norm(), abs(q)) else nu(im)) / math.sqrt(abs(q))]
-    for i in range(1, m):
-        d.append(step(i, d[-1]))
+    rot = ONE if negligible(im.norm(), abs(q)) else nu(im)
+    d = align(lifts, chain, [rot / math.sqrt(abs(q))] * m)
     g = rescale_gram(g0, d)
 
     g13 = g.entry(0, 2)

@@ -167,14 +167,15 @@ def cmd_random(args) -> int:
 def _triangle_row(model, *values):
     """(params, det, exists, class, points) of the (r1, r2, r3; alpha)
     triangle; the points realize it in the model when it exists."""
-    from .triangle import (TriangleParams, classify_realized, realize_triangle,
-                           triangle_det, triangle_exists)
+    from .triangle import (TriangleParams, realize_and_classify, triangle_det,
+                           triangle_exists)
     params = TriangleParams(*values)
     det = triangle_det(params)
     exists = triangle_exists(params)
-    pts = realize_triangle(params, model) if exists else ()
-    cls = classify_realized(pts).value if exists else ""
-    return params, det, exists, cls, pts
+    if not exists:
+        return params, det, exists, "", ()
+    pts, cls = realize_and_classify(params, model)
+    return params, det, exists, cls.value, pts
 
 
 def cmd_triangle(args) -> int:

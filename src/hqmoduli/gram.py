@@ -4,7 +4,8 @@ explicit tuple of points.
 
 Conventions: for a tuple p = (p_1, ..., p_m) the Gram matrix has entries
 g_ij = <p_j, p_i> = p_i* J p_j, so G = P* J P with P the column matrix.
-Congruence acts by G -> D* G D for an invertible right factor D.
+Congruence acts by G -> D* G D for an invertible right factor D, and
+`align` is the one solver for the diagonal D that normalizes G.
 
 Both the inertia and the realization read the m eigenvalues of G from
 `QMatrix.eigvalsh` and `QMatrix.eigh`, which check that G is square and
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -40,11 +40,11 @@ from .errors import (DegenerateInputError, DomainError, RealizationError,
 from .hform import (BALL, HVector, PointClass, columns, form_adjoint,
                     form_matrix, point_class, to_model, tuple_from_columns)
 from .qmatrix import QMatrix, adjoint_rank, strict_upper
-from .quat import Quaternion
+from .quat import Quaternion, Record, quat
 from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS, UNIT_EPS, ZERO_EPS
 
 
-class Inertia(tuple):
+class Inertia(Record, fields="n_plus n_minus n_zero"):
     """The signature (n_plus, n_minus, n_zero) of a Hermitian matrix, an
     immutable 3-tuple."""
 
@@ -52,14 +52,6 @@ class Inertia(tuple):
 
     def __new__(cls, n_plus, n_minus, n_zero):
         return tuple.__new__(cls, (n_plus, n_minus, n_zero))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    n_plus, n_minus, n_zero = (property(itemgetter(k)) for k in range(3))
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return tuple(self)
 
     @property
     def rank(self) -> int:
@@ -80,7 +72,7 @@ class Lifts(tuple):
     reads, are made on first use; the positive stages keep on it the
     partition `structure`."""
 
-    checked, structure = (), None
+    checked = structure = None
 
     def __new__(cls, points, eps: float | None = None):
         if isinstance(points, Lifts) and eps in (None, points.eps):
@@ -97,16 +89,21 @@ class Lifts(tuple):
         lifts.eps = eps
         return lifts
 
-    def validated(self, cls: PointClass, least: int, distinct) -> "Lifts":
-        """Checked once per class and distinctness check: at least `least`
-        lifts, all of class `cls`, passing `distinct`."""
-        if (cls, distinct) not in self.checked:
-            if len(self) < least:
-                raise UsageError(f"need at least {least} {cls.value} points")
+    def validated(self, cls: PointClass, least: int) -> "Lifts":
+        """At least `least` lifts, all of class `cls` and distinct by the
+        rule of that class: no vanishing product for null lifts
+        (`check_nonvanishing`), no coincident pair for positive ones
+        (`check_distinct`).  The record remembers the class it passed."""
+        if len(self) < least:
+            raise UsageError(f"need at least {least} {cls.value} points")
+        if self.checked != cls:
             if any(c != cls for c in self.classes):
                 raise DomainError(f"tuple must consist of {cls.value} points")
-            distinct(self)
-            self.checked += ((cls, distinct),)
+            if cls == PointClass.NULL:
+                check_nonvanishing(self)
+            else:
+                check_distinct(self)
+            self.checked = cls
         return self
 
     @cached_property
@@ -174,6 +171,40 @@ def nonzero_products(g: QMatrix) -> np.ndarray:
     return mod > ZERO_EPS * mod.max()
 
 
+def align(lifts: Lifts, edges, d=None) -> list[Quaternion]:
+    """The diagonal D of the rescaling p_a -> p_a d_a that normalizes the
+    Gram matrix g of the record along a forest of `edges` (c, t), each t
+    reached once, after its c.  The roots keep their factor in d, by
+    default s_a = 1/sqrt(g_aa); each edge, in order, sets
+    d_t = h / (|h| rho_t) with h = g_tc d_c, where rho_t = sqrt(g_tt) for a
+    positive lift t and |h| for a null one, so that the rescaled product
+    conj(d_t) g_tc d_c is the real |h| / rho_t: s_c |g_ct| s_t below a
+    positive root, 1 for a null t."""
+    lifts = Lifts(lifts)
+    g, null = lifts.g, PointClass.NULL
+    diag = g.c1.diagonal().real.tolist()
+    d = [quat(1.0 / math.sqrt(x)) for x in diag] if d is None else list(d)
+    for c, t in edges:
+        h = g.entry(t, c) * d[c]
+        d[t] = (h / h.norm2() if lifts.classes[t] is null
+                else h / (abs(h) * math.sqrt(diag[t])))
+    return d
+
+
+def check_nonvanishing(lifts: Lifts) -> None:
+    """The distinctness rule of null lifts: distinct null points are never
+    orthogonal, so raise when some |<p_a, p_b>| <= PRODUCT_EPS |p_a| |p_b|,
+    a != b."""
+    n = lifts.norms
+    small = strict_upper(len(n)) & (lifts.g.modulus()
+                                     <= PRODUCT_EPS * np.outer(n, n))
+    if np.count_nonzero(small):
+        i, j = np.argwhere(small)[0]
+        raise DegenerateInputError(
+            f"points {i + 1} and {j + 1} have vanishing product; "
+            "distinct null points cannot be orthogonal")
+
+
 def check_distinct(lifts: Lifts) -> None:
     """Two lifts whose unit product has modulus 1 must span a plane; one
     stacked rank of the column pairs' adjoints decides every such pair."""
@@ -191,8 +222,10 @@ def check_distinct(lifts: Lifts) -> None:
 def _zeroed(lam: np.ndarray) -> list[float]:
     """The ascending eigenvalues lam with those of modulus at most
     INERTIA_EPS * max|lam| set to 0.  A list, since there are at most a
-    few."""
+    few.  A spectrum that overflowed has no signature: DomainError."""
     lam = lam.tolist()
+    if not all(map(math.isfinite, lam)):
+        raise DomainError("the spectrum of the matrix is not finite")
     if not lam:
         return []
     zero = INERTIA_EPS * max(-lam[0], lam[-1])

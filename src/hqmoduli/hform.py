@@ -14,13 +14,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, UsageError
 from .qmatrix import QMatrix
-from .quat import Quaternion
+from .quat import Quaternion, Record
 from .tol import (COORD_TOL, INERTIA_EPS, ISOMETRY_TOL, NULL_EPS, PRODUCT_EPS,
                   STRUCTURE_TOL)
 
@@ -389,7 +388,7 @@ def orthogonal_complement_basis(z: HVector) -> tuple[HVector, ...]:
 # Distances, angles and the m = 2 moduli invariant
 # ---------------------------------------------------------------------
 
-class PairConfiguration(tuple):
+class PairConfiguration(Record, fields="kind angle distance"):
     """The kind of a pair of positive points, "intersecting", "asymptotic"
     or "ultraparallel", with the angle of an intersecting pair and the
     distance of an ultraparallel one: an immutable 3-tuple."""
@@ -399,11 +398,6 @@ class PairConfiguration(tuple):
     def __new__(cls, kind: str, angle: float | None = None,
                 distance: float | None = None):
         return tuple.__new__(cls, (kind, angle, distance))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    kind, angle, distance = (property(itemgetter(k)) for k in range(3))
 
     @staticmethod
     def from_t(t: float) -> "PairConfiguration":
@@ -420,8 +414,8 @@ def _pair(p1: HVector, p2: HVector):
     """The `Lifts` record of two distinct positive points, checked as every
     positive tuple is, and t = |u_12| of its unit-diagonal Gram matrix u;
     `gram` imports this module, so it is imported here."""
-    from .gram import Lifts, check_distinct
-    lifts = Lifts([p1, p2]).validated(PointClass.POSITIVE, 2, check_distinct)
+    from .gram import Lifts
+    lifts = Lifts([p1, p2]).validated(PointClass.POSITIVE, 2)
     return lifts, float(lifts.unit.modulus()[0, 1])
 
 
@@ -435,31 +429,25 @@ def pair_configuration(p1: HVector, p2: HVector) -> PairConfiguration:
     return PairConfiguration.from_t(pair_moduli(p1, p2))
 
 
-def _align_pair(p1: HVector, p2: HVector) -> tuple[HVector, HVector, float]:
-    """Unit lifts with <p1, p2> real nonnegative; returns (p1, p2, t)."""
-    lifts, t = _pair(p1, p2)
-    p1, p2 = (p.scaled(s ** -0.5) for p, s in
-              zip(lifts, lifts.g.c1.diagonal().real.tolist()))
-    if t > PRODUCT_EPS:
-        p2 = p2.rescale(lifts.unit.entry(1, 0) / t)
-    return p1, p2, t
-
-
 def pair_isometry(p1: HVector, p2: HVector, q1: HVector,
                   q2: HVector) -> Isometry:
     """Explicit isometry carrying the positive pair (p1, p2) to (q1, q2)
     projectively; exists iff their t-invariants agree.  The points of
     each pair must be distinct, as for `pair_moduli`."""
-    (a1, a2, tp), (b1, b2, tq) = (_align_pair(to_model(x, BALL), to_model(y, BALL))
-                                  for x, y in ((p1, p2), (q1, q2)))
+    from .gram import align
+    (lp, tp), (lq, tq) = (_pair(to_model(x, BALL), to_model(y, BALL))
+                          for x, y in ((p1, p2), (q1, q2)))
     if abs(tp - tq) > COORD_TOL * (1.0 + tp + tq):
         raise DomainError("pairs have different moduli invariants")
-    j = form_matrix(BALL, a1.n)
+    j = form_matrix(BALL, p1.n)
     t = 0.5 * (tp + tq)
 
-    def head(x1: HVector, x2: HVector) -> QMatrix:
-        """(x1, u, ...): u = x2 - x1 and its null partner for an
-        asymptotic pair, else u = x2 - x1 t, unit."""
+    def head(lifts, s: float) -> QMatrix:
+        """(x1, u, ...) for the unit lifts x1, x2 of the pair, aligned so
+        that <x1, x2> = s is real nonnegative: u = x2 - x1 and its null
+        partner for an asymptotic pair, else u = x2 - x1 t, unit."""
+        x1, x2 = map(HVector.rescale, lifts, align(
+            lifts, [(0, 1)] if s > PRODUCT_EPS else []))
         if PairConfiguration.from_t(t).kind == "asymptotic":
             u = (x2 - x1).qm
             return QMatrix.from_columns(
@@ -468,7 +456,7 @@ def pair_isometry(p1: HVector, p2: HVector, q1: HVector,
         return QMatrix.from_columns(
             [x1.qm, u.scale(1.0 / math.sqrt(abs(_self(u, j))))])
 
-    return _frames_isometry(head(a1, a2), head(b1, b2), j, p1.model)
+    return _frames_isometry(head(lp, tp), head(lq, tq), j, p1.model)
 
 
 def projective_distance(a: HVector, b: HVector) -> float:

@@ -21,17 +21,16 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from operator import itemgetter
 
 import numpy as np
 
 from .boundary import Coordinate, boundary_coordinate
 from .errors import DomainError, InconsistencyError
-from .gram import (Lifts, check_distinct, inertia, nonzero_products,
-                   rescale_gram, span_dimension, unit_diagonal)
+from .gram import (Lifts, align, inertia, nonzero_products, rescale_gram,
+                   span_dimension, unit_diagonal)
 from .hform import PointClass, form_matrix
 from .qmatrix import QMatrix
-from .quat import (ONE, Quaternion, canonical_sign, conjugate_vector,
+from .quat import (ONE, Quaternion, Record, canonical_sign, conjugate_vector,
                    negligible, normalizing_rotation, nu, quat,
                    rotation_normalize_vector)
 from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS
@@ -40,7 +39,7 @@ from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS
 # ---------------------------------------------------------------------------
 # structures
 
-class PartitionStructure(tuple):
+class PartitionStructure(Record, fields="kind blocks sub_blocks anchors"):
     """Zero-pattern data of a positive tuple: the kind (regular or
     parabolic), the top-level blocks (connected components of the
     nonzero-product graph), and for regular tuples the sub-block
@@ -53,12 +52,6 @@ class PartitionStructure(tuple):
                 sub_blocks: tuple[tuple[tuple[int, ...], ...], ...] = (),
                 anchors: tuple[tuple[int, ...], ...] = ()):
         return tuple.__new__(cls, (kind, blocks, sub_blocks, anchors))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    kind, blocks, sub_blocks, anchors = (property(itemgetter(k))
-                                         for k in range(4))
 
     def to_json(self) -> dict:
         out = {"kind": self.kind,
@@ -78,26 +71,13 @@ def _partitioned(points, kind: str | None = None) -> Lifts:
     unit-diagonal Gram matrix: rescaling the lifts moves it by unit
     factors, which keep every |g_ab| and every eigenvalue.  With a kind,
     a tuple of the other kind is a DomainError."""
-    lifts = Lifts(points).validated(PointClass.POSITIVE, 2, check_distinct)
+    lifts = Lifts(points).validated(PointClass.POSITIVE, 2)
     if lifts.structure is None:
         lifts.structure = _partition(lifts.unit, lifts.nz,
                                      lambda: span_dimension(lifts))
     if kind not in (None, lifts.structure.kind):
         raise DomainError(f"tuple is not {kind}")
     return lifts
-
-
-def _align(g: QMatrix, pairs) -> list[Quaternion]:
-    """The real factors s_a = 1/sqrt(g_aa) of the raw Gram matrix g, with
-    d_t = conj(g_ct) s_t / |g_ct| for each pair (c, t), so that the
-    rescaled entry conj(d_c) g_ct d_t = s_c |g_ct| s_t is real and
-    positive.  No c may also be a t: each c keeps its real s_c."""
-    r = [math.sqrt(x) for x in g.c1.diagonal().real.tolist()]
-    d = [quat(1.0 / x) for x in r]
-    for c, t in pairs:
-        h = g.entry(c, t)
-        d[t] = h.conj() / (abs(h) * r[t])
-    return d
 
 
 def one_normalize(points):
@@ -111,11 +91,11 @@ def one_normalize(points):
     calls it: for a triple it is the reference that the closed form of
     `triangle.normalize_triangle` is tested against.
     """
-    lifts = Lifts(points).validated(PointClass.POSITIVE, 2, check_distinct)
+    lifts = Lifts(points).validated(PointClass.POSITIVE, 2)
     g0 = lifts.g
     m = len(lifts)
 
-    d = _align(g0, [(0, t) for t in range(1, m) if lifts.nz[0, t]])
+    d = align(lifts, [(0, t) for t in range(1, m) if lifts.nz[0, t]])
     if m >= 3:
         g23 = d[1].conj() * g0.entry(1, 2) * d[2]
         if not negligible(g23.im_vec().norm(), 1.0 + abs(g23)):
@@ -236,11 +216,11 @@ def _parabolic_lifts(lifts: Lifts) -> tuple[list[Quaternion], QMatrix]:
     """The factors d that align each block on its anchor blk[0], and the
     lifts scaled by them, with within-block products ~1.  Only the products
     of two non-anchor points of a block carry a phase, so only they are
-    checked: `_align` makes an anchor product conj(d_c) g_ct d_t equal to
+    checked: `align` makes an anchor product conj(d_t) g_tc d_c equal to
     |u_ct|, which `_partition` has held within UNIT_EPS of 1, and each
     diagonal entry is 1 by construction."""
     g, blocks = lifts.g, lifts.structure.blocks
-    d = _align(g, [(blk[0], t) for blk in blocks for t in blk[1:]])
+    d = align(lifts, [(blk[0], t) for blk in blocks for t in blk[1:]])
     for blk in blocks:
         for a, b in combinations(blk[1:], 2):
             if abs(d[a].conj() * g.entry(a, b) * d[b] - ONE) > UNIT_EPS:
@@ -340,7 +320,7 @@ def regular_coordinate(points) -> Coordinate:
     lifts = _partitioned(points, "regular")
     g0, m = lifts.g, len(lifts)
     order = _ordered_sub_blocks(lifts.structure)
-    d = _align(g0, [(c, t) for c, sb in order for t in sb if t != c])
+    d = align(lifts, [(c, t) for c, sb in order for t in sb if t != c])
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     x = {(a, b): d[a].conj() * g0.entry(a, b) * d[b] for a, b in pairs}
     # unit factors keep every |g_ab|, so the record's zero pattern serves;
@@ -407,11 +387,11 @@ def coordinate_distance(a: Coordinate, b: Coordinate) -> float:
                default=0.0)
 
 
-def congruent(p, q, eps: float = COORD_TOL) -> bool:
+def congruent(p, q, tol: float = COORD_TOL) -> bool:
     """Congruence test for two ordered tuples of null or of positive
-    points: their coordinates agree within eps.  False when the sizes or
+    points: their coordinates agree within tol.  False when the sizes or
     the tuple classes differ."""
     p, q = Lifts(p), Lifts(q)
     if len(p) != len(q):
         return False
-    return coordinate_distance(tuple_coordinate(p), tuple_coordinate(q)) <= eps
+    return coordinate_distance(tuple_coordinate(p), tuple_coordinate(q)) <= tol

@@ -20,10 +20,31 @@ from .tol import CLASSIFY_EPS, DEPENDENCE_EPS
 _new = tuple.__new__
 
 
-class Quaternion(tuple):
-    """The immutable 4-tuple (a0, a1, a2, a3), equal and hashed as that
-    tuple.  numpy's binary operators defer to its own, so a numpy scalar
-    times a Quaternion is a Quaternion."""
+class Record(tuple):
+    """An immutable tuple of named fields, equal and hashed as that tuple:
+    `class R(Record, fields="a b")` reads field k as `property(itemgetter(k))`.
+    Each record keeps its own `__slots__ = ()` and a `__new__` that checks
+    and defaults its fields; `__getnewargs__` hands pickle and copy the
+    fields, not the whole tuple as the first one."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields: str = "", **kwargs):
+        super().__init_subclass__(**kwargs)
+        for k, name in enumerate(fields.split()):
+            setattr(cls, name, property(itemgetter(k)))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def as_tuple(self) -> tuple:
+        return tuple(self)
+
+
+class Quaternion(Record, fields="a0 a1 a2 a3"):
+    """The immutable 4-tuple (a0, a1, a2, a3).  numpy's binary operators
+    defer to its own, so a numpy scalar times a Quaternion is a
+    Quaternion."""
 
     __slots__ = ()
     __array_ufunc__ = None
@@ -31,13 +52,8 @@ class Quaternion(tuple):
     def __new__(cls, a0=0.0, a1=0.0, a2=0.0, a3=0.0):
         return _new(cls, (a0, a1, a2, a3))
 
-    def __getnewargs__(self):
-        return tuple(self)
-
     def __repr__(self) -> str:
         return "Quaternion(a0={!r}, a1={!r}, a2={!r}, a3={!r})".format(*self)
-
-    a0, a1, a2, a3 = (property(itemgetter(k)) for k in range(4))
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -150,7 +166,7 @@ def quat(x) -> Quaternion:
     raise TypeError(f"cannot interpret {x!r} as a quaternion")
 
 
-class ImVector3(tuple):
+class ImVector3(Record, fields="x y z"):
     """Purely imaginary quaternion v = x*i + y*j + z*k seen as a vector
     in R^3: the immutable 3-tuple (x, y, z), as Quaternion is its 4-tuple."""
 
@@ -158,11 +174,6 @@ class ImVector3(tuple):
 
     def __new__(cls, x, y, z):
         return _new(cls, (x, y, z))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    x, y, z = (property(itemgetter(k)) for k in range(3))
 
     def to_quaternion(self) -> Quaternion:
         return _new(Quaternion, (0.0, *self))

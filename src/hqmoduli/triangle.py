@@ -18,19 +18,19 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import DomainError, InconsistencyError, UsageError
-from .gram import (Lifts, check_distinct, inertia, realize, span_dimension,
-                   triple_product)
+from .gram import (Inertia, Lifts, inertia, realize, realize_with_inertia,
+                   span_dimension, triple_product)
 from .hform import BALL, HVector, PointClass
 from .qmatrix import QMatrix
+from .quat import Record
 from .tol import DET_TOL, UNIT_EPS
 
 
-class TriangleParams(tuple):
+class TriangleParams(Record, fields="r1 r2 r3 alpha"):
     """Parameters (r1, r2, r3; alpha) of a normalized triangle Gram
     matrix; alpha lies in [0, pi] (sin alpha >= 0).  An immutable
     4-tuple."""
@@ -46,14 +46,6 @@ class TriangleParams(tuple):
         if not 0.0 <= alpha <= math.pi:
             raise UsageError("alpha must lie in [0, pi]")
         return params
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    r1, r2, r3, alpha = (property(itemgetter(k)) for k in range(4))
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return tuple(self)
 
     def to_json(self) -> dict:
         return {"r1": self.r1, "r2": self.r2, "r3": self.r3,
@@ -71,19 +63,13 @@ class TriangleClass(Enum):
 _CLASS_OF = dict(zip([(1, 0), (2, 0), (1, 1), (2, 1)], TriangleClass))
 
 
-def _vertices(points, distinct=check_distinct) -> Lifts:
+def _vertices(points) -> Lifts:
     """The record of a triangle's three positive vertices, or of one
-    record, checked as every positive tuple is: distinct, unless
-    `distinct` is the check of realized vertices, `_realized`."""
+    record, checked as every positive tuple is."""
     lifts = Lifts(points[0] if len(points) == 1 else points)
     if len(lifts) != 3:
         raise UsageError("a triangle needs exactly 3 points")
-    return lifts.validated(PointClass.POSITIVE, 3, distinct)
-
-
-def _realized(lifts: Lifts) -> None:
-    """The distinctness check of realized vertices: none, since equal rows
-    of G put two vertices together."""
+    return lifts.validated(PointClass.POSITIVE, 3)
 
 
 def normalize_triangle(*points) -> QMatrix:
@@ -148,10 +134,18 @@ def realize_triangle(params: TriangleParams,
     return realize(gram_from_params(params), 2, model)
 
 
-def classify_realized(points) -> TriangleClass:
-    """`classify_triangle` of a `realize_triangle` triple, checked positive
-    but not distinct: equal rows of G put two vertices together."""
-    return _classify(_vertices((points,), _realized))
+def realize_and_classify(params: TriangleParams, model: str = BALL
+                         ) -> tuple[tuple[HVector, ...], TriangleClass]:
+    """`realize_triangle` of the parameters and the class that the
+    signature of G, read off the realization's one eigendecomposition,
+    names.  The vertices coincide when two rows of G agree, which needs no
+    distinctness check, but they must be positive: once some r_t is so
+    large that the zeroed eigenvalues carry the unit diagonal, they are
+    not, and the signature names no triangle."""
+    points, iner = realize_with_inertia(gram_from_params(params), 2, model)
+    if any(c != PointClass.POSITIVE for c in Lifts(points).classes):
+        raise DomainError("tuple must consist of positive points")
+    return points, _signature_class(iner)
 
 
 def classify_triangle(*points) -> TriangleClass:
@@ -162,12 +156,19 @@ def classify_triangle(*points) -> TriangleClass:
     return _classify(_vertices(points))
 
 
-def _classify(lifts: Lifts) -> TriangleClass:
-    iner = inertia(lifts.unit)
+def _signature_class(iner: Inertia) -> TriangleClass:
+    """The class that the inertia of a normalized triangle Gram matrix
+    names: that of `gram_from_params`, or of the vertices' unit-diagonal
+    Gram matrix."""
     sig = (iner.n_plus, iner.n_minus)
     if sig not in _CLASS_OF:
         raise InconsistencyError(f"impossible triangle signature {sig}")
-    if sig == (1, 0):
+    return _CLASS_OF[sig]
+
+
+def _classify(lifts: Lifts) -> TriangleClass:
+    cls = _signature_class(inertia(lifts.unit))
+    if cls == TriangleClass.PARABOLIC111:
         params = _params(lifts)
         if max(abs(params.r1 - 1), abs(params.r2 - 1), abs(params.r3 - 1),
                abs(params.alpha)) > UNIT_EPS:
@@ -176,4 +177,4 @@ def _classify(lifts: Lifts) -> TriangleClass:
         if span_dimension(lifts) != 2:
             raise InconsistencyError(
                 "parabolic triangle span has unexpected dimension")
-    return _CLASS_OF[sig]
+    return cls

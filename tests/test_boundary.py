@@ -329,7 +329,7 @@ def test_congruent_boundary_oracle_and_negatives():
         strict=True, raises=AssertionError, reason="products of about 5e-7 "
         "|p|^2 lose six digits, so alpha moves by 2e-7 > COORD_TOL")),
     pytest.param(7.0, marks=pytest.mark.xfail(
-        strict=True, raises=DegenerateInputError, reason="_nonvanishing "
+        strict=True, raises=DegenerateInputError, reason="check_nonvanishing "
         "compares |g_ab| with PRODUCT_EPS |p_a| |p_b| in Euclidean norms, "
         "which the boost does not keep")),
 ], ids=["rapidity4", "rapidity7"])

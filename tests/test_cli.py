@@ -12,7 +12,7 @@ from hqmoduli.positive import positive_coordinate
 from hqmoduli.qmatrix import QMatrix
 from hqmoduli.sampling import random_null_tuple, random_regular_tuple
 from hqmoduli.hform import random_isometry
-from hqmoduli.triangle import (TriangleParams, classify_realized,
+from hqmoduli.triangle import (TriangleParams, classify_triangle,
                                gram_from_params, realize_triangle,
                                triangle_exists)
 
@@ -248,6 +248,17 @@ def test_realize_upper_triangle_completion(tmp_path, capsys):
                for a in range(3) for b in range(3))
 
 
+def counting_decompositions(monkeypatch) -> list:
+    """The names of the QMatrix spectral decompositions made from now on."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(self, name=name, fn=getattr(QMatrix, name)):
+            calls.append(name)
+            return fn(self)
+        monkeypatch.setattr(QMatrix, name, counted)
+    return calls
+
+
 def test_realize_decomposes_its_gram_matrix_once(tmp_path, capsys,
                                                  monkeypatch):
     # the "inertia" field is the signature that the realization read off
@@ -256,16 +267,24 @@ def test_realize_decomposes_its_gram_matrix_once(tmp_path, capsys,
     f = tmp_path / "g.json"
     f.write_text(json.dumps({"m": 4, "entries": [
         [g.entry(i, j).to_json() for j in range(4)] for i in range(4)]}))
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(self, name=name, fn=getattr(QMatrix, name)):
-            calls.append(name)
-            return fn(self)
-        monkeypatch.setattr(QMatrix, name, counted)
+    calls = counting_decompositions(monkeypatch)
     code, out, _ = run(capsys, "--json", "realize", str(f), "--n", "2")
     assert code == 0 and calls == ["eigh"]
     monkeypatch.undo()
     assert json.loads(out)["inertia"] == list(inertia(g).as_tuple())
+
+
+def test_realize_overflowing_spectrum_is_a_domain_error(tmp_path, capsys):
+    # finite entries near the largest float whose paired adjoint
+    # eigenvalues overflow: no signature can be read off the spectrum
+    big = 1e308
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"m": 2, "entries": [
+        [[big, 0, 0, 0], [big, 0, big, 0]], [None, [-big, 0, 0, 0]]]}))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out, err = run(capsys, "--json", "realize", str(f), "--n", "2")
+    assert code == 3 and out == ""
+    assert "spectrum of the matrix is not finite" in err
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -353,6 +372,21 @@ def test_triangle_with_coincident_realized_vertices_is_classified(
     assert data["class"] == "Elliptic"
 
 
+@pytest.mark.parametrize("params", [("1", "1", "1", "0"), ("0", "0", "1", "0"),
+                                    ("0.5", "0.7", "1.3", "0.4")])
+def test_triangle_decomposes_its_gram_matrix_once(capsys, monkeypatch,
+                                                  params):
+    # the class is the signature that the realization read off its one
+    # eigendecomposition of G
+    calls = counting_decompositions(monkeypatch)
+    code, out, err = run(capsys, "--json", "triangle", *(
+        x for kv in zip(("--r1", "--r2", "--r3", "--alpha"), params)
+        for x in kv))
+    assert code == 0, err
+    assert calls == ["eigh"]
+    assert json.loads(out)["class"]
+
+
 def test_triangle_sweep_through_r_equal_one(capsys):
     code, out, err = run(capsys, "triangle-sweep",
                          "--r-max", "1", "--r-steps", "2")
@@ -381,7 +415,7 @@ def test_triangle_realizes_its_points_in_the_model(capsys):
     assert {p.model for p in pts} == {SIEGEL}
     target = gram_from_params(params)
     assert (gram(pts) - target).norm() <= 1e-12 * target.norm()
-    assert data["class"] == classify_realized(realize_triangle(params)).value
+    assert data["class"] == classify_triangle(*realize_triangle(params)).value
 
 
 def test_triangle_alpha_out_of_range_is_usage_error(capsys):
@@ -404,7 +438,7 @@ def test_triangle_takes_alpha_beyond_half_pi(capsys):
     assert code == (0 if exists else 1), err
     assert data["exists"] is exists
     assert data.get("class") == (
-        classify_realized(realize_triangle(params)).value if exists else None)
+        classify_triangle(*realize_triangle(params)).value if exists else None)
 
 
 @pytest.mark.parametrize("flag", ["--r1", "--r3", "--alpha"])
@@ -428,6 +462,17 @@ def test_triangle_det_overflow_is_domain_error(capsys, r):
     assert code == 3
     assert out == ""
     assert "det G overflows" in err
+
+
+def test_triangle_with_unrealizable_unit_diagonal_names_no_class(capsys):
+    # at r ~ 1e16 the eigenvalues zeroed at INERTIA_EPS carry the unit
+    # diagonal: the signature of G reads (1, 1, 1) where Jacobi's rule on
+    # the leading minors 1, -5.25 and det < 0 gives (2, 1, 0), and the
+    # realized vertices are not positive, so no class is answered
+    code, out, err = run(capsys, "--json", "triangle", "--r1", "4e16",
+                         "--r2", "4e16", "--r3", "2.5", "--alpha", "1.77")
+    assert code == 3 and out == ""
+    assert "positive points" in err
 
 
 def test_triangle_sweep_csv_shape(capsys):

@@ -13,9 +13,10 @@ from hqmoduli.boundary import cartan_invariant, vector_to_gram
 from hqmoduli.errors import (DegenerateInputError, DomainError, RealizationError,
                              UsageError)
 from hqmoduli import boundary, positive, qmatrix, triangle
-from hqmoduli.gram import (INERTIA_EPS, Inertia, Lifts, check_admissible, gram,
-                           inertia, realization_error, realize,
-                           rescale_gram, span_dimension)
+from hqmoduli.gram import (INERTIA_EPS, Inertia, Lifts, align,
+                           check_admissible, gram, inertia, nonzero_products,
+                           realization_error, realize, rescale_gram,
+                           span_dimension)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, cayley_matrix,
                             classify, form_matrix, random_isometry)
 from hqmoduli.qmatrix import QMatrix, strict_upper
@@ -27,8 +28,8 @@ from hqmoduli.sampling import (random_null_point, random_null_tuple,
                                random_quaternion, random_rescaling,
                                random_regular_tuple, random_tuple,
                                random_unit_quaternion)
-from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_realized,
-                               classify_triangle, realize_triangle)
+from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_triangle,
+                               realize_and_classify, triangle_params)
 
 ROUND_TRIP_TOL = 1e-8
 # the package exports the function gram under the module's name
@@ -703,27 +704,104 @@ def test_parabolic_triangle_gets_one_gram_matrix(monkeypatch):
 
 
 def test_stages_validate_a_record_once(monkeypatch):
-    distinct = counting(monkeypatch, positive, "check_distinct")
+    # each point class has one distinctness rule, in gram, which a record
+    # passes once however many stages validate it
+    rules = {name: counting(monkeypatch, gram_module, name)
+             for name in ("check_distinct", "check_nonvanishing")}
     lifts = Lifts(random_regular_tuple(2, 4, seed=2))
     positive.positive_coordinate(lifts)
     positive.regular_coordinate(lifts)
     positive.one_normalize(lifts)
-    assert len(distinct) == 1
+    assert lifts.checked == PointClass.POSITIVE
+    assert [len(c) for c in rules.values()] == [1, 0]
 
-    nonvanishing = counting(monkeypatch, boundary, "_nonvanishing")
+    lifts = Lifts(random_regular_tuple(2, 3, seed=3))
+    triangle_params(lifts)
+    classify_triangle(lifts)
+    positive.positive_coordinate(lifts)
+    assert [len(c) for c in rules.values()] == [2, 0]
+
     lifts = Lifts(random_null_tuple(2, 4, seed=2))
     boundary.boundary_coordinate(lifts)
     boundary.semi_normalize(lifts)
-    assert len(nonvanishing) == 1
+    assert lifts.checked == PointClass.NULL
+    assert [len(c) for c in rules.values()] == [2, 1]
+    with pytest.raises(DomainError, match="positive points"):
+        positive.positive_coordinate(lifts)
 
 
-def test_a_record_is_checked_again_for_another_distinctness_check():
-    # classify_realized lets realized vertices coincide; that does not
-    # vouch for the distinctness that classify_triangle checks
-    lifts = Lifts(realize_triangle(TriangleParams(0, 0, 1, 0)))
-    assert classify_realized(lifts) == TriangleClass.ELLIPTIC
+def test_realized_class_vouches_for_no_distinctness():
+    # the class of realized vertices is read off the signature of G, which
+    # names one when two equal rows of G put two vertices together; a
+    # triangle function given their record still checks them distinct
+    pts, cls = realize_and_classify(TriangleParams(0, 0, 1, 0))
+    assert cls == TriangleClass.ELLIPTIC
     with pytest.raises(DegenerateInputError, match="points 1 and 2 coincide"):
-        classify_triangle(lifts)
+        classify_triangle(Lifts(pts))
+
+
+def random_forest(lifts, rng):
+    """Edges (c, t) of a random forest on the nonzero products of the
+    record, each t after its c; about one point in five is a new root."""
+    order = rng.permutation(len(lifts)).tolist()
+    nz, edges = nonzero_products(lifts.g), []
+    for k, t in enumerate(order[1:], 1):
+        parents = [c for c in order[:k] if nz[c, t]]
+        if parents and rng.random() > 0.2:
+            edges.append((int(rng.choice(parents)), t))
+    return edges
+
+
+def assert_aligned(lifts, edges, d0, d):
+    """Every root keeps its factor and every edge's rescaled product
+    conj(d_t) g_tc d_c is real and positive: 1 below a null t, and
+    |g_tc| |d_c| / sqrt(g_tt) below a positive t, which is |u_ct| when the
+    roots keep their default factors 1/sqrt(g_aa)."""
+    g, targets = lifts.g, {t for _, t in edges}
+    diag = g.c1.diagonal().real
+    for a in set(range(len(lifts))) - targets:
+        assert d[a] == (d0[a] if d0 else quat(1.0 / math.sqrt(diag[a])))
+    for c, t in edges:
+        x = d[t].conj() * g.entry(t, c) * d[c]
+        if lifts.classes[t] == PointClass.NULL:
+            want = 1.0
+        else:
+            want = abs(g.entry(t, c)) * abs(d[c]) / math.sqrt(diag[t])
+        if d0 is None:
+            assert abs(want - lifts.unit.modulus()[c, t]) <= 1e-12 * want
+        assert abs(x - want) <= 1e-12 * want, (c, t, x, want)
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("make", [random_null_tuple, random_regular_tuple,
+                                  random_parabolic_tuple],
+                         ids=["boundary", "regular", "parabolic"])
+def test_align_normalizes_every_forest_edge(make, model):
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        lifts = Lifts([p.rescale(x).scaled(scale) for p, x in zip(
+            make(n, m, seed, model), random_rescaling(m, seed=100 + seed))])
+        edges = random_forest(lifts, rng)
+        # null lifts have no 1/sqrt(g_aa): their roots are given a factor
+        d0 = ([random_quaternion(rng) for _ in range(m)]
+              if lifts.classes[0] == PointClass.NULL else None)
+        assert_aligned(lifts, edges, d0, align(lifts, edges, d0))
+
+
+def test_align_follows_the_class_of_each_target():
+    # one forest over null and positive lifts: a positive root with a
+    # child of either class, a null child of that null child, and a null
+    # root with a positive child
+    rng = np.random.default_rng(7)
+    pos = random_regular_tuple(2, 3, seed=7)
+    null = random_null_tuple(2, 3, seed=8)
+    lifts = Lifts([pos[0], null[0], pos[1], null[1], pos[2], null[2]])
+    assert [c.value[0] for c in lifts.classes] == list("pnpnpn")
+    edges = [(0, 2), (0, 3), (3, 5), (1, 4)]
+    d0 = [random_quaternion(rng) for _ in range(6)]
+    assert_aligned(lifts, edges, d0, align(lifts, edges, d0))
 
 
 def test_a_record_at_another_eps_is_classified_again():

@@ -3,8 +3,9 @@ every threshold of the package is a name in tol.py that some module
 imports, only qmatrix.py calls numpy's eigen- and singular value
 kernels, the package decides over arrays with np.count_nonzero, not
 numpy's any and all, no package module imports another's private
-names, the zero-product rule runs where a record keeps its result, and
-no record is a generated dataclass."""
+names, the zero-product rule runs where a record keeps its result, no
+record is a generated dataclass, and the tuple records derive from
+quat.Record."""
 
 import ast
 import pathlib
@@ -272,3 +273,39 @@ def test_dataclass_scan_catches_a_planted_record():
               "@dataclasses.dataclass(frozen=True)\nclass A:\n    x: int\n"
               "class B(tuple):\n    __slots__ = ()\n")
     assert dataclass_mentions(source) == ["line 1", "line 3"]
+
+
+# the classes that may derive from tuple itself: the base of the tuple
+# records, and the record of a tuple's lifts, which carries arrays
+TUPLE_BASES = {("quat.py", "Record"), ("gram.py", "Lifts")}
+
+
+def tuple_subclasses(tree: ast.Module, module: str) -> list[str]:
+    """Classes of the module with `tuple` among their bases, other than
+    the TUPLE_BASES: every other record names its fields on quat.Record,
+    which holds the one `__getnewargs__` and `as_tuple`."""
+    return [f"{node.name} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and (module, node.name) not in TUPLE_BASES
+            and any(getattr(b, "id", getattr(b, "attr", None)) == "tuple"
+                    for b in node.bases)]
+
+
+def test_records_derive_from_record():
+    found = {p.name: names
+             for p in (ROOT / "src" / "hqmoduli").glob("*.py")
+             if (names := tuple_subclasses(ast.parse(p.read_text()), p.name))}
+    assert not found, f"records deriving from tuple directly: {found}"
+
+
+def test_tuple_subclass_scan_catches_a_planted_record():
+    source = ("class Record(tuple):\n    pass\n"
+              "class A(Record, fields='x'):\n    pass\n"
+              "class B(tuple):\n    pass\n"
+              "class C(object, tuple, metaclass=type):\n    pass\n"
+              "class D(builtins.tuple):\n    pass\n")
+    tree = ast.parse(source)
+    assert tuple_subclasses(tree, "quat.py") == [
+        "B (line 5)", "C (line 7)", "D (line 9)"]
+    assert tuple_subclasses(tree, "gram.py") == [
+        "Record (line 1)", "B (line 5)", "C (line 7)", "D (line 9)"]

@@ -9,8 +9,8 @@ import pytest
 from hqmoduli import positive
 from hqmoduli.boundary import Coordinate, vector_to_gram
 from hqmoduli.errors import DomainError, InconsistencyError
-from hqmoduli.gram import (Lifts, gram, inertia, nonzero_products, realize,
-                           rescale_gram, span_dimension)
+from hqmoduli.gram import (Lifts, align, gram, inertia, nonzero_products,
+                           realize, rescale_gram, span_dimension)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify,
                             form_matrix, herm,
                             pair_configuration, random_isometry, to_model)
@@ -327,8 +327,7 @@ def reference_parabolic_lifts(lifts):
     checked against 1, and the factor row is built entry by entry."""
     g, structure = lifts.g, lifts.structure
     m = len(lifts)
-    d = positive._align(
-        g, [(blk[0], t) for blk in structure.blocks for t in blk[1:]])
+    d = align(lifts, [(blk[0], t) for blk in structure.blocks for t in blk[1:]])
     dev = (rescale_gram(g, d) - QMatrix.real(np.ones((m, m)))).modulus()
     label = np.empty(m, dtype=int)
     for k, blk in enumerate(structure.blocks):

@@ -19,10 +19,10 @@ from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import I, Quaternion
 from hqmoduli.sampling import (random_positive_point, random_regular_tuple,
                                random_rescaling)
-from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_realized,
-                               classify_triangle,
+from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_triangle,
                                gram_from_params, normalize_triangle,
-                               realize_triangle, triangle_det,
+                               realize_and_classify, realize_triangle,
+                               triangle_det,
                                triangle_exists, triangle_params)
 
 
@@ -202,16 +202,16 @@ def counting_adjoints(monkeypatch) -> list:
 def test_realized_coincident_vertices_keep_their_class(monkeypatch):
     # G = [[1, 1, 0], [1, 1, 0], [0, 0, 1]] has two equal rows and
     # signature (2, 0, 1) with n_plus = n, so realize puts p1 on p2; the
-    # complex record of the points builds its adjoint only for the rank
-    # of the near pair
+    # class read off that signature stands, and the complex record of the
+    # points builds its adjoint only for the rank of the near pair
     adjoints = counting_adjoints(monkeypatch)
-    pts = realize_triangle(TriangleParams(0.0, 0.0, 1.0, 0.0))
+    pts, cls = realize_and_classify(TriangleParams(0.0, 0.0, 1.0, 0.0))
+    assert cls == TriangleClass.ELLIPTIC
     lifts = Lifts(pts)
     assert not lifts.p.c2.any() and "adj" not in vars(lifts)
     with pytest.raises(DegenerateInputError):
         classify_triangle(lifts)
     assert adjoints == [(3, 3)] and "adj" in vars(lifts)
-    assert classify_realized(pts) == TriangleClass.ELLIPTIC
 
 
 @pytest.mark.parametrize("params, cls", [
@@ -229,9 +229,9 @@ def test_triangle_answers_build_no_complex_adjoint(monkeypatch, capsys,
     adjoints = counting_adjoints(monkeypatch)
     prm = TriangleParams(*params)
     for model in (BALL, SIEGEL):
-        pts = realize_triangle(prm, model)
+        pts, realized = realize_and_classify(prm, model)
         assert not gram(pts).c2.any()
-        assert classify_triangle(*pts) == cls == classify_realized(pts)
+        assert classify_triangle(*pts) == cls == realized
     argv = ["--json", "triangle"] + [
         f"--{k}={v!r}" for k, v in zip(("r1", "r2", "r3", "alpha"), params)]
     assert main(argv) == 0
