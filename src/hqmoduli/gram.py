@@ -159,8 +159,12 @@ def rescale_gram(g: QMatrix, lambdas) -> QMatrix:
 
 def unit_diagonal(g: QMatrix) -> QMatrix:
     """g_ab / sqrt(g_aa g_bb): the Gram matrix of the unit lifts of a tuple
-    with positive diagonal, which rescaling the lifts moves by unit factors."""
-    s = g.c1.diagonal().real ** -0.5
+    with positive diagonal, which rescaling the lifts moves by unit factors.
+    Any other diagonal, as of null lifts, is a DomainError."""
+    diag = g.c1.diagonal().real
+    if np.count_nonzero(diag > 0.0) < diag.size:
+        raise DomainError("a unit-diagonal Gram matrix needs a positive diagonal")
+    s = diag ** -0.5
     return QMatrix(g.c1 * s[:, None] * s, g.c2 * s[:, None] * s)
 
 

@@ -9,8 +9,8 @@ Two regimes, distinguished by the span of the lifted tuple:
   horospherical coordinates along the shared null direction.
 
 * regular tuples: the span is nondegenerate.  The invariant is the Gram
-  matrix itself after block normalization and rotation normalization of
-  the residual per-sub-block unit freedom.
+  matrix itself after block normalization along a spanning forest and
+  rotation normalization of the one residual unit of each block.
 
 A tuple gets one Gram matrix and one partition decision, made on its
 unit-diagonal Gram matrix.  The congruence test at the end of the module
@@ -30,9 +30,8 @@ from .gram import (Lifts, align, inertia, nonzero_products, rescale_gram,
                    span_dimension, unit_diagonal)
 from .hform import PointClass, form_matrix
 from .qmatrix import QMatrix
-from .quat import (ONE, Quaternion, Record, canonical_sign, conjugate_vector,
-                   negligible, normalizing_rotation, nu, quat,
-                   rotation_normalize_vector)
+from .quat import (ONE, Quaternion, Record, conjugate_vector, negligible,
+                   normalizing_rotation, nu, quat, rotation_normalize_vector)
 from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS
 
 
@@ -152,9 +151,6 @@ def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     The tuple is parabolic when the span is degenerate: no negative
     eigenvalue and span dimension one more than the Gram rank.
     """
-    diag = g.c1.diagonal().real
-    if np.count_nonzero(diag > 0.0) < diag.size:
-        raise DomainError("partition needs a positive diagonal")
     u = unit_diagonal(g)
     return _partition(u, nonzero_products(u), lambda: span_dim)
 
@@ -270,88 +266,55 @@ def parabolic_coordinates(points) -> Coordinate:
 # ---------------------------------------------------------------------------
 # regular tuples: block normalization and canonical Gram matrix
 
-def _ordered_sub_blocks(structure):
-    flat = [(c, sb) for sbs, ancs in zip(structure.sub_blocks, structure.anchors)
-            for sb, c in zip(sbs, ancs)]
-    return sorted(flat, key=lambda t: t[0])
-
-
-def _pin(u: Quaternion, kind: str, right: bool) -> Quaternion:
-    """Unit e in the residual group with u*e (right) or conj(e)*u (left)
-    in canonical position."""
-    if kind == "sp1":
-        return u.conj() / abs(u) if right else u / abs(u)
-    if kind == "u1":
-        c1, c2 = u.c1, u.c2
-        if not negligible(abs(c2), 1.0 + abs(u)):
-            ph = c2 / abs(c2)
-        else:
-            ph = abs(c1) / c1 if right else c1 / abs(c1)
-        return Quaternion(ph.real, ph.imag)
-    # kind == "sign"
-    return ONE if canonical_sign(u) == u else -ONE
-
-
-def _residual_kind(tag: str) -> str:
-    if tag == "Z_R":
-        return "sp1"
-    if tag == "P_C" or tag.startswith("Z_C"):
-        return "u1"
-    return "sign"
+def _spanning_forest(nz, structure) -> list[tuple[int, int]]:
+    """Edges (c, t) of a breadth-first spanning tree of each block of the
+    zero pattern nz, rooted at the block's first anchor, with neighbours in
+    index order.  For a block that is one sub-block, this is the star from
+    its anchor."""
+    edges = []
+    for blk, ancs in zip(structure.blocks, structure.anchors):
+        # the queue grows while it is read: a breadth-first order
+        queue, seen = [ancs[0]], {ancs[0]}
+        for c in queue:
+            for t in blk:
+                if t not in seen and nz[c][t]:
+                    seen.add(t)
+                    queue.append(t)
+                    edges.append((c, t))
+    return edges
 
 
 def regular_coordinate(points) -> Coordinate:
     """Canonical Gram matrix of a regular tuple.
 
-    Block normalization gives factors d making g_ii = 1 and every
-    anchor-row entry real positive inside its sub-block; each anchor
-    keeps its real factor 1/sqrt(g_cc).  The residual freedom is one unit
-    quaternion per sub-block, acting by simultaneous conjugation inside
-    the sub-block and by left/right translation on cross entries.  The
-    sub-blocks are processed in order of their anchors: the
-    within-sub-block entries are rotation normalized,
-    and the leftover unit freedom (Sp(1), U(1) or a sign, depending on
-    the stratum) is pinned against the first nonzero cross entry to an
-    already processed sub-block.  Each sub-block gets one unit u, the
-    rotation times the pin.  The block-normalized entries
-    x_ab = conj(d_a) g_ab d_b are formed once, and the canonical entry is
-    conj(u_a) x_ab u_b: one conjugation by u per sub-block for the
-    entries inside it, two products for each cross entry."""
+    Block normalization aligns the lifts along a spanning tree of each
+    block of the nonzero-product graph (`_spanning_forest`): every
+    g_ii = 1 and every tree edge's product is real positive, and the root
+    keeps its real factor 1/sqrt(g_cc).  That fixes the factors of a block
+    up to one common unit quaternion, which acts on the block's entries by
+    simultaneous conjugation.  The block-normalized entries
+    x_ab = conj(d_a) g_ab d_b are formed once; each block's entries, taken
+    row-major, are rotation normalized by one unit r, and an entry across
+    blocks, a vanishing product, is conj(r_a) x_ab r_b."""
     lifts = _partitioned(points, "regular")
-    g0, m = lifts.g, len(lifts)
-    order = _ordered_sub_blocks(lifts.structure)
-    d = align(lifts, [(c, t) for c, sb in order for t in sb if t != c])
+    g0, m, structure = lifts.g, len(lifts), lifts.structure
+    # unit factors keep every |g_ab|, so the record's zero pattern serves
+    d = align(lifts, _spanning_forest(lifts.nz.tolist(), structure))
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     x = {(a, b): d[a].conj() * g0.entry(a, b) * d[b] for a, b in pairs}
-    # unit factors keep every |g_ab|, so the record's zero pattern serves;
-    # sub[a] is the index of a's sub-block once it is reached, m before
-    nz = lifts.nz.tolist()
-    u, sub, inner = [ONE] * m, [m] * m, {}
-
-    for k, (_, sb) in enumerate(order):
-        own = [(a, b) for a in sb for b in sb if a < b]
-        vec = [x[ab] for ab in own]
-        rot, tag = normalizing_rotation(vec) if vec else (ONE, "Z_R")
-        for a in sb:
-            u[a], sub[a] = rot, k
-
-        # first nonzero cross entry, row-major, to a processed sub-block;
-        # the first sub-block has nothing processed to pin against
-        pin = next(((a, b) for a, b in pairs if nz[a][b]
-                    and k == max(sub[a], sub[b]) > min(sub[a], sub[b])),
-                   None) if k else None
-        if pin:
-            a, b = pin
-            rot = rot * _pin(u[a].conj() * x[pin] * u[b],
-                             _residual_kind(tag), right=sub[b] == k)
-            for a in sb:
-                u[a] = rot
-        if vec:
+    r, inner = [ONE] * m, {}
+    for blk in structure.blocks:
+        own = [(a, b) for a in blk for b in blk if a < b]
+        if own:
+            vec = [x[ab] for ab in own]
+            rot = normalizing_rotation(vec)[0]
             inner.update(zip(own, conjugate_vector(rot, vec)))
+            for a in blk:
+                r[a] = rot
 
-    entries = tuple(inner[a, b] if sub[a] == sub[b]
-                    else u[a].conj() * x[a, b] * u[b] for a, b in pairs)
-    return Coordinate("regular", entries, structure=lifts.structure)
+    entries = tuple(inner[a, b] if (a, b) in inner
+                    else r[a].conj() * x[a, b] * r[b] for a, b in pairs)
+    return Coordinate("regular", entries, structure=structure)
 
 
 # ---------------------------------------------------------------------------

@@ -188,9 +188,13 @@ class ImVector3(Record, fields="x y z"):
         return _new(ImVector3, (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2,
                                 x1 * y2 - y1 * x2))
 
-    def is_independent_of(self, other: "ImVector3") -> bool:
+    def is_independent_of(self, other: "ImVector3", scale: float) -> bool:
+        """|self x other| > DEPENDENCE_EPS |self| scale, with `scale` that of
+        the caller's data, as in `negligible`: an `other` much shorter
+        than its data carries rounding noise that a test against |other|
+        would take for a direction."""
         return (self.cross(other).norm()
-                > DEPENDENCE_EPS * self.norm() * other.norm())
+                > DEPENDENCE_EPS * self.norm() * scale)
 
 
 def negligible(x: float, scale: float) -> bool:
@@ -224,7 +228,7 @@ def mu(v1: ImVector3, v2: ImVector3) -> Quaternion:
     Raises DegenerateInputError when v1 and v2 are linearly dependent;
     callers should fall back to `nu`.
     """
-    if not v1.is_independent_of(v2):
+    if not v1.is_independent_of(v2, v2.norm()):
         raise DegenerateInputError("imaginary parts are linearly dependent")
     n = nu(v1)
     w = n.conj() * v2.to_quaternion() * n
@@ -278,7 +282,11 @@ def normalizing_rotation(v: list[Quaternion]) -> tuple[Quaternion, str]:
     An imaginary part counts as zero when its largest component is
     negligible next to the largest |v_i|: an entry that is exactly zero
     carries rounding noise of that size, which a test relative to the
-    entry itself would take for an imaginary part.
+    entry itself would take for an imaginary part.  Independence is
+    decided at the same scale, so that a short imaginary part parallel to
+    the first does not fix the rotation about it by its noise.  `mu`
+    tests against |v2| <= the largest |v_i|, a weaker test, so it accepts
+    every pair that passes here.
     """
     if not v:
         raise DomainError("empty vector")
@@ -290,7 +298,7 @@ def normalizing_rotation(v: list[Quaternion]) -> tuple[Quaternion, str]:
         return ONE, "Z_R"
     ref = v[first].im_vec()
     second = next((idx for idx in range(first + 1, len(v)) if imaginary[idx]
-                   and ref.is_independent_of(v[idx].im_vec())), None)
+                   and ref.is_independent_of(v[idx].im_vec(), scale)), None)
     if second is None:
         return nu(ref), "P_C" if first == 0 else f"Z_C({first + 1})"
     return (mu(ref, v[second].im_vec()),

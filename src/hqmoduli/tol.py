@@ -8,7 +8,7 @@ PRODUCT_EPS = 1e-12    # of the product of the lift norms: a vanishing product
 ZERO_EPS = 1e-8        # of the largest |g_ab|: a vanishing Gram entry
 UNIT_EPS = 1e-6        # of 1: a normalized product or parameter equal to 1
 CLASSIFY_EPS = 1e-9    # of the entries' modulus: a zero imaginary part
-DEPENDENCE_EPS = 1e-10  # of |v| |w|: dependent imaginary parts v, w
+DEPENDENCE_EPS = 1e-10  # of |v| x the data's scale: dependent imaginary parts v, w
 SEMI_TOL = 1e-8        # of 1: a semi-normalized entry equal to 0 or 1
 ORTHOGONAL_TOL = 1e-7  # of the lift norm: a lift orthogonal to the null direction
 STRUCTURE_TOL = 1e-8   # of the matrix norm: a caller's matrix Hermitian or a frame

@@ -1,16 +1,15 @@
 """Write tests/data/sub_blocks.json, the frozen reference for regular
 tuples with several sub-blocks.
 
-The seeded tuples of corpus.json have no vanishing product, so each is one
-sub-block and nothing there reaches the cross entries or the pins of
-`positive.regular_coordinate`.  Here each tuple is realized from a
-unit-diagonal Gram matrix with an explicit zero pattern, in both models,
-then moved by a seeded isometry and per-point rescaling so that the block
-normalization has phases to turn.  The patterns give two or three
-sub-blocks, whose pins have the residual kinds Sp(1) (a real or
-one-point sub-block) and sign (two independent imaginary entries), from
-the right and from the left, plus a tuple of two blocks.  No first
-sub-block has a complex residual: that stratum is not canonical yet.
+The seeded tuples of corpus.json have no vanishing product, so each block
+is one sub-block, and `positive.regular_coordinate` aligns it along the
+star from its anchor.  Here each tuple is realized from a unit-diagonal
+Gram matrix with an explicit zero pattern, in both models, then moved by a
+seeded isometry and per-point rescaling so that the block normalization
+has phases to turn.  The patterns give two or three sub-blocks per tuple:
+sub-blocks whose entries have two independent imaginary parts, real ones
+and one-point ones, joined by spanning-forest edges that run up and down
+in index, plus a tuple of two blocks, whose cross entries all vanish.
 
 The file stores the lifts and the coordinate's ``to_json()``;
 ``tests/test_corpus.py`` recomputes it and requires agreement: structures
@@ -36,8 +35,8 @@ OUT = Path(__file__).with_name("sub_blocks.json")
 MODELS = (BALL, SIEGEL)
 
 # four points, anchor first, whose entries off the anchor row have two
-# independent imaginary parts (residual sign), and three with all entries
-# real (residual Sp(1))
+# independent imaginary parts, and three with all entries real; a comment
+# names a product by 1-based indices, a sub-block by 0-based ones
 SIGN4 = {(0, 1): Q(0.2, 0.03, -0.05, 0.02), (0, 2): Q(0.15, -0.02, 0.01, 0.04),
          (0, 3): Q(0.1, 0.05, 0.02, -0.01), (1, 2): Q(0.1, 0.05, 0.02, 0.03),
          (2, 3): Q(0.05, -0.04, 0.06, 0.01)}
@@ -50,22 +49,22 @@ def shift(products: dict, k: int) -> dict:
 
 # name -> (m, nonzero products above the diagonal)
 PATTERNS = {
-    # (0,1,2,3), (4,5,6,7): a sign pin through g_46
+    # (0,1,2,3), (4,5,6,7): joined through g_46
     "sign-sign": (8, {**SIGN4, **shift(SIGN4, 4),
                       (3, 5): Q(0.12, -0.03, 0.01, 0.05)}),
-    # (0,1,2,3), (4,5,6): an Sp(1) pin through g_26
+    # (0,1,2,3), (4,5,6): joined through g_26
     "sign-real": (7, {**SIGN4, **shift(REAL3, 4),
                       (1, 5): Q(0.09, 0.04, -0.02, 0.01)}),
-    # (0,1,2,3,6), (5,7), (4,): Sp(1) pins from the right and the left
+    # (0,1,2,3,6), (5,7), (4,): joined through g_25, g_76 and g_78
     "sign-real-point": (8, {**SIGN4, (1, 4): Q(0.11, 0.02, 0.03, -0.04),
                             **shift(REAL3, 5),
                             (2, 6): Q(0.07, -0.01, 0.02, 0.05)}),
-    # (0,1,2,3), (4,5,6,7), (8,9,10): a sign pin, then an Sp(1) pin
+    # (0,1,2,3), (4,5,6,7), (8,9,10): joined through g_46, then g_2,10
     "sign-sign-real": (11, {**SIGN4, **shift(SIGN4, 4),
                             (3, 5): Q(0.12, -0.03, 0.01, 0.05),
                             **shift(REAL3, 8),
                             (1, 9): Q(0.06, 0.02, 0.01, -0.03)}),
-    # blocks (0,1,2,3,4) and (5,6,7): no pin, cross entries all zero
+    # blocks (0,1,2,3,4) and (5,6,7): cross entries all zero
     "two-blocks": (8, {**SIGN4, (2, 4): Q(0.1, 0.02, -0.05, 0.03),
                        **shift(REAL3, 5)}),
 }

@@ -244,7 +244,7 @@ def test_6_rotation_normalization_correctness():
             failures.append(("nu not unit", trial))
         if abs(img - I * v1.norm()) > 1e-10 * (1 + v1.norm()):
             failures.append(("nu does not align with the i-axis", trial))
-        if v1.is_independent_of(v2):
+        if v1.is_independent_of(v2, v2.norm()):
             mu_ = mu(v1, v2)
             w1q = mu_.conj() * v1.to_quaternion() * mu_
             w2q = mu_.conj() * v2.to_quaternion() * mu_

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON round trips, determinism."""
 
+import io
 import json
 import math
 
@@ -66,6 +67,36 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     f.write_text("{not json")
     code, _, err = run(capsys, "boundary-coord", str(f))
     assert code == 2
+
+
+def test_tuple_from_stdin_and_points_object_are_read(tmp_path, capsys,
+                                                     monkeypatch):
+    # "-" reads the tuple from stdin, and {"points": [...]} is the list
+    pts = random_null_tuple(2, 3, seed=1)
+    code, want, _ = run(capsys, "boundary-coord",
+                        write_tuple(tmp_path / "t.json", pts))
+    assert code == 0
+    listed = [p.to_json() for p in pts]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(listed)))
+    assert run(capsys, "boundary-coord", "-")[:2] == (0, want)
+    f = tmp_path / "points.json"
+    f.write_text(json.dumps({"points": listed}))
+    assert run(capsys, "boundary-coord", str(f))[:2] == (0, want)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"entries": []}, "expected a nonempty JSON list of points"),
+    (5, "expected a nonempty JSON list of points"),
+    ([{}], "malformed point entry"),
+    ([5], "malformed point entry"),
+], ids=["object-without-points", "number", "point-without-entries",
+        "point-not-an-object"])
+def test_malformed_tuple_file_is_usage_error(tmp_path, capsys, data, message):
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "positive-coord", str(f))
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +347,19 @@ def test_realize_gram_of_wrong_shape_is_usage_error(tmp_path, capsys, data):
     code, out, err = run(capsys, "realize", str(f), "--n", "2")
     assert code == 2
     assert "usage error" in err and out == ""
+
+
+@pytest.mark.parametrize("data", [
+    {"m": "x", "entries": []},
+    {"entries": [[[1, 0, 0, 0]]]},
+    {"m": 1, "entries": [[[1, 0]]]},
+], ids=["m-not-a-number", "no-m", "short-quaternion"])
+def test_realize_malformed_gram_is_usage_error(tmp_path, capsys, data):
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "realize", str(f), "--n", "2")
+    assert code == 2 and out == ""
+    assert "malformed Gram matrix" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

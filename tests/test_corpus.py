@@ -79,23 +79,33 @@ def test_triangle_slice_reproduces():
     assert not failures, failures[:5]
 
 
-def test_sub_block_set_covers_both_models_and_both_pin_kinds(monkeypatch):
-    # every pattern in both models, two or three sub-blocks each, and pins
-    # of residual Sp(1) from both sides and of residual sign
+def test_sub_block_set_covers_both_models_and_forest_edges_across_sub_blocks(
+        monkeypatch):
+    # every pattern in both models, two or three sub-blocks each; each one
+    # with several sub-blocks in a block is aligned along a forest edge
+    # between two of them, and such edges run up and down in index
     assert [(e["name"], e["model"]) for e in SUB_BLOCKS] == [
         (name, model) for name in make_sub_blocks.PATTERNS
         for model in make_sub_blocks.MODELS]
-    pins, pin = [], positive._pin
+    forests, align = [], positive.align
 
-    def recording(u, kind, right):
-        pins.append((kind, right))
-        return pin(u, kind, right)
-    monkeypatch.setattr(positive, "_pin", recording)
+    def recording(lifts, edges, d=None):
+        forests.append(list(edges))
+        return align(lifts, forests[-1], d)
+    monkeypatch.setattr(positive, "align", recording)
+    across = set()
     for entry in SUB_BLOCKS:
         points = tuple(HVector.from_json(p) for p in entry["points"])
+        forests.clear()
         structure = positive.positive_coordinate(points).structure
         assert sum(map(len, structure.sub_blocks)) in (2, 3)
-    assert set(pins) == {("sign", True), ("sp1", True), ("sp1", False)}
+        assert len(forests) == 1
+        sub = {a: sb for sbs in structure.sub_blocks for sb in sbs for a in sb}
+        edges = {(c, t) for c, t in forests[0] if sub[c] != sub[t]}
+        assert edges or all(len(sbs) == 1 for sbs in structure.sub_blocks)
+        across |= edges
+    assert across == {(3, 5), (1, 5), (1, 4), (6, 5), (6, 7), (1, 9)}
+    assert any(c < t for c, t in across) and any(c > t for c, t in across)
 
 
 def test_sub_block_coordinates_reproduce():

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -671,6 +672,18 @@ def test_lifts_reject_zero_vectors_and_mixed_tuples():
         Lifts([ball(1, 0, 1), HVector.from_entries((1, 0, 1), SIEGEL)])
     with pytest.raises(UsageError):
         Lifts([])
+
+
+def test_unit_gram_of_null_lifts_is_a_domain_error():
+    # the unit-diagonal Gram matrix divides by sqrt(g_aa): a null lift's
+    # g_aa is zero or of either sign, which gave NaN entries and a NaN
+    # zero pattern, with only a RuntimeWarning
+    lifts = Lifts(random_null_tuple(3, 5, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("unit", "nz"):
+            with pytest.raises(DomainError, match="positive diagonal"):
+                getattr(lifts, name)
 
 
 def counting(monkeypatch, module, name):

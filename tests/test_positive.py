@@ -1,10 +1,13 @@
 """Positive tuples: 1-normalization, partition detection, parabolic
 cross-ratio invariants, and the regular canonical Gram coordinate."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqmoduli import positive
 from hqmoduli.boundary import Coordinate, vector_to_gram
@@ -576,13 +579,10 @@ def test_sub_block_partition_survives_isometries_and_scale(products,
         assert coordinate_distance(got, want) <= COORD_TOL
 
 
-@pytest.mark.xfail(strict=True, reason="the residual U(1) of the first "
-                   "sub-block is never pinned, so a later sub-block whose "
-                   "own residual is U(1) cannot make the cross entries "
-                   "canonical")
 def test_regular_coordinate_with_complex_first_sub_block_is_invariant():
-    # with g_39 = 1e-5 i the first sub-block is (0,2,3,5,9), anchor 3, tag
-    # P_C; (4,6,7) pins to it from the left through g_45 with residual U(1)
+    # with g_39 = 1e-5 i the first sub-block is (0,2,3,5,9), anchor 3, whose
+    # own entries are complex (tag P_C): its residual U(1) must not stay in
+    # the entries that join it to the later sub-blocks
     m = 11
     products = {**SUB_BLOCK_PRODUCTS, (3, 9): Quaternion(0.0, -1e-5)}
     pts = realize(unit_diagonal_gram(m, products), m)
@@ -591,6 +591,49 @@ def test_regular_coordinate_with_complex_first_sub_block_is_invariant():
                                           (1, 8, 10)),)
     for moved in moved_copies(pts, m):
         assert coordinate_distance(positive_coordinate(moved), want) <= COORD_TOL
+
+
+# Four points whose products g_03 and g_12 vanish, so that the nonzero
+# products form the 4-cycle 0-1-3-2-0.  The sub-blocks are (0,1,2), whose
+# entries are real, and (3,): the cycle's phase sits in the entries g_13
+# and g_23 between them, which only a rotation of the whole block makes
+# canonical.
+FOUR_CYCLE = {(0, 1): Quaternion(0.3, 0.1, -0.05, 0.02),
+              (0, 2): Quaternion(0.25, -0.04, 0.06, 0.03),
+              (1, 3): Quaternion(0.2, 0.05, 0.1, -0.04),
+              (2, 3): Quaternion(0.15, -0.02, 0.03, 0.08)}
+
+
+def test_regular_coordinate_of_a_four_cycle_is_invariant():
+    pts = realize(unit_diagonal_gram(4, FOUR_CYCLE), 4)
+    want = positive_coordinate(pts)
+    assert want.structure.sub_blocks == (((0, 1, 2), (3,)),)
+    for moved in moved_copies(pts, 4):
+        assert coordinate_distance(positive_coordinate(moved), want) <= COORD_TOL
+        assert congruent(moved, pts)
+
+
+def test_short_parallel_imaginary_part_does_not_fix_the_rotation():
+    # one sub-block, so one rotation of its six entries.  The imaginary
+    # parts of g_12 and g_13 are parallel, and g_13's is 1e-6 of its
+    # modulus: decided against |g_13|, the rounding noise of its direction
+    # would pass for independence and turn the rotation about i; decided
+    # against the largest entry, g_23 fixes it
+    def c(z):
+        return Quaternion(z.real, z.imag)
+    products = {(0, 1): Quaternion(0.3), (0, 2): Quaternion(0.2),
+                (0, 3): Quaternion(0.25), (1, 2): c(0.1 * cmath.exp(0.7j)),
+                (1, 3): c(0.15 * cmath.exp(1e-6j)),
+                (2, 3): Quaternion(0.1, 0.05, 0.07, 0.02)}
+    for model in (BALL, SIEGEL):
+        pts = realize(unit_diagonal_gram(4, products), 4, model)
+        want = positive_coordinate(pts)
+        assert want.structure.sub_blocks == (((0, 1, 2, 3),),)
+        for s in range(20):
+            moved = apply_action(pts, random_isometry(4, s, model),
+                                 random_rescaling(4, s + 50))
+            got = positive_coordinate(moved)
+            assert coordinate_distance(got, want) <= COORD_TOL, (model, s)
 
 
 # ---------------------------------------------------------------------------
@@ -668,18 +711,54 @@ def test_normal_form_is_idempotent(kind, model):
 
 @pytest.mark.parametrize("products", [
     SUB_BLOCK_PRODUCTS,
-    pytest.param({**SUB_BLOCK_PRODUCTS, (3, 9): Quaternion(0.0, -1e-5)},
-                 marks=pytest.mark.xfail(
-                     strict=True, reason="the residual U(1) of the first "
-                     "sub-block is never pinned; realizing the canonical "
-                     "Gram matrix and normalizing again moves the "
-                     "coordinate by 0.177")),
+    {**SUB_BLOCK_PRODUCTS, (3, 9): Quaternion(0.0, -1e-5)},
 ], ids=["exact-zeros", "complex-first-sub-block"])
 def test_sub_block_normal_form_is_idempotent(products):
     m = 11
     want, got, _ = round_trip(realize(unit_diagonal_gram(m, products), m),
                               m, BALL)
     assert coordinate_distance(got, want) <= COORD_TOL
+
+
+@st.composite
+def zero_pattern_grams(draw):
+    """A unit-diagonal Gram matrix of m = 3..7 positive points with a
+    random zero pattern, its entries all real, all complex or generic,
+    each of modulus below 0.9 / (m - 1), so that it is positive definite:
+    a regular tuple, often of several blocks and sub-blocks."""
+    m = draw(st.integers(3, 7))
+    width = draw(st.sampled_from((1, 2, 4)))  # real, complex or generic
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    nonzero = draw(st.lists(st.booleans(), min_size=len(pairs),
+                            max_size=len(pairs)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    products = {}
+    for ab in (ab for ab, keep in zip(pairs, nonzero) if keep):
+        v = np.zeros(4)
+        v[:width] = rng.normal(size=width)
+        v *= rng.uniform(0.3, 1.0) * 0.9 / ((m - 1) * np.linalg.norm(v))
+        products[ab] = Quaternion(*v.tolist())
+    return m, products
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gram=zero_pattern_grams(), model=st.sampled_from((BALL, SIEGEL)))
+def test_regular_normal_form_over_random_zero_patterns(gram, model):
+    # invariance under both models' isometries, rescalings and lift scales
+    # 1e-6 and 1e6; idempotence; and separation: a 1e-4 relative change of
+    # one product's modulus moves the coordinate
+    m, products = gram
+    pts = realize(unit_diagonal_gram(m, products), m, model)
+    want, again, _ = round_trip(pts, m, model)
+    assert coordinate_distance(again, want) <= COORD_TOL
+    for moved in moved_copies(pts, m):
+        assert coordinate_distance(positive_coordinate(moved), want) <= COORD_TOL
+    if products:
+        ab = max(products)
+        bent = {**products, ab: products[ab] * (1.0 + 1e-4)}
+        other = positive_coordinate(
+            realize(unit_diagonal_gram(m, bent), m, model))
+        assert coordinate_distance(other, want) > COORD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +776,13 @@ def test_congruent_reflexive_and_kind_mismatch():
     assert congruent(reg, reg)
     assert not congruent(para, reg)
     assert not congruent(reg, random_regular_tuple(3, 4, seed=87))
+
+
+def test_congruent_is_false_for_tuples_of_different_sizes():
+    # the library answers False where the CLI's congruent exits 2
+    for draw in (random_null_tuple, random_regular_tuple):
+        pts = draw(2, 4, seed=95)
+        assert not congruent(pts, pts[:3]) and not congruent(pts[:3], pts)
 
 
 def test_congruent_rejects_mixed_tuples_and_separates_classes():

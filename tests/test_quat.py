@@ -229,6 +229,17 @@ def test_mu_already_canonical_second_vector():
     assert mu_post(v1, v2) <= POST_TOL
 
 
+def test_independence_is_decided_at_the_callers_scale():
+    # w is parallel to v up to a direction error of 1e-9, the rounding
+    # noise of an imaginary part 1e-6 of the data: against |w| it passes
+    # for independent, against the data's scale 1 it does not
+    v, w = ImVector3(1.0, 0.0, 0.0), ImVector3(1e-6, 1e-15, 0.0)
+    assert v.is_independent_of(w, w.norm())
+    assert not v.is_independent_of(w, 1.0)
+    assert normalizing_rotation([Quaternion(1.0, 0.5),
+                                 Quaternion(1.0, 1e-6, 1e-15)])[1] == "P_C"
+
+
 def test_mu_dependent_raises():
     with pytest.raises(DegenerateInputError):
         mu(ImVector3(1, 2, 3), ImVector3(2, 4, 6))
@@ -239,7 +250,7 @@ def test_mu_postcondition_and_sign_convention_random():
     for _ in range(300):
         v1 = ImVector3(*rng.normal(size=3))
         v2 = ImVector3(*rng.normal(size=3))
-        if not v1.is_independent_of(v2):
+        if not v1.is_independent_of(v2, v2.norm()):
             continue
         m = mu(v1, v2)
         assert mu_post(v1, v2) <= POST_TOL * max(v1.norm(), v2.norm()) ** 2
