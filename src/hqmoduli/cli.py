@@ -35,7 +35,7 @@ def _load_json(path):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also json's int digit limit
         raise UsageError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -48,14 +48,16 @@ def _parse_tuple(path, eps: float) -> Lifts:
         raise UsageError("expected a nonempty JSON list of points")
     try:
         points = [HVector.from_json(item) for item in data]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed point entry: {exc}") from exc
     return Lifts(points, eps)
 
 
 def _parse_gram(data) -> QMatrix:
     try:
-        m = int(data["m"])
+        m = data["m"]
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise TypeError(f"m must be an integer, got {m!r}")
         entries = data["entries"]
         if m < 1:
             raise UsageError(f"Gram matrix needs m >= 1, got {m}")
@@ -69,7 +71,7 @@ def _parse_gram(data) -> QMatrix:
                 elif j < i:  # Hermitian completion from the upper triangle
                     g.set_entry(i, j, g.entry(j, i).conj())
         return g
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise UsageError(f"malformed Gram matrix: {exc}") from exc
 
 

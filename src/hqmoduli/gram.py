@@ -68,9 +68,9 @@ class Lifts(tuple):
     The complex adjoint `adj` of `p` (for the Gram matrix, the span and the
     distinctness check) is made at once when some lift has C2 != 0, and
     on first use when all are complex.  Its unit-diagonal Gram matrix
-    `unit` and the zero pattern `nz` of `unit`, which every positive stage
-    reads, are made on first use; the positive stages keep on it the
-    partition `structure`."""
+    `unit`, the zero pattern `nz` of `unit` and the `forest` of `nz`,
+    which every positive stage reads, are made on first use; the positive
+    stages keep on it the partition `structure`."""
 
     checked = structure = None
 
@@ -117,6 +117,10 @@ class Lifts(tuple):
     @cached_property
     def nz(self) -> np.ndarray:
         return nonzero_products(self.unit)
+
+    @cached_property
+    def forest(self) -> tuple:
+        return spanning_forest(self.nz.tolist())
 
 
 def gram(points) -> QMatrix:
@@ -173,6 +177,33 @@ def nonzero_products(g: QMatrix) -> np.ndarray:
     ZERO_EPS times the largest |g_ab|."""
     mod = g.modulus()
     return mod > ZERO_EPS * mod.max()
+
+
+def spanning_forest(rows) -> tuple:
+    """One breadth-first sweep of the zero pattern `rows`, nested lists of
+    booleans: the blocks, its connected components sorted, and the edges
+    (c, t) of a spanning tree of each, in the order `align` reads them.
+    Each block is rooted at its lowest-index point with the most nonzero
+    products, and neighbours are visited in index order, so a block in
+    which every product is nonzero gets the star from its first point."""
+    m = len(rows)
+    degree = [sum(row) for row in rows]
+    seen, blocks, edges = [False] * m, [], []
+    # sorted is stable: ties go to the lowest index
+    for root in sorted(range(m), key=lambda a: -degree[a]):
+        if seen[root]:
+            continue
+        seen[root] = True
+        # the queue grows while it is read: a breadth-first order
+        queue = [root]
+        for c in queue:
+            for t in range(m):
+                if not seen[t] and rows[c][t]:
+                    seen[t] = True
+                    queue.append(t)
+                    edges.append((c, t))
+        blocks.append(tuple(sorted(queue)))
+    return tuple(sorted(blocks)), edges
 
 
 def align(lifts: Lifts, edges, d=None) -> list[Quaternion]:

@@ -27,7 +27,7 @@ import numpy as np
 from .boundary import Coordinate, boundary_coordinate
 from .errors import DomainError, InconsistencyError
 from .gram import (Lifts, align, inertia, nonzero_products, rescale_gram,
-                   span_dimension, unit_diagonal)
+                   span_dimension, spanning_forest, unit_diagonal)
 from .hform import PointClass, form_matrix
 from .qmatrix import QMatrix
 from .quat import (ONE, Quaternion, Record, conjugate_vector, negligible,
@@ -72,7 +72,7 @@ def _partitioned(points, kind: str | None = None) -> Lifts:
     a tuple of the other kind is a DomainError."""
     lifts = Lifts(points).validated(PointClass.POSITIVE, 2)
     if lifts.structure is None:
-        lifts.structure = _partition(lifts.unit, lifts.nz,
+        lifts.structure = _partition(lifts.unit, lifts.nz, lifts.forest[0],
                                      lambda: span_dimension(lifts))
     if kind not in (None, lifts.structure.kind):
         raise DomainError(f"tuple is not {kind}")
@@ -106,26 +106,6 @@ def one_normalize(points):
 # ---------------------------------------------------------------------------
 # partition detection
 
-def _components(nz: np.ndarray) -> list[tuple[int, ...]]:
-    m = len(nz)
-    seen = [False] * m
-    comps = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            a = stack.pop()
-            comp.append(a)
-            for b in range(m):
-                if not seen[b] and nz[a][b]:
-                    seen[b] = True
-                    stack.append(b)
-        comps.append(tuple(sorted(comp)))
-    return sorted(comps, key=lambda c: c[0])
-
-
 def _refine_sub_blocks(indices, nz):
     """Greedy sub-block refinement of one block: repeatedly take the
     lowest index with the fewest zero products among the remainder and
@@ -152,17 +132,17 @@ def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     eigenvalue and span dimension one more than the Gram rank.
     """
     u = unit_diagonal(g)
-    return _partition(u, nonzero_products(u), lambda: span_dim)
+    nz = nonzero_products(u)
+    return _partition(u, nz, spanning_forest(nz.tolist())[0],
+                      lambda: span_dim)
 
 
-def _partition(u: QMatrix, nz: np.ndarray, span_dim) -> PartitionStructure:
-    """`detect_partition` of a unit-diagonal u with zero pattern nz, asking
-    `span_dim()` for the span only when no eigenvalue is negative.  The
-    blocks are the components of nz, so a parabolic tuple's nz is the
-    pairs inside one block exactly when it has sum |block|^2 entries.  The
-    graph walks index nz as nested lists, one conversion for them all."""
-    rows = nz.tolist()
-    blocks = _components(rows)
+def _partition(u: QMatrix, nz: np.ndarray, blocks,
+               span_dim) -> PartitionStructure:
+    """`detect_partition` of a unit-diagonal u with zero pattern nz, whose
+    components are `blocks`, asking `span_dim()` for the span only when no
+    eigenvalue is negative.  A parabolic tuple's nz is the pairs inside
+    one block exactly when it has sum |block|^2 entries."""
     iner = inertia(u)
     if iner.n_minus == 0 and iner.rank == span_dim() - 1:
         if (np.count_nonzero(nz) != sum(len(b) ** 2 for b in blocks)
@@ -170,11 +150,11 @@ def _partition(u: QMatrix, nz: np.ndarray, span_dim) -> PartitionStructure:
             raise InconsistencyError(
                 "degenerate span but a product inside a block "
                 "does not have modulus 1")
-        return PartitionStructure("parabolic", tuple(blocks))
+        return PartitionStructure("parabolic", blocks)
 
+    rows = nz.tolist()
     subs, ancs = zip(*(_refine_sub_blocks(blk, rows) for blk in blocks))
-    return PartitionStructure("regular", tuple(blocks), tuple(subs),
-                              tuple(ancs))
+    return PartitionStructure("regular", blocks, tuple(subs), tuple(ancs))
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +190,14 @@ def cross_ratio(z1, z2, z3, z4):
 
 def _parabolic_lifts(lifts: Lifts) -> tuple[list[Quaternion], QMatrix]:
     """The factors d that align each block on its anchor blk[0], and the
-    lifts scaled by them, with within-block products ~1.  Only the products
-    of two non-anchor points of a block carry a phase, so only they are
-    checked: `align` makes an anchor product conj(d_t) g_tc d_c equal to
-    |u_ct|, which `_partition` has held within UNIT_EPS of 1, and each
-    diagonal entry is 1 by construction."""
+    lifts scaled by them, with within-block products ~1.  Every block is a
+    clique, so the record's forest is the star from each blk[0].  Only the
+    products of two non-anchor points of a block carry a phase, so only
+    they are checked: `align` makes an anchor product conj(d_t) g_tc d_c
+    equal to |u_ct|, which `_partition` has held within UNIT_EPS of 1, and
+    each diagonal entry is 1 by construction."""
     g, blocks = lifts.g, lifts.structure.blocks
-    d = align(lifts, [(blk[0], t) for blk in blocks for t in blk[1:]])
+    d = align(lifts, lifts.forest[1])
     for blk in blocks:
         for a, b in combinations(blk[1:], 2):
             if abs(d[a].conj() * g.entry(a, b) * d[b] - ONE) > UNIT_EPS:
@@ -266,55 +247,34 @@ def parabolic_coordinates(points) -> Coordinate:
 # ---------------------------------------------------------------------------
 # regular tuples: block normalization and canonical Gram matrix
 
-def _spanning_forest(nz, structure) -> list[tuple[int, int]]:
-    """Edges (c, t) of a breadth-first spanning tree of each block of the
-    zero pattern nz, rooted at the block's first anchor, with neighbours in
-    index order.  For a block that is one sub-block, this is the star from
-    its anchor."""
-    edges = []
-    for blk, ancs in zip(structure.blocks, structure.anchors):
-        # the queue grows while it is read: a breadth-first order
-        queue, seen = [ancs[0]], {ancs[0]}
-        for c in queue:
-            for t in blk:
-                if t not in seen and nz[c][t]:
-                    seen.add(t)
-                    queue.append(t)
-                    edges.append((c, t))
-    return edges
-
-
 def regular_coordinate(points) -> Coordinate:
     """Canonical Gram matrix of a regular tuple.
 
-    Block normalization aligns the lifts along a spanning tree of each
-    block of the nonzero-product graph (`_spanning_forest`): every
-    g_ii = 1 and every tree edge's product is real positive, and the root
-    keeps its real factor 1/sqrt(g_cc).  That fixes the factors of a block
-    up to one common unit quaternion, which acts on the block's entries by
-    simultaneous conjugation.  The block-normalized entries
-    x_ab = conj(d_a) g_ab d_b are formed once; each block's entries, taken
-    row-major, are rotation normalized by one unit r, and an entry across
-    blocks, a vanishing product, is conj(r_a) x_ab r_b."""
+    Block normalization aligns the lifts along the record's spanning
+    forest (`gram.spanning_forest`), rooted at each block's first anchor:
+    every g_ii = 1 and every tree edge's product is real positive, and the
+    root keeps its real factor 1/sqrt(g_cc).  That fixes the factors of a
+    block up to one common unit quaternion, which acts on the block's
+    entries by simultaneous conjugation.  The block-normalized entries
+    conj(d_a) g_ab d_b of the nonzero products of a block, taken
+    row-major, are rotation normalized by one unit.  A vanishing product,
+    across blocks or inside one, is written as 0: its rounding noise,
+    turned by the units, would be no invariant."""
     lifts = _partitioned(points, "regular")
-    g0, m, structure = lifts.g, len(lifts), lifts.structure
+    g0, rows = lifts.g, lifts.nz.tolist()
+    blocks, edges = lifts.forest
     # unit factors keep every |g_ab|, so the record's zero pattern serves
-    d = align(lifts, _spanning_forest(lifts.nz.tolist(), structure))
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    x = {(a, b): d[a].conj() * g0.entry(a, b) * d[b] for a, b in pairs}
-    r, inner = [ONE] * m, {}
-    for blk in structure.blocks:
-        own = [(a, b) for a in blk for b in blk if a < b]
+    d = align(lifts, edges)
+    inner = {}
+    for blk in blocks:
+        own = [(a, b) for a, b in combinations(blk, 2) if rows[a][b]]
         if own:
-            vec = [x[ab] for ab in own]
+            vec = [d[a].conj() * g0.entry(a, b) * d[b] for a, b in own]
             rot = normalizing_rotation(vec)[0]
             inner.update(zip(own, conjugate_vector(rot, vec)))
-            for a in blk:
-                r[a] = rot
-
-    entries = tuple(inner[a, b] if (a, b) in inner
-                    else r[a].conj() * x[a, b] * r[b] for a, b in pairs)
-    return Coordinate("regular", entries, structure=structure)
+    entries = tuple(inner.get(ab, Quaternion())
+                    for ab in combinations(range(len(lifts)), 2))
+    return Coordinate("regular", entries, structure=lifts.structure)
 
 
 # ---------------------------------------------------------------------------

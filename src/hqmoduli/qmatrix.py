@@ -239,8 +239,9 @@ def strict_upper(m: int) -> np.ndarray:
 
 
 def _pair_means(w: np.ndarray) -> np.ndarray:
-    """The doubled ascending adjoint spectrum w, each pair averaged."""
-    return 0.5 * (w[0::2] + w[1::2])
+    """The doubled ascending adjoint spectrum w, each pair averaged, halved
+    before the sum so that the mean of a finite pair never overflows."""
+    return 0.5 * w[0::2] + 0.5 * w[1::2]
 
 
 def _symplectic_gram_schmidt(v: np.ndarray) -> np.ndarray:

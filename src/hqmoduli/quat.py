@@ -58,7 +58,12 @@ class Quaternion(Record, fields="a0 a1 a2 a3"):
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_json(data) -> "Quaternion":
-        a0, a1, a2, a3 = (float(x) for x in data)
+        """Four finite JSON numbers; a bool or a string is a UsageError."""
+        a = tuple(data)
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                   for x in a):
+            raise UsageError(f"non-numeric quaternion component in {data!r}")
+        a0, a1, a2, a3 = (float(x) for x in a)
         if not all(map(math.isfinite, (a0, a1, a2, a3))):
             raise UsageError(f"non-finite quaternion component in {data!r}")
         return Quaternion(a0, a1, a2, a3)

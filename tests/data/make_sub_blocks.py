@@ -8,13 +8,17 @@ Gram matrix with an explicit zero pattern, in both models, then moved by a
 seeded isometry and per-point rescaling so that the block normalization
 has phases to turn.  The patterns give two or three sub-blocks per tuple:
 sub-blocks whose entries have two independent imaginary parts, real ones
-and one-point ones, joined by spanning-forest edges that run up and down
-in index, plus a tuple of two blocks, whose cross entries all vanish.
+and one-point ones, joined by edges of the record's spanning forest
+(`Lifts.forest`) that run up and down in index, plus a tuple of two
+blocks, whose cross entries all vanish.  The coordinate writes every
+vanishing product, inside a block or across blocks, as 0.
 
 The file stores the lifts and the coordinate's ``to_json()``;
 ``tests/test_corpus.py`` recomputes it and requires agreement: structures
-exactly, floats to 1e-12.  Regenerate only on purpose, from a tree whose
-output is known to be right:
+exactly, floats to 1e-12.  The file was written when a vanishing product
+was stored as the rounding noise of its moved lifts, at most 4.6e-15,
+which is within that tolerance of the 0 written now.  Regenerate only on
+purpose, from a tree whose output is known to be right:
 
     PYTHONPATH=src python3 tests/data/make_sub_blocks.py
 """

@@ -99,6 +99,35 @@ def test_malformed_tuple_file_is_usage_error(tmp_path, capsys, data, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("at, value", [
+    ((0, 0), "3"), ((2, 0), True), ((0, 0), 3 * 10 ** 400),
+], ids=["string", "bool", "int-beyond-floats"])
+def test_point_component_that_is_not_a_float_is_usage_error(tmp_path, capsys,
+                                                            at, value):
+    # "3" and true were read as the numbers 3 and 1, which answered, and an
+    # int too large for a float was a traceback
+    data = [{"model": BALL, "entries": [[3, 0, 0, 0], [0, 0, 0, 0],
+                                        [1, 0, 0, 0]]},
+            {"model": BALL, "entries": [[0, 0, 0, 0], [3, 0, 0, 0],
+                                        [1, 0, 0, 0]]}]
+    data[0]["entries"][at[0]][at[1]] = value
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "positive-coord", str(f))
+    assert code == 2 and out == ""
+    assert "usage error" in err and "Traceback" not in err
+
+
+def test_json_int_beyond_the_digit_limit_is_usage_error(tmp_path, capsys):
+    # the JSON reader refuses ints of more than 4300 digits with a
+    # ValueError that is not a JSONDecodeError
+    f = tmp_path / "t.json"
+    f.write_text('[{"entries": [[' + "1" * 5000 + ', 0, 0, 0]]}]')
+    code, out, err = run(capsys, "positive-coord", str(f))
+    assert code == 2 and out == ""
+    assert "cannot read JSON" in err
+
+
 # ---------------------------------------------------------------------------
 # positive-coord and congruent
 
@@ -305,15 +334,29 @@ def test_realize_decomposes_its_gram_matrix_once(tmp_path, capsys,
     assert json.loads(out)["inertia"] == list(inertia(g).as_tuple())
 
 
-def test_realize_overflowing_spectrum_is_a_domain_error(tmp_path, capsys):
-    # finite entries near the largest float whose paired adjoint
-    # eigenvalues overflow: no signature can be read off the spectrum
-    big = 1e308
+def near_largest_float(big):
+    return {"m": 2, "entries": [[[big, 0, 0, 0], [big, 0, big, 0]],
+                                [None, [-big, 0, 0, 0]]]}
+
+
+def test_realize_near_the_largest_float_with_a_finite_spectrum(tmp_path,
+                                                               capsys):
+    # entries of 1e308 whose adjoint eigenvalues, +-1.73e308, are finite:
+    # averaging each pair of them must not overflow (the suite's warnings
+    # are errors)
     f = tmp_path / "g.json"
-    f.write_text(json.dumps({"m": 2, "entries": [
-        [[big, 0, 0, 0], [big, 0, big, 0]], [None, [-big, 0, 0, 0]]]}))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code, out, err = run(capsys, "--json", "realize", str(f), "--n", "2")
+    f.write_text(json.dumps(near_largest_float(1e308)))
+    code, out, err = run(capsys, "--json", "realize", str(f), "--n", "2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["inertia"] == [1, 1, 0]
+
+
+def test_realize_overflowing_spectrum_is_a_domain_error(tmp_path, capsys):
+    # at 1.5e308 the eigenvalues themselves overflow: no signature can be
+    # read off the spectrum
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(near_largest_float(1.5e308)))
+    code, out, err = run(capsys, "--json", "realize", str(f), "--n", "2")
     assert code == 3 and out == ""
     assert "spectrum of the matrix is not finite" in err
 
@@ -357,6 +400,20 @@ def test_realize_gram_of_wrong_shape_is_usage_error(tmp_path, capsys, data):
 def test_realize_malformed_gram_is_usage_error(tmp_path, capsys, data):
     f = tmp_path / "g.json"
     f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "realize", str(f), "--n", "2")
+    assert code == 2 and out == ""
+    assert "malformed Gram matrix" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("m", [2.9, True, "2"],
+                         ids=["float", "bool", "string"])
+def test_realize_gram_with_m_not_an_int_is_usage_error(tmp_path, capsys, m):
+    # m was read as int(m): 2.9 and "2" as 2, true as 1, each answered
+    size = int(m)
+    eye = [[[float(i == j), 0, 0, 0] for j in range(size)]
+           for i in range(size)]
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"m": m, "entries": eye}))
     code, out, err = run(capsys, "realize", str(f), "--n", "2")
     assert code == 2 and out == ""
     assert "malformed Gram matrix" in err and "Traceback" not in err

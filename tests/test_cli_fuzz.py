@@ -4,8 +4,10 @@ on the Gram matrices of sampled tuples with damaged entries and random
 --n, random over its kinds, --n, --m and --seed, and triangle over its
 parameters up to the largest doubles.
 
-Every run must end in an exit code 0-3 without an exception, and a run
-whose points or flags hold a non-finite number must not answer 0 or 1.
+Every run must end in an exit code 0-3 without an exception, a run
+whose points or flags hold a non-finite number must not answer 0 or 1,
+and a run whose points or Gram matrix hold a string or a bool where a
+number belongs, or a Gram matrix whose m is not an int, must exit 2.
 The examples are derandomized, so the test is the same on every run.
 """
 
@@ -28,6 +30,7 @@ NON_FINITE = (math.nan, math.inf, -math.inf)
 
 numbers = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e-6, 1e-6),
                     st.sampled_from((0.0, 1.0) + NON_FINITE))
+wrong_types = st.sampled_from(("1", "0.5", "x", True, False))
 flags = st.one_of(st.none(), st.floats(0.0, 1e-2),
                   st.sampled_from((-1.0, 0.0, 1.0, 2.0) + NON_FINITE))
 
@@ -35,18 +38,19 @@ flags = st.one_of(st.none(), st.floats(0.0, 1e-2),
 def damaged(draw, kind, n, m, model):
     """JSON points of a sampled tuple, in half the cases with one point
     damaged: an entry replaced by a number, a coordinate dropped, the
-    point set to zero or moved to the other model, or every entry
-    random."""
+    point set to zero or moved to the other model, every entry random, or
+    a component replaced by a string or a bool."""
     seed = draw(st.integers(0, 50))
     points = [p.to_json() for p in random_tuple(kind, n, m, seed, model)]
     if not draw(st.booleans()):
         return points
     point = points[draw(st.integers(0, m - 1))]
     damage = draw(st.sampled_from(
-        ("entry", "length", "zero", "model", "random")))
-    if damage == "entry":
+        ("entry", "length", "zero", "model", "random", "type")))
+    if damage in ("entry", "type"):
         entry = draw(st.integers(0, n))
-        point["entries"][entry][draw(st.integers(0, 3))] = draw(numbers)
+        point["entries"][entry][draw(st.integers(0, 3))] = draw(
+            numbers if damage == "entry" else wrong_types)
     elif damage == "length":
         point["entries"].pop()
     elif damage == "zero":
@@ -72,7 +76,9 @@ def tuple_pair(draw):
 def gram_file(draw):
     """The JSON Gram matrix of a sampled tuple, in half the cases damaged:
     a component replaced by a number, an entry set to null, a row
-    dropped, m changed, every entry random, or the matrix empty."""
+    dropped, m changed, every entry random, the matrix empty, or a
+    component replaced by a string or a bool, or m by a float or a
+    bool."""
     kind = draw(st.sampled_from(KINDS))
     n, m = draw(st.integers(2, 3)), draw(st.integers(3, 5))
     g = gram(random_tuple(kind, n, m, draw(st.integers(0, 50)), BALL))
@@ -82,7 +88,7 @@ def gram_file(draw):
         return data
     i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
     damage = draw(st.sampled_from(("entry", "null", "row", "m", "random",
-                                   "empty")))
+                                   "empty", "type")))
     if damage == "entry":
         entries[i][j][draw(st.integers(0, 3))] = draw(numbers)
     elif damage == "null":
@@ -93,6 +99,10 @@ def gram_file(draw):
         data["m"] = draw(st.integers(-1, m + 1))
     elif damage == "empty":
         data.update(m=0, entries=[])
+    elif damage == "type" and draw(st.booleans()):
+        data["m"] = draw(st.sampled_from((float(m), m + 0.5, True)))
+    elif damage == "type":
+        entries[i][j][draw(st.integers(0, 3))] = draw(wrong_types)
     else:
         data["entries"] = [[[draw(numbers) for _ in range(4)]
                             for _ in range(m)] for _ in range(m)]
@@ -107,6 +117,13 @@ def non_finite(value) -> bool:
     if isinstance(value, list):
         return any(non_finite(v) for v in value)
     return False
+
+
+def wrong_type(value) -> bool:
+    """A string or a bool inside nested lists, where numbers belong."""
+    if isinstance(value, list):
+        return any(wrong_type(v) for v in value)
+    return isinstance(value, (str, bool))
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +159,8 @@ def test_cli_exit_codes_under_fuzz(workdir, command, pair, eps, tol):
     assert "Traceback" not in err.getvalue()
     if non_finite(list(used)) or non_finite(flags):
         assert code in (2, 3), (argv, out.getvalue())
+    if wrong_type([p["entries"] for points in used for p in points]):
+        assert code == 2, (argv, out.getvalue())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -161,7 +180,8 @@ def test_realize_exit_codes_under_fuzz(workdir, data, n, model):
     assert "Traceback" not in err.getvalue()
     if non_finite(data) or n in ("nan", "inf"):
         assert code in (2, 3), (argv, out.getvalue())
-    if (isinstance(n, int) and n < 1) or not data["entries"]:
+    if ((isinstance(n, int) and n < 1) or not data["entries"]
+            or type(data["m"]) is not int or wrong_type(data["entries"])):
         assert code == 2, (argv, out.getvalue())
 
 

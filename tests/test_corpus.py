@@ -3,9 +3,11 @@ of seeded inputs must keep reproducing (see tests/data/make_corpus.py)."""
 
 import importlib.util
 import json
+from itertools import combinations
 from pathlib import Path
 
 from hqmoduli import positive
+from hqmoduli.gram import Lifts
 from hqmoduli.hform import HVector
 
 DATA = Path(__file__).parent / "data"
@@ -117,3 +119,14 @@ def test_sub_block_coordinates_reproduce():
         if diff:
             failures.append((entry["name"], entry["model"], diff))
     assert not failures, failures[:5]
+
+
+def test_sub_block_vanishing_products_are_exact_zeros():
+    # the canonical entry of every pair that the zero rule marks vanishing,
+    # across blocks or inside one, is 0, not rounding noise turned by units
+    for entry in SUB_BLOCKS:
+        lifts = Lifts(HVector.from_json(p) for p in entry["points"])
+        entries = positive.positive_coordinate(lifts).to_json()["entries"]
+        pairs = combinations(range(len(lifts)), 2)
+        zeros = [x for x, (a, b) in zip(entries, pairs) if not lifts.nz[a, b]]
+        assert zeros and zeros == [[0.0] * 4] * len(zeros), entry["name"]

@@ -844,6 +844,17 @@ def test_stages_read_the_zero_pattern_of_a_record_once(monkeypatch):
     assert sum(map(len, calls)) == 2
 
 
+def test_stages_walk_the_zero_pattern_of_a_record_once(monkeypatch):
+    # the partition's blocks and the regular forest come from one sweep of
+    # the record's zero pattern
+    calls = [counting(monkeypatch, module, "spanning_forest")
+             for module in (gram_module, positive)]
+    lifts = Lifts(random_regular_tuple(2, 4, seed=2))
+    positive.positive_coordinate(lifts)
+    positive.regular_coordinate(lifts)
+    assert sum(map(len, calls)) == 1
+
+
 def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     # the partition is read off the record's unit-diagonal Gram matrix, so
     # no stage normalizes twice, and a regular coordinate rescales nothing;

@@ -613,6 +613,27 @@ def test_regular_coordinate_of_a_four_cycle_is_invariant():
         assert congruent(moved, pts)
 
 
+def test_vanishing_products_across_blocks_are_written_as_zero():
+    # blocks (0,1) and (2,3) joined only by products of modulus 6e-9, below
+    # the zero rule: turned by the two blocks' units, their rounding noise
+    # moved the coordinate by up to 1.2e-8 under the action
+    tiny = 6e-9
+    products = {(0, 1): Quaternion(0.3), (2, 3): Quaternion(0.4),
+                (0, 2): Quaternion(0.0, tiny),
+                (0, 3): Quaternion(0.0, 0.0, tiny),
+                (1, 2): Quaternion(0.0, 0.0, 0.0, tiny),
+                (1, 3): Quaternion(0.0, -tiny)}
+    for model in (BALL, SIEGEL):
+        pts = realize(unit_diagonal_gram(4, products), 4, model)
+        want = positive_coordinate(pts)
+        assert want.structure.blocks == ((0, 1), (2, 3))
+        assert want.entries[1:5] == (Quaternion(),) * 4
+        for s in range(20):
+            moved = apply_action(pts, random_isometry(4, s, model),
+                                 random_rescaling(4, s + 50))
+            assert congruent(moved, pts), (model, s)
+
+
 def test_short_parallel_imaginary_part_does_not_fix_the_rotation():
     # one sub-block, so one rotation of its six entries.  The imaginary
     # parts of g_12 and g_13 are parallel, and g_13's is 1e-6 of its
@@ -725,7 +746,9 @@ def zero_pattern_grams(draw):
     """A unit-diagonal Gram matrix of m = 3..7 positive points with a
     random zero pattern, its entries all real, all complex or generic,
     each of modulus below 0.9 / (m - 1), so that it is positive definite:
-    a regular tuple, often of several blocks and sub-blocks."""
+    a regular tuple, often of several blocks and sub-blocks.  A vanishing
+    product has modulus 0, 1e-10, 3e-9 or 9e-9, below the zero rule's
+    ZERO_EPS of the unit diagonal, with a phase of the same width."""
     m = draw(st.integers(3, 7))
     width = draw(st.sampled_from((1, 2, 4)))  # real, complex or generic
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
@@ -733,11 +756,13 @@ def zero_pattern_grams(draw):
                             max_size=len(pairs)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     products = {}
-    for ab in (ab for ab, keep in zip(pairs, nonzero) if keep):
-        v = np.zeros(4)
-        v[:width] = rng.normal(size=width)
-        v *= rng.uniform(0.3, 1.0) * 0.9 / ((m - 1) * np.linalg.norm(v))
-        products[ab] = Quaternion(*v.tolist())
+    for ab, keep in zip(pairs, nonzero):
+        size = (rng.uniform(0.3, 1.0) * 0.9 / (m - 1) if keep
+                else draw(st.sampled_from((0.0, 1e-10, 3e-9, 9e-9))))
+        if size:
+            v = np.zeros(4)
+            v[:width] = rng.normal(size=width)
+            products[ab] = Quaternion(*(v * size / np.linalg.norm(v)).tolist())
     return m, products
 
 
@@ -745,16 +770,23 @@ def zero_pattern_grams(draw):
 @given(gram=zero_pattern_grams(), model=st.sampled_from((BALL, SIEGEL)))
 def test_regular_normal_form_over_random_zero_patterns(gram, model):
     # invariance under both models' isometries, rescalings and lift scales
-    # 1e-6 and 1e6; idempotence; and separation: a 1e-4 relative change of
-    # one product's modulus moves the coordinate
+    # 1e-6 and 1e6; idempotence; separation: a 1e-4 relative change of one
+    # nonvanishing product's modulus moves the coordinate; and the record's
+    # forest roots each block at its first anchor
     m, products = gram
-    pts = realize(unit_diagonal_gram(m, products), m, model)
-    want, again, _ = round_trip(pts, m, model)
+    lifts = Lifts(realize(unit_diagonal_gram(m, products), m, model))
+    want, again, _ = round_trip(lifts, m, model)
     assert coordinate_distance(again, want) <= COORD_TOL
-    for moved in moved_copies(pts, m):
+    blocks, edges = lifts.forest
+    targets = {t for _, t in edges}
+    assert blocks == want.structure.blocks
+    assert [[a for a in blk if a not in targets] for blk in blocks] == [
+        [anchors[0]] for anchors in want.structure.anchors]
+    for moved in moved_copies(lifts, m):
         assert coordinate_distance(positive_coordinate(moved), want) <= COORD_TOL
-    if products:
-        ab = max(products)
+    kept = [ab for ab, q in products.items() if abs(q) > 1e-6]
+    if kept:
+        ab = max(kept)
         bent = {**products, ab: products[ab] * (1.0 + 1e-4)}
         other = positive_coordinate(
             realize(unit_diagonal_gram(m, bent), m, model))
