@@ -40,7 +40,9 @@ def _load_json(path):
 
 
 def _parse_tuple(path, eps: float) -> Lifts:
-    """The record of the points in a JSON file, classified at `eps`."""
+    """The record of the points in a JSON file, classified at `eps`.  The
+    record's norms and Gram matrix are made with floating-point overflow
+    raised, so that lifts whose products overflow are a DomainError."""
     data = _load_json(path)
     if isinstance(data, dict) and "points" in data:
         data = data["points"]
@@ -50,7 +52,11 @@ def _parse_tuple(path, eps: float) -> Lifts:
         points = [HVector.from_json(item) for item in data]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed point entry: {exc}") from exc
-    return Lifts(points, eps)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return Lifts(points, eps)
+    except FloatingPointError as exc:
+        raise DomainError("the products of the lifts overflow") from exc
 
 
 def _parse_gram(data) -> QMatrix:
@@ -70,6 +76,10 @@ def _parse_gram(data) -> QMatrix:
                     g.set_entry(i, j, Quaternion.from_json(entries[i][j]))
                 elif j < i:  # Hermitian completion from the upper triangle
                     g.set_entry(i, j, g.entry(j, i).conj())
+                else:
+                    raise UsageError(
+                        f"Gram entry ({i + 1}, {j + 1}) is null; only "
+                        "entries below the diagonal may be")
         return g
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise UsageError(f"malformed Gram matrix: {exc}") from exc

@@ -37,8 +37,9 @@ import numpy as np
 
 from .errors import (DegenerateInputError, DomainError, RealizationError,
                      UsageError)
-from .hform import (BALL, HVector, PointClass, columns, form_adjoint,
-                    form_matrix, point_class, to_model, tuple_from_columns)
+from .hform import (BALL, HVector, PointClass, check_dimension, columns,
+                    form_adjoint, form_matrix, point_class, to_model,
+                    tuple_from_columns)
 from .qmatrix import QMatrix, adjoint_rank, strict_upper
 from .quat import Quaternion, Record, quat
 from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS, UNIT_EPS, ZERO_EPS
@@ -68,9 +69,10 @@ class Lifts(tuple):
     The complex adjoint `adj` of `p` (for the Gram matrix, the span and the
     distinctness check) is made at once when some lift has C2 != 0, and
     on first use when all are complex.  Its unit-diagonal Gram matrix
-    `unit`, the zero pattern `nz` of `unit` and the `forest` of `nz`,
-    which every positive stage reads, are made on first use; the positive
-    stages keep on it the partition `structure`."""
+    `unit`, the modulus `mod` of `unit`, the zero pattern `nz` of `mod`
+    and the `forest` of `nz`, which every positive stage reads, are made
+    on first use; the positive stages keep on it the partition
+    `structure`."""
 
     checked = structure = None
 
@@ -115,8 +117,12 @@ class Lifts(tuple):
         return unit_diagonal(self.g)
 
     @cached_property
+    def mod(self) -> np.ndarray:
+        return self.unit.modulus()
+
+    @cached_property
     def nz(self) -> np.ndarray:
-        return nonzero_products(self.unit)
+        return nonzero_products(self.mod)
 
     @cached_property
     def forest(self) -> tuple:
@@ -172,10 +178,10 @@ def unit_diagonal(g: QMatrix) -> QMatrix:
     return QMatrix(g.c1 * s[:, None] * s, g.c2 * s[:, None] * s)
 
 
-def nonzero_products(g: QMatrix) -> np.ndarray:
-    """The zero-product rule: entry (a, b) is True when |g_ab| exceeds
-    ZERO_EPS times the largest |g_ab|."""
-    mod = g.modulus()
+def nonzero_products(mod: np.ndarray) -> np.ndarray:
+    """The zero-product rule on the modulus `mod` of a Gram matrix g:
+    entry (a, b) is True when |g_ab| exceeds ZERO_EPS times the largest
+    |g_ab|."""
     return mod > ZERO_EPS * mod.max()
 
 
@@ -244,7 +250,7 @@ def check_distinct(lifts: Lifts) -> None:
     """Two lifts whose unit product has modulus 1 must span a plane; one
     stacked rank of the column pairs' adjoints decides every such pair."""
     m = len(lifts)
-    close = strict_upper(m) & (np.abs(lifts.unit.modulus() - 1.0) <= UNIT_EPS)
+    close = strict_upper(m) & (np.abs(lifts.mod - 1.0) <= UNIT_EPS)
     if np.count_nonzero(close):
         near = np.argwhere(close)
         cols = np.hstack([near, near + m])
@@ -275,6 +281,18 @@ def _signature(lam: list[float]) -> Inertia:
     return Inertia(npos, nneg, len(lam) - npos - nneg)
 
 
+def hyperbolic_pair(mod: np.ndarray) -> bool:
+    """Whether the modulus `mod` of an m x m unit-diagonal Gram matrix u
+    certifies inertia(u).n_minus >= 1 without a spectrum: its largest
+    entry t has t - 1 > 2 INERTIA_EPS m t.  The pair that attains t spans
+    a plane of signature (1, 1), whose 2 x 2 minor has eigenvalues 1 +- t,
+    so by interlacing lambda_min(u) <= 1 - t, while lambda_max(u) <= m t;
+    `_zeroed` then cannot zero lambda_min, with a margin of INERTIA_EPS m t
+    for rounding.  A NaN or inf entry certifies nothing."""
+    t = mod.max()
+    return bool(t - 1.0 > 2.0 * INERTIA_EPS * len(mod) * t)
+
+
 def inertia(g: QMatrix) -> Inertia:
     """Signature (n_plus, n_minus, n_zero) of a Hermitian quaternion
     matrix, from the eigenvalues of `QMatrix.eigvalsh`."""
@@ -283,7 +301,8 @@ def inertia(g: QMatrix) -> Inertia:
 
 def check_admissible(iner: Inertia, n: int) -> None:
     """Raise RealizationError naming the first violated inertia condition
-    for realizability in H^{n,1}."""
+    for realizability in H^{n,1}; n < 1 is a UsageError."""
+    check_dimension(n)
     if iner.n_minus > 1:
         raise RealizationError("n_minus <= 1")
     if iner.n_plus > n:
@@ -304,6 +323,7 @@ def realize_with_inertia(g: QMatrix, n: int, model: str = BALL
                          ) -> tuple[tuple[HVector, ...], Inertia]:
     """`realize` of g and the inertia of g, read off the one
     eigendecomposition that the realization makes."""
+    check_dimension(n)
     w, q = g.eigh()
     lam = _zeroed(w)
     iner = _signature(lam)

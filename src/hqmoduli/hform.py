@@ -33,6 +33,13 @@ class PointClass(enum.Enum):
     POSITIVE = "positive"
 
 
+def check_dimension(n: int) -> None:
+    """H^{n,1} needs n >= 1: at n = 0 the Siegel form [[1]] lacks the
+    ball form's signature (0, 1), so the models disagree on every class."""
+    if n < 1:
+        raise UsageError(f"H^{{n,1}} needs n >= 1, got {n}")
+
+
 @functools.lru_cache(maxsize=64)
 def form_matrix(model: str, n: int) -> QMatrix:
     """The (n+1) x (n+1) form matrix J for the given model.
@@ -41,6 +48,7 @@ def form_matrix(model: str, n: int) -> QMatrix:
     read-only."""
     if model not in (BALL, SIEGEL):
         raise UsageError(f"unknown model {model!r}")
+    check_dimension(n)
     m = np.eye(n + 1)
     if model == BALL:
         m[n, n] = -1.0
@@ -93,6 +101,7 @@ class HVector(_Tagged):
             raise UsageError("HVector must be a single column")
         if model not in (BALL, SIEGEL):
             raise UsageError(f"unknown model {model!r}")
+        check_dimension(qm.shape[0] - 1)
         super().__init__(qm, model)
 
     @staticmethod
@@ -216,6 +225,7 @@ def cayley_matrix(n: int) -> QMatrix:
     """The Cayley matrix C: real symmetric with C^2 = I and
     C* J_siegel C = J_ball, so z -> C z carries either model to the other
     preserving products.  Cached per n like `form_matrix`, so read-only."""
+    check_dimension(n)
     a = 1.0 / math.sqrt(2.0)
     m = np.eye(n + 1)
     m[0, 0] = m[0, n] = m[n, 0] = a

@@ -26,8 +26,9 @@ import numpy as np
 
 from .boundary import Coordinate, boundary_coordinate
 from .errors import DomainError, InconsistencyError
-from .gram import (Lifts, align, inertia, nonzero_products, rescale_gram,
-                   span_dimension, spanning_forest, unit_diagonal)
+from .gram import (Lifts, align, hyperbolic_pair, inertia, nonzero_products,
+                   rescale_gram, span_dimension, spanning_forest,
+                   unit_diagonal)
 from .hform import PointClass, form_matrix
 from .qmatrix import QMatrix
 from .quat import (ONE, Quaternion, Record, conjugate_vector, negligible,
@@ -72,7 +73,8 @@ def _partitioned(points, kind: str | None = None) -> Lifts:
     a tuple of the other kind is a DomainError."""
     lifts = Lifts(points).validated(PointClass.POSITIVE, 2)
     if lifts.structure is None:
-        lifts.structure = _partition(lifts.unit, lifts.nz, lifts.forest[0],
+        lifts.structure = _partition(lifts.unit, lifts.mod, lifts.nz,
+                                     lifts.forest[0],
                                      lambda: span_dimension(lifts))
     if kind not in (None, lifts.structure.kind):
         raise DomainError(f"tuple is not {kind}")
@@ -132,25 +134,30 @@ def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     eigenvalue and span dimension one more than the Gram rank.
     """
     u = unit_diagonal(g)
-    nz = nonzero_products(u)
-    return _partition(u, nz, spanning_forest(nz.tolist())[0],
+    mod = u.modulus()
+    nz = nonzero_products(mod)
+    return _partition(u, mod, nz, spanning_forest(nz.tolist())[0],
                       lambda: span_dim)
 
 
-def _partition(u: QMatrix, nz: np.ndarray, blocks,
+def _partition(u: QMatrix, mod: np.ndarray, nz: np.ndarray, blocks,
                span_dim) -> PartitionStructure:
-    """`detect_partition` of a unit-diagonal u with zero pattern nz, whose
-    components are `blocks`, asking `span_dim()` for the span only when no
-    eigenvalue is negative.  A parabolic tuple's nz is the pairs inside
-    one block exactly when it has sum |block|^2 entries."""
-    iner = inertia(u)
-    if iner.n_minus == 0 and iner.rank == span_dim() - 1:
-        if (np.count_nonzero(nz) != sum(len(b) ** 2 for b in blocks)
-                or np.count_nonzero(np.abs(u.modulus()[nz] - 1.0) > UNIT_EPS)):
-            raise InconsistencyError(
-                "degenerate span but a product inside a block "
-                "does not have modulus 1")
-        return PartitionStructure("parabolic", blocks)
+    """`detect_partition` of a unit-diagonal u with modulus mod and zero
+    pattern nz, whose components are `blocks`.  A pair with |u_ab| above
+    1 by `hyperbolic_pair`'s margin makes the tuple regular without a
+    spectrum; otherwise the inertia of u decides, and `span_dim()` is
+    asked for the span only when no eigenvalue is negative.  A parabolic
+    tuple's nz is the pairs inside one block exactly when it has
+    sum |block|^2 entries."""
+    if not hyperbolic_pair(mod):
+        iner = inertia(u)
+        if iner.n_minus == 0 and iner.rank == span_dim() - 1:
+            if (np.count_nonzero(nz) != sum(len(b) ** 2 for b in blocks)
+                    or np.count_nonzero(np.abs(mod[nz] - 1.0) > UNIT_EPS)):
+                raise InconsistencyError(
+                    "degenerate span but a product inside a block "
+                    "does not have modulus 1")
+            return PartitionStructure("parabolic", blocks)
 
     rows = nz.tolist()
     subs, ancs = zip(*(_refine_sub_blocks(blk, rows) for blk in blocks))

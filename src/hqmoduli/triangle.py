@@ -94,7 +94,7 @@ def triangle_params(*points) -> TriangleParams:
 
 
 def _params(lifts: Lifts) -> TriangleParams:
-    r = lifts.unit.modulus().tolist()
+    r = lifts.mod.tolist()
     alpha = 0.0
     if np.count_nonzero(lifts.nz) == lifts.nz.size:
         t = triple_product(lifts.g)

@@ -205,6 +205,35 @@ def test_non_finite_point_entry_is_usage_error(tmp_path, capsys, command,
     assert out == ""
 
 
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("command", ["boundary-coord", "positive-coord"])
+def test_one_entry_points_are_usage_error(tmp_path, capsys, command, model):
+    # points of H^{0,1} had a class that depends on the model, and the
+    # coordinate then failed with exit 3
+    data = [{"model": model, "entries": [[x, 0, 0, 0]]} for x in (1, 2, 3)]
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(f))
+    assert code == 2 and out == ""
+    assert "n >= 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["boundary-coord", "positive-coord",
+                                     "congruent"])
+def test_lifts_whose_products_overflow_are_a_domain_error(tmp_path, capsys,
+                                                          command):
+    # squares of entries near 1e160 overflow in the norms and the Gram
+    # matrix: one error, no numpy warning (the suite's warnings are errors)
+    sample = random_null_tuple if command == "boundary-coord" \
+        else random_regular_tuple
+    big = [p.scaled(1e160) for p in sample(2, 4, seed=1)]
+    f = write_tuple(tmp_path / "big.json", big)
+    argv = (command, f, f) if command == "congruent" else (command, f)
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 3 and out == ""
+    assert err == "error: the products of the lifts overflow\n"
+
+
 def off_cone_tuple(tmp_path):
     """random_null_tuple(2, 4, seed=3) with the first lift's last entry
     multiplied by 1 - 1e-6: null at --eps 1e-4, not at the default."""
@@ -306,6 +335,21 @@ def test_realize_upper_triangle_completion(tmp_path, capsys):
     gm = gram(pts)
     assert all(abs(gm.entry(a, b).a0 - 1.0) <= 1e-8
                for a in range(3) for b in range(3))
+
+
+@pytest.mark.parametrize("entries, where", [
+    ([[None, [1, 0, 0, 0]], [None, None]], "(1, 1)"),
+    ([[[1, 0, 0, 0], None], [[0.5, 0, 0, 0], [1, 0, 0, 0]]], "(1, 2)"),
+], ids=["null-diagonal", "lower-triangle"])
+def test_realize_null_on_or_above_the_diagonal_is_usage_error(
+        tmp_path, capsys, entries, where):
+    # only the lower part is completed from the upper triangle; a null
+    # diagonal entry used to be read as 0 and realized with exit 0
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"m": 2, "entries": entries}))
+    code, out, err = run(capsys, "realize", str(f), "--n", "2")
+    assert code == 2 and out == ""
+    assert f"Gram entry {where} is null" in err
 
 
 def counting_decompositions(monkeypatch) -> list:

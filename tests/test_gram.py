@@ -757,7 +757,7 @@ def random_forest(lifts, rng):
     """Edges (c, t) of a random forest on the nonzero products of the
     record, each t after its c; about one point in five is a new root."""
     order = rng.permutation(len(lifts)).tolist()
-    nz, edges = nonzero_products(lifts.g), []
+    nz, edges = nonzero_products(lifts.g.modulus()), []
     for k, t in enumerate(order[1:], 1):
         parents = [c for c in order[:k] if nz[c, t]]
         if parents and rng.random() > 0.2:
@@ -860,7 +860,9 @@ def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     # no stage normalizes twice, and a regular coordinate rescales nothing;
     # every near pair of lifts shares one SVD, the pairs are listed only
     # when there is one, and the span is asked for only without a negative
-    # eigenvalue
+    # eigenvalue; a pair with |u_ab| > 1 (t = 1.249 here) makes the tuple
+    # regular without a spectrum, and the modulus of the unit-diagonal Gram
+    # matrix is taken once per record
     regular = Lifts(random_regular_tuple(2, 4, seed=2))
     parabolic = Lifts(random_parabolic_tuple(3, 5, seed=1))
     one = counting(monkeypatch, positive, "one_normalize")
@@ -869,12 +871,30 @@ def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     rescale = counting(monkeypatch, positive, "rescale_gram")
     svd = counting(monkeypatch, np.linalg, "svd")
     argwhere = counting(monkeypatch, np, "argwhere")
+    spectra = counting(monkeypatch, positive, "inertia")
+    moduli, modulus = [], QMatrix.modulus
+
+    def counted(self):
+        moduli.append(self)
+        return modulus(self)
+    monkeypatch.setattr(QMatrix, "modulus", counted)
+
+    def unit_moduli(lifts):
+        return sum(x is lifts.unit for x in moduli)
+
     positive.positive_coordinate(regular)
     assert len(one) == 0 and sum(map(len, units)) == 1 and len(rescale) == 0
     assert len(svd) == 0 and len(argwhere) == 0
+    assert len(spectra) == 0 and unit_moduli(regular) == len(moduli) == 1
 
     assert positive.positive_coordinate(parabolic).kind == "parabolic"
     assert len(svd) == 2 and len(argwhere) == 1
+    assert len(spectra) == 1 and unit_moduli(parabolic) == 1
+
+    # every |u_ab| <= 1: only the spectrum can tell
+    within = Lifts(random_regular_tuple(2, 4, seed=4))
+    assert positive.positive_coordinate(within).kind == "regular"
+    assert len(spectra) == 2 and unit_moduli(within) == 1
 
 
 def test_coordinates_conjugate_once_per_sub_block_or_t_vector(monkeypatch):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from hqmoduli.errors import DegenerateInputError, DomainError, UsageError
-from hqmoduli.gram import inertia, gram, realize
+from hqmoduli.gram import Inertia, check_admissible, inertia, gram, realize
 from hqmoduli.hform import (BALL, SIEGEL, HVector, Isometry, PointClass,
-                            cayley_isometry, classify, form_matrix, herm,
+                            cayley_isometry, cayley_matrix, classify,
+                            form_matrix, herm,
                             map_orthonormal_frames, orthogonal_complement_basis,
                             pair_configuration, pair_isometry, pair_moduli,
                             projective_distance, random_isometry,
@@ -65,6 +66,24 @@ def test_form_matrix_is_cached_and_read_only():
         with pytest.raises(ValueError):
             j.c2[0, 0] = 1.0
     assert inertia(form_matrix(SIEGEL, 3)).as_tuple() == (3, 1, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HVector.from_entries([1.0], BALL),
+    lambda: HVector.from_entries([1.0], SIEGEL),
+    lambda: form_matrix(BALL, 0),
+    lambda: form_matrix(SIEGEL, 0),
+    lambda: cayley_matrix(0),
+    lambda: realize(QMatrix.real([[-1.0]]), 0),
+    lambda: realize(QMatrix.real([[1.0, 2.0], [0.0, 1.0]]), 0),
+    lambda: check_admissible(Inertia(0, 1, 0), 0),
+], ids=["point-ball", "point-siegel", "form-ball", "form-siegel", "cayley",
+        "realize", "realize-non-hermitian", "admissible"])
+def test_h_0_1_is_a_usage_error(make):
+    # at n = 0 the ball form is [[-1]] and the Siegel form [[1]], so a
+    # one-entry point was positive in one model and negative in the other
+    with pytest.raises(UsageError, match="n >= 1"):
+        make()
 
 
 def test_herm_model_mismatch_raises():

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from hqmoduli import positive
 from hqmoduli.boundary import Coordinate, vector_to_gram
 from hqmoduli.errors import DomainError, InconsistencyError
-from hqmoduli.gram import (Lifts, align, gram, inertia, nonzero_products,
-                           realize, rescale_gram, span_dimension)
+from hqmoduli.gram import (Lifts, align, gram, hyperbolic_pair, inertia,
+                           nonzero_products, realize, rescale_gram,
+                           span_dimension)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify,
                             form_matrix, herm,
                             pair_configuration, random_isometry, to_model)
@@ -26,7 +27,7 @@ from hqmoduli.quat import ONE, Quaternion, quat, rotation_normalize_vector
 from hqmoduli.sampling import (random_null_tuple, random_parabolic_tuple,
                                random_quaternion, random_regular_tuple,
                                random_rescaling)
-from hqmoduli.tol import ORTHOGONAL_TOL, UNIT_EPS, ZERO_EPS
+from hqmoduli.tol import INERTIA_EPS, ORTHOGONAL_TOL, UNIT_EPS, ZERO_EPS
 
 COORD_TOL = 1e-8
 
@@ -115,7 +116,7 @@ def test_zero_product_rule_matches_entrywise_reference():
         scale = max(abs(q) for row in g.to_entries() for q in row)
         want = [[abs(q) > ZERO_EPS * scale for q in row]
                 for row in g.to_entries()]
-        assert nonzero_products(g).tolist() == want
+        assert nonzero_products(g.modulus()).tolist() == want
 
 
 def test_detect_identity_is_regular_singletons():
@@ -317,6 +318,96 @@ def test_detect_partition_rejects_a_nonpositive_diagonal():
     g.set_entry(1, 1, quat(0.0))
     with pytest.raises(DomainError):
         detect_partition(g, span_dim=3)
+
+
+def test_detect_partition_rejects_a_gram_matrix_with_a_nan_entry():
+    # a NaN modulus certifies no hyperbolic pair, so the spectrum still
+    # sees the entry
+    g = gram(random_regular_tuple(2, 4, seed=2))
+    g.set_entry(0, 2, Quaternion(math.nan, 0.0, 0.0, 0.0))
+    assert not hyperbolic_pair(g.modulus())
+    with pytest.raises(DomainError):
+        detect_partition(g, span_dim=4)
+
+
+def spectral_kind(lifts):
+    """Reference partition rule: the inertia of the unit-diagonal Gram
+    matrix and the span decide every positive tuple, and a parabolic one
+    must have blocks of products of modulus 1."""
+    iner = inertia(lifts.unit)
+    if iner.n_minus == 0 and iner.rank == span_dimension(lifts) - 1:
+        blocks, nz = lifts.forest[0], lifts.nz
+        if (np.count_nonzero(nz) != sum(len(b) ** 2 for b in blocks)
+                or np.count_nonzero(np.abs(lifts.mod[nz] - 1.0) > UNIT_EPS)):
+            raise InconsistencyError("not blocks of modulus 1")
+        return "parabolic"
+    return "regular"
+
+
+def outcome(rule, lifts):
+    try:
+        return rule(lifts)
+    except InconsistencyError as exc:
+        return type(exc)
+
+
+def assert_partition_matches_the_spectrum(lifts):
+    # a certified tuple has a negative eigenvalue, and the partition's
+    # kind is the reference rule's, or both raise
+    if hyperbolic_pair(lifts.mod):
+        assert inertia(lifts.unit).n_minus == 1
+    kind = outcome(lambda x: detect_partition(
+        x.g, span_dimension(x)).kind, lifts)
+    assert kind == outcome(spectral_kind, lifts)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("regular", "parabolic")),
+       n=st.integers(2, 4), m=st.integers(2, 7),
+       seed=st.integers(0, 2 ** 16), model=st.sampled_from((BALL, SIEGEL)),
+       exponent=st.floats(-6.0, 6.0))
+def test_hyperbolic_pair_agrees_with_the_spectrum(kind, n, m, seed, model,
+                                                  exponent):
+    make = random_regular_tuple if kind == "regular" \
+        else random_parabolic_tuple
+    points = make(n, m, seed, model)
+    scales = random_rescaling(m, seed=seed + 1)
+    lifts = Lifts([p.rescale(x).scaled(10.0 ** exponent)
+                   for p, x in zip(points, scales)])
+    if kind == "parabolic":
+        assert not hyperbolic_pair(lifts.mod)
+    assert_partition_matches_the_spectrum(lifts)
+    assert positive_coordinate(lifts).kind == kind
+
+
+@pytest.mark.parametrize("n, m, seed", [(2, 4, 4), (3, 5, 2)])
+def test_regular_tuple_without_a_hyperbolic_pair_reads_the_spectrum(n, m,
+                                                                    seed):
+    for model in (BALL, SIEGEL):
+        lifts = Lifts(random_regular_tuple(n, m, seed, model))
+        assert lifts.mod.max() <= 1.0 + 1e-12
+        assert not hyperbolic_pair(lifts.mod)
+        assert_partition_matches_the_spectrum(lifts)
+        assert positive_coordinate(lifts).kind == "regular"
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("k", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+def test_hyperbolic_pair_near_its_threshold(m, k):
+    # one product of modulus t = 1 + k INERTIA_EPS m, realized: the
+    # certificate holds for t - 1 > 2 INERTIA_EPS m t, that is k > 2 up to
+    # rounding, and either way the partition is the spectrum's; where the
+    # realization zeroes 1 - t, the realized product has modulus 1
+    t = 1.0 + k * INERTIA_EPS * m
+    rng = np.random.default_rng(int(10 * k) + m)
+    q = random_quaternion(rng)
+    g = unit_diagonal_gram(m, {(0, 1): q * (t / abs(q))})
+    lifts = Lifts(realize(g, m))
+    if inertia(g).n_minus == 1:
+        assert abs(lifts.mod.max() - t) <= 1e-13
+    if k != 2.0:
+        assert hyperbolic_pair(lifts.mod) == (k > 2.0)
+    assert_partition_matches_the_spectrum(lifts)
 
 
 def test_parabolic_rejects_regular_input():

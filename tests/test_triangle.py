@@ -58,7 +58,7 @@ def test_angular_invariant_worked_example():
 def test_angular_invariant_fallback_on_orthogonal_triple():
     # every product is zero by the rule, so T vanishes and alpha is 0
     p = (ball(1, 0, 0, 0), ball(0, 1, 0, 0), ball(0, 0, 1, 0))
-    assert not nonzero_products(Lifts(p).unit)[~np.eye(3, dtype=bool)].any()
+    assert not nonzero_products(Lifts(p).mod)[~np.eye(3, dtype=bool)].any()
     assert alpha(*p) == 0.0
 
 
@@ -74,7 +74,7 @@ def test_angular_invariant_under_overall_lift_scale(scale):
     assert abs(alpha(*scaled) - a) <= 1e-10
     orth = tuple(p.scaled(scale) for p in (ball(1, 0, 0, 0), ball(0, 1, 0, 0),
                                            ball(0, 0, 1, 0)))
-    assert not nonzero_products(Lifts(orth).unit)[~np.eye(3, dtype=bool)].any()
+    assert not nonzero_products(Lifts(orth).mod)[~np.eye(3, dtype=bool)].any()
     assert alpha(*orth) == 0.0
 
 
@@ -169,7 +169,7 @@ def test_normalized_gram_matches_one_normalize(model):
         scales = 10.0 ** rng.uniform(-3.0, 3.0, size=3)
         moved = tuple(p.rescale(x / abs(x) * float(s))
                       for p, x, s in zip(pts, units, scales))
-        assert nonzero_products(Lifts(moved).unit).all(), trial
+        assert nonzero_products(Lifts(moved).mod).all(), trial
         _, want = one_normalize(moved)
         got = normalize_triangle(*moved)
         assert (got - want).norm() <= 1e-12 * want.norm(), trial
