@@ -16,10 +16,7 @@ is applied to both, so `inertia` and `realize` make the same rank
 decision.  `realize` builds P = F sqrt|L| Q* straight from the complex
 parts of Q, where G = Q L Q* is the one eigendecomposition of
 `QMatrix.eigh` and column k of Q belongs to the k-th eigenvalue; the
-frame constructions of `hform` share it.  Q is the eigenvectors of C1
-when C2 = 0, and otherwise is read off the even eigenvectors of the
-adjoint, with a symplectic Gram-Schmidt only when a repeated eigenvalue
-leaves those vectors short of a quaternion frame.
+frame constructions of `hform` share it.
 
 Products follow the same rule, complex matrices at complex cost: when
 the column matrix of the lifts passes `QMatrix.is_complex`, the one C2 = 0
@@ -35,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateInputError, DomainError, RealizationError,
-                     UsageError)
+from .errors import (DegenerateInputError, DomainError, InconsistencyError,
+                     RealizationError, UsageError)
 from .hform import (BALL, HVector, PointClass, check_dimension, columns,
                     form_adjoint, form_matrix, point_class, to_model,
                     tuple_from_columns)
@@ -299,6 +296,25 @@ def inertia(g: QMatrix) -> Inertia:
     return _signature(_zeroed(g.eigvalsh()))
 
 
+def degenerate_span(mod: np.ndarray, iner, span, nz=None) -> bool:
+    """Whether the lifts of a positive tuple span a degenerate subspace
+    (parabolic) or not (regular), read off the modulus `mod` of their
+    unit-diagonal Gram matrix u: not with a `hyperbolic_pair`, nor when
+    the inertia `iner()` of u has a negative eigenvalue, else exactly when
+    the span dimension `span()` is one more than the rank.  A degenerate
+    span whose zero pattern nz (of mod, unless given) is not cliques,
+    nz @ nz == nz, of modulus 1 within UNIT_EPS is an InconsistencyError."""
+    if hyperbolic_pair(mod) or (sig := iner()).n_minus \
+            or sig.rank != span() - 1:
+        return False
+    nz = nonzero_products(mod) if nz is None else nz
+    if (np.count_nonzero(nz @ nz != nz)
+            or np.count_nonzero(np.abs(mod[nz] - 1.0) > UNIT_EPS)):
+        raise InconsistencyError("degenerate span but a product inside a "
+                                 "block does not have modulus 1")
+    return True
+
+
 def check_admissible(iner: Inertia, n: int) -> None:
     """Raise RealizationError naming the first violated inertia condition
     for realizability in H^{n,1}; n < 1 is a UsageError."""
@@ -307,8 +323,6 @@ def check_admissible(iner: Inertia, n: int) -> None:
         raise RealizationError("n_minus <= 1")
     if iner.n_plus > n:
         raise RealizationError("n_plus <= n")
-    if iner.n_plus + iner.n_minus > n + 1:
-        raise RealizationError("n_plus + n_minus <= n + 1")
     if iner.n_plus + iner.n_minus < 1:
         raise RealizationError("n_plus + n_minus >= 1")
 

@@ -301,8 +301,7 @@ def _complete_frame(c: QMatrix, j: QMatrix) -> QMatrix:
 def random_isometry(n: int, seed: int, model: str = BALL) -> Isometry:
     """Reproducible random element of Sp(n,1) via J-Gram-Schmidt on random
     quaternion columns (bounded retries on degenerate draws)."""
-    if n < 1:
-        raise DomainError("need n >= 1")
+    check_dimension(n)
     rng = np.random.default_rng(seed)
     j = form_matrix(BALL, n)
     for _ in range(8):
@@ -426,7 +425,7 @@ def _pair(p1: HVector, p2: HVector):
     `gram` imports this module, so it is imported here."""
     from .gram import Lifts
     lifts = Lifts([p1, p2]).validated(PointClass.POSITIVE, 2)
-    return lifts, float(lifts.unit.modulus()[0, 1])
+    return lifts, float(lifts.mod[0, 1])
 
 
 def pair_moduli(p1: HVector, p2: HVector) -> float:

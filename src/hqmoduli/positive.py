@@ -26,7 +26,7 @@ import numpy as np
 
 from .boundary import Coordinate, boundary_coordinate
 from .errors import DomainError, InconsistencyError
-from .gram import (Lifts, align, hyperbolic_pair, inertia, nonzero_products,
+from .gram import (Lifts, align, degenerate_span, inertia, nonzero_products,
                    rescale_gram, span_dimension, spanning_forest,
                    unit_diagonal)
 from .hform import PointClass, form_matrix
@@ -128,10 +128,8 @@ def _refine_sub_blocks(indices, nz):
 def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     """Partition structure of a positive tuple from its Gram matrix and
     the dimension of its span, read off unit_diagonal(g), so that
-    rescaling the lifts leaves it unchanged.
-
-    The tuple is parabolic when the span is degenerate: no negative
-    eigenvalue and span dimension one more than the Gram rank.
+    rescaling the lifts leaves it unchanged: parabolic when
+    `gram.degenerate_span` says that the span is degenerate.
     """
     u = unit_diagonal(g)
     mod = u.modulus()
@@ -141,24 +139,11 @@ def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
 
 
 def _partition(u: QMatrix, mod: np.ndarray, nz: np.ndarray, blocks,
-               span_dim) -> PartitionStructure:
-    """`detect_partition` of a unit-diagonal u with modulus mod and zero
-    pattern nz, whose components are `blocks`.  A pair with |u_ab| above
-    1 by `hyperbolic_pair`'s margin makes the tuple regular without a
-    spectrum; otherwise the inertia of u decides, and `span_dim()` is
-    asked for the span only when no eigenvalue is negative.  A parabolic
-    tuple's nz is the pairs inside one block exactly when it has
-    sum |block|^2 entries."""
-    if not hyperbolic_pair(mod):
-        iner = inertia(u)
-        if iner.n_minus == 0 and iner.rank == span_dim() - 1:
-            if (np.count_nonzero(nz) != sum(len(b) ** 2 for b in blocks)
-                    or np.count_nonzero(np.abs(mod[nz] - 1.0) > UNIT_EPS)):
-                raise InconsistencyError(
-                    "degenerate span but a product inside a block "
-                    "does not have modulus 1")
-            return PartitionStructure("parabolic", blocks)
-
+               span) -> PartitionStructure:
+    """`detect_partition` of a unit-diagonal u with modulus mod, zero
+    pattern nz and components `blocks`: parabolic by the span rule."""
+    if degenerate_span(mod, lambda: inertia(u), span, nz):
+        return PartitionStructure("parabolic", blocks)
     rows = nz.tolist()
     subs, ancs = zip(*(_refine_sub_blocks(blk, rows) for blk in blocks))
     return PartitionStructure("regular", blocks, tuple(subs), tuple(ancs))
@@ -201,8 +186,8 @@ def _parabolic_lifts(lifts: Lifts) -> tuple[list[Quaternion], QMatrix]:
     clique, so the record's forest is the star from each blk[0].  Only the
     products of two non-anchor points of a block carry a phase, so only
     they are checked: `align` makes an anchor product conj(d_t) g_tc d_c
-    equal to |u_ct|, which `_partition` has held within UNIT_EPS of 1, and
-    each diagonal entry is 1 by construction."""
+    equal to |u_ct|, which `degenerate_span` has held within UNIT_EPS of
+    1, and each diagonal entry is 1 by construction."""
     g, blocks = lifts.g, lifts.structure.blocks
     d = align(lifts, lifts.forest[1])
     for blk in blocks:

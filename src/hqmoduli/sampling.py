@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-from .gram import Lifts, gram, inertia, span_dimension
-from .hform import BALL, SIEGEL, HVector, to_model
+from .gram import Lifts, degenerate_span, gram, inertia, span_dimension
+from .hform import BALL, SIEGEL, HVector, check_dimension, to_model
 from .quat import ONE, Quaternion, quat
 
 MAX_RETRIES = 64
@@ -28,8 +28,7 @@ def random_unit_quaternion(rng) -> Quaternion:
 
 def random_null_point(n: int, rng, model: str = BALL) -> HVector:
     """Uniform-ish null point: ball lift (u, 1) with |u| = 1."""
-    if n < 1:
-        raise UsageError("need n >= 1")
+    check_dimension(n)
     v = rng.normal(size=4 * n)
     v /= np.linalg.norm(v)
     entries = [Quaternion(*v[4 * t:4 * t + 4]) for t in range(n)] + [ONE]
@@ -51,8 +50,7 @@ def random_positive_point(n: int, rng, model: str = BALL) -> HVector:
     """Positive point as a ball lift (u, 1) with |u| > 1 (outside the
     unit sphere, where the form is positive: <p, p> = |u|^2 - 1 >= 0.21
     clears the null bound NULL_EPS (|u|^2 + 1))."""
-    if n < 1:
-        raise UsageError("need n >= 1")
+    check_dimension(n)
     v = rng.normal(size=4 * n)
     r = rng.uniform(1.1, 3.0)
     v *= r / np.linalg.norm(v)
@@ -61,12 +59,13 @@ def random_positive_point(n: int, rng, model: str = BALL) -> HVector:
 
 
 def random_regular_tuple(n: int, m: int, seed, model: str = BALL):
-    """m distinct positive points whose span is nondegenerate (the
-    generic situation)."""
+    """m distinct positive points whose span is nondegenerate by
+    `gram.degenerate_span` (the generic situation)."""
     rng = np.random.default_rng(seed)
     for _ in range(MAX_RETRIES):
         lifts = Lifts(random_positive_point(n, rng, BALL) for _ in range(m))
-        if inertia(lifts.g).rank == span_dimension(lifts):
+        if not degenerate_span(lifts.mod, lambda: inertia(lifts.unit),
+                               lambda: span_dimension(lifts)):
             return tuple(to_model(p, model) for p in lifts)
     raise UsageError("failed to sample a regular tuple")
 

@@ -22,12 +22,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InconsistencyError, UsageError
-from .gram import (Inertia, Lifts, inertia, realize, realize_with_inertia,
-                   span_dimension, triple_product)
+from .gram import (Inertia, Lifts, degenerate_span, inertia, realize,
+                   realize_with_inertia, span_dimension, triple_product)
 from .hform import BALL, HVector, PointClass
 from .qmatrix import QMatrix
 from .quat import Record
-from .tol import DET_TOL, UNIT_EPS
+from .tol import DET_TOL
 
 
 class TriangleParams(Record, fields="r1 r2 r3 alpha"):
@@ -162,19 +162,22 @@ def _signature_class(iner: Inertia) -> TriangleClass:
     Gram matrix."""
     sig = (iner.n_plus, iner.n_minus)
     if sig not in _CLASS_OF:
-        raise InconsistencyError(f"impossible triangle signature {sig}")
+        raise DomainError(f"no triangle class has the signature {sig}")
     return _CLASS_OF[sig]
 
 
 def _classify(lifts: Lifts) -> TriangleClass:
-    cls = _signature_class(inertia(lifts.unit))
-    if cls == TriangleClass.PARABOLIC111:
-        params = _params(lifts)
-        if max(abs(params.r1 - 1), abs(params.r2 - 1), abs(params.r3 - 1),
-               abs(params.alpha)) > UNIT_EPS:
-            raise InconsistencyError(
-                "rank-one triangle Gram is not of type (1,1,1;0)")
-        if span_dimension(lifts) != 2:
-            raise InconsistencyError(
-                "parabolic triangle span has unexpected dimension")
-    return cls
+    iner = inertia(lifts.unit)
+    cls = _signature_class(iner)
+    rank_one = cls == TriangleClass.PARABOLIC111
+    # without a negative eigenvalue the class agrees with the span rule of
+    # the partition, asked in H^{2,1} only at rank one: a degenerate
+    # subspace of H^{n,1} is proper.  Rank one on a nondegenerate span is
+    # rounding, and rank two on a degenerate one is a parabolic triple
+    asked = iner.n_minus == 0 and (rank_one or lifts[0].n >= 3)
+    if not asked or rank_one == degenerate_span(
+            lifts.mod, lambda: iner, lambda: span_dimension(lifts), lifts.nz):
+        return cls
+    error = InconsistencyError if rank_one else DomainError
+    raise error(f"a triangle of signature {iner.n_plus, iner.n_minus} "
+                f"whose span is {'not ' * rank_one}degenerate")

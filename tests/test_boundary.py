@@ -285,6 +285,12 @@ def test_validate_boundary_vector_malformed_v1():
         validate_boundary_vector([Quaternion(0.0, 0.0, 1.0, 0.0)], 2)
 
 
+@pytest.mark.parametrize("v", [[], ()], ids=["list", "tuple"])
+def test_validate_boundary_vector_rejects_an_empty_vector(v):
+    with pytest.raises(UsageError, match="empty boundary vector"):
+        validate_boundary_vector(v, 2)
+
+
 def test_vector_to_gram_rejects_non_triangular_length():
     with pytest.raises(UsageError):
         vector_to_gram([quat(-1), quat(0)])

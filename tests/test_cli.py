@@ -169,6 +169,23 @@ def test_congruent_exit_codes(tmp_path, capsys):
     assert "not congruent" in out
 
 
+@pytest.mark.parametrize("command, sample, m", [
+    ("boundary-coord", random_null_tuple, 2),
+    ("positive-coord", random_regular_tuple, 1),
+    ("congruent", random_null_tuple, 2),
+    ("congruent", random_regular_tuple, 1),
+], ids=["boundary-2", "positive-1", "congruent-null-2",
+        "congruent-positive-1"])
+def test_too_few_points_are_a_usage_error(tmp_path, capsys, command, sample,
+                                          m):
+    # a boundary coordinate needs 3 null points, a positive one 2 points
+    f = write_tuple(tmp_path / "t.json", sample(2, m, seed=4))
+    argv = (command, f, f) if command == "congruent" else (command, f)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "need at least" in err and "Traceback" not in err
+
+
 def test_congruent_size_mismatch_is_usage_error(tmp_path, capsys):
     fa = write_tuple(tmp_path / "a.json", random_null_tuple(2, 3, seed=8))
     fb = write_tuple(tmp_path / "b.json", random_null_tuple(2, 4, seed=9))

@@ -1,7 +1,9 @@
 """Gram matrices: construction, actions, inertia, and realization."""
 
 import importlib
+import itertools
 import math
+import operator
 import warnings
 from unittest import mock
 
@@ -13,13 +15,14 @@ from hypothesis import strategies as st
 from hqmoduli.boundary import cartan_invariant, vector_to_gram
 from hqmoduli.errors import (DegenerateInputError, DomainError, RealizationError,
                              UsageError)
-from hqmoduli import boundary, positive, qmatrix, triangle
+from hqmoduli import boundary, positive, qmatrix, sampling, triangle
 from hqmoduli.gram import (INERTIA_EPS, Inertia, Lifts, align,
-                           check_admissible, gram, inertia, nonzero_products,
-                           realization_error, realize, rescale_gram,
-                           span_dimension)
-from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, cayley_matrix,
-                            classify, form_matrix, random_isometry)
+                           check_admissible, degenerate_span, gram, inertia,
+                           nonzero_products, realization_error, realize,
+                           rescale_gram, span_dimension)
+from hqmoduli.hform import (BALL, SIEGEL, HVector, PairConfiguration,
+                            PointClass, cayley_matrix, classify, form_matrix,
+                            pair_configuration, random_isometry, to_model)
 from hqmoduli.qmatrix import QMatrix, strict_upper
 from hqmoduli.quat import Quaternion, quat
 from hqmoduli.tol import STRUCTURE_TOL
@@ -30,7 +33,8 @@ from hqmoduli.sampling import (random_null_point, random_null_tuple,
                                random_regular_tuple, random_tuple,
                                random_unit_quaternion)
 from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_triangle,
-                               realize_and_classify, triangle_params)
+                               realize_and_classify, realize_triangle,
+                               triangle_params)
 
 ROUND_TRIP_TOL = 1e-8
 # the package exports the function gram under the module's name
@@ -993,3 +997,96 @@ def test_samplers_reject_dimension_below_one(n):
     for kind in ("boundary-tuple", "positive-regular", "positive-parabolic"):
         with pytest.raises(UsageError):
             random_tuple(kind, n, 3, seed=0)
+
+
+@pytest.mark.parametrize("draw, message", [
+    (lambda: random_tuple("positive-elliptic", 2, 3, seed=0), "unknown"),
+    (lambda: random_parabolic_tuple(3, 4, seed=0, k=0), "1 <= k"),
+    (lambda: random_parabolic_tuple(3, 4, seed=0, k=3), "1 <= k"),
+], ids=["unknown-kind", "no-block", "k-equals-n"])
+def test_sampler_arguments_out_of_range_are_usage_errors(draw, message):
+    with pytest.raises(UsageError, match=message):
+        draw()
+
+
+# ---------------------------------------------------------------------------
+# the span rule: one decision for the partition, the triangle classes, the
+# regular sampler and the m = 2 closed form
+
+def span_rule(lifts):
+    return degenerate_span(lifts.mod, lambda: inertia(lifts.unit),
+                           lambda: span_dimension(lifts), lifts.nz)
+
+
+def sampler_accepts(lifts):
+    """Whether `random_regular_tuple` keeps the ball lifts of the record
+    when every draw yields them: it returns them, or it gives up."""
+    ball = [to_model(p, BALL) for p in lifts]
+    draws = itertools.cycle(ball)
+    with mock.patch.object(sampling, "random_positive_point",
+                           lambda n, rng, model: next(draws)):
+        try:
+            got = random_regular_tuple(lifts[0].n, len(lifts), seed=0)
+        except UsageError:
+            return False
+    assert all(map(operator.is_, got, ball))
+    return True
+
+
+def assert_readers_follow_the_span_rule(lifts):
+    degenerate = span_rule(lifts)
+    kind = positive.positive_coordinate(lifts).kind
+    assert kind == ("parabolic" if degenerate else "regular")
+    assert sampler_accepts(lifts) == (not degenerate)
+    if len(lifts) == 2:
+        t = float(lifts.mod[0, 1])
+        assert (PairConfiguration.from_t(t).kind == "asymptotic") \
+            == degenerate
+    if len(lifts) == 3:
+        try:
+            cls = classify_triangle(lifts)
+        except DomainError as exc:
+            # a positive definite 3-space, or a degenerate span of rank 2
+            assert ("(3, 0)" in str(exc)) != degenerate, exc
+        else:
+            assert (cls == TriangleClass.PARABOLIC111) == degenerate
+    return degenerate
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("regular", "parabolic")),
+       n=st.integers(2, 4), m=st.integers(2, 6),
+       seed=st.integers(0, 2 ** 16), model=st.sampled_from((BALL, SIEGEL)),
+       exponent=st.floats(-6.0, 6.0))
+def test_every_reader_follows_the_span_rule(kind, n, m, seed, model,
+                                            exponent):
+    make = random_regular_tuple if kind == "regular" \
+        else random_parabolic_tuple
+    points = make(n, m, seed, model)
+    lifts = Lifts([p.rescale(x).scaled(10.0 ** exponent) for p, x in
+                   zip(points, random_rescaling(m, seed=seed + 1))])
+    assert assert_readers_follow_the_span_rule(lifts) == (kind == "parabolic")
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_realized_parabolic_triangles_follow_the_span_rule(model, scale):
+    pts = realize_triangle(TriangleParams(1.0, 1.0, 1.0, 0.0), model)
+    lifts = Lifts([p.scaled(scale) for p in pts])
+    assert assert_readers_follow_the_span_rule(lifts)
+    assert classify_triangle(lifts) == TriangleClass.PARABOLIC111
+
+
+@pytest.mark.parametrize("k", range(-49, 50, 2))
+def test_pairs_near_the_zero_eigenvalue_follow_the_span_rule(k):
+    # t = 1 + k 1e-10: 1 - t is zeroed for |k| <= 19 (INERTIA_EPS (1 + t)),
+    # and a hyperbolic pair certifies t from k = 41 on (t - 1 > 4
+    # INERTIA_EPS t); odd k keep every t off both thresholds
+    t = 1.0 + k * 1e-10
+    g = QMatrix.eye(2)
+    g.set_entry(0, 1, quat(t))
+    g.set_entry(1, 0, quat(t))
+    pts = realize(g, 2)
+    degenerate = assert_readers_follow_the_span_rule(Lifts(pts))
+    assert degenerate == (abs(k) <= 19)
+    assert (pair_configuration(*pts).kind == "asymptotic") == degenerate

@@ -77,11 +77,17 @@ def test_form_matrix_is_cached_and_read_only():
     lambda: realize(QMatrix.real([[-1.0]]), 0),
     lambda: realize(QMatrix.real([[1.0, 2.0], [0.0, 1.0]]), 0),
     lambda: check_admissible(Inertia(0, 1, 0), 0),
+    lambda: random_isometry(0, 1),
+    lambda: random_isometry(-1, 1, SIEGEL),
+    lambda: random_null_point(0, np.random.default_rng(1)),
+    lambda: random_positive_point(0, np.random.default_rng(1)),
 ], ids=["point-ball", "point-siegel", "form-ball", "form-siegel", "cayley",
-        "realize", "realize-non-hermitian", "admissible"])
+        "realize", "realize-non-hermitian", "admissible", "isometry",
+        "isometry-siegel", "null-point", "positive-point"])
 def test_h_0_1_is_a_usage_error(make):
     # at n = 0 the ball form is [[-1]] and the Siegel form [[1]], so a
-    # one-entry point was positive in one model and negative in the other
+    # one-entry point was positive in one model and negative in the other;
+    # the samplers and random_isometry ask the same dimension rule
     with pytest.raises(UsageError, match="n >= 1"):
         make()
 

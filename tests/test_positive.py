@@ -143,13 +143,17 @@ def test_detect_two_block_parabolic():
 
 
 def test_detect_inconsistent_parabolic_raises():
-    g = QMatrix.zeros(3, 3)
-    g.c1[:, :] = 1.0
-    g.set_entry(0, 1, quat(0.5))
-    g.set_entry(1, 0, quat(0.5))
-    if inertia(g).n_minus == 0:
-        with pytest.raises(InconsistencyError):
-            detect_partition(g, span_dim=inertia(g).rank + 1)
+    # the unit Gram matrix of `two_dimensional_positive_part`: no negative
+    # eigenvalue and rank 2, so a span of 3 is degenerate, yet u_12 = 0
+    # while u_13 and u_23 are not, which no blocks of modulus 1 allow; a
+    # span of 2 is regular
+    s = 2 ** -0.5
+    g = unit_diagonal_gram(3, {(0, 2): quat(s), (1, 2): quat(s)})
+    assert inertia(g).as_tuple() == (2, 0, 1)
+    with pytest.raises(InconsistencyError, match="modulus 1"):
+        detect_partition(g, span_dim=3)
+    structure = detect_partition(g, span_dim=2)
+    assert structure.kind == "regular" and structure.blocks == ((0, 1, 2),)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,17 @@ import pytest
 
 from hqmoduli import qmatrix
 from hqmoduli.cli import build_parser, main
-from hqmoduli.errors import DegenerateInputError, RealizationError, UsageError
+from hqmoduli.errors import (DegenerateInputError, DomainError,
+                             InconsistencyError, RealizationError, UsageError)
 from hqmoduli.gram import (Lifts, gram, inertia, nonzero_products,
                            realization_error, span_dimension, triple_product)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PairConfiguration,
-                            pair_configuration, random_isometry)
-from hqmoduli.positive import one_normalize
+                            pair_configuration, random_isometry, to_model)
+from hqmoduli.positive import one_normalize, positive_coordinate
 from hqmoduli.qmatrix import QMatrix
 from hqmoduli.quat import I, Quaternion
-from hqmoduli.sampling import (random_positive_point, random_regular_tuple,
-                               random_rescaling)
+from hqmoduli.sampling import (random_parabolic_tuple, random_positive_point,
+                               random_regular_tuple, random_rescaling)
 from hqmoduli.triangle import (TriangleClass, TriangleParams, classify_triangle,
                                gram_from_params, normalize_triangle,
                                realize_and_classify, realize_triangle,
@@ -189,6 +190,53 @@ def test_coincident_vertices_are_rejected(fn):
             fn(*tri)
         with pytest.raises(DegenerateInputError):
             fn(Lifts(tri))
+
+
+@pytest.mark.parametrize("fn", [classify_triangle, triangle_params])
+@pytest.mark.parametrize("m", [2, 4])
+def test_a_triangle_needs_exactly_three_points(fn, m):
+    pts = random_regular_tuple(2, m, seed=5)
+    for args in (pts, (Lifts(pts),)):
+        with pytest.raises(UsageError, match="exactly 3 points"):
+            fn(*args)
+
+
+def h31_triples(model):
+    """Triples of H^{3,1} beyond the triangle classes: the orthonormal
+    e0, e1, e2, and positive parts e1, e2 and e1 + e2 along one null
+    direction z0, which span a degenerate subspace whose products inside
+    it do not have modulus 1."""
+    e = [HVector.from_entries([float(k == t) for k in range(4)], BALL)
+         for t in range(4)]
+    z0 = e[0] + e[3]
+    bent = (e[1] + z0.scaled(0.3), e[2] - z0.scaled(0.7),
+            e[1] + e[2] + z0.scaled(1.9))
+    return [tuple(to_model(p, model) for p in tri) for tri in (e[:3], bent)]
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+def test_triples_beyond_h21_get_the_partitions_answer(model):
+    # the orthonormal triple spans a positive definite 3-space, which no
+    # class names: a refusal that names its signature, not an internal
+    # error, while the partition answers regular
+    orthonormal, bent = h31_triples(model)
+    with pytest.raises(DomainError, match=r"signature \(3, 0\)"):
+        classify_triangle(*orthonormal)
+    assert positive_coordinate(orthonormal).kind == "regular"
+    # the bent triple has signature (2, 0), once Elliptic to the triangle;
+    # both now get the one span rule's refusal
+    assert inertia(gram(bent)).as_tuple() == (2, 0, 1)
+    assert span_dimension(bent) == 3
+    for fn in (lambda pts: classify_triangle(*pts), positive_coordinate):
+        with pytest.raises(InconsistencyError, match="modulus 1"):
+            fn(bent)
+    # two blocks along one null direction: parabolic to the partition, a
+    # degenerate span of signature (2, 0) that no class names
+    two_blocks = random_parabolic_tuple(3, 3, seed=2, model=model, k=2)
+    assert positive_coordinate(two_blocks).kind == "parabolic"
+    with pytest.raises(DomainError,
+                       match=r"\(2, 0\) whose span is degenerate"):
+        classify_triangle(*two_blocks)
 
 
 def counting_adjoints(monkeypatch) -> list:
