@@ -11,11 +11,11 @@ _MODULE_OF = {name: line.split(":")[0] for line in """
 boundary: Coordinate boundary_coordinate cartan_invariant semi_normalize
 errors: DegenerateInputError DomainError HQError InconsistencyError
 errors: RealizationError UsageError
-gram: Inertia Lifts check_admissible gram inertia realize rescale_gram
-gram: span_dimension
+gram: Inertia Lifts PartitionStructure check_admissible gram inertia realize
+gram: rescale_gram span_dimension
 hform: BALL SIEGEL HVector Isometry PairConfiguration PointClass classify herm
 hform: pair_configuration pair_isometry pair_moduli random_isometry to_model
-positive: INFINITY PartitionStructure congruent coordinate_distance
+positive: INFINITY congruent coordinate_distance
 positive: cross_ratio detect_partition one_normalize parabolic_coordinates
 positive: positive_coordinate regular_coordinate
 qmatrix: QMatrix

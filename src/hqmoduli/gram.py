@@ -28,7 +28,8 @@ span or the distinctness check asks for it.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -67,9 +68,8 @@ class Lifts(tuple):
     distinctness check) is made at once when some lift has C2 != 0, and
     on first use when all are complex.  Its unit-diagonal Gram matrix
     `unit`, the modulus `mod` of `unit`, the zero pattern `nz` of `mod`
-    and the `forest` of `nz`, which every positive stage reads, are made
-    on first use; the positive stages keep on it the partition
-    `structure`."""
+    and the `plan` of `nz`, which every positive stage reads, are made on
+    first use; the positive stages keep on it the partition `structure`."""
 
     checked = structure = None
 
@@ -80,8 +80,9 @@ class Lifts(tuple):
             eps = NULL_EPS
         lifts = super().__new__(cls, points)
         p = lifts.p = columns(lifts)
-        lifts.norms = np.linalg.norm(
-            p.c1 if p.is_complex else lifts.adj[:, :len(lifts)], axis=0)
+        x = p.c1 if p.is_complex else lifts.adj[:, :len(lifts)]
+        # np.linalg.norm(x, axis=0), bit for bit, without its wrapper
+        lifts.norms = np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
         lifts.g = gram(lifts)
         lifts.classes = [point_class(s, r, eps) for s, r in zip(
             lifts.g.c1.diagonal().real.tolist(), lifts.norms.tolist())]
@@ -122,8 +123,8 @@ class Lifts(tuple):
         return nonzero_products(self.mod)
 
     @cached_property
-    def forest(self) -> tuple:
-        return spanning_forest(self.nz.tolist())
+    def plan(self) -> PatternPlan:
+        return pattern_plan(self.nz.tobytes(), len(self))
 
 
 def gram(points) -> QMatrix:
@@ -206,7 +207,75 @@ def spanning_forest(rows) -> tuple:
                     queue.append(t)
                     edges.append((c, t))
         blocks.append(tuple(sorted(queue)))
-    return tuple(sorted(blocks)), edges
+    return tuple(sorted(blocks)), tuple(edges)
+
+
+def _refine_sub_blocks(indices, nz):
+    """Greedy sub-block refinement of one block of the zero pattern nz:
+    repeatedly take the lowest index with the fewest zero products among
+    the remainder and group it with its nonzero partners."""
+    out, anchors = [], []
+    rem = list(indices)
+    while rem:
+        zeros = {a: sum(1 for b in rem if b != a and not nz[a][b]) for a in rem}
+        mn = min(zeros.values())
+        c = min(a for a in rem if zeros[a] == mn)
+        sb = tuple(sorted(b for b in rem if b == c or nz[c][b]))
+        out.append(sb)
+        anchors.append(c)
+        rem = [b for b in rem if b not in sb]
+    return tuple(out), tuple(anchors)
+
+
+class PartitionStructure(Record, fields="kind blocks sub_blocks anchors"):
+    """Zero-pattern data of a positive tuple: the kind (regular or
+    parabolic), the top-level blocks (connected components of the
+    nonzero-product graph), and for regular tuples the sub-block
+    refinement with its anchor indices.  All indices are 0-based.  An
+    immutable 4-tuple (kind, blocks, sub_blocks, anchors)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, blocks: tuple[tuple[int, ...], ...],
+                sub_blocks: tuple[tuple[tuple[int, ...], ...], ...] = (),
+                anchors: tuple[tuple[int, ...], ...] = ()):
+        return tuple.__new__(cls, (kind, blocks, sub_blocks, anchors))
+
+    def to_json(self) -> dict:
+        out = {"kind": self.kind,
+               "blocks": [[i + 1 for i in b] for b in self.blocks]}
+        if self.kind == "regular":
+            out["sub_blocks"] = [[[i + 1 for i in sb] for sb in sbs]
+                                 for sbs in self.sub_blocks]
+            out["anchors"] = [[a + 1 for a in anc] for anc in self.anchors]
+        return out
+
+
+class PatternPlan(Record, fields="blocks edges regular parabolic pairs upper"):
+    """What a positive coordinate reads off its zero pattern alone, a 6-tuple:
+    the `spanning_forest` blocks and edges, both structures, the nonzero
+    pairs a < b of each block, row-major, and all m points' upper pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, blocks, edges, regular, parabolic, pairs, upper):
+        return tuple.__new__(cls, (blocks, edges, regular, parabolic, pairs,
+                                   upper))
+
+
+@lru_cache(maxsize=128)
+def pattern_plan(key: bytes, m: int) -> PatternPlan:
+    """The plan of the m x m zero pattern whose `tobytes` are `key`: one walk
+    and one refinement per pattern, shared by the records of that pattern."""
+    rows = np.frombuffer(key, dtype=bool).reshape(m, m).tolist()
+    blocks, edges = spanning_forest(rows)
+    subs, ancs = zip(*(_refine_sub_blocks(blk, rows) for blk in blocks))
+    pairs = tuple(own for blk in blocks if (own := tuple(
+        (a, b) for a, b in combinations(blk, 2) if rows[a][b])))
+    return PatternPlan(blocks, edges,
+                       PartitionStructure("regular", blocks, subs, ancs),
+                       PartitionStructure("parabolic", blocks), pairs,
+                       tuple(combinations(range(m), 2)))
 
 
 def align(lifts: Lifts, edges, d=None) -> list[Quaternion]:

@@ -26,41 +26,14 @@ import numpy as np
 
 from .boundary import Coordinate, boundary_coordinate
 from .errors import DomainError, InconsistencyError
-from .gram import (Lifts, align, degenerate_span, inertia, nonzero_products,
-                   rescale_gram, span_dimension, spanning_forest,
-                   unit_diagonal)
+from .gram import (Lifts, PartitionStructure, PatternPlan, align,
+                   degenerate_span, inertia, nonzero_products, pattern_plan,
+                   rescale_gram, span_dimension, unit_diagonal)
 from .hform import PointClass, form_matrix
 from .qmatrix import QMatrix
-from .quat import (ONE, Quaternion, Record, conjugate_vector, negligible,
+from .quat import (ONE, Quaternion, conjugate_vector, negligible,
                    normalizing_rotation, nu, quat, rotation_normalize_vector)
 from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS
-
-
-# ---------------------------------------------------------------------------
-# structures
-
-class PartitionStructure(Record, fields="kind blocks sub_blocks anchors"):
-    """Zero-pattern data of a positive tuple: the kind (regular or
-    parabolic), the top-level blocks (connected components of the
-    nonzero-product graph), and for regular tuples the sub-block
-    refinement with its anchor indices.  All indices are 0-based.  An
-    immutable 4-tuple (kind, blocks, sub_blocks, anchors)."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, blocks: tuple[tuple[int, ...], ...],
-                sub_blocks: tuple[tuple[tuple[int, ...], ...], ...] = (),
-                anchors: tuple[tuple[int, ...], ...] = ()):
-        return tuple.__new__(cls, (kind, blocks, sub_blocks, anchors))
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind,
-               "blocks": [[i + 1 for i in b] for b in self.blocks]}
-        if self.kind == "regular":
-            out["sub_blocks"] = [[[i + 1 for i in sb] for sb in sbs]
-                                 for sbs in self.sub_blocks]
-            out["anchors"] = [[a + 1 for a in anc] for anc in self.anchors]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +47,7 @@ def _partitioned(points, kind: str | None = None) -> Lifts:
     lifts = Lifts(points).validated(PointClass.POSITIVE, 2)
     if lifts.structure is None:
         lifts.structure = _partition(lifts.unit, lifts.mod, lifts.nz,
-                                     lifts.forest[0],
-                                     lambda: span_dimension(lifts))
+                                     lifts.plan, lambda: span_dimension(lifts))
     if kind not in (None, lifts.structure.kind):
         raise DomainError(f"tuple is not {kind}")
     return lifts
@@ -108,23 +80,6 @@ def one_normalize(points):
 # ---------------------------------------------------------------------------
 # partition detection
 
-def _refine_sub_blocks(indices, nz):
-    """Greedy sub-block refinement of one block: repeatedly take the
-    lowest index with the fewest zero products among the remainder and
-    group it with its nonzero partners."""
-    out, anchors = [], []
-    rem = list(indices)
-    while rem:
-        zeros = {a: sum(1 for b in rem if b != a and not nz[a][b]) for a in rem}
-        mn = min(zeros.values())
-        c = min(a for a in rem if zeros[a] == mn)
-        sb = tuple(sorted(b for b in rem if b == c or nz[c][b]))
-        out.append(sb)
-        anchors.append(c)
-        rem = [b for b in rem if b not in sb]
-    return tuple(out), tuple(anchors)
-
-
 def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     """Partition structure of a positive tuple from its Gram matrix and
     the dimension of its span, read off unit_diagonal(g), so that
@@ -134,19 +89,15 @@ def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     u = unit_diagonal(g)
     mod = u.modulus()
     nz = nonzero_products(mod)
-    return _partition(u, mod, nz, spanning_forest(nz.tolist())[0],
+    return _partition(u, mod, nz, pattern_plan(nz.tobytes(), len(nz)),
                       lambda: span_dim)
 
 
-def _partition(u: QMatrix, mod: np.ndarray, nz: np.ndarray, blocks,
-               span) -> PartitionStructure:
-    """`detect_partition` of a unit-diagonal u with modulus mod, zero
-    pattern nz and components `blocks`: parabolic by the span rule."""
-    if degenerate_span(mod, lambda: inertia(u), span, nz):
-        return PartitionStructure("parabolic", blocks)
-    rows = nz.tolist()
-    subs, ancs = zip(*(_refine_sub_blocks(blk, rows) for blk in blocks))
-    return PartitionStructure("regular", blocks, tuple(subs), tuple(ancs))
+def _partition(u: QMatrix, mod: np.ndarray, nz: np.ndarray,
+               plan: PatternPlan, span) -> PartitionStructure:
+    """`detect_partition` of u with modulus mod, zero pattern nz and plan."""
+    degenerate = degenerate_span(mod, lambda: inertia(u), span, nz)
+    return plan.parabolic if degenerate else plan.regular
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +140,7 @@ def _parabolic_lifts(lifts: Lifts) -> tuple[list[Quaternion], QMatrix]:
     equal to |u_ct|, which `degenerate_span` has held within UNIT_EPS of
     1, and each diagonal entry is 1 by construction."""
     g, blocks = lifts.g, lifts.structure.blocks
-    d = align(lifts, lifts.forest[1])
+    d = align(lifts, lifts.plan.edges)
     for blk in blocks:
         for a, b in combinations(blk[1:], 2):
             if abs(d[a].conj() * g.entry(a, b) * d[b] - ONE) > UNIT_EPS:
@@ -242,30 +193,26 @@ def parabolic_coordinates(points) -> Coordinate:
 def regular_coordinate(points) -> Coordinate:
     """Canonical Gram matrix of a regular tuple.
 
-    Block normalization aligns the lifts along the record's spanning
-    forest (`gram.spanning_forest`), rooted at each block's first anchor:
-    every g_ii = 1 and every tree edge's product is real positive, and the
-    root keeps its real factor 1/sqrt(g_cc).  That fixes the factors of a
-    block up to one common unit quaternion, which acts on the block's
-    entries by simultaneous conjugation.  The block-normalized entries
-    conj(d_a) g_ab d_b of the nonzero products of a block, taken
-    row-major, are rotation normalized by one unit.  A vanishing product,
-    across blocks or inside one, is written as 0: its rounding noise,
-    turned by the units, would be no invariant."""
+    Block normalization aligns the lifts along the spanning forest of the
+    record's zero-pattern plan (`gram.pattern_plan`), rooted at each
+    block's first anchor: every g_ii = 1 and every tree edge's product is
+    real positive, and the root keeps its real factor 1/sqrt(g_cc).  That
+    fixes the factors of a block up to one common unit quaternion, which
+    acts on the block's entries by simultaneous conjugation.  The
+    block-normalized entries conj(d_a) g_ab d_b of the nonzero products of
+    a block, taken row-major, are rotation normalized by one unit.  A
+    vanishing product, across blocks or inside one, is written as 0: its
+    rounding noise, turned by the units, would be no invariant."""
     lifts = _partitioned(points, "regular")
-    g0, rows = lifts.g, lifts.nz.tolist()
-    blocks, edges = lifts.forest
+    g0, plan = lifts.g, lifts.plan
     # unit factors keep every |g_ab|, so the record's zero pattern serves
-    d = align(lifts, edges)
+    d = align(lifts, plan.edges)
     inner = {}
-    for blk in blocks:
-        own = [(a, b) for a, b in combinations(blk, 2) if rows[a][b]]
-        if own:
-            vec = [d[a].conj() * g0.entry(a, b) * d[b] for a, b in own]
-            rot = normalizing_rotation(vec)[0]
-            inner.update(zip(own, conjugate_vector(rot, vec)))
-    entries = tuple(inner.get(ab, Quaternion())
-                    for ab in combinations(range(len(lifts)), 2))
+    for own in plan.pairs:
+        vec = [d[a].conj() * g0.entry(a, b) * d[b] for a, b in own]
+        rot = normalizing_rotation(vec)[0]
+        inner.update(zip(own, conjugate_vector(rot, vec)))
+    entries = tuple(inner.get(ab, Quaternion()) for ab in plan.upper)
     return Coordinate("regular", entries, structure=lifts.structure)
 
 

@@ -235,14 +235,18 @@ def mu(v1: ImVector3, v2: ImVector3) -> Quaternion:
     """
     if not v1.is_independent_of(v2, v2.norm()):
         raise DegenerateInputError("imaginary parts are linearly dependent")
+    return _mu(v1, v2)
+
+
+def _mu(v1: ImVector3, v2: ImVector3) -> Quaternion:
+    """`mu` of a pair whose independence the caller has decided."""
     n = nu(v1)
     w = n.conj() * v2.to_quaternion() * n
     c2 = complex(w.a2, w.a3)
     if c2 == 0:
         raise DegenerateInputError("imaginary parts are linearly dependent")
     phase = cmath.sqrt(c2 / abs(c2))
-    m = n * Quaternion(phase.real, phase.imag)
-    return canonical_sign(m)
+    return canonical_sign(n * Quaternion(phase.real, phase.imag))
 
 
 def canonical_sign(q: Quaternion) -> Quaternion:
@@ -290,8 +294,8 @@ def normalizing_rotation(v: list[Quaternion]) -> tuple[Quaternion, str]:
     entry itself would take for an imaginary part.  Independence is
     decided at the same scale, so that a short imaginary part parallel to
     the first does not fix the rotation about it by its noise.  `mu`
-    tests against |v2| <= the largest |v_i|, a weaker test, so it accepts
-    every pair that passes here.
+    tests against |v2| <= the largest |v_i|, a weaker test that every pair
+    passing here would pass, so its rotation is built without that test.
     """
     if not v:
         raise DomainError("empty vector")
@@ -306,7 +310,7 @@ def normalizing_rotation(v: list[Quaternion]) -> tuple[Quaternion, str]:
                    and ref.is_independent_of(v[idx].im_vec(), scale)), None)
     if second is None:
         return nu(ref), "P_C" if first == 0 else f"Z_C({first + 1})"
-    return (mu(ref, v[second].im_vec()),
+    return (_mu(ref, v[second].im_vec()),
             f"P({second + 1})" if first == 0 else f"Z({first + 1},{second + 1})")
 
 

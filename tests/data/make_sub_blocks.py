@@ -9,7 +9,7 @@ seeded isometry and per-point rescaling so that the block normalization
 has phases to turn.  The patterns give two or three sub-blocks per tuple:
 sub-blocks whose entries have two independent imaginary parts, real ones
 and one-point ones, joined by edges of the record's spanning forest
-(`Lifts.forest`) that run up and down in index, plus a tuple of two
+(`Lifts.plan`) that run up and down in index, plus a tuple of two
 blocks, whose cross entries all vanish.  The coordinate writes every
 vanishing product, inside a block or across blocks, as 0.
 

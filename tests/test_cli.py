@@ -235,6 +235,24 @@ def test_one_entry_points_are_usage_error(tmp_path, capsys, command, model):
     assert "n >= 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mix", ["dimensions", "models"])
+@pytest.mark.parametrize("command", ["boundary-coord", "positive-coord",
+                                     "congruent"])
+def test_tuple_that_mixes_models_or_dimensions_is_usage_error(
+        tmp_path, capsys, command, mix):
+    # the last point of the tuple is of another n or of the other model
+    sample = random_null_tuple if command == "boundary-coord" \
+        else random_regular_tuple
+    other = (sample(3, 4, seed=6) if mix == "dimensions"
+             else sample(2, 4, seed=6, model=SIEGEL))
+    f = write_tuple(tmp_path / "mixed.json", [*sample(2, 3, seed=6), other[3]])
+    good = write_tuple(tmp_path / "good.json", sample(2, 4, seed=6))
+    argv = (command, f, good) if command == "congruent" else (command, f)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "usage error: tuple mixes models or dimensions\n"
+
+
 @pytest.mark.parametrize("command", ["boundary-coord", "positive-coord",
                                      "congruent"])
 def test_lifts_whose_products_overflow_are_a_domain_error(tmp_path, capsys,

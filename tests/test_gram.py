@@ -848,15 +848,21 @@ def test_stages_read_the_zero_pattern_of_a_record_once(monkeypatch):
     assert sum(map(len, calls)) == 2
 
 
-def test_stages_walk_the_zero_pattern_of_a_record_once(monkeypatch):
+def test_stages_walk_each_zero_pattern_once(monkeypatch):
     # the partition's blocks and the regular forest come from one sweep of
-    # the record's zero pattern
-    calls = [counting(monkeypatch, module, "spanning_forest")
-             for module in (gram_module, positive)]
-    lifts = Lifts(random_regular_tuple(2, 4, seed=2))
-    positive.positive_coordinate(lifts)
-    positive.regular_coordinate(lifts)
-    assert sum(map(len, calls)) == 1
+    # a zero pattern, kept in a bounded cache: two generic (2, 4) records
+    # share the complete pattern, and a parabolic (3, 5) record of another
+    # pattern walks once more
+    gram_module.pattern_plan.cache_clear()
+    calls = counting(monkeypatch, gram_module, "spanning_forest")
+    for seed in (2, 3):
+        lifts = Lifts(random_regular_tuple(2, 4, seed=seed))
+        positive.positive_coordinate(lifts)
+        positive.regular_coordinate(lifts)
+    assert len(calls) == 1
+    positive.positive_coordinate(random_parabolic_tuple(3, 5, seed=1))
+    assert len(calls) == 2
+    assert gram_module.pattern_plan.cache_info().maxsize is not None
 
 
 def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):

@@ -3,6 +3,7 @@ cross-ratio invariants, and the regular canonical Gram coordinate."""
 
 import cmath
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 from hqmoduli import positive
 from hqmoduli.boundary import Coordinate, vector_to_gram
 from hqmoduli.errors import DomainError, InconsistencyError
-from hqmoduli.gram import (Lifts, align, gram, hyperbolic_pair, inertia,
-                           nonzero_products, realize, rescale_gram,
-                           span_dimension)
+from hqmoduli.gram import (Lifts, PartitionStructure, _refine_sub_blocks,
+                           align, gram, hyperbolic_pair, inertia,
+                           nonzero_products, pattern_plan, realize,
+                           rescale_gram, span_dimension, spanning_forest)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PointClass, classify,
                             form_matrix, herm,
                             pair_configuration, random_isometry, to_model)
@@ -340,7 +342,7 @@ def spectral_kind(lifts):
     must have blocks of products of modulus 1."""
     iner = inertia(lifts.unit)
     if iner.n_minus == 0 and iner.rank == span_dimension(lifts) - 1:
-        blocks, nz = lifts.forest[0], lifts.nz
+        blocks, nz = lifts.plan.blocks, lifts.nz
         if (np.count_nonzero(nz) != sum(len(b) ** 2 for b in blocks)
                 or np.count_nonzero(np.abs(lifts.mod[nz] - 1.0) > UNIT_EPS)):
             raise InconsistencyError("not blocks of modulus 1")
@@ -872,7 +874,7 @@ def test_regular_normal_form_over_random_zero_patterns(gram, model):
     lifts = Lifts(realize(unit_diagonal_gram(m, products), m, model))
     want, again, _ = round_trip(lifts, m, model)
     assert coordinate_distance(again, want) <= COORD_TOL
-    blocks, edges = lifts.forest
+    blocks, edges = lifts.plan.blocks, lifts.plan.edges
     targets = {t for _, t in edges}
     assert blocks == want.structure.blocks
     assert [[a for a in blk if a not in targets] for blk in blocks] == [
@@ -886,6 +888,35 @@ def test_regular_normal_form_over_random_zero_patterns(gram, model):
         other = positive_coordinate(
             realize(unit_diagonal_gram(m, bent), m, model))
         assert coordinate_distance(other, want) > COORD_TOL
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gram=zero_pattern_grams(), model=st.sampled_from((BALL, SIEGEL)))
+def test_pattern_plan_is_a_fresh_walk_of_its_pattern(gram, model):
+    # the cached plan holds what one walk and one refinement of the record's
+    # pattern give, as hashable tuples, and a raw Gram matrix of the same
+    # pattern partitions by the same plan as the record
+    m, products = gram
+    lifts = Lifts(realize(unit_diagonal_gram(m, products), m, model))
+    rows = lifts.nz.tolist()
+    blocks, edges = spanning_forest(rows)
+    subs, ancs = zip(*(_refine_sub_blocks(blk, rows) for blk in blocks))
+    plan = lifts.plan
+    assert plan == (blocks, edges,
+                    PartitionStructure("regular", blocks, subs, ancs),
+                    PartitionStructure("parabolic", blocks), plan.pairs,
+                    tuple(combinations(range(m), 2)))
+    assert pattern_plan(lifts.nz.tobytes(), m) is plan
+    assert all(isinstance(field, tuple) for field in plan)
+    hash(plan)
+    # the pairs of each block, row-major, are its nonzero products
+    assert [ab for own in plan.pairs for ab in own] == [
+        (a, b) for a, b in combinations(range(m), 2) if rows[a][b]]
+    assert all(own and any(set(sum(own, ())) <= set(blk) for blk in blocks)
+               for own in plan.pairs)
+    want = positive_coordinate(lifts).structure
+    assert want is plan.regular
+    assert detect_partition(lifts.g, span_dimension(lifts)) is want
 
 
 # ---------------------------------------------------------------------------

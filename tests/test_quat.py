@@ -245,6 +245,28 @@ def test_mu_dependent_raises():
         mu(ImVector3(1, 2, 3), ImVector3(2, 4, 6))
 
 
+def test_mu_nearly_dependent_raises():
+    # a nearly parallel pair leaves a nonzero part of v2 off the i-axis,
+    # so only mu's own independence test rejects it
+    with pytest.raises(DegenerateInputError):
+        mu(ImVector3(1, 2, 3), ImVector3(2.0, 4.0, 6.0 + 1e-12))
+
+
+def test_normalizing_rotation_tests_its_pair_once(monkeypatch):
+    # the rotation of a P-stratum vector is built without mu's repeat of
+    # the test that found its second independent imaginary part
+    scales, test = [], ImVector3.is_independent_of
+
+    def counted(self, other, scale):
+        scales.append(scale)
+        return test(self, other, scale)
+    monkeypatch.setattr(ImVector3, "is_independent_of", counted)
+    v = [Quaternion(1.0, 0.5), Quaternion(0.3, 0.0, 0.7)]
+    rot, tag = normalizing_rotation(v)
+    assert tag == "P(2)" and len(scales) == 1
+    assert rot == mu(v[0].im_vec(), v[1].im_vec())
+
+
 def test_mu_postcondition_and_sign_convention_random():
     rng = np.random.default_rng(13)
     for _ in range(300):
