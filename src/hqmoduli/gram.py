@@ -67,11 +67,12 @@ class Lifts(tuple):
     The complex adjoint `adj` of `p` (for the Gram matrix, the span and the
     distinctness check) is made at once when some lift has C2 != 0, and
     on first use when all are complex.  Its unit-diagonal Gram matrix
-    `unit`, the modulus `mod` of `unit`, the zero pattern `nz` of `mod`
-    and the `plan` of `nz`, which every positive stage reads, are made on
-    first use; the positive stages keep on it the partition `structure`."""
+    `unit`, the modulus `mod` of `unit`, the zero pattern `nz` of `mod`,
+    the `plan` of `nz` and the partition `structure` that `degenerate_span`
+    picks from it, which every positive stage reads, are made on first use
+    and set nowhere else."""
 
-    checked = structure = None
+    checked = None
 
     def __new__(cls, points, eps: float | None = None):
         if isinstance(points, Lifts) and eps in (None, points.eps):
@@ -125,6 +126,12 @@ class Lifts(tuple):
     @cached_property
     def plan(self) -> PatternPlan:
         return pattern_plan(self.nz.tobytes(), len(self))
+
+    @cached_property
+    def structure(self) -> PartitionStructure:
+        degenerate = degenerate_span(self.mod, lambda: inertia(self.unit),
+                                     lambda: span_dimension(self), self.nz)
+        return self.plan.parabolic if degenerate else self.plan.regular
 
 
 def gram(points) -> QMatrix:
@@ -365,18 +372,18 @@ def inertia(g: QMatrix) -> Inertia:
     return _signature(_zeroed(g.eigvalsh()))
 
 
-def degenerate_span(mod: np.ndarray, iner, span, nz=None) -> bool:
+def degenerate_span(mod: np.ndarray, iner, span, nz: np.ndarray) -> bool:
     """Whether the lifts of a positive tuple span a degenerate subspace
     (parabolic) or not (regular), read off the modulus `mod` of their
     unit-diagonal Gram matrix u: not with a `hyperbolic_pair`, nor when
     the inertia `iner()` of u has a negative eigenvalue, else exactly when
     the span dimension `span()` is one more than the rank.  A degenerate
-    span whose zero pattern nz (of mod, unless given) is not cliques,
-    nz @ nz == nz, of modulus 1 within UNIT_EPS is an InconsistencyError."""
+    span whose zero pattern nz of mod is not cliques, nz @ nz == nz, of
+    modulus 1 within UNIT_EPS is an InconsistencyError.  `Lifts.structure`
+    and `positive.detect_partition` are its callers."""
     if hyperbolic_pair(mod) or (sig := iner()).n_minus \
             or sig.rank != span() - 1:
         return False
-    nz = nonzero_products(mod) if nz is None else nz
     if (np.count_nonzero(nz @ nz != nz)
             or np.count_nonzero(np.abs(mod[nz] - 1.0) > UNIT_EPS)):
         raise InconsistencyError("degenerate span but a product inside a "

@@ -12,8 +12,9 @@ Two regimes, distinguished by the span of the lifted tuple:
   matrix itself after block normalization along a spanning forest and
   rotation normalization of the one residual unit of each block.
 
-A tuple gets one Gram matrix and one partition decision, made on its
-unit-diagonal Gram matrix.  The congruence test at the end of the module
+A tuple gets one Gram matrix and one partition decision, which its
+`Lifts` record makes on its unit-diagonal Gram matrix (`Lifts.structure`)
+and every stage here reads.  The congruence test at the end of the module
 compares the coordinates of boundary and positive tuples alike.
 """
 
@@ -26,9 +27,9 @@ import numpy as np
 
 from .boundary import Coordinate, boundary_coordinate
 from .errors import DomainError, InconsistencyError
-from .gram import (Lifts, PartitionStructure, PatternPlan, align,
-                   degenerate_span, inertia, nonzero_products, pattern_plan,
-                   rescale_gram, span_dimension, unit_diagonal)
+from .gram import (Lifts, PartitionStructure, align, degenerate_span,
+                   inertia, nonzero_products, pattern_plan, rescale_gram,
+                   unit_diagonal)
 from .hform import PointClass, form_matrix
 from .qmatrix import QMatrix
 from .quat import (ONE, Quaternion, conjugate_vector, negligible,
@@ -40,14 +41,11 @@ from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS
 # validation and first normalization
 
 def _partitioned(points, kind: str | None = None) -> Lifts:
-    """The lifts, validated and partitioned once, on the record's
-    unit-diagonal Gram matrix: rescaling the lifts moves it by unit
-    factors, which keep every |g_ab| and every eigenvalue.  With a kind,
-    a tuple of the other kind is a DomainError."""
+    """The lifts, validated, with the partition `structure` that the record
+    decides once on its unit-diagonal Gram matrix: rescaling the lifts
+    moves it by unit factors, which keep every |g_ab| and every
+    eigenvalue.  With a kind, a tuple of the other kind is a DomainError."""
     lifts = Lifts(points).validated(PointClass.POSITIVE, 2)
-    if lifts.structure is None:
-        lifts.structure = _partition(lifts.unit, lifts.mod, lifts.nz,
-                                     lifts.plan, lambda: span_dimension(lifts))
     if kind not in (None, lifts.structure.kind):
         raise DomainError(f"tuple is not {kind}")
     return lifts
@@ -84,19 +82,14 @@ def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
     """Partition structure of a positive tuple from its Gram matrix and
     the dimension of its span, read off unit_diagonal(g), so that
     rescaling the lifts leaves it unchanged: parabolic when
-    `gram.degenerate_span` says that the span is degenerate.
+    `gram.degenerate_span` says that the span is degenerate.  The rule of
+    `Lifts.structure`, for a Gram matrix without a record.
     """
     u = unit_diagonal(g)
     mod = u.modulus()
     nz = nonzero_products(mod)
-    return _partition(u, mod, nz, pattern_plan(nz.tobytes(), len(nz)),
-                      lambda: span_dim)
-
-
-def _partition(u: QMatrix, mod: np.ndarray, nz: np.ndarray,
-               plan: PatternPlan, span) -> PartitionStructure:
-    """`detect_partition` of u with modulus mod, zero pattern nz and plan."""
-    degenerate = degenerate_span(mod, lambda: inertia(u), span, nz)
+    plan = pattern_plan(nz.tobytes(), len(nz))
+    degenerate = degenerate_span(mod, lambda: inertia(u), lambda: span_dim, nz)
     return plan.parabolic if degenerate else plan.regular
 
 
@@ -207,13 +200,13 @@ def regular_coordinate(points) -> Coordinate:
     g0, plan = lifts.g, lifts.plan
     # unit factors keep every |g_ab|, so the record's zero pattern serves
     d = align(lifts, plan.edges)
-    inner = {}
+    inner = dict.fromkeys(plan.upper, Quaternion())
     for own in plan.pairs:
         vec = [d[a].conj() * g0.entry(a, b) * d[b] for a, b in own]
         rot = normalizing_rotation(vec)[0]
         inner.update(zip(own, conjugate_vector(rot, vec)))
-    entries = tuple(inner.get(ab, Quaternion()) for ab in plan.upper)
-    return Coordinate("regular", entries, structure=lifts.structure)
+    return Coordinate("regular", tuple(inner.values()),
+                      structure=lifts.structure)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-from .gram import Lifts, degenerate_span, gram, inertia, span_dimension
+from .gram import Lifts, gram
 from .hform import BALL, SIEGEL, HVector, check_dimension, to_model
 from .quat import ONE, Quaternion, quat
 
@@ -59,13 +59,12 @@ def random_positive_point(n: int, rng, model: str = BALL) -> HVector:
 
 
 def random_regular_tuple(n: int, m: int, seed, model: str = BALL):
-    """m distinct positive points whose span is nondegenerate by
-    `gram.degenerate_span` (the generic situation)."""
+    """m distinct positive points whose span is nondegenerate by the
+    record's partition, `Lifts.structure` (the generic situation)."""
     rng = np.random.default_rng(seed)
     for _ in range(MAX_RETRIES):
         lifts = Lifts(random_positive_point(n, rng, BALL) for _ in range(m))
-        if not degenerate_span(lifts.mod, lambda: inertia(lifts.unit),
-                               lambda: span_dimension(lifts)):
+        if lifts.structure.kind == "regular":
             return tuple(to_model(p, model) for p in lifts)
     raise UsageError("failed to sample a regular tuple")
 

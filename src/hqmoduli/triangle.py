@@ -22,8 +22,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InconsistencyError, UsageError
-from .gram import (Inertia, Lifts, degenerate_span, inertia, realize,
-                   realize_with_inertia, span_dimension, triple_product)
+from .gram import (Inertia, Lifts, inertia, realize, realize_with_inertia,
+                   triple_product)
 from .hform import BALL, HVector, PointClass
 from .qmatrix import QMatrix
 from .quat import Record
@@ -170,13 +170,12 @@ def _classify(lifts: Lifts) -> TriangleClass:
     iner = inertia(lifts.unit)
     cls = _signature_class(iner)
     rank_one = cls == TriangleClass.PARABOLIC111
-    # without a negative eigenvalue the class agrees with the span rule of
-    # the partition, asked in H^{2,1} only at rank one: a degenerate
-    # subspace of H^{n,1} is proper.  Rank one on a nondegenerate span is
-    # rounding, and rank two on a degenerate one is a parabolic triple
+    # without a negative eigenvalue the class agrees with the record's
+    # partition, asked in H^{2,1} only at rank one: a degenerate subspace
+    # of H^{n,1} is proper.  Rank one on a nondegenerate span is rounding,
+    # and rank two on a degenerate one is a parabolic triple
     asked = iner.n_minus == 0 and (rank_one or lifts[0].n >= 3)
-    if not asked or rank_one == degenerate_span(
-            lifts.mod, lambda: iner, lambda: span_dimension(lifts), lifts.nz):
+    if not asked or rank_one == (lifts.structure.kind == "parabolic"):
         return cls
     error = InconsistencyError if rank_one else DomainError
     raise error(f"a triangle of signature {iner.n_plus, iner.n_minus} "

@@ -833,18 +833,19 @@ def test_a_record_at_another_eps_is_classified_again():
 
 def test_stages_read_the_zero_pattern_of_a_record_once(monkeypatch):
     # the zero-product rule runs once per record, however many stages read
-    # the pattern, through whichever module's global they call it
+    # the pattern, through whichever module's global they call it; the
+    # tuples are drawn first, since the sampler partitions records of its own
+    quad = Lifts(random_regular_tuple(2, 4, seed=2))
+    triple = Lifts(random_regular_tuple(2, 3, seed=3))
     calls = [counting(monkeypatch, module, "nonzero_products")
              for module in (gram_module, positive, triangle)
              if hasattr(module, "nonzero_products")]
-    lifts = Lifts(random_regular_tuple(2, 4, seed=2))
-    positive.positive_coordinate(lifts)
-    positive.one_normalize(lifts)
+    positive.positive_coordinate(quad)
+    positive.one_normalize(quad)
     assert sum(map(len, calls)) == 1
 
-    lifts = Lifts(random_regular_tuple(2, 3, seed=3))
-    triangle.triangle_params(lifts)
-    triangle.triangle_params(lifts)
+    triangle.triangle_params(triple)
+    triangle.triangle_params(triple)
     assert sum(map(len, calls)) == 2
 
 
@@ -875,13 +876,15 @@ def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     # matrix is taken once per record
     regular = Lifts(random_regular_tuple(2, 4, seed=2))
     parabolic = Lifts(random_parabolic_tuple(3, 5, seed=1))
+    within = Lifts(random_regular_tuple(2, 4, seed=4))
     one = counting(monkeypatch, positive, "one_normalize")
     units = [counting(monkeypatch, module, "unit_diagonal")
              for module in (positive, gram_module)]
     rescale = counting(monkeypatch, positive, "rescale_gram")
     svd = counting(monkeypatch, np.linalg, "svd")
     argwhere = counting(monkeypatch, np, "argwhere")
-    spectra = counting(monkeypatch, positive, "inertia")
+    # the record decides its partition in gram, through gram's inertia
+    spectra = counting(monkeypatch, gram_module, "inertia")
     moduli, modulus = [], QMatrix.modulus
 
     def counted(self):
@@ -902,7 +905,6 @@ def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     assert len(spectra) == 1 and unit_moduli(parabolic) == 1
 
     # every |u_ab| <= 1: only the spectrum can tell
-    within = Lifts(random_regular_tuple(2, 4, seed=4))
     assert positive.positive_coordinate(within).kind == "regular"
     assert len(spectra) == 2 and unit_moduli(within) == 1
 
@@ -1096,3 +1098,23 @@ def test_pairs_near_the_zero_eigenvalue_follow_the_span_rule(k):
     degenerate = assert_readers_follow_the_span_rule(Lifts(pts))
     assert degenerate == (abs(k) <= 19)
     assert (pair_configuration(*pts).kind == "asymptotic") == degenerate
+
+
+def test_the_record_decides_its_span_class_once(monkeypatch):
+    # the triangle class asks the record of a parabolic triple for its
+    # span class, and the coordinate reads the same structure without a
+    # second decision; the Gram-level entry point, which has no record,
+    # decides anew and returns the same plan structure
+    lifts = Lifts(random_parabolic_tuple(2, 3, seed=5))
+    rules = [counting(monkeypatch, module, "degenerate_span")
+             for module in (gram_module, positive)]
+    assert classify_triangle(lifts) == TriangleClass.PARABOLIC111
+    assert [len(c) for c in rules] == [1, 0]
+    structure = lifts.structure
+    coordinate = positive.positive_coordinate(lifts)
+    assert coordinate.kind == "parabolic"
+    assert coordinate.structure is structure is lifts.structure
+    assert [len(c) for c in rules] == [1, 0]
+    assert positive.detect_partition(lifts.g, span_dimension(lifts)) \
+        is structure
+    assert [len(c) for c in rules] == [1, 1]

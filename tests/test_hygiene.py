@@ -3,9 +3,10 @@ every threshold of the package is a name in tol.py that some module
 imports, only qmatrix.py calls numpy's eigen- and singular value
 kernels, the package decides over arrays with np.count_nonzero, not
 numpy's any and all, no package module imports another's private
-names, the zero-product rule runs where a record keeps its result, no
-record is a generated dataclass, and the tuple records derive from
-quat.Record."""
+names, the zero-product rule runs where a record keeps its result, the
+span rule runs in the record and the one Gram-level entry point, only
+gram.py assigns an attribute of a Lifts record, no record is a generated
+dataclass, and the tuple records derive from quat.Record."""
 
 import ast
 import pathlib
@@ -217,28 +218,42 @@ def test_private_import_scan_catches_a_planted_name():
 # outside gram.py, its home, the zero-product rule may run only in the
 # partition of a raw Gram matrix, which has no record to read the pattern off
 ZERO_RULE_CALLERS = {"positive.py": {"detect_partition"}}
+# the span rule runs in the record's own span class and in the partition of
+# a raw Gram matrix
+SPAN_RULE_CALLERS = {"gram.py": {"structure"},
+                     "positive.py": {"detect_partition"}}
 
 
-def zero_rule_calls(tree: ast.Module, allowed=()) -> list[str]:
-    """Calls of nonzero_products, by name or attribute, outside the
+def rule_calls(tree: ast.Module, rule: str, allowed=()) -> list[str]:
+    """Calls of the function `rule`, by name or attribute, outside the
     functions named in `allowed`."""
     inside = {id(node) for fn in ast.walk(tree)
               if isinstance(fn, ast.FunctionDef) and fn.name in allowed
               for node in ast.walk(fn)}
-    return [f"nonzero_products (line {node.lineno})"
+    return [f"{rule} (line {node.lineno})"
             for node in sorted(ast.walk(tree), key=lambda x: getattr(x, "lineno", 0))
             if isinstance(node, ast.Call) and id(node) not in inside
             and getattr(node.func, "attr", getattr(node.func, "id", None))
-            == "nonzero_products"]
+            == rule]
 
 
 def test_zero_products_are_decided_on_the_record():
     found = {p.name: calls
              for p in (ROOT / "src" / "hqmoduli").glob("*.py")
              if p.name != "gram.py"
-             and (calls := zero_rule_calls(ast.parse(p.read_text()),
-                                           ZERO_RULE_CALLERS.get(p.name, ())))}
+             and (calls := rule_calls(ast.parse(p.read_text()),
+                                      "nonzero_products",
+                                      ZERO_RULE_CALLERS.get(p.name, ())))}
     assert not found, f"zero-product rule outside the Lifts record: {found}"
+
+
+def test_span_class_is_decided_on_the_record():
+    found = {p.name: calls
+             for p in (ROOT / "src" / "hqmoduli").glob("*.py")
+             if (calls := rule_calls(ast.parse(p.read_text()),
+                                     "degenerate_span",
+                                     SPAN_RULE_CALLERS.get(p.name, ())))}
+    assert not found, f"span rule outside Lifts.structure: {found}"
 
 
 def test_zero_rule_scan_catches_a_planted_call():
@@ -246,11 +261,76 @@ def test_zero_rule_scan_catches_a_planted_call():
                      "def detect_partition(g):\n    return nonzero_products(g)\n"
                      "def triangle_params(u):\n    return nonzero_products(u)\n"
                      "nz = gram.nonzero_products(u)\nf = nonzero_products\n")
-    assert zero_rule_calls(tree, {"detect_partition"}) == [
+    assert rule_calls(tree, "nonzero_products", {"detect_partition"}) == [
         "nonzero_products (line 5)", "nonzero_products (line 6)"]
-    assert zero_rule_calls(tree) == [
+    assert rule_calls(tree, "nonzero_products") == [
         "nonzero_products (line 3)", "nonzero_products (line 5)",
         "nonzero_products (line 6)"]
+    assert rule_calls(tree, "degenerate_span") == []
+
+
+def lifts_attributes(gram: ast.Module) -> set[str]:
+    """The attributes of gram.Lifts: the names that its class body binds,
+    methods and cached properties among them, and those that its methods
+    assign on a record, without the dunder names."""
+    cls = next(node for node in gram.body
+               if isinstance(node, ast.ClassDef) and node.name == "Lifts")
+    names = {node.attr for node in ast.walk(cls)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Store)}
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for target in node.targets
+                      for t in ast.walk(target) if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("__")}
+
+
+def record_assignments(tree: ast.Module, attributes) -> list[str]:
+    """Assignments and deletions of an attribute named in `attributes`, by
+    statement or by setattr and delattr with a literal name."""
+    found = []
+    for node in sorted(ast.walk(tree), key=lambda x: getattr(x, "lineno", 0)):
+        if (isinstance(node, ast.Attribute) and node.attr in attributes
+                and not isinstance(node.ctx, ast.Load)):
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) in ("setattr", "delattr")
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in attributes):
+            found.append(f"{node.args[1].value} (line {node.lineno})")
+    return found
+
+
+def test_only_gram_assigns_a_record_attribute():
+    src = ROOT / "src" / "hqmoduli"
+    attributes = lifts_attributes(ast.parse((src / "gram.py").read_text()))
+    assert {"p", "g", "eps", "checked", "nz", "plan",
+            "structure"} <= attributes
+    found = {p.name: names for p in src.glob("*.py") if p.name != "gram.py"
+             and (names := record_assignments(ast.parse(p.read_text()),
+                                              attributes))}
+    assert not found, f"Lifts attributes assigned outside gram.py: {found}"
+
+
+def test_record_assignment_scan_catches_a_planted_assignment():
+    gram = ast.parse("class Lifts(tuple):\n    checked = None\n"
+                     "    def __new__(cls, points):\n"
+                     "        lifts = super().__new__(cls, points)\n"
+                     "        lifts.g = 1\n        return lifts\n"
+                     "    @cached_property\n    def structure(self):\n"
+                     "        return self.g\n"
+                     "class Other:\n    def f(self):\n        self.nz = 0\n")
+    attributes = lifts_attributes(gram)
+    assert attributes == {"checked", "g", "structure"}
+    tree = ast.parse("lifts.structure = s\nlifts.g += 1\n"
+                     "setattr(lifts, 'checked', c)\nx.flags.writeable = 0\n"
+                     "y = lifts.structure\ndel lifts.g\n"
+                     "a.b.structure, k = s, 0\ngetattr(lifts, 'g')\n")
+    assert record_assignments(tree, attributes) == [
+        "structure (line 1)", "g (line 2)", "checked (line 3)",
+        "g (line 6)", "structure (line 7)"]
 
 
 def dataclass_mentions(source: str) -> list[str]:

@@ -239,6 +239,32 @@ def test_triples_beyond_h21_get_the_partitions_answer(model):
         classify_triangle(*two_blocks)
 
 
+def near_coincident_triple(n, seed, model):
+    """Three ball lifts (u + du, 1) of one random positive point (u, 1) of
+    H^{n,1}, each du a seeded perturbation of size 1e-6."""
+    rng = np.random.default_rng(seed)
+    *u, last = random_positive_point(n, rng).entries()
+    return tuple(to_model(ball(*(q + Quaternion(*rng.normal(size=4) * 1e-6)
+                                 for q in u), last), model)
+                 for _ in range(3))
+
+
+@pytest.mark.xfail(strict=True, raises=InconsistencyError,
+                   reason="the rank is zeroed at INERTIA_EPS on eigenvalues "
+                   "quadratic in the spacing, the span decided on singular "
+                   "values linear in it")
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_near_coincident_triples_get_one_span_class(n, model):
+    # three distinct points 1e-6 apart: the triangle answers, and names
+    # Parabolic111 exactly when the coordinate is parabolic
+    for seed in range(6):
+        pts = near_coincident_triple(n, seed, model)
+        parabolic = positive_coordinate(pts).kind == "parabolic"
+        rank_one = classify_triangle(*pts) == TriangleClass.PARABOLIC111
+        assert rank_one == parabolic, seed
+
+
 def counting_adjoints(monkeypatch) -> list:
     """The shapes of the QMatrix.adjoint calls made from now on."""
     shapes, adjoint = [], QMatrix.adjoint
