@@ -7,22 +7,20 @@ g_ij = <p_j, p_i> = p_i* J p_j, so G = P* J P with P the column matrix.
 Congruence acts by G -> D* G D for an invertible right factor D, and
 `align` is the one solver for the diagonal D that normalizes G.
 
-Both the inertia and the realization read the m eigenvalues of G from
-`QMatrix.eigvalsh` and `QMatrix.eigh`, which check that G is square and
-Hermitian.  When C2 = 0, as for every normalized triangle Gram matrix,
-these are the eigenvalues of C1; otherwise they are the doubled spectrum
-of the complex adjoint, each pair averaged.  The same INERTIA_EPS zeroing
-is applied to both, so `inertia` and `realize` make the same rank
-decision.  `realize` builds P = F sqrt|L| Q* straight from the complex
-parts of Q, where G = Q L Q* is the one eigendecomposition of
-`QMatrix.eigh` and column k of Q belongs to the k-th eigenvalue; the
-frame constructions of `hform` share it.
+`inertia` and `realize` read the m eigenvalues of G from `QMatrix.eigvalsh`
+and `QMatrix.eigh` (those of C1 when C2 = 0, else the adjoint's pairs
+averaged) and zero them at INERTIA_EPS alike, so they make the same rank
+decision; `realize` builds P = F sqrt|L| Q* from the one eigendecomposition
+G = Q L Q*, column k of Q for the k-th eigenvalue, as `hform`'s frames do.
 
-Products follow the same rule, complex matrices at complex cost: when
-the column matrix of the lifts passes `QMatrix.is_complex`, the one C2 = 0
-test that the spectra use too, `gram` is P1^H (J1 P1) with an all-zero
-C2, and the record builds the complex adjoint of its columns only when the
-span or the distinctness check asks for it.
+A record's span class reads W = U* J U, the form on the span of its lifts
+for an orthonormal basis U from one SVD of the unit columns.  By Sylvester's
+law inertia(G) is W's plus a zero per lift beyond the span; W's entries are
+O(1) however close the lifts lie, so rank, span and degeneracy share a scale.
+
+Complex lifts (`QMatrix.is_complex`, the C2 = 0 test of the spectra) cost
+complex products: `gram` is P1^H (J1 P1) with C2 = 0, W comes from C1, and
+the record builds its adjoint only for the distinctness check.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .errors import (DegenerateInputError, DomainError, InconsistencyError,
 from .hform import (BALL, HVector, PointClass, check_dimension, columns,
                     form_adjoint, form_matrix, point_class, to_model,
                     tuple_from_columns)
-from .qmatrix import QMatrix, adjoint_rank, strict_upper
+from .qmatrix import QMatrix, adjoint_rank, span_spectrum, strict_upper
 from .quat import Quaternion, Record, quat
 from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS, UNIT_EPS, ZERO_EPS
 
@@ -64,13 +62,11 @@ class Lifts(tuple):
     is the record itself, so the stages share and validate one record; an
     eps other than the record's own makes a new record, and a new record
     without one is classified at NULL_EPS.
-    The complex adjoint `adj` of `p` (for the Gram matrix, the span and the
-    distinctness check) is made at once when some lift has C2 != 0, and
-    on first use when all are complex.  Its unit-diagonal Gram matrix
-    `unit`, the modulus `mod` of `unit`, the zero pattern `nz` of `mod`,
-    the `plan` of `nz` and the partition `structure` that `degenerate_span`
-    picks from it, which every positive stage reads, are made on first use
-    and set nowhere else."""
+    The complex adjoint `adj` of `p` is made at once when some lift has
+    C2 != 0, else on first use, as are, and set nowhere else, the
+    unit-diagonal Gram matrix `unit`, its modulus `mod`, its zero pattern
+    `nz`, the `plan` of `nz`, the inertia `form` of the form on the span and
+    the partition `structure` that `degenerate_span` picks from them."""
 
     checked = None
 
@@ -128,9 +124,21 @@ class Lifts(tuple):
         return pattern_plan(self.nz.tobytes(), len(self))
 
     @cached_property
+    def form(self) -> Inertia:
+        """The inertia of W from the `span_spectrum` of the unit columns (of
+        the adjoint, counts halved, when C2 != 0); J's when they span all."""
+        z, cx, n = self[0], self.p.is_complex, self.norms
+        x = self.p.c1 / n if cx else self.adj / np.concatenate((n, n))
+        j = form_matrix(z.model, z.n).c1 if cx else form_adjoint(z.model, z.n)
+        if (lam := span_spectrum(x, j)) is None:
+            return Inertia(z.n, 1, 0)
+        sig = _signature(_zeroed(lam))
+        return sig if cx else Inertia(*((k + 1) // 2 for k in sig))
+
+    @cached_property
     def structure(self) -> PartitionStructure:
-        degenerate = degenerate_span(self.mod, lambda: inertia(self.unit),
-                                     lambda: span_dimension(self), self.nz)
+        degenerate = degenerate_span(self.mod, lambda: self.form, self.nz,
+                                     self.plan.cliques)
         return self.plan.parabolic if degenerate else self.plan.regular
 
 
@@ -258,23 +266,24 @@ class PartitionStructure(Record, fields="kind blocks sub_blocks anchors"):
         return out
 
 
-class PatternPlan(Record, fields="blocks edges regular parabolic pairs upper"):
-    """What a positive coordinate reads off its zero pattern alone, a 6-tuple:
-    the `spanning_forest` blocks and edges, both structures, the nonzero
-    pairs a < b of each block, row-major, and all m points' upper pairs."""
+class PatternPlan(Record,
+                  fields="blocks edges regular parabolic pairs upper cliques"):
+    """What a positive coordinate reads off its zero pattern alone: the
+    `spanning_forest` blocks and edges, both structures, each block's nonzero
+    pairs a < b, row-major, all upper pairs, and whether nz @ nz == nz."""
 
     __slots__ = ()
 
-    def __new__(cls, blocks, edges, regular, parabolic, pairs, upper):
-        return tuple.__new__(cls, (blocks, edges, regular, parabolic, pairs,
-                                   upper))
+    def __new__(cls, *fields):
+        return tuple.__new__(cls, fields)
 
 
 @lru_cache(maxsize=128)
 def pattern_plan(key: bytes, m: int) -> PatternPlan:
     """The plan of the m x m zero pattern whose `tobytes` are `key`: one walk
     and one refinement per pattern, shared by the records of that pattern."""
-    rows = np.frombuffer(key, dtype=bool).reshape(m, m).tolist()
+    nz = np.frombuffer(key, dtype=bool).reshape(m, m)
+    rows = nz.tolist()
     blocks, edges = spanning_forest(rows)
     subs, ancs = zip(*(_refine_sub_blocks(blk, rows) for blk in blocks))
     pairs = tuple(own for blk in blocks if (own := tuple(
@@ -282,7 +291,8 @@ def pattern_plan(key: bytes, m: int) -> PatternPlan:
     return PatternPlan(blocks, edges,
                        PartitionStructure("regular", blocks, subs, ancs),
                        PartitionStructure("parabolic", blocks), pairs,
-                       tuple(combinations(range(m), 2)))
+                       tuple(combinations(range(m), 2)),
+                       not np.count_nonzero(nz @ nz != nz))
 
 
 def align(lifts: Lifts, edges, d=None) -> list[Quaternion]:
@@ -334,15 +344,13 @@ def check_distinct(lifts: Lifts) -> None:
 
 
 def _zeroed(lam: np.ndarray) -> list[float]:
-    """The ascending eigenvalues lam with those of modulus at most
+    """The eigenvalues lam with those of modulus at most
     INERTIA_EPS * max|lam| set to 0.  A list, since there are at most a
     few.  A spectrum that overflowed has no signature: DomainError."""
     lam = lam.tolist()
     if not all(map(math.isfinite, lam)):
         raise DomainError("the spectrum of the matrix is not finite")
-    if not lam:
-        return []
-    zero = INERTIA_EPS * max(-lam[0], lam[-1])
+    zero = INERTIA_EPS * max(map(abs, lam), default=0.0)
     return [0.0 if abs(x) <= zero else x for x in lam]
 
 
@@ -372,20 +380,15 @@ def inertia(g: QMatrix) -> Inertia:
     return _signature(_zeroed(g.eigvalsh()))
 
 
-def degenerate_span(mod: np.ndarray, iner, span, nz: np.ndarray) -> bool:
+def degenerate_span(mod: np.ndarray, form, nz: np.ndarray, cliques) -> bool:
     """Whether the lifts of a positive tuple span a degenerate subspace
-    (parabolic) or not (regular), read off the modulus `mod` of their
-    unit-diagonal Gram matrix u: not with a `hyperbolic_pair`, nor when
-    the inertia `iner()` of u has a negative eigenvalue, else exactly when
-    the span dimension `span()` is one more than the rank.  A degenerate
-    span whose zero pattern nz of mod is not cliques, nz @ nz == nz, of
-    modulus 1 within UNIT_EPS is an InconsistencyError.  `Lifts.structure`
-    and `positive.detect_partition` are its callers."""
-    if hyperbolic_pair(mod) or (sig := iner()).n_minus \
-            or sig.rank != span() - 1:
+    (parabolic): not with a `hyperbolic_pair` in the modulus `mod` of their
+    unit-diagonal Gram matrix, else when the inertia `form()` of the form on
+    their span has a zero and no negative eigenvalue; then a zero pattern nz
+    that is not `cliques` of modulus 1 within UNIT_EPS is inconsistent."""
+    if hyperbolic_pair(mod) or (sig := form()).n_minus or not sig.n_zero:
         return False
-    if (np.count_nonzero(nz @ nz != nz)
-            or np.count_nonzero(np.abs(mod[nz] - 1.0) > UNIT_EPS)):
+    if not cliques or np.count_nonzero(np.abs(mod[nz] - 1.0) > UNIT_EPS):
         raise InconsistencyError("degenerate span but a product inside a "
                                  "block does not have modulus 1")
     return True
@@ -461,6 +464,5 @@ def realization_error(points, g: QMatrix) -> float:
 
 
 def span_dimension(points) -> int:
-    """Quaternionic dimension of the right span of the lifted tuple."""
-    adj = points.adj if isinstance(points, Lifts) else columns(points).adjoint()
-    return int(adjoint_rank(adj))
+    """Quaternionic dimension of the right span of the lifts: `form`'s size."""
+    return sum(Lifts(points).form)

@@ -13,9 +13,9 @@ Two regimes, distinguished by the span of the lifted tuple:
   rotation normalization of the one residual unit of each block.
 
 A tuple gets one Gram matrix and one partition decision, which its
-`Lifts` record makes on its unit-diagonal Gram matrix (`Lifts.structure`)
-and every stage here reads.  The congruence test at the end of the module
-compares the coordinates of boundary and positive tuples alike.
+`Lifts` record makes (`Lifts.structure`) and every stage here reads.  The
+congruence test at the end of the module compares the coordinates of
+boundary and positive tuples alike.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import numpy as np
 
 from .boundary import Coordinate, boundary_coordinate
 from .errors import DomainError, InconsistencyError
-from .gram import (Lifts, PartitionStructure, align, degenerate_span,
-                   inertia, nonzero_products, pattern_plan, rescale_gram,
-                   unit_diagonal)
+from .gram import (Inertia, Lifts, PartitionStructure, align,
+                   degenerate_span, inertia, nonzero_products, pattern_plan,
+                   rescale_gram, unit_diagonal)
 from .hform import PointClass, form_matrix
 from .qmatrix import QMatrix
 from .quat import (ONE, Quaternion, conjugate_vector, negligible,
@@ -42,9 +42,8 @@ from .tol import COORD_TOL, ORTHOGONAL_TOL, UNIT_EPS
 
 def _partitioned(points, kind: str | None = None) -> Lifts:
     """The lifts, validated, with the partition `structure` that the record
-    decides once on its unit-diagonal Gram matrix: rescaling the lifts
-    moves it by unit factors, which keep every |g_ab| and every
-    eigenvalue.  With a kind, a tuple of the other kind is a DomainError."""
+    decides once; rescaling the lifts keeps every |u_ab| and the span.
+    With a kind, a tuple of the other kind is a DomainError."""
     lifts = Lifts(points).validated(PointClass.POSITIVE, 2)
     if kind not in (None, lifts.structure.kind):
         raise DomainError(f"tuple is not {kind}")
@@ -79,17 +78,16 @@ def one_normalize(points):
 # partition detection
 
 def detect_partition(g: QMatrix, span_dim: int) -> PartitionStructure:
-    """Partition structure of a positive tuple from its Gram matrix and
-    the dimension of its span, read off unit_diagonal(g), so that
-    rescaling the lifts leaves it unchanged: parabolic when
-    `gram.degenerate_span` says that the span is degenerate.  The rule of
-    `Lifts.structure`, for a Gram matrix without a record.
-    """
+    """Partition structure of a positive tuple from its Gram matrix g and
+    span dimension: the rule of `Lifts.structure` on unit_diagonal(g), with
+    the Sylvester form of its zeroed spectrum, span_dim - rank zeros."""
     u = unit_diagonal(g)
     mod = u.modulus()
     nz = nonzero_products(mod)
     plan = pattern_plan(nz.tobytes(), len(nz))
-    degenerate = degenerate_span(mod, lambda: inertia(u), lambda: span_dim, nz)
+    n_plus, n_minus, _ = inertia(u)
+    form = Inertia(n_plus, n_minus, span_dim - n_plus - n_minus)
+    degenerate = degenerate_span(mod, lambda: form, nz, plan.cliques)
     return plan.parabolic if degenerate else plan.regular
 
 

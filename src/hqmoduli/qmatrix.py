@@ -230,6 +230,15 @@ def adjoint_rank(a: np.ndarray) -> np.ndarray:
     return (np.sum(s > INERTIA_EPS * s[..., :1], axis=-1) + 1) // 2
 
 
+def span_spectrum(x: np.ndarray, j: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues of U^H j U, the form j on the span of the left singular
+    vectors U of x above INERTIA_EPS of the largest; None if U spans all."""
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    u = u[:, :np.count_nonzero(s > INERTIA_EPS * s[0])]
+    if u.shape[1] < len(x):
+        return np.linalg.eigvalsh(u.conj().T @ (j @ u))
+
+
 @functools.lru_cache(maxsize=64)
 def strict_upper(m: int) -> np.ndarray:
     """Read-only (m, m) mask of the index pairs a < b, made once per m."""

@@ -21,9 +21,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InconsistencyError, UsageError
-from .gram import (Inertia, Lifts, inertia, realize, realize_with_inertia,
-                   triple_product)
+from .errors import DomainError, UsageError
+from .gram import (Inertia, Lifts, hyperbolic_pair, inertia, realize,
+                   realize_with_inertia, triple_product)
 from .hform import BALL, HVector, PointClass
 from .qmatrix import QMatrix
 from .quat import Record
@@ -90,10 +90,7 @@ def triangle_params(*points) -> TriangleParams:
     is recorded as 0 when the zero-product rule of the partition marks
     some product as zero: T then vanishes, and a unit factor on one
     vertex turns g_23 to any phase."""
-    return _params(_vertices(points))
-
-
-def _params(lifts: Lifts) -> TriangleParams:
+    lifts = _vertices(points)
     r = lifts.mod.tolist()
     alpha = 0.0
     if np.count_nonzero(lifts.nz) == lifts.nz.size:
@@ -150,33 +147,27 @@ def realize_and_classify(params: TriangleParams, model: str = BALL
 
 def classify_triangle(*points) -> TriangleClass:
     """Class of the span of a positive triple from the signature of its
-    unit-diagonal Gram matrix, which rescaling the vertices keeps:
-    rank-one (all products of modulus 1, parabolic span), positive rank
-    two (elliptic plane), or hyperbolic span of dimension 2 or 3."""
-    return _classify(_vertices(points))
+    Gram matrix: rank-one (parabolic span), positive rank two (elliptic
+    plane), or hyperbolic span of dimension 2 or 3."""
+    lifts = _vertices(points)
+    iner = inertia(lifts.unit)
+    # exact unless zeroed and uncertified by a hyperbolic pair; then the
+    # form on the span decides, and a degenerate one asks the partition
+    if iner.n_zero and not hyperbolic_pair(lifts.mod):
+        iner = lifts.form
+        if iner.n_zero and not iner.n_minus and (
+                lifts.structure.kind == "parabolic" and iner.rank > 1):
+            raise DomainError(f"a triangle of signature {iner[:2]} whose "
+                              "span is degenerate")
+    return _signature_class(iner)
 
 
 def _signature_class(iner: Inertia) -> TriangleClass:
     """The class that the inertia of a normalized triangle Gram matrix
-    names: that of `gram_from_params`, or of the vertices' unit-diagonal
-    Gram matrix."""
+    names: that of `gram_from_params`, of the vertices' unit-diagonal Gram
+    matrix, or of the form on their span."""
     sig = (iner.n_plus, iner.n_minus)
     if sig not in _CLASS_OF:
         raise DomainError(f"no triangle class has the signature {sig}")
     return _CLASS_OF[sig]
 
-
-def _classify(lifts: Lifts) -> TriangleClass:
-    iner = inertia(lifts.unit)
-    cls = _signature_class(iner)
-    rank_one = cls == TriangleClass.PARABOLIC111
-    # without a negative eigenvalue the class agrees with the record's
-    # partition, asked in H^{2,1} only at rank one: a degenerate subspace
-    # of H^{n,1} is proper.  Rank one on a nondegenerate span is rounding,
-    # and rank two on a degenerate one is a parabolic triple
-    asked = iner.n_minus == 0 and (rank_one or lifts[0].n >= 3)
-    if not asked or rank_one == (lifts.structure.kind == "parabolic"):
-        return cls
-    error = InconsistencyError if rank_one else DomainError
-    raise error(f"a triangle of signature {iner.n_plus, iner.n_minus} "
-                f"whose span is {'not ' * rank_one}degenerate")

@@ -870,9 +870,10 @@ def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     # the partition is read off the record's unit-diagonal Gram matrix, so
     # no stage normalizes twice, and a regular coordinate rescales nothing;
     # every near pair of lifts shares one SVD, the pairs are listed only
-    # when there is one, and the span is asked for only without a negative
-    # eigenvalue; a pair with |u_ab| > 1 (t = 1.249 here) makes the tuple
-    # regular without a spectrum, and the modulus of the unit-diagonal Gram
+    # when there is one, and the span class is read off the form on the
+    # span, one SVD and, for a proper span, one small spectrum, with no unit
+    # spectrum; a pair with |u_ab| > 1 (t = 1.249 here) makes the tuple
+    # regular without either, and the modulus of the unit-diagonal Gram
     # matrix is taken once per record
     regular = Lifts(random_regular_tuple(2, 4, seed=2))
     parabolic = Lifts(random_parabolic_tuple(3, 5, seed=1))
@@ -883,8 +884,9 @@ def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     rescale = counting(monkeypatch, positive, "rescale_gram")
     svd = counting(monkeypatch, np.linalg, "svd")
     argwhere = counting(monkeypatch, np, "argwhere")
-    # the record decides its partition in gram, through gram's inertia
+    # no unit spectrum through gram's inertia, and the form's one spectrum
     spectra = counting(monkeypatch, gram_module, "inertia")
+    forms = counting(monkeypatch, np.linalg, "eigvalsh")
     moduli, modulus = [], QMatrix.modulus
 
     def counted(self):
@@ -897,16 +899,18 @@ def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
 
     positive.positive_coordinate(regular)
     assert len(one) == 0 and sum(map(len, units)) == 1 and len(rescale) == 0
-    assert len(svd) == 0 and len(argwhere) == 0
+    assert len(svd) == 0 and len(argwhere) == 0 and len(forms) == 0
     assert len(spectra) == 0 and unit_moduli(regular) == len(moduli) == 1
 
     assert positive.positive_coordinate(parabolic).kind == "parabolic"
-    assert len(svd) == 2 and len(argwhere) == 1
-    assert len(spectra) == 1 and unit_moduli(parabolic) == 1
+    assert len(svd) == 2 and len(argwhere) == 1 and len(forms) == 1
+    assert len(spectra) == 0 and unit_moduli(parabolic) == 1
 
-    # every |u_ab| <= 1: only the spectrum can tell
+    # every |u_ab| <= 1: only the form can tell, and since the four lifts
+    # span all of H^{2,1}, whose form is J, its SVD needs no spectrum
     assert positive.positive_coordinate(within).kind == "regular"
-    assert len(spectra) == 2 and unit_moduli(within) == 1
+    assert len(svd) == 3 and len(forms) == 1 and within.form == (2, 1, 0)
+    assert len(spectra) == 0 and unit_moduli(within) == 1
 
 
 def test_coordinates_conjugate_once_per_sub_block_or_t_vector(monkeypatch):
@@ -1022,8 +1026,8 @@ def test_sampler_arguments_out_of_range_are_usage_errors(draw, message):
 # regular sampler and the m = 2 closed form
 
 def span_rule(lifts):
-    return degenerate_span(lifts.mod, lambda: inertia(lifts.unit),
-                           lambda: span_dimension(lifts), lifts.nz)
+    return degenerate_span(lifts.mod, lambda: lifts.form, lifts.nz,
+                           lifts.plan.cliques)
 
 
 def sampler_accepts(lifts):
@@ -1098,6 +1102,32 @@ def test_pairs_near_the_zero_eigenvalue_follow_the_span_rule(k):
     degenerate = assert_readers_follow_the_span_rule(Lifts(pts))
     assert degenerate == (abs(k) <= 19)
     assert (pair_configuration(*pts).kind == "asymptotic") == degenerate
+
+
+def near_coincident_triple(n, seed, model, eps):
+    """Three ball lifts (u + du, 1) of one random positive point (u, 1) of
+    H^{n,1}, each du a seeded perturbation of size eps."""
+    rng = np.random.default_rng(seed)
+    *u, last = random_positive_point(n, rng).entries()
+    return tuple(to_model(ball(*(q + Quaternion(*rng.normal(size=4) * eps)
+                                 for q in u), last), model)
+                 for _ in range(3))
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("n", [2, 3])
+def test_near_coincident_triples_get_one_span_class(n, model):
+    # three distinct points eps apart: the triangle, the coordinate and the
+    # sampler read one span class, although the unit Gram matrix's
+    # eigenvalues shrink like eps^2.  Three generic points span all of
+    # H^{2,1}, whose form is (2, 1); in H^{3,1} they may span a positive
+    # definite 3-space, which the triangle refuses exactly when regular
+    for eps, seed in itertools.product((1e-3, 1e-4, 1e-5, 1e-6, 1e-7),
+                                       range(6)):
+        lifts = Lifts(near_coincident_triple(n, seed, model, eps))
+        assert not assert_readers_follow_the_span_rule(lifts), (eps, seed)
+        if n == 2:
+            assert classify_triangle(lifts) == TriangleClass.HYPERBOLIC_FULL
 
 
 def test_the_record_decides_its_span_class_once(monkeypatch):

@@ -256,6 +256,27 @@ def test_span_class_is_decided_on_the_record():
     assert not found, f"span rule outside Lifts.structure: {found}"
 
 
+def test_span_dimension_has_no_caller_in_src():
+    # an answer reads the span off its record's one decomposition, the
+    # inertia `Lifts.form` of the form on the span, not a second SVD
+    found = {p.name: calls
+             for p in (ROOT / "src" / "hqmoduli").glob("*.py")
+             if (calls := rule_calls(ast.parse(p.read_text()),
+                                     "span_dimension"))}
+    assert not found, f"span_dimension called in the package: {found}"
+
+
+def test_span_dimension_scan_catches_a_planted_call():
+    tree = ast.parse("from .gram import span_dimension\n"
+                     "def structure(self):\n"
+                     "    return span_dimension(self) - 1\n"
+                     "k = gram.span_dimension(pts)\nf = span_dimension\n")
+    assert rule_calls(tree, "span_dimension") == [
+        "span_dimension (line 3)", "span_dimension (line 4)"]
+    assert rule_calls(tree, "span_dimension", {"structure"}) == [
+        "span_dimension (line 4)"]
+
+
 def test_zero_rule_scan_catches_a_planted_call():
     tree = ast.parse("from .gram import nonzero_products\n"
                      "def detect_partition(g):\n    return nonzero_products(g)\n"

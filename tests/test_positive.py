@@ -894,20 +894,24 @@ def test_regular_normal_form_over_random_zero_patterns(gram, model):
 @given(gram=zero_pattern_grams(), model=st.sampled_from((BALL, SIEGEL)))
 def test_pattern_plan_is_a_fresh_walk_of_its_pattern(gram, model):
     # the cached plan holds what one walk and one refinement of the record's
-    # pattern give, as hashable tuples, and a raw Gram matrix of the same
-    # pattern partitions by the same plan as the record
+    # pattern give, and whether its blocks are cliques, as hashable fields,
+    # and a raw Gram matrix of the same pattern partitions by the same plan
+    # as the record
     m, products = gram
     lifts = Lifts(realize(unit_diagonal_gram(m, products), m, model))
-    rows = lifts.nz.tolist()
+    nz = lifts.nz
+    rows = nz.tolist()
     blocks, edges = spanning_forest(rows)
     subs, ancs = zip(*(_refine_sub_blocks(blk, rows) for blk in blocks))
     plan = lifts.plan
     assert plan == (blocks, edges,
                     PartitionStructure("regular", blocks, subs, ancs),
                     PartitionStructure("parabolic", blocks), plan.pairs,
-                    tuple(combinations(range(m), 2)))
+                    tuple(combinations(range(m), 2)),
+                    bool(np.all(nz @ nz == nz)))
+    assert plan.cliques is bool(np.all(nz @ nz == nz))
     assert pattern_plan(lifts.nz.tobytes(), m) is plan
-    assert all(isinstance(field, tuple) for field in plan)
+    assert all(isinstance(field, tuple) for field in plan[:-1])
     hash(plan)
     # the pairs of each block, row-major, are its nonzero products
     assert [ab for own in plan.pairs for ab in own] == [

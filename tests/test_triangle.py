@@ -11,8 +11,9 @@ from hqmoduli import qmatrix
 from hqmoduli.cli import build_parser, main
 from hqmoduli.errors import (DegenerateInputError, DomainError,
                              InconsistencyError, RealizationError, UsageError)
-from hqmoduli.gram import (Lifts, gram, inertia, nonzero_products,
-                           realization_error, span_dimension, triple_product)
+from hqmoduli.gram import (Lifts, gram, hyperbolic_pair, inertia,
+                           nonzero_products, realization_error,
+                           span_dimension, triple_product)
 from hqmoduli.hform import (BALL, SIEGEL, HVector, PairConfiguration,
                             pair_configuration, random_isometry, to_model)
 from hqmoduli.positive import one_normalize, positive_coordinate
@@ -239,30 +240,19 @@ def test_triples_beyond_h21_get_the_partitions_answer(model):
         classify_triangle(*two_blocks)
 
 
-def near_coincident_triple(n, seed, model):
-    """Three ball lifts (u + du, 1) of one random positive point (u, 1) of
-    H^{n,1}, each du a seeded perturbation of size 1e-6."""
-    rng = np.random.default_rng(seed)
-    *u, last = random_positive_point(n, rng).entries()
-    return tuple(to_model(ball(*(q + Quaternion(*rng.normal(size=4) * 1e-6)
-                                 for q in u), last), model)
-                 for _ in range(3))
-
-
-@pytest.mark.xfail(strict=True, raises=InconsistencyError,
-                   reason="the rank is zeroed at INERTIA_EPS on eigenvalues "
-                   "quadratic in the spacing, the span decided on singular "
-                   "values linear in it")
-@pytest.mark.parametrize("model", [BALL, SIEGEL])
-@pytest.mark.parametrize("n", [2, 3])
-def test_near_coincident_triples_get_one_span_class(n, model):
-    # three distinct points 1e-6 apart: the triangle answers, and names
-    # Parabolic111 exactly when the coordinate is parabolic
-    for seed in range(6):
-        pts = near_coincident_triple(n, seed, model)
-        parabolic = positive_coordinate(pts).kind == "parabolic"
-        rank_one = classify_triangle(*pts) == TriangleClass.PARABOLIC111
-        assert rank_one == parabolic, seed
+def test_a_hyperbolic_pair_outranks_the_form_on_the_span():
+    # e0, and e0 + lam b along b = e1 + s e2 just past the cone: the pair's
+    # |u_ab| - 1 = 1e-7 certifies a negative eigenvalue of the unit Gram
+    # matrix, while the form on the span of the unit columns, which lie
+    # near the boundary (|z|^2 / <z, z> ~ lam^2), zeroes it; the triangle
+    # keeps the certified signature, as the partition does
+    lam = 100.0
+    s = math.sqrt(1.0 + 2e-7 / lam ** 2)
+    lifts = Lifts([ball(1, 0, 0), ball(1, lam, lam * s),
+                   ball(1, lam / 2, lam / 2 * s)])
+    assert hyperbolic_pair(lifts.mod) and lifts.form == (1, 0, 1)
+    assert positive_coordinate(lifts).kind == "regular"
+    assert classify_triangle(lifts) == TriangleClass.HYPERBOLIC_PLANAR
 
 
 def counting_adjoints(monkeypatch) -> list:
