@@ -20,7 +20,8 @@ O(1) however close the lifts lie, so rank, span and degeneracy share a scale.
 
 Complex lifts (`QMatrix.is_complex`, the C2 = 0 test of the spectra) cost
 complex products: `gram` is P1^H (J1 P1) with C2 = 0, W comes from C1, and
-the record builds its adjoint only for the distinctness check.
+the record builds no adjoint, since the distinctness check reads a pair's
+residual off C1 and C2 with no decomposition.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (DegenerateInputError, DomainError, InconsistencyError,
 from .hform import (BALL, HVector, PointClass, check_dimension, columns,
                     form_adjoint, form_matrix, point_class, to_model,
                     tuple_from_columns)
-from .qmatrix import QMatrix, adjoint_rank, span_spectrum, strict_upper
+from .qmatrix import QMatrix, span_spectrum, strict_upper
 from .quat import Quaternion, Record, quat
 from .tol import INERTIA_EPS, NULL_EPS, PRODUCT_EPS, UNIT_EPS, ZERO_EPS
 
@@ -63,7 +64,8 @@ class Lifts(tuple):
     eps other than the record's own makes a new record, and a new record
     without one is classified at NULL_EPS.
     The complex adjoint `adj` of `p` is made at once when some lift has
-    C2 != 0, else on first use, as are, and set nowhere else, the
+    C2 != 0; a complex record reads C1 alone and makes it only if asked.
+    Made on first use, and set nowhere else, are the
     unit-diagonal Gram matrix `unit`, its modulus `mod`, its zero pattern
     `nz`, the `plan` of `nz`, the inertia `form` of the form on the span and
     the partition `structure` that `degenerate_span` picks from them."""
@@ -330,17 +332,30 @@ def check_nonvanishing(lifts: Lifts) -> None:
 
 
 def check_distinct(lifts: Lifts) -> None:
-    """Two lifts whose unit product has modulus 1 must span a plane; one
-    stacked rank of the column pairs' adjoints decides every such pair."""
-    m = len(lifts)
-    close = strict_upper(m) & (np.abs(lifts.mod - 1.0) <= UNIT_EPS)
+    """Two lifts whose unit product has modulus 1 must span a plane.  Their
+    unit columns x_a, x_b (Euclidean), with c = x_a* x_b, have the Gram
+    matrix [[1, c], [c', 1]] and singular values sqrt(1 +- |c|), and the
+    residual r = x_b - x_a c has |r|^2 = 1 - |c|^2, so sigma_2 / sigma_1 =
+    |r| / (1 + |c|): a pair is distinct when |r| > INERTIA_EPS (1 + |c|),
+    the rank rule of the span, and r keeps sigma_2's linear resolution.
+    The first coincident pair, row-major, is named."""
+    close = strict_upper(len(lifts)) & (np.abs(lifts.mod - 1.0) <= UNIT_EPS)
     if np.count_nonzero(close):
-        near = np.argwhere(close)
-        cols = np.hstack([near, near + m])
-        ranks = adjoint_rank(lifts.adj[:, cols].transpose(1, 0, 2))
-        if np.count_nonzero(ranks < 2):
-            a, b = near[np.argmax(ranks < 2)]
-            raise DegenerateInputError(f"points {a + 1} and {b + 1} coincide")
+        a, b = np.nonzero(close)
+        x1, x2 = lifts.p.c1 / lifts.norms, lifts.p.c2 / lifts.norms
+        a1, a2, b1, b2 = x1[:, a], x2[:, a], x1[:, b], x2[:, b]
+        c1 = np.add.reduce(a1.conj() * b1 + a2 * b2.conj(), axis=0)
+        c2 = np.add.reduce(a1.conj() * b2 - a2 * b1.conj(), axis=0)
+        r1 = b1 - a1 * c1 + a2 * c2.conj()
+        r2 = b2 - a1 * c2 - a2 * c1.conj()
+        r = np.sqrt(np.add.reduce((r1.conj() * r1 + r2.conj() * r2).real,
+                                  axis=0))
+        c = np.sqrt((c1.conj() * c1 + c2.conj() * c2).real)
+        same = ~(r > INERTIA_EPS * (1.0 + c))
+        if np.count_nonzero(same):
+            k = np.argmax(same)
+            raise DegenerateInputError(
+                f"points {a[k] + 1} and {b[k] + 1} coincide")
 
 
 def _zeroed(lam: np.ndarray) -> list[float]:

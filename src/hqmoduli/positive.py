@@ -159,12 +159,15 @@ def parabolic_coordinates(points) -> Coordinate:
     structure = lifts.structure
 
     d, p = _parabolic_lifts(lifts)
-    big = next(b for b in structure.blocks if len(b) >= 2)
-    z0 = p.col(big[1]) - p.col(big[0])
-    jz0 = form_matrix(lifts[0].model, lifts[0].n) @ z0
-    # J is real and symmetric, so row 1 is (J z0)* p = z0* J p, each lift's
-    # product with z0, tested against the column norms |p_t| |d_t| of p
-    rows = QMatrix.from_columns([z0, jz0]).h @ p
+    b0, b1 = next(b for b in structure.blocks if len(b) >= 2)[:2]
+    z1, z2 = p.c1[:, b1] - p.c1[:, b0], p.c2[:, b1] - p.c2[:, b0]
+    j = form_matrix(lifts[0].model, lifts[0].n).c1.real
+    # w* p for the columns w = (z0, J z0), as the complex parts of w*, w1
+    # and -w2: row 0 is the heights z0* p, and J is real and symmetric, so
+    # row 1 is z0* J p, each lift's product with z0, tested against the
+    # column norms |p_t| |d_t| of p
+    w1, w2 = np.conj([z1, j @ z1]), np.array([z2, j @ z2])
+    rows = QMatrix(w1 @ p.c1 + w2 @ p.c2.conj(), w1 @ p.c2 - w2 @ p.c1.conj())
     orth = rows.modulus()[1]
     if np.count_nonzero(
             orth > ORTHOGONAL_TOL * lifts.norms * [abs(x) for x in d]):

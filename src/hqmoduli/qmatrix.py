@@ -221,15 +221,6 @@ class QMatrix:
         return f"QMatrix([\n {body}\n])"
 
 
-def adjoint_rank(a: np.ndarray) -> np.ndarray:
-    """Quaternionic ranks of a stack (..., 2r, 2c) of complex adjoints, with
-    the columns scaled to unit length, which rescaling keeps: half the
-    singular values above INERTIA_EPS times the largest, rounded up."""
-    n = np.linalg.norm(a, axis=-2, keepdims=True)
-    s = np.linalg.svd(a / np.where(n > 0.0, n, 1.0), compute_uv=False)
-    return (np.sum(s > INERTIA_EPS * s[..., :1], axis=-1) + 1) // 2
-
-
 def span_spectrum(x: np.ndarray, j: np.ndarray) -> np.ndarray | None:
     """Eigenvalues of U^H j U, the form j on the span of the left singular
     vectors U of x above INERTIA_EPS of the largest; None if U spans all."""

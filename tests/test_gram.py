@@ -25,7 +25,7 @@ from hqmoduli.hform import (BALL, SIEGEL, HVector, PairConfiguration,
                             pair_configuration, random_isometry, to_model)
 from hqmoduli.qmatrix import QMatrix, strict_upper
 from hqmoduli.quat import Quaternion, quat
-from hqmoduli.tol import STRUCTURE_TOL
+from hqmoduli.tol import STRUCTURE_TOL, UNIT_EPS
 from hqmoduli.positive import tuple_coordinate
 from hqmoduli.sampling import (random_null_point, random_null_tuple,
                                random_parabolic_tuple, random_positive_point,
@@ -869,8 +869,8 @@ def test_stages_walk_each_zero_pattern_once(monkeypatch):
 def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     # the partition is read off the record's unit-diagonal Gram matrix, so
     # no stage normalizes twice, and a regular coordinate rescales nothing;
-    # every near pair of lifts shares one SVD, the pairs are listed only
-    # when there is one, and the span class is read off the form on the
+    # the near pairs of lifts are decided by their residuals, with no SVD
+    # and no np.argwhere, and the span class is read off the form on the
     # span, one SVD and, for a proper span, one small spectrum, with no unit
     # spectrum; a pair with |u_ab| > 1 (t = 1.249 here) makes the tuple
     # regular without either, and the modulus of the unit-diagonal Gram
@@ -903,13 +903,13 @@ def test_positive_coordinate_reads_the_unit_gram_once(monkeypatch):
     assert len(spectra) == 0 and unit_moduli(regular) == len(moduli) == 1
 
     assert positive.positive_coordinate(parabolic).kind == "parabolic"
-    assert len(svd) == 2 and len(argwhere) == 1 and len(forms) == 1
+    assert len(svd) == 1 and len(argwhere) == 0 and len(forms) == 1
     assert len(spectra) == 0 and unit_moduli(parabolic) == 1
 
     # every |u_ab| <= 1: only the form can tell, and since the four lifts
     # span all of H^{2,1}, whose form is J, its SVD needs no spectrum
     assert positive.positive_coordinate(within).kind == "regular"
-    assert len(svd) == 3 and len(forms) == 1 and within.form == (2, 1, 0)
+    assert len(svd) == 2 and len(forms) == 1 and within.form == (2, 1, 0)
     assert len(spectra) == 0 and unit_moduli(within) == 1
 
 
@@ -951,8 +951,9 @@ def test_coordinates_conjugate_once_per_sub_block_or_t_vector(monkeypatch):
 def test_parabolic_coordinate_rescales_nothing(monkeypatch):
     # a parabolic coordinate checks only the within-block products that
     # carry a phase and scales its lifts by one factor row: no rescaled
-    # Gram matrix, no row built entry by entry, and one product for J z0
-    # and one for the heights and the orthogonality test together
+    # Gram matrix, no row built entry by entry, and no QMatrix product:
+    # the heights and the orthogonality row are two rows of complex
+    # products with the real J
     records = [Lifts(random_parabolic_tuple(3, 5, seed=1, model=model))
                for model in (BALL, SIEGEL)]
     rescale = [counting(monkeypatch, module, "rescale_gram")
@@ -962,7 +963,7 @@ def test_parabolic_coordinate_rescales_nothing(monkeypatch):
     for lifts in records:
         assert positive.positive_coordinate(lifts).kind == "parabolic"
     assert sum(map(len, rescale)) == 0 and len(entries) == 0
-    assert len(matmul) == 2 * len(records)
+    assert len(matmul) == 0
 
 
 def test_nonvanishing_lists_pairs_only_when_a_product_vanishes(monkeypatch):
@@ -1112,6 +1113,84 @@ def near_coincident_triple(n, seed, model, eps):
     return tuple(to_model(ball(*(q + Quaternion(*rng.normal(size=4) * eps)
                                  for q in u), last), model)
                  for _ in range(3))
+
+
+def svd_pair_rank(p, q) -> int:
+    """The reference rank of a pair of lifts: half the singular values of
+    the complex adjoint of their unit columns above INERTIA_EPS times the
+    largest, rounded up, as the stacked SVD of the pairs once decided."""
+    a = QMatrix.from_columns([p.qm, q.qm]).adjoint()
+    s = np.linalg.svd(a / np.linalg.norm(a, axis=0), compute_uv=False)
+    return (np.count_nonzero(s > INERTIA_EPS * s[0]) + 1) // 2
+
+
+def coincide(lifts) -> bool:
+    """Whether the distinctness check of positive tuples rejects lifts."""
+    try:
+        lifts.validated(PointClass.POSITIVE, 2)
+    except DegenerateInputError:
+        return True
+    return False
+
+
+def straddling_pair(n, model, complex_lifts, rng):
+    """A positive ball lift p = (u, 1) and q = p + eps w for a Gaussian w,
+    both of one kind (complex or quaternionic), each rescaled by a unit of
+    that kind times a scale in 1e-6..1e6.  eps is log-uniform in
+    1e-12..1e-6, so sigma_2 / sigma_1 of the pair straddles INERTIA_EPS."""
+    k = 2 if complex_lifts else 4
+    u = rng.normal(size=(n, k))
+    u *= rng.uniform(1.1, 3.0) / np.linalg.norm(u)
+    p = np.vstack([u, np.eye(1, k)])
+    q = p + 10.0 ** rng.uniform(-12.0, -6.0) * rng.normal(size=p.shape)
+    out = []
+    for x in (p, q):
+        lam = rng.normal(size=k)
+        lam *= 10.0 ** rng.uniform(-6.0, 6.0) / np.linalg.norm(lam)
+        z = HVector.from_entries([Quaternion(*row) for row in x], BALL)
+        out.append(to_model(z.rescale(Quaternion(*lam)), model))
+    return out
+
+
+@pytest.mark.parametrize("complex_lifts", [False, True])
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_close_pairs_follow_the_adjoint_svd(n, model, complex_lifts):
+    # the residual identity sigma_2 / sigma_1 = |r| / (1 + |c|) decides
+    # every close pair as the SVD of the pair's adjoint does, on both sides
+    # of INERTIA_EPS, at lift scales from 1e-6 to 1e6
+    rng = np.random.default_rng(100 * n + 10 * complex_lifts + (model == BALL))
+    decided = []
+    for _ in range(60):
+        p, q = straddling_pair(n, model, complex_lifts, rng)
+        lifts = Lifts([p, q])
+        assert lifts.p.is_complex == complex_lifts
+        assert abs(lifts.mod[0, 1] - 1.0) <= UNIT_EPS
+        decided.append(coincide(lifts))
+        assert decided[-1] == (svd_pair_rank(p, q) < 2)
+    assert 0 < sum(decided) < len(decided)
+
+
+@pytest.mark.parametrize("model", [BALL, SIEGEL])
+def test_the_first_coincident_pair_is_named(model):
+    # among close pairs of which some are distinct, the error names the
+    # first coincident one in row-major order, the first pair of
+    # np.argwhere that the SVD finds of rank 1
+    rng = np.random.default_rng(43)
+    p, q = (random_positive_point(3, rng, model) for _ in range(2))
+    pts = [p, p + q.scaled(1e-7), q, q.rescale(Quaternion(0.3, -1.2, 0.5, 2.0)),
+           p.rescale(Quaternion(-0.7, 0.1, 1.1, 0.4)).scaled(1e4)]
+    for order in [range(5)] + [rng.permutation(5) for _ in range(6)]:
+        tup = [pts[t] for t in order]
+        lifts = Lifts(tup)
+        close = np.triu(np.abs(lifts.mod - 1.0) <= UNIT_EPS, 1)
+        pairs = [(a, b) for a, b in np.argwhere(close)
+                 if svd_pair_rank(tup[a], tup[b]) < 2]
+        assert len(pairs) == 2 and np.count_nonzero(close) == 4
+        a, b = pairs[0]
+        with pytest.raises(DegenerateInputError,
+                           match=f"points {a + 1} and {b + 1} coincide"):
+            lifts.validated(PointClass.POSITIVE, 2)
 
 
 @pytest.mark.parametrize("model", [BALL, SIEGEL])

@@ -1,12 +1,13 @@
 """Source hygiene: every imported name is used in the module importing it,
 every threshold of the package is a name in tol.py that some module
 imports, only qmatrix.py calls numpy's eigen- and singular value
-kernels, the package decides over arrays with np.count_nonzero, not
-numpy's any and all, no package module imports another's private
-names, the zero-product rule runs where a record keeps its result, the
-span rule runs in the record and the one Gram-level entry point, only
-gram.py assigns an attribute of a Lifts record, no record is a generated
-dataclass, and the tuple records derive from quat.Record."""
+kernels, and its one SVD is that of the form on the span, the package
+decides over arrays with np.count_nonzero, not numpy's any and all, no
+package module imports another's private names, the zero-product rule
+runs where a record keeps its result, the span rule runs in the record
+and the one Gram-level entry point, only gram.py assigns an attribute of
+a Lifts record, no record is a generated dataclass, and the tuple records
+derive from quat.Record."""
 
 import ast
 import pathlib
@@ -275,6 +276,23 @@ def test_span_dimension_scan_catches_a_planted_call():
         "span_dimension (line 3)", "span_dimension (line 4)"]
     assert rule_calls(tree, "span_dimension", {"structure"}) == [
         "span_dimension (line 4)"]
+
+
+def test_qmatrix_takes_one_svd():
+    # the form on the span (`span_spectrum`) is a record's one SVD: the
+    # distinctness check of its close pairs reads their residuals instead
+    tree = ast.parse((ROOT / "src" / "hqmoduli" / "qmatrix.py").read_text())
+    assert len(rule_calls(tree, "svd")) == 1
+    assert rule_calls(tree, "svd", {"span_spectrum"}) == []
+
+
+def test_svd_scan_catches_a_planted_call():
+    tree = ast.parse("import numpy as np\n"
+                     "def span_spectrum(x):\n    return np.linalg.svd(x)\n"
+                     "def pair_rank(a):\n    return np.linalg.svd(a)[1]\n"
+                     "f = np.linalg.svd\n")
+    assert rule_calls(tree, "svd") == ["svd (line 3)", "svd (line 5)"]
+    assert rule_calls(tree, "svd", {"span_spectrum"}) == ["svd (line 5)"]
 
 
 def test_zero_rule_scan_catches_a_planted_call():

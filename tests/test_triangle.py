@@ -267,7 +267,7 @@ def test_realized_coincident_vertices_keep_their_class(monkeypatch):
     # G = [[1, 1, 0], [1, 1, 0], [0, 0, 1]] has two equal rows and
     # signature (2, 0, 1) with n_plus = n, so realize puts p1 on p2; the
     # class read off that signature stands, and the complex record of the
-    # points builds its adjoint only for the rank of the near pair
+    # points decides the near pair off C1 without an adjoint
     adjoints = counting_adjoints(monkeypatch)
     pts, cls = realize_and_classify(TriangleParams(0.0, 0.0, 1.0, 0.0))
     assert cls == TriangleClass.ELLIPTIC
@@ -275,7 +275,7 @@ def test_realized_coincident_vertices_keep_their_class(monkeypatch):
     assert not lifts.p.c2.any() and "adj" not in vars(lifts)
     with pytest.raises(DegenerateInputError):
         classify_triangle(lifts)
-    assert adjoints == [(3, 3)] and "adj" in vars(lifts)
+    assert adjoints == [] and "adj" not in vars(lifts)
 
 
 @pytest.mark.parametrize("params, cls", [
@@ -287,9 +287,8 @@ def test_realized_coincident_vertices_keep_their_class(monkeypatch):
 ])
 def test_triangle_answers_build_no_complex_adjoint(monkeypatch, capsys,
                                                    params, cls):
-    # realized triangles are complex, so their records, Gram matrices and
-    # spectra stay in C1; only a near pair of vertices or the span of a
-    # parabolic triangle asks for the adjoint
+    # realized triangles are complex, so their records, Gram matrices,
+    # spectra, near pairs and spans stay in C1, with no adjoint
     adjoints = counting_adjoints(monkeypatch)
     prm = TriangleParams(*params)
     for model in (BALL, SIEGEL):
@@ -303,12 +302,12 @@ def test_triangle_answers_build_no_complex_adjoint(monkeypatch, capsys,
     assert adjoints == []
 
 
-def test_realized_parabolic_triangle_builds_one_adjoint(monkeypatch):
-    # its near pairs and its span share the record's one adjoint
+def test_realized_parabolic_triangle_builds_no_adjoint(monkeypatch):
+    # its near pairs and its span read the record's C1 alone
     adjoints = counting_adjoints(monkeypatch)
     lifts = Lifts(realize_triangle(TriangleParams(1.0, 1.0, 1.0, 0.0)))
     assert classify_triangle(lifts) == TriangleClass.PARABOLIC111
-    assert adjoints == [(3, 3)]
+    assert adjoints == []
 
 
 def test_params_round_trip_through_gram():
